@@ -43,7 +43,7 @@ def encode_bow(context, vocab: Vocabulary, params: dict[str, Variable],
                tape: Tape | None = None) -> Variable:
     """All context words bagged into one count vector, projected: p = P s."""
     dtype = params["P"].dtype
-    s = Variable(bow_vector(context, vocab, dtype).reshape(1, -1))
+    s = Variable(bow_vector(context, vocab, dtype).reshape(1, -1), constant=True)
     return nm.matmul(tape, s, params["P"])
 
 
@@ -56,7 +56,7 @@ def encode_seqbow(context, vocab: Vocabulary, params: dict[str, Variable],
         return nm.zeros((1, d_ctx), dtype)
     state = rlm.zero_state(1, d_ctx, dtype)
     for s_row in _bow_rows(context, vocab, dtype):
-        x = nm.matmul(tape, Variable(s_row), params["P"])
+        x = nm.matmul(tape, Variable(s_row, constant=True), params["P"])
         state = rlm.lstm_step(x, state, params, tape, CTX_FWD)
     return state.h
 
@@ -69,7 +69,7 @@ def annotate_bidirectional(context, vocab: Vocabulary, params: dict[str, Variabl
     dtype = params["P"].dtype
     d_ctx = params["P"].shape[1]
     rows = _bow_rows(context, vocab, dtype)
-    xs = [nm.matmul(tape, Variable(r), params["P"]) for r in rows]
+    xs = [nm.matmul(tape, Variable(r, constant=True), params["P"]) for r in rows]
     fwd = []
     state = rlm.zero_state(1, d_ctx, dtype)
     for x in xs:

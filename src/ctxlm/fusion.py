@@ -8,7 +8,13 @@ context vector at each step, queried by the previous hidden state.
 
 Two evaluation paths exist: a per-window path built from hooks into
 ``rlm.sentence_nll`` (the reference semantics) and a padded, masked batch
-engine used by training and corpus evaluation. Tests hold them equal.
+engine used by training and corpus evaluation. Tests hold them equal. The
+batch engine steps through time only for the recurrence, which records the
+fused ``numeric.lstm_cell`` (plus ``numeric.late_fusion_output`` for late
+fusion and one batched scoring of all context positions for attention). The
+embedding gather, the input projection of all timesteps, the context
+encoder's BoW projection and the output softmax + NLL of all positions are
+each computed once per batch.
 """
 
 from dataclasses import dataclass
@@ -89,10 +95,11 @@ def early_fusion_input(word_id: int, p: Variable, params: dict[str, Variable],
 
 
 def _late_output(tape: Tape | None, params: dict[str, Variable], o: Variable,
-                 c_new: Variable, q: Variable) -> Variable:
-    pre = nm.add(tape, nm.matmul(tape, q, params["W_rp"]), nm.matmul(tape, c_new, params["W_rc"]))
-    r = nm.sigmoid_v(tape, nm.add_bias(tape, pre, params["b_r"]))
-    return nm.mul(tape, o, nm.tanh_v(tape, nm.add(tape, c_new, nm.mul(tape, r, q))))
+                 c_new: Variable, q: Variable, q_r: Variable | None = None) -> Variable:
+    """h = o * tanh(c + r*q); ``q_r`` is q @ W_rp when the caller already has it."""
+    if q_r is None:
+        q_r = nm.matmul(tape, q, params["W_rp"])
+    return nm.late_fusion_output(tape, o, c_new, q, q_r, params["W_rc"], params["b_r"])
 
 
 def late_fusion_step(x: Variable, state: LstmState, p: Variable,
@@ -228,21 +235,22 @@ def make_batch(windows: list[ContextWindow], vocab: Vocabulary, variant: Variant
     return WindowBatch(inputs, targets, mask, bow_sum, bow_seq, ctx_mask)
 
 
-def _ctx_states(tape: Tape | None, params: dict[str, Variable], batch: WindowBatch,
-                prefix: str, reverse: bool, dtype) -> list[Variable]:
-    """Masked context-LSTM pass over the padded BoW sequence; one state per position."""
-    K, B, _ = batch.bow_seq.shape
-    d_ctx = params["P"].shape[1]
+def _ctx_states(tape: Tape | None, params: dict[str, Variable], x: Variable,
+                mask: np.ndarray, prefix: str, reverse: bool, dtype) -> list[Variable]:
+    """Masked context-LSTM pass over projected BoW rows x (K*B, d_ctx), position-major;
+    one hidden state per position."""
+    K = mask.shape[1]
+    B = x.shape[0] // K
+    d_ctx = x.shape[1]
+    W, U, b = rlm.gate_weights(tape, params, prefix)
+    xproj = nm.reshape(tape, nm.matmul(tape, x, W), (K, B, -1))
     states: list[Variable | None] = [None] * K
     state = rlm.zero_state(B, d_ctx, dtype)
     order = range(K - 1, -1, -1) if reverse else range(K)
     for k in order:
-        x = nm.matmul(tape, Variable(batch.bow_seq[k]), params["P"])
-        new = rlm.lstm_step(x, state, params, tape, prefix)
-        m = batch.ctx_mask[:, k : k + 1]
-        state = LstmState(
-            nm.blend(tape, m, new.h, state.h), nm.blend(tape, m, new.c, state.c)
-        )
+        _, _, c_new, h_new = nm.lstm_cell(tape, xproj, k, state.h, state.c, U, b)
+        m = mask[:, k : k + 1]
+        state = LstmState(nm.blend(tape, m, h_new, state.h), nm.blend(tape, m, c_new, state.c))
         states[k] = state.h
     return states
 
@@ -253,7 +261,11 @@ def batch_nll(windows_or_batch, params: dict[str, Variable], variant: Variant | 
     """Per-window NLL over a padded batch -> ((B,) Variable, (B,T) array | None).
 
     Padded positions contribute exactly zero to values and gradients; empty
-    contexts reduce to the unconditioned model.
+    contexts reduce to the unconditioned model. Only the recurrence runs step
+    by step: the embedding gather, the input projection of all T steps, the
+    context encoder's BoW projection and the attention keys W_a z_k are each
+    one product before the time loop, and the output affine and NLL of all
+    (T*B) positions one after it.
     """
     if isinstance(variant, str):
         variant = parse_variant(variant)
@@ -267,22 +279,24 @@ def batch_nll(windows_or_batch, params: dict[str, Variable], variant: Variant | 
 
     extra = None      # early fusion: fixed projected context
     q = None          # late fusion: projected context entering the output gate
-    annots = None     # attention: stacked annotations (K,B,2*d_ctx)
-    za = None
+    annots = None     # attention: annotations (K,B,2*d_ctx)
     if variant.context == "bow":
-        p = nm.matmul(tape, Variable(batch.bow_sum), params["P"])
+        p = nm.matmul(tape, Variable(batch.bow_sum, constant=True), params["P"])
     elif variant.context in ("seqbow", "att") and batch.bow_seq.shape[0] == 0:
         p = nm.zeros((B, context_dim(variant, params["P"].shape[1])), dtype)
-    elif variant.context == "seqbow":
-        fwd = _ctx_states(tape, params, batch, ctx.CTX_FWD, False, dtype)
-        p = fwd[-1]
-    elif variant.context == "att":
-        fwd = _ctx_states(tape, params, batch, ctx.CTX_FWD, False, dtype)
-        rev = _ctx_states(tape, params, batch, ctx.CTX_REV, True, dtype)
-        per_pos = [nm.concat_cols(tape, [f, r]) for f, r in zip(fwd, rev)]
-        annots = nm.stack_first(tape, per_pos)
-        za = [nm.matmul(tape, z, params["W_a"]) for z in per_pos]
-        p = None
+    elif variant.context in ("seqbow", "att"):
+        K, _, V = batch.bow_seq.shape
+        counts = Variable(batch.bow_seq.reshape(K * B, V), constant=True)
+        x_ctx = nm.matmul(tape, counts, params["P"])
+        fwd = _ctx_states(tape, params, x_ctx, batch.ctx_mask, ctx.CTX_FWD, False, dtype)
+        if variant.context == "seqbow":
+            p = fwd[-1]
+        else:
+            rev = _ctx_states(tape, params, x_ctx, batch.ctx_mask, ctx.CTX_REV, True, dtype)
+            annots = nm.concat_cols(tape, [nm.stack_first(tape, fwd), nm.stack_first(tape, rev)])
+            flat = nm.reshape(tape, annots, (K * B, -1))
+            keys = nm.reshape(tape, nm.matmul(tape, flat, params["W_a"]), (K, B, -1))
+            p = None
     else:
         p = None
     if variant.context is not None and p is not None:
@@ -291,34 +305,38 @@ def batch_nll(windows_or_batch, params: dict[str, Variable], variant: Variant | 
             extra = proj
         else:
             q = proj
+    q_r = nm.matmul(tape, q, params["W_rp"]) if q is not None else None
 
-    v_col = nm.reshape(tape, params["v_a"], (-1, 1)) if annots is not None else None
+    W, U, b = rlm.gate_weights(tape, params, "")
+    x = nm.embed_rows(tape, params["E"], batch.inputs.T)
+    if extra is not None:
+        x = nm.add_bias(tape, x, extra)
+    x = nm.reshape(tape, x, (T * B, -1))
+    xproj = nm.reshape(tape, nm.matmul(tape, x, W), (T, B, -1))
+
     state = rlm.zero_state(B, d_h, dtype)
-    total = nm.zeros((B,), dtype)
-    token_nll = np.zeros((B, T), dtype=np.float64) if want_token_nll else None
+    hs = []
     for t in range(T):
-        x = nm.embed_rows(tape, params["E"], batch.inputs[:, t])
+        step_in = None
         if annots is not None:
             uq = nm.matmul(tape, state.h, params["U_a"])
-            cols = [nm.matmul(tape, nm.tanh_v(tape, nm.add(tape, z, uq)), v_col) for z in za]
-            alphas = nm.masked_softmax(tape, nm.concat_cols(tape, cols), batch.ctx_mask)
-            p_t = nm.attention_mix(tape, alphas, annots)
-            proj_t = nm.matmul(tape, p_t, params["W_p"])
+            scores = nm.attention_scores(tape, keys, uq, params["v_a"])
+            alphas = nm.masked_softmax(tape, scores, batch.ctx_mask)
+            proj_t = nm.matmul(tape, nm.attention_mix(tape, alphas, annots), params["W_p"])
             if variant.fusion == "early":
-                x = nm.add(tape, x, proj_t)
+                step_in = nm.matmul(tape, proj_t, W)
             else:
                 q = proj_t
-        elif extra is not None:
-            x = nm.add(tape, x, extra)
-        _, o, c_new = rlm.lstm_gates(tape, params, "", x, state)
+        _, o, c_new, h_new = nm.lstm_cell(tape, xproj, t, state.h, state.c, U, b, step_in)
         if variant.fusion == "late" and q is not None:
-            h_new = _late_output(tape, params, o, c_new, q)
-        else:
-            h_new = nm.mul(tape, o, nm.tanh_v(tape, c_new))
-        logits = nm.add_bias(tape, nm.matmul(tape, h_new, params["W_out"]), params["b_out"])
-        step = nm.nll_rows(tape, logits, batch.targets[:, t], batch.mask[:, t])
-        total = nm.add(tape, total, step)
-        if want_token_nll:
-            token_nll[:, t] = step.value
+            h_new = _late_output(tape, params, o, c_new, q, q_r)
+        hs.append(h_new)
         state = LstmState(h_new, c_new)
+
+    hidden = nm.reshape(tape, nm.stack_first(tape, hs), (T * B, d_h))
+    logits = nm.add_bias(tape, nm.matmul(tape, hidden, params["W_out"]), params["b_out"])
+    nll = nm.nll_rows(tape, logits, batch.targets.T.ravel(), batch.mask.T.ravel())
+    nll = nm.reshape(tape, nll, (T, B))
+    total = nm.sum_all(tape, nll, axis=0)
+    token_nll = nll.value.T.astype(np.float64) if want_token_nll else None
     return total, token_nll

@@ -5,6 +5,15 @@ takes the tape as its first argument; passing ``tape=None`` runs the forward
 computation only (no gradient bookkeeping), which is what evaluation uses.
 All arrays of one computation share a dtype: float64 for verification,
 float32 for faster training.
+
+Most primitives are single numpy operations. The exceptions are the hot
+spots of a recurrent model, fused so one timestep records one closure with
+a hand-written backward: :func:`lstm_cell` (all four gates from one
+precomputed input projection and one ``h_prev @ U`` product),
+:func:`late_fusion_output` (the gated context term of late fusion) and
+:func:`attention_scores` (additive-attention scores for every context
+position at once). Operands marked ``constant`` (data such as bag-of-words
+count matrices) receive no gradient.
 """
 
 import numpy as np
@@ -22,14 +31,20 @@ def dtype_of(precision: str) -> np.dtype:
 
 
 class Variable:
-    """A numpy array plus a lazily allocated gradient buffer of the same shape."""
+    """A numpy array plus a lazily allocated gradient buffer of the same shape.
 
-    __slots__ = ("value", "grad", "name")
+    A ``constant`` Variable holds data, not a parameter or an intermediate:
+    :func:`matmul`, the primitive data operands enter through, computes no
+    gradient for it, so its ``grad`` stays None.
+    """
 
-    def __init__(self, value, name: str | None = None):
+    __slots__ = ("value", "grad", "name", "constant")
+
+    def __init__(self, value, name: str | None = None, constant: bool = False):
         self.value = np.asarray(value)
         self.grad: np.ndarray | None = None
         self.name = name
+        self.constant = constant
 
     @property
     def shape(self):
@@ -43,6 +58,16 @@ class Variable:
         if self.grad is None:
             self.grad = np.zeros_like(self.value)
         return self.grad
+
+    def add_grad(self, g: np.ndarray) -> None:
+        """Accumulate g into the gradient. With no gradient yet, a g of the same
+        shape and dtype becomes the buffer itself, so g must be an array the
+        caller does not use afterwards: a fresh result, or (a distinct part of)
+        the gradient of an output whose backward is running."""
+        if self.grad is None and g.shape == self.value.shape and g.dtype == self.value.dtype:
+            self.grad = g
+        else:
+            self.grad_buffer()[...] += g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -87,11 +112,11 @@ def sigmoid(x):
     x = np.asarray(x)
     if x.dtype.kind != "f":
         x = x.astype(np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below, from one exp that
+    # cannot overflow; np.maximum picks the numerator (1 or e <= 1) without the
+    # data-dependent branch that makes np.where slow on mixed signs.
+    e = np.exp(-np.abs(x))
+    out = np.maximum(e, x >= 0) / (1.0 + e)
     return out if out.shape else out[()]
 
 
@@ -142,15 +167,17 @@ def uniform_init(rng: np.random.Generator, shape, dtype) -> np.ndarray:
 
 
 def matmul(tape: Tape | None, a: Variable, b: Variable) -> Variable:
-    """a (m,k) @ b (k,n) -> (m,n)."""
+    """a (m,k) @ b (k,n) -> (m,n); a constant operand gets no gradient."""
     out = Variable(a.value @ b.value)
     if tape is not None:
         def backprop():
             g = out.grad
             if g is None:
                 return
-            a.grad_buffer()[...] += g @ b.value.T
-            b.grad_buffer()[...] += a.value.T @ g
+            if not a.constant:
+                a.add_grad(g @ b.value.T)
+            if not b.constant:
+                b.add_grad(a.value.T @ g)
         tape.record(backprop)
     return out
 
@@ -162,7 +189,7 @@ def add(tape: Tape | None, a: Variable, b: Variable) -> Variable:
             g = out.grad
             if g is None:
                 return
-            a.grad_buffer()[...] += g
+            a.add_grad(g)
             b.grad_buffer()[...] += g
         tape.record(backprop)
     return out
@@ -176,22 +203,23 @@ def mul(tape: Tape | None, a: Variable, b: Variable) -> Variable:
             g = out.grad
             if g is None:
                 return
-            a.grad_buffer()[...] += g * b.value
-            b.grad_buffer()[...] += g * a.value
+            a.add_grad(g * b.value)
+            b.add_grad(g * a.value)
         tape.record(backprop)
     return out
 
 
 def add_bias(tape: Tape | None, x: Variable, b: Variable) -> Variable:
-    """x (B,d) + b (d,), broadcast over rows."""
+    """x (..., *b.shape) + b, broadcast over the leading axes: (B,d) + (d,), or
+    (T,B,d) + (B,d) for one per-row vector added at every timestep."""
     out = Variable(x.value + b.value)
     if tape is not None:
         def backprop():
             g = out.grad
             if g is None:
                 return
-            x.grad_buffer()[...] += g
-            b.grad_buffer()[...] += g.sum(axis=0)
+            x.add_grad(g)
+            b.add_grad(g.reshape((-1,) + b.value.shape).sum(axis=0))
         tape.record(backprop)
     return out
 
@@ -203,7 +231,7 @@ def sigmoid_v(tape: Tape | None, x: Variable) -> Variable:
             g = out.grad
             if g is None:
                 return
-            x.grad_buffer()[...] += g * out.value * (1.0 - out.value)
+            x.add_grad(g * out.value * (1.0 - out.value))
         tape.record(backprop)
     return out
 
@@ -215,7 +243,7 @@ def tanh_v(tape: Tape | None, x: Variable) -> Variable:
             g = out.grad
             if g is None:
                 return
-            x.grad_buffer()[...] += g * (1.0 - out.value * out.value)
+            x.add_grad(g * (1.0 - out.value * out.value))
         tape.record(backprop)
     return out
 
@@ -242,10 +270,12 @@ def nll_rows(tape: Tape | None, logits: Variable, targets: np.ndarray,
     """
     z = logits.value
     zmax = z.max(axis=1, keepdims=True)
-    shifted = z - zmax
-    lse = np.log(np.exp(shifted).sum(axis=1))
     rows = np.arange(z.shape[0])
-    nll = lse - shifted[rows, targets]
+    work = z - zmax
+    picked = work[rows, targets]
+    lse = np.log(np.exp(work, out=work).sum(axis=1))
+    del work  # only zmax and lse are kept: backward rebuilds the softmax from z
+    nll = lse - picked
     if mask is not None:
         nll = nll * mask
     out = Variable(nll)
@@ -254,11 +284,12 @@ def nll_rows(tape: Tape | None, logits: Variable, targets: np.ndarray,
             g = out.grad
             if g is None:
                 return
-            soft = np.exp(shifted)
-            soft /= soft.sum(axis=1, keepdims=True)
+            soft = z - zmax
+            soft -= lse[:, None]
+            np.exp(soft, out=soft)
             soft[rows, targets] -= 1.0
-            gr = g if mask is None else g * mask
-            logits.grad_buffer()[...] += soft * gr[:, None]
+            soft *= (g if mask is None else g * mask)[:, None]
+            logits.add_grad(soft)
         tape.record(backprop)
     return out
 
@@ -285,7 +316,7 @@ def masked_softmax(tape: Tape | None, scores: Variable, mask: np.ndarray) -> Var
                 return
             p = out.value
             inner = (g * p).sum(axis=1, keepdims=True)
-            scores.grad_buffer()[...] += p * (g - inner)
+            scores.add_grad(p * (g - inner))
         tape.record(backprop)
     return out
 
@@ -298,8 +329,111 @@ def attention_mix(tape: Tape | None, alphas: Variable, annotations: Variable) ->
             g = out.grad
             if g is None:
                 return
-            alphas.grad_buffer()[...] += np.einsum("bd,kbd->bk", g, annotations.value)
-            annotations.grad_buffer()[...] += np.einsum("bk,bd->kbd", alphas.value, g)
+            alphas.add_grad(np.einsum("bd,kbd->bk", g, annotations.value))
+            annotations.add_grad(np.einsum("bk,bd->kbd", alphas.value, g))
+        tape.record(backprop)
+    return out
+
+
+def attention_scores(tape: Tape | None, keys: Variable, query: Variable,
+                     v: Variable) -> Variable:
+    """Additive-attention scores of every position at once:
+    score[b,k] = v . tanh(keys[k,b] + query[b]); keys (K,B,A), query (B,A), v (A,) -> (B,K)."""
+    e = np.tanh(keys.value + query.value)
+    out = Variable((e @ v.value).T)
+    if tape is not None:
+        def backprop():
+            g = out.grad
+            if g is None:
+                return
+            gt = g.T
+            de = gt[:, :, None] * v.value * (1.0 - e * e)
+            keys.add_grad(de)
+            query.add_grad(de.sum(axis=0))
+            v.add_grad(gt.reshape(-1) @ e.reshape(-1, e.shape[-1]))
+        tape.record(backprop)
+    return out
+
+
+def lstm_cell(tape: Tape | None, xproj: Variable, t: int, h_prev: Variable,
+              c_prev: Variable, U: Variable, b: Variable, extra: Variable | None = None):
+    """One LSTM cell update with all four gates fused -> (i, o, c, h).
+
+    ``xproj`` (T,B,4d) holds the input projection x @ W of a whole sequence,
+    with gate blocks in ``rlm.GATES`` order (i, o, f, c); the cell reads step
+    ``t``. The pre-activations are
+    h_prev @ U + xproj[t] (+ ``extra``, a further (B,4d) input term) + b; then
+    c = f*c_prev + i*g and h = o*tanh(c). One closure backpropagates every
+    output's gradient: it forms the pre-activation gradient dz once, then
+    dh_prev = dz @ U.T, dc_prev, dU = h_prev.T @ dz, db, and xproj[t] (and
+    extra) receive dz.
+    """
+    z = h_prev.value @ U.value
+    z += xproj.value[t]
+    if extra is not None:
+        z += extra.value
+    z += b.value
+    d = z.shape[1] // 4
+    act = np.empty_like(z)
+    act[:, :3 * d] = sigmoid(z[:, :3 * d])
+    act[:, 3 * d:] = np.tanh(z[:, 3 * d:])
+    i, o, f, g = act[:, :d], act[:, d:2 * d], act[:, 2 * d:3 * d], act[:, 3 * d:]
+    c = f * c_prev.value + i * g
+    tc = np.tanh(c)
+    i_out, o_out, c_out, h_out = Variable(i), Variable(o), Variable(c), Variable(o * tc)
+    if tape is not None:
+        def backprop():
+            gi, go, gc, gh = i_out.grad, o_out.grad, c_out.grad, h_out.grad
+            if gi is None and go is None and gc is None and gh is None:
+                return
+            dc = np.zeros_like(c) if gc is None else gc.copy()
+            dz = np.zeros_like(act)  # gradient w.r.t. the activations, then w.r.t. z
+            if gh is not None:
+                dz[:, d:2 * d] = gh * tc
+                dc += gh * o * (1.0 - tc * tc)
+            if go is not None:
+                dz[:, d:2 * d] += go
+            if gi is not None:
+                dz[:, :d] = gi
+            dz[:, :d] += dc * g
+            dz[:, 2 * d:3 * d] = dc * c_prev.value
+            dz[:, 3 * d:] = dc * i
+            sig = act[:, :3 * d]
+            dz[:, :3 * d] *= sig * (1.0 - sig)
+            dz[:, 3 * d:] *= 1.0 - g * g
+            xproj.grad_buffer()[t] += dz
+            if extra is not None:
+                extra.grad_buffer()[...] += dz
+            h_prev.add_grad(dz @ U.value.T)
+            c_prev.add_grad(dc * f)
+            U.add_grad(h_prev.value.T @ dz)
+            b.add_grad(dz.sum(axis=0))
+        tape.record(backprop)
+    return i_out, o_out, c_out, h_out
+
+
+def late_fusion_output(tape: Tape | None, o: Variable, c: Variable, q: Variable,
+                       q_r: Variable, W_rc: Variable, b_r: Variable) -> Variable:
+    """Late-fusion hidden state h = o * tanh(c + r*q), gated by
+    r = sigmoid(q_r + c @ W_rc + b_r) where q_r = q @ W_rp; all (B,d). One closure."""
+    pre = q_r.value + c.value @ W_rc.value
+    pre += b_r.value
+    r = sigmoid(pre)
+    u = np.tanh(c.value + r * q.value)
+    out = Variable(o.value * u)
+    if tape is not None:
+        def backprop():
+            g = out.grad
+            if g is None:
+                return
+            o.add_grad(g * u)
+            du = g * o.value * (1.0 - u * u)
+            q.add_grad(du * r)
+            dpre = du * q.value * r * (1.0 - r)
+            b_r.add_grad(dpre.sum(axis=0))
+            W_rc.add_grad(c.value.T @ dpre)
+            c.add_grad(du + dpre @ W_rc.value.T)
+            q_r.add_grad(dpre)
         tape.record(backprop)
     return out
 
@@ -313,23 +447,23 @@ def stack_first(tape: Tape | None, parts: list[Variable]) -> Variable:
             if g is None:
                 return
             for k, p in enumerate(parts):
-                p.grad_buffer()[...] += g[k]
+                p.add_grad(g[k])
         tape.record(backprop)
     return out
 
 
 def concat_cols(tape: Tape | None, parts: list[Variable]) -> Variable:
-    """Concatenate (B,d_i) parts along columns -> (B, sum d_i)."""
-    out = Variable(np.concatenate([p.value for p in parts], axis=1))
+    """Concatenate parts along their last axis: (..., d_i) -> (..., sum d_i)."""
+    out = Variable(np.concatenate([p.value for p in parts], axis=-1))
     if tape is not None:
-        widths = [p.value.shape[1] for p in parts]
+        widths = [p.value.shape[-1] for p in parts]
         def backprop():
             g = out.grad
             if g is None:
                 return
             off = 0
             for p, w in zip(parts, widths):
-                p.grad_buffer()[...] += g[:, off:off + w]
+                p.add_grad(g[..., off:off + w])
                 off += w
         tape.record(backprop)
     return out
@@ -343,8 +477,8 @@ def blend(tape: Tape | None, gate: np.ndarray, new: Variable, old: Variable) -> 
             g = out.grad
             if g is None:
                 return
-            new.grad_buffer()[...] += g * gate
-            old.grad_buffer()[...] += g * (1.0 - gate)
+            new.add_grad(g * gate)
+            old.add_grad(g * (1.0 - gate))
         tape.record(backprop)
     return out
 
@@ -356,19 +490,20 @@ def reshape(tape: Tape | None, x: Variable, shape) -> Variable:
             g = out.grad
             if g is None:
                 return
-            x.grad_buffer()[...] += g.reshape(x.value.shape)
+            x.add_grad(g.reshape(x.value.shape))
         tape.record(backprop)
     return out
 
 
-def sum_all(tape: Tape | None, x: Variable) -> Variable:
-    out = Variable(np.asarray(x.value.sum()))
+def sum_all(tape: Tape | None, x: Variable, axis: int | None = None) -> Variable:
+    """Sum of all elements, or along one axis."""
+    out = Variable(np.asarray(x.value.sum(axis=axis)))
     if tape is not None:
         def backprop():
             g = out.grad
             if g is None:
                 return
-            x.grad_buffer()[...] += g
+            x.grad_buffer()[...] += g if axis is None else np.expand_dims(g, axis)
         tape.record(backprop)
     return out
 
@@ -380,7 +515,7 @@ def scale(tape: Tape | None, x: Variable, s: float) -> Variable:
             g = out.grad
             if g is None:
                 return
-            x.grad_buffer()[...] += g * s
+            x.add_grad(g * s)
         tape.record(backprop)
     return out
 

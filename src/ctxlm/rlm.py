@@ -4,6 +4,12 @@ Parameters live in an ordered name->Variable dict. Weight storage is
 row-batch friendly: an input-to-hidden map is stored as (d_in, d_h) so a
 batch (B, d_in) multiplies it directly. The embedding table carries one
 extra row used as the begin-of-sentence input for the first prediction.
+
+Gate weights are stored per gate (``W_i``, ``U_o``, ``b_f``, ...), which is
+the checkpoint layout. A computation concatenates them in ``GATES`` order
+once (:func:`gate_weights`), so one product serves all four gates and the
+gradients split back per gate; the cell itself is the fused
+``numeric.lstm_cell``.
 """
 
 from dataclasses import dataclass
@@ -53,26 +59,30 @@ def zero_state(batch: int, d_h: int, dtype) -> LstmState:
     return LstmState(nm.zeros((batch, d_h), dtype), nm.zeros((batch, d_h), dtype))
 
 
+def gate_weights(tape: Tape | None, params: dict[str, Variable],
+                 prefix: str) -> tuple[Variable, Variable, Variable]:
+    """One layer's (W, U, b), each with its four gates side by side in GATES order."""
+    return tuple(nm.concat_cols(tape, [params[f"{prefix}{kind}_{g}"] for g in GATES])
+                 for kind in ("W", "U", "b"))
+
+
+def _cell(tape: Tape | None, params: dict[str, Variable], prefix: str, x: Variable,
+          state: LstmState) -> tuple[Variable, Variable, Variable, Variable]:
+    W, U, b = gate_weights(tape, params, prefix)
+    xproj = nm.reshape(tape, nm.matmul(tape, x, W), (1, x.shape[0], -1))
+    return nm.lstm_cell(tape, xproj, 0, state.h, state.c, U, b)
+
+
 def lstm_gates(tape: Tape | None, params: dict[str, Variable], prefix: str,
                x: Variable, state: LstmState) -> tuple[Variable, Variable, Variable]:
     """One LSTM cell update; returns (input gate i, output gate o, new cell c)."""
-    def pre(g: str) -> Variable:
-        xs = nm.matmul(tape, x, params[f"{prefix}W_{g}"])
-        hs = nm.matmul(tape, state.h, params[f"{prefix}U_{g}"])
-        return nm.add_bias(tape, nm.add(tape, xs, hs), params[f"{prefix}b_{g}"])
-
-    i = nm.sigmoid_v(tape, pre("i"))
-    o = nm.sigmoid_v(tape, pre("o"))
-    f = nm.sigmoid_v(tape, pre("f"))
-    g = nm.tanh_v(tape, pre("c"))
-    c_new = nm.add(tape, nm.mul(tape, f, state.c), nm.mul(tape, i, g))
+    i, o, c_new, _ = _cell(tape, params, prefix, x, state)
     return i, o, c_new
 
 
 def lstm_step(x: Variable, state: LstmState, params: dict[str, Variable],
               tape: Tape | None = None, prefix: str = "") -> LstmState:
-    _, o, c_new = lstm_gates(tape, params, prefix, x, state)
-    h_new = nm.mul(tape, o, nm.tanh_v(tape, c_new))
+    _, _, c_new, h_new = _cell(tape, params, prefix, x, state)
     return LstmState(h_new, c_new)
 
 

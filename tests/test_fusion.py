@@ -286,3 +286,87 @@ def test_all_empty_context_batch():
         for b, w in enumerate(windows):
             plain = float(rlm.sentence_nll(w.target, baseline).value)
             assert float(total.value[b]) == pytest.approx(plain, abs=1e-12)
+
+
+# -- batched engine: gradients and tape shape --------------------------------------
+
+
+PADDED = [
+    ContextWindow(sent(3, 5, 2), ()),
+    ContextWindow(sent(6, 2, 8, 3, 5), (sent(4,), sent(5, 7))),
+    ContextWindow(sent(9,), (sent(2, 6, 6),)),
+]
+
+
+@pytest.mark.parametrize("tag", sorted(fusion.VARIANTS))
+def test_batch_engine_gradients_match_finite_differences(tag):
+    """Every parameter gradient of sum(batch_nll) over a padded batch of three
+    windows of different lengths, one with an empty context, against central
+    differences with AC-1's tolerances. Parameters are scaled to about ±0.8:
+    at the default ±0.08 the attention gradients sit below what the
+    difference quotient resolves, so a wrong one would pass unseen."""
+    params = make_params(tag, seed=31, scale=10.0)
+    tape = Tape()
+    total, _ = fusion.batch_nll(PADDED, params, tag, VOCAB, tape)
+    tape.backward(nm.sum_all(tape, total))
+    for name, p in params.items():
+        got = p.grad_buffer().copy().ravel()
+        shape = p.value.shape
+
+        def f(theta, p=p):
+            saved = p.value
+            p.value = theta.reshape(shape)
+            out = float(fusion.batch_nll(PADDED, params, tag, VOCAB)[0].value.sum())
+            p.value = saved
+            return out
+
+        fd = nm.finite_difference_gradient(f, p.value.ravel().copy())
+        resolvable = (np.abs(got) + np.abs(fd)) >= 1e-5
+        assert nm.relative_error(got[resolvable], fd[resolvable]).max(initial=0.0) <= 1e-4, name
+        assert np.max(np.abs(got[~resolvable] - fd[~resolvable]), initial=0.0) <= 1e-8, name
+        p.zero_grad()
+
+
+@pytest.mark.parametrize("tag", ["RLM-BoW-LF", "RLM-SeqBoW-EF", "RLM-SeqBoW-ATT-LF"])
+def test_count_matrices_get_no_gradient(tag, monkeypatch):
+    """The BoW count matrices enter as constant matmul operands: backward
+    leaves their gradient unallocated while P still gets one."""
+    operands = []
+    matmul = nm.matmul
+
+    def spy(tape, a, b):
+        operands.append(a)
+        return matmul(tape, a, b)
+
+    monkeypatch.setattr(nm, "matmul", spy)
+    params = make_params(tag, seed=37)
+    tape = Tape()
+    total, _ = fusion.batch_nll(MIXED, params, tag, VOCAB, tape)
+    tape.backward(nm.sum_all(tape, total))
+    counts = [a for a in operands if a.constant]
+    assert counts, "no count-matrix operand seen"
+    assert all(a.grad is None for a in counts)
+    assert params["P"].grad is not None and np.any(params["P"].grad != 0.0)
+
+
+def _tape_length(tag, target_length):
+    params = make_params(tag, seed=41)
+    windows = [ContextWindow(sent(*([3] * target_length)), (sent(4, 6), sent(2, 8, 3))),
+               ContextWindow(sent(5, 2), (sent(7,),))]
+    tape = Tape()
+    fusion.batch_nll(windows, params, tag, VOCAB, tape)
+    return len(tape)
+
+
+@pytest.mark.parametrize("tag", sorted(fusion.VARIANTS))
+def test_tape_grows_by_a_few_ops_per_timestep(tag):
+    """Tape operations added by one more timestep (T=7 -> T=8, two context
+    sentences). With one primitive per operation the engine recorded
+    RLM 30, BoW-EF 31, BoW-LF 37, SeqBoW-EF 31, SeqBoW-LF 37, ATT-EF 42 and
+    ATT-LF 48, 3K+5 of them attention ops for K context sentences. With
+    the fused cell, fused late-fusion output and batched attention scores it
+    records RLM 1, BoW-EF 1, BoW-LF 2, SeqBoW-EF 1, SeqBoW-LF 2, ATT-EF 7 and
+    ATT-LF 8, whatever K is."""
+    grown = _tape_length(tag, 7) - _tape_length(tag, 6)
+    assert grown == _tape_length(tag, 8) - _tape_length(tag, 7)  # exact and repeatable
+    assert grown <= (2 if tag == "RLM" else 20)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,37 @@ def test_sigmoid_saturates_monotone():
     assert np.all(np.diff(ys) >= 0)
     assert np.all(ys > 0) and np.all(ys < 1)
     assert np.all(np.isfinite(nm.sigmoid(np.array([-1e6, 1e6]))))
+
+
+def _sigmoid_boolean_mask(x):
+    """The previous formula: separate exp branches chosen by boolean-mask indexing."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_within_one_ulp_of_boolean_mask_formula(dtype):
+    edges = [0.0, 1e-8, 40.0, 745.0, 1e6]
+    grid = np.concatenate([edges, np.negative(edges), np.linspace(-50, 50, 1001),
+                           RNG.standard_normal(1000) * 10]).astype(dtype)
+    with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+        warnings.simplefilter("error")
+        got = nm.sigmoid(grid)
+        want = _sigmoid_boolean_mask(grid)
+    assert got.dtype == dtype
+    assert np.all(np.abs(got - want) <= np.spacing(want))
+    assert np.all((got >= 0.0) & (got <= 1.0))
+
+
+def test_sigmoid_scalar_and_integer_input():
+    assert isinstance(nm.sigmoid(0.0), np.floating) and nm.sigmoid(0.0) == 0.5
+    assert nm.sigmoid(3) == nm.sigmoid(3.0)
+    ints = nm.sigmoid(np.array([-2, 0, 2]))
+    assert ints.dtype == np.float64 and ints[1] == 0.5
 
 
 def test_finite_difference_quadratic():
@@ -214,3 +246,100 @@ def test_dtype_of():
     assert nm.dtype_of("f64") == np.float64
     with pytest.raises(ValueError):
         nm.dtype_of("f16")
+
+
+def test_grad_add_bias_per_row_vector_over_timesteps():
+    _check_op(lambda t, v: nm.add_bias(t, v[0], v[1]),
+              [RNG.standard_normal((3, 2, 4)), RNG.standard_normal((2, 4))])
+
+
+def test_grad_concat_last_axis_and_sum_along_axis():
+    _check_op(lambda t, v: nm.concat_cols(t, [v[0], v[1]]),
+              [RNG.standard_normal(3), RNG.standard_normal(2)])
+    _check_op(lambda t, v: nm.concat_cols(t, [v[0], v[1]]),
+              [RNG.standard_normal((2, 3, 2)), RNG.standard_normal((2, 3, 1))])
+    weights = Variable(RNG.standard_normal(4))
+    _check_op(lambda t, v: nm.mul(t, nm.sum_all(t, v[0], axis=0), weights),
+              [RNG.standard_normal((3, 4))])
+
+
+def _lstm_cell_combined(t, v, step=1, with_extra=True):
+    """A weighted sum of all four outputs of one cell, so every output's
+    gradient path is exercised. v: xproj (T,B,4d), h_prev, c_prev, U, b, extra."""
+    i, o, c, h = nm.lstm_cell(t, v[0], step, v[1], v[2], v[3], v[4],
+                              v[5] if with_extra else None)
+    weights = [Variable(np.linspace(-1.0, 1.0, 6).reshape(2, 3) * k) for k in (1, 2, 3, 4)]
+    terms = [nm.mul(t, out, w) for out, w in zip((i, o, c, h), weights)]
+    return nm.add(t, nm.add(t, terms[0], terms[1]), nm.add(t, terms[2], terms[3]))
+
+
+def _cell_inputs():
+    return [RNG.standard_normal((3, 2, 12)), RNG.standard_normal((2, 3)),
+            RNG.standard_normal((2, 3)), RNG.standard_normal((3, 12)),
+            RNG.standard_normal(12), RNG.standard_normal((2, 12))]
+
+
+def test_grad_lstm_cell():
+    _check_op(_lstm_cell_combined, _cell_inputs())
+
+
+def test_grad_lstm_cell_without_extra_input():
+    _check_op(lambda t, v: _lstm_cell_combined(t, v, step=0, with_extra=False), _cell_inputs())
+
+
+def test_lstm_cell_matches_per_gate_formula():
+    xproj, h, c, U, b, _ = _cell_inputs()
+    i, o, c_new, h_new = nm.lstm_cell(None, Variable(xproj), 2, Variable(h), Variable(c),
+                                      Variable(U), Variable(b))
+    z = xproj[2] + h @ U + b
+    sig = lambda a: 1.0 / (1.0 + np.exp(-a))
+    gi, go, gf, gc = sig(z[:, 0:3]), sig(z[:, 3:6]), sig(z[:, 6:9]), np.tanh(z[:, 9:12])
+    expect_c = gf * c + gi * gc
+    assert np.max(np.abs(i.value - gi)) < 1e-15
+    assert np.max(np.abs(o.value - go)) < 1e-15
+    assert np.max(np.abs(c_new.value - expect_c)) < 1e-14
+    assert np.max(np.abs(h_new.value - go * np.tanh(expect_c))) < 1e-14
+
+
+def test_grad_late_fusion_output():
+    _check_op(lambda t, v: nm.late_fusion_output(t, *v),
+              [RNG.standard_normal((2, 3)), RNG.standard_normal((2, 3)),
+               RNG.standard_normal((2, 3)), RNG.standard_normal((2, 3)),
+               RNG.standard_normal((3, 3)), RNG.standard_normal(3)])
+
+
+def test_grad_attention_scores():
+    _check_op(lambda t, v: nm.mul(t, nm.attention_scores(t, v[0], v[1], v[2]),
+                                  Variable(np.array([[0.5, -2.0, 1.0, 3.0]] * 2))),
+              [RNG.standard_normal((4, 2, 3)), RNG.standard_normal((2, 3)),
+               RNG.standard_normal(3)])
+
+
+def test_attention_scores_match_per_position_formula():
+    keys, query, v = (RNG.standard_normal((4, 2, 3)), RNG.standard_normal((2, 3)),
+                      RNG.standard_normal(3))
+    out = nm.attention_scores(None, Variable(keys), Variable(query), Variable(v))
+    for k in range(4):
+        assert np.max(np.abs(out.value[:, k] - np.tanh(keys[k] + query) @ v)) < 1e-15
+
+
+def test_constant_operand_gets_no_gradient():
+    data = Variable(RNG.standard_normal((3, 4)), constant=True)
+    weights = Variable(RNG.standard_normal((4, 2)))
+    tape = Tape()
+    tape.backward(nm.sum_all(tape, nm.matmul(tape, data, weights)))
+    assert data.grad is None
+    assert np.allclose(weights.grad, data.value.sum(axis=0)[:, None] * np.ones((1, 2)))
+
+
+def test_adopted_gradients_are_never_shared_between_inputs():
+    a, b = Variable(RNG.standard_normal((2, 3))), Variable(RNG.standard_normal((2, 3)))
+    tape = Tape()
+    tape.backward(nm.sum_all(tape, nm.add(tape, a, b)))
+    assert a.grad is not b.grad
+    a.grad += 1.0
+    assert np.all(b.grad == 1.0)
+    x = Variable(RNG.standard_normal((2, 3)))
+    tape = Tape()
+    tape.backward(nm.sum_all(tape, nm.add(tape, x, x)))
+    assert np.all(x.grad == 2.0)
