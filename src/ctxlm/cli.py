@@ -2,7 +2,7 @@
 
 Data goes to standard output, logs and progress to standard error.
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 numeric
-divergence. CTXLM_THREADS caps evaluation worker threads.
+divergence.
 """
 
 import argparse
@@ -27,16 +27,6 @@ EXIT_DIVERGED = 3
 
 def log(msg: str) -> None:
     print(msg, file=sys.stderr)
-
-
-def worker_threads() -> int:
-    raw = os.environ.get("CTXLM_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"CTXLM_THREADS must be an integer, got {raw!r}")
 
 
 @dataclass(frozen=True)
@@ -141,8 +131,7 @@ def cmd_eval(args) -> int:
     model, ckpt = _load_checkpoint_model(args.checkpoint)
     docs = _load_documents(args.corpus, model.vocab)
     n = args.n if args.n is not None else ckpt.config.n
-    threads = worker_threads()
-    report = corpus_perplexity(model, docs, n, batch_size=args.batch_size, threads=threads)
+    report = corpus_perplexity(model, docs, n, batch_size=args.batch_size)
     if report.unk_rate > 0.5:
         log(f"warning: {report.unk_rate:.1%} of tokens are unknown; "
             "vocabulary and corpus may not match")
@@ -151,8 +140,7 @@ def cmd_eval(args) -> int:
         with open(args.tags, "rb") as fh:
             annotations = load_tag_annotations(fh)
         tag_report = perplexity_by_tag(model, docs, annotations, n, top_k=args.top_k,
-                                       average=args.average, batch_size=args.batch_size,
-                                       threads=threads)
+                                       average=args.average, batch_size=args.batch_size)
         sys.stdout.write("\n" + tag_report.csv())
     return EXIT_OK
 

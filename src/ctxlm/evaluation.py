@@ -8,7 +8,6 @@ away. Evaluation is read-only over the model.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,29 +96,19 @@ def _unk_rate(documents: list[Document]) -> float:
     return unk / total if total else 0.0
 
 
-def _window_nlls(model: Model, documents: list[Document], n: int,
-                 batch_size: int, threads: int,
+def _window_nlls(model: Model, documents: list[Document], n: int, batch_size: int,
                  want_tokens: bool) -> tuple[list[float], list[np.ndarray]]:
     """Per-window NLL (and per-token NLL rows) for every sentence, document order."""
     windows = []
     for doc in documents:
         windows.extend(context_windows(doc, n))
-    chunks = [windows[i : i + batch_size] for i in range(0, len(windows), batch_size)]
-
-    def run(chunk):
-        total, token = fusion.batch_nll(chunk, model.params, model.variant,
-                                        model.vocab, want_token_nll=want_tokens)
-        return total.value.astype(np.float64), token
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, chunks))
-    else:
-        results = [run(c) for c in chunks]
     per_window: list[float] = []
     per_token: list[np.ndarray] = []
-    for (totals, tokens), chunk in zip(results, chunks):
-        per_window.extend(float(v) for v in totals)
+    for i in range(0, len(windows), batch_size):
+        chunk = windows[i : i + batch_size]
+        totals, tokens = fusion.batch_nll(chunk, model.params, model.variant,
+                                          model.vocab, want_token_nll=want_tokens)
+        per_window.extend(totals.value.tolist())
         if want_tokens:
             for b, w in enumerate(chunk):
                 per_token.append(tokens[b, : len(w.target.token_ids)])
@@ -127,7 +116,7 @@ def _window_nlls(model: Model, documents: list[Document], n: int,
 
 
 def corpus_perplexity(model, documents: list[Document], n: int,
-                      batch_size: int = 64, threads: int = 1) -> EvalReport:
+                      batch_size: int = 64) -> EvalReport:
     """Perplexity of a sentence model or an n-gram table over whole documents."""
     if not documents:
         raise ValueError("empty corpus")
@@ -137,7 +126,7 @@ def corpus_perplexity(model, documents: list[Document], n: int,
             sentence_log_probability(s, model) for d in documents for s in d.sentences
         )
         return EvalReport(tokens, total, _unk_rate(documents), variant=f"kn{model.order}")
-    nlls, _ = _window_nlls(model, documents, n, batch_size, threads, want_tokens=False)
+    nlls, _ = _window_nlls(model, documents, n, batch_size, want_tokens=False)
     return EvalReport(tokens, float(sum(nlls)), _unk_rate(documents),
                       variant=model.variant.tag)
 
@@ -180,13 +169,12 @@ def check_alignment(documents: list[Document], annotations: list[list[list[str]]
 
 def perplexity_by_tag(model: Model, documents: list[Document],
                       annotations: list[list[list[str]]], n: int, top_k: int = 10,
-                      average: str = "geometric", batch_size: int = 64,
-                      threads: int = 1) -> TagReport:
+                      average: str = "geometric", batch_size: int = 64) -> TagReport:
     """Group per-token NLLs by POS tag; NN/NNS merge into Noun, VB/VBZ into Verb."""
     if average not in ("geometric", "arithmetic"):
         raise ValueError(f"unknown averaging mode {average!r}")
     check_alignment(documents, annotations)
-    _, per_token = _window_nlls(model, documents, n, batch_size, threads, want_tokens=True)
+    _, per_token = _window_nlls(model, documents, n, batch_size, want_tokens=True)
     flat_tags = [tags for doc in annotations for tags in doc]
     nll_sum: dict[str, float] = {}
     ppl_sum: dict[str, float] = {}

@@ -6,15 +6,14 @@ projected context into the output: r = sigmoid(W_rp q + W_rc c + b_r),
 h = o * tanh(c + r * q) with q = W_p p. Attention variants recompute the
 context vector at each step, queried by the previous hidden state.
 
-Two evaluation paths exist: a per-window path built from hooks into
-``rlm.sentence_nll`` (the reference semantics) and a padded, masked batch
-engine used by training and corpus evaluation. Tests hold them equal. The
-batch engine steps through time only for the recurrence, which records the
-fused ``numeric.lstm_cell`` (plus ``numeric.late_fusion_output`` for late
-fusion and one batched scoring of all context positions for attention). The
-embedding gather, the input projection of all timesteps, the context
-encoder's BoW projection and the output softmax + NLL of all positions are
-each computed once per batch.
+One engine evaluates every variant: a padded, masked batch of windows, used
+by training, corpus evaluation and (as a batch of one) the per-window NLL.
+It steps through time only for the recurrence, which records the fused
+``numeric.lstm_cell`` (plus ``numeric.late_fusion_output`` for late fusion
+and one batched scoring of all context positions for attention). The
+embedding gather, the input projection of all timesteps, the encoding of
+the context sentences (module ``context``) and the output softmax + NLL of
+all positions are each computed once per batch.
 """
 
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ from . import numeric as nm
 from . import rlm
 from .corpus import ContextWindow, Vocabulary, bow_vector
 from .numeric import Tape, Variable
-from .rlm import ContextHook, LstmState
+from .rlm import LstmState
 
 
 @dataclass(frozen=True)
@@ -82,18 +81,6 @@ def init_parameters(variant: Variant, vocab_size: int, d_emb: int, d_h: int,
     return params
 
 
-# ---------------------------------------------------------------------------
-# single-window operations
-# ---------------------------------------------------------------------------
-
-
-def early_fusion_input(word_id: int, p: Variable, params: dict[str, Variable],
-                       tape: Tape | None = None) -> Variable:
-    """Input vector for one timestep: embedding row plus projected context."""
-    x = nm.embed_rows(tape, params["E"], np.array([word_id], dtype=np.int64))
-    return nm.add(tape, x, nm.matmul(tape, p, params["W_p"]))
-
-
 def _late_output(tape: Tape | None, params: dict[str, Variable], o: Variable,
                  c_new: Variable, q: Variable, q_r: Variable | None = None) -> Variable:
     """h = o * tanh(c + r*q); ``q_r`` is q @ W_rp when the caller already has it."""
@@ -112,72 +99,17 @@ def late_fusion_step(x: Variable, state: LstmState, p: Variable,
     return LstmState(h_new, c_new), h_new
 
 
-class _EarlyHook(ContextHook):
-    def __init__(self, extra: Variable):
-        self.extra = extra
-
-    def input_extra(self, tape, t, h_prev):
-        return self.extra
-
-
-class _LateHook(ContextHook):
-    def __init__(self, params, q: Variable):
-        self.params = params
-        self.q = q
-
-    def output(self, tape, t, o, c_new, h_prev):
-        return _late_output(tape, self.params, o, c_new, self.q)
-
-
-class _AttentionHook(ContextHook):
-    """Recomputes the context vector each step, queried by h_{t-1}."""
-
-    def __init__(self, params, annotations, early: bool):
-        self.params = params
-        self.annotations = annotations
-        self.early = early
-
-    def input_extra(self, tape, t, h_prev):
-        if not self.early:
-            return None
-        p_t, _ = ctx.attend(self.annotations, h_prev, self.params, tape)
-        return nm.matmul(tape, p_t, self.params["W_p"])
-
-    def output(self, tape, t, o, c_new, h_prev):
-        if self.early:
-            return super().output(tape, t, o, c_new, h_prev)
-        p_t, _ = ctx.attend(self.annotations, h_prev, self.params, tape)
-        q = nm.matmul(tape, p_t, self.params["W_p"])
-        return _late_output(tape, self.params, o, c_new, q)
-
-
-def make_hook(variant: Variant, window: ContextWindow, params: dict[str, Variable],
-              vocab: Vocabulary, tape: Tape | None) -> ContextHook | None:
-    if variant.context is None:
-        return None
-    if variant.context == "att":
-        annotations = ctx.annotate_bidirectional(window.context, vocab, params, tape)
-        if not annotations:
-            return None  # empty context: exact baseline reduction
-        return _AttentionHook(params, annotations, variant.fusion == "early")
-    if variant.context == "bow":
-        p = ctx.encode_bow(window.context, vocab, params, tape)
-    else:
-        p = ctx.encode_seqbow(window.context, vocab, params, tape)
-    proj = nm.matmul(tape, p, params["W_p"])
-    if variant.fusion == "early":
-        return _EarlyHook(proj)
-    return _LateHook(params, proj)
-
-
 def conditional_sentence_nll(window: ContextWindow, variant: Variant | str,
                              params: dict[str, Variable], vocab: Vocabulary,
                              tape: Tape | None = None, trace: dict | None = None) -> Variable:
-    """Negative log-likelihood of the target sentence given its context window."""
-    if isinstance(variant, str):
-        variant = parse_variant(variant)
-    hook = make_hook(variant, window, params, vocab, tape)
-    return rlm.sentence_nll(window.target, params, hook, tape, trace)
+    """Negative log-likelihood (scalar) of the target sentence given its context
+    window: the batch engine on a batch of one. ``trace``, when given, receives
+    the per-position NLLs (EOS included) under ``"nll"``."""
+    total, token_nll = batch_nll([window], params, variant, vocab, tape,
+                                 want_token_nll=trace is not None)
+    if trace is not None:
+        trace["nll"] = token_nll[0].tolist()
+    return nm.reshape(tape, total, ())
 
 
 # ---------------------------------------------------------------------------
@@ -235,26 +167,6 @@ def make_batch(windows: list[ContextWindow], vocab: Vocabulary, variant: Variant
     return WindowBatch(inputs, targets, mask, bow_sum, bow_seq, ctx_mask)
 
 
-def _ctx_states(tape: Tape | None, params: dict[str, Variable], x: Variable,
-                mask: np.ndarray, prefix: str, reverse: bool, dtype) -> list[Variable]:
-    """Masked context-LSTM pass over projected BoW rows x (K*B, d_ctx), position-major;
-    one hidden state per position."""
-    K = mask.shape[1]
-    B = x.shape[0] // K
-    d_ctx = x.shape[1]
-    W, U, b = rlm.gate_weights(tape, params, prefix)
-    xproj = nm.reshape(tape, nm.matmul(tape, x, W), (K, B, -1))
-    states: list[Variable | None] = [None] * K
-    state = rlm.zero_state(B, d_ctx, dtype)
-    order = range(K - 1, -1, -1) if reverse else range(K)
-    for k in order:
-        _, _, c_new, h_new = nm.lstm_cell(tape, xproj, k, state.h, state.c, U, b)
-        m = mask[:, k : k + 1]
-        state = LstmState(nm.blend(tape, m, h_new, state.h), nm.blend(tape, m, c_new, state.c))
-        states[k] = state.h
-    return states
-
-
 def batch_nll(windows_or_batch, params: dict[str, Variable], variant: Variant | str,
               vocab: Vocabulary | None = None, tape: Tape | None = None,
               want_token_nll: bool = False):
@@ -277,29 +189,20 @@ def batch_nll(windows_or_batch, params: dict[str, Variable], variant: Variant | 
     B, T = batch.inputs.shape
     d_h = params["b_i"].shape[0]
 
+    p = None          # context vector, fixed over the sentence
     extra = None      # early fusion: fixed projected context
     q = None          # late fusion: projected context entering the output gate
     annots = None     # attention: annotations (K,B,2*d_ctx)
     if variant.context == "bow":
-        p = nm.matmul(tape, Variable(batch.bow_sum, constant=True), params["P"])
+        p = ctx.project_counts(tape, params, batch.bow_sum)
     elif variant.context in ("seqbow", "att") and batch.bow_seq.shape[0] == 0:
         p = nm.zeros((B, context_dim(variant, params["P"].shape[1])), dtype)
-    elif variant.context in ("seqbow", "att"):
-        K, _, V = batch.bow_seq.shape
-        counts = Variable(batch.bow_seq.reshape(K * B, V), constant=True)
-        x_ctx = nm.matmul(tape, counts, params["P"])
-        fwd = _ctx_states(tape, params, x_ctx, batch.ctx_mask, ctx.CTX_FWD, False, dtype)
-        if variant.context == "seqbow":
-            p = fwd[-1]
-        else:
-            rev = _ctx_states(tape, params, x_ctx, batch.ctx_mask, ctx.CTX_REV, True, dtype)
-            annots = nm.concat_cols(tape, [nm.stack_first(tape, fwd), nm.stack_first(tape, rev)])
-            flat = nm.reshape(tape, annots, (K * B, -1))
-            keys = nm.reshape(tape, nm.matmul(tape, flat, params["W_a"]), (K, B, -1))
-            p = None
-    else:
-        p = None
-    if variant.context is not None and p is not None:
+    elif variant.context == "seqbow":
+        p = ctx.seqbow_summary(tape, params, batch.bow_seq, batch.ctx_mask)
+    elif variant.context == "att":
+        annots = ctx.annotate(tape, params, batch.bow_seq, batch.ctx_mask)
+        keys = ctx.attention_keys(tape, params, annots)
+    if p is not None:
         proj = nm.matmul(tape, p, params["W_p"])
         if variant.fusion == "early":
             extra = proj
@@ -319,10 +222,8 @@ def batch_nll(windows_or_batch, params: dict[str, Variable], variant: Variant | 
     for t in range(T):
         step_in = None
         if annots is not None:
-            uq = nm.matmul(tape, state.h, params["U_a"])
-            scores = nm.attention_scores(tape, keys, uq, params["v_a"])
-            alphas = nm.masked_softmax(tape, scores, batch.ctx_mask)
-            proj_t = nm.matmul(tape, nm.attention_mix(tape, alphas, annots), params["W_p"])
+            mixed, _ = ctx.attend(tape, params, annots, keys, state.h, batch.ctx_mask)
+            proj_t = nm.matmul(tape, mixed, params["W_p"])
             if variant.fusion == "early":
                 step_in = nm.matmul(tape, proj_t, W)
             else:

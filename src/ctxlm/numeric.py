@@ -120,17 +120,6 @@ def sigmoid(x):
     return out if out.shape else out[()]
 
 
-def softmax_row(v: np.ndarray) -> np.ndarray:
-    """Probabilities from a single row of scores, computed with max-subtraction."""
-    v = np.asarray(v)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError(f"softmax_row needs a non-empty 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("softmax_row: non-finite input")
-    e = np.exp(v - v.max())
-    return e / e.sum()
-
-
 def relative_error(a, b) -> np.ndarray:
     """|a-b| / max(1e-8, |a|+|b|), elementwise; stable near zero."""
     a = np.asarray(a, dtype=np.float64)

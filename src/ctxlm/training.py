@@ -16,7 +16,8 @@ import numpy as np
 
 from . import fusion
 from . import numeric as nm
-from .corpus import ContextWindow, Document, Vocabulary, corpus_windows, filter_by_length
+from .corpus import (ContextWindow, CorpusError, Document, Vocabulary, corpus_windows,
+                     filter_by_length)
 from .numeric import Tape, Variable
 
 CHECKPOINT_MAGIC = b"CTXLM1"
@@ -27,6 +28,10 @@ CODE_DTYPES = {v: k for k, v in DTYPE_CODES.items()}
 
 class ConfigError(ValueError):
     pass
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file that is truncated or carries bytes after its end."""
 
 
 class NonFiniteGradient(RuntimeError):
@@ -288,32 +293,39 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = memoryview(fh.read())
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise ConfigError("not a checkpoint file (bad magic)")
     off = len(CHECKPOINT_MAGIC)
-    version, count = struct.unpack_from("<II", blob, off)
-    off += 8
+
+    def take(n: int) -> memoryview:
+        nonlocal off
+        if n > len(blob) - off:
+            raise CheckpointError(f"truncated checkpoint: {n} bytes needed at offset {off}, "
+                                  f"{len(blob) - off} left")
+        off += n
+        return blob[off - n : off]
+
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    version, count = unpack("<II")
     if version != CHECKPOINT_VERSION:
         raise ConfigError(f"unsupported checkpoint version {version}")
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        name = blob[off : off + name_len].decode("utf-8")
-        off += name_len
-        code, rank = struct.unpack_from("<BB", blob, off)
-        off += 2
-        dims = struct.unpack_from(f"<{rank}Q", blob, off) if rank else ()
-        off += 8 * rank
+        (name_len,) = unpack("<H")
+        name = str(take(name_len), "utf-8")
+        code, rank = unpack("<BB")
+        dims = unpack(f"<{rank}Q")
         dtype = CODE_DTYPES[code]
-        nbytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize if rank else dtype.itemsize
-        arr = np.frombuffer(blob[off : off + nbytes], dtype=dtype.newbyteorder("<")).astype(dtype)
+        data = take(math.prod(dims) * dtype.itemsize)
+        arr = np.frombuffer(data, dtype=dtype.newbyteorder("<")).astype(dtype)
         arrays[name] = arr.reshape(dims)
-        off += nbytes
-    (text_len,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    text = blob[off : off + text_len].decode("utf-8")
+    (text_len,) = unpack("<I")
+    text = str(take(text_len), "utf-8")
+    if off != len(blob):
+        raise CheckpointError(f"{len(blob) - off} unexpected bytes after the checkpoint's end")
     raw = parse_config_text(text)
     epoch = int(raw.pop("epoch"))
     best = float(raw.pop("best_valid_nll"))
@@ -414,9 +426,9 @@ def train(config: TrainConfig, train_docs: list[Document], valid_docs: list[Docu
     train_windows = corpus_windows(filter_by_length(train_docs, config.max_len), config.n)
     valid_windows = corpus_windows(filter_by_length(valid_docs, config.max_len), config.n)
     if not train_windows:
-        raise ValueError("no training windows after length filtering")
+        raise CorpusError("no training windows after length filtering")
     if not valid_windows:
-        raise ValueError("no validation windows after length filtering")
+        raise CorpusError("no validation windows after length filtering")
 
     stopper = EarlyStopper(config.patience)
     best = _snapshot(config, params, opt, vocab, 0, math.inf, rng)

@@ -137,6 +137,19 @@ def test_train_missing_corpus_is_data_error(tmp_path):
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")]) == 2
 
 
+def test_train_empty_training_set_is_data_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, max_len=1)  # every training sentence is longer
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")]) == 2
+    assert "no training windows" in capsys.readouterr().err
+
+
+def test_train_empty_validation_set_is_data_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, max_len=3)
+    (tmp_path / "valid.txt").write_text("a b c d\n\nd c b a\n", encoding="utf-8")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")]) == 2
+    assert "no validation windows" in capsys.readouterr().err
+
+
 # -- eval -------------------------------------------------------------------------
 
 
@@ -230,18 +243,15 @@ def test_eval_bad_checkpoint_is_data_error(tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(bad), "--corpus", str(corpus)]) == 2
 
 
-def test_eval_threads_env(tmp_path, capsys, monkeypatch):
-    ckpt = fresh_checkpoint(tmp_path)
-    corpus = tmp_path / "eval.txt"
-    corpus.write_text("a b c\nd\n\ne f\n", encoding="utf-8")
-    monkeypatch.setenv("CTXLM_THREADS", "1")
-    assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus)]) == 0
-    one = capsys.readouterr().out
-    monkeypatch.setenv("CTXLM_THREADS", "3")
-    assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus)]) == 0
-    assert capsys.readouterr().out == one
-    monkeypatch.setenv("CTXLM_THREADS", "soup")
-    assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus)]) == 1
+def test_eval_truncated_or_padded_checkpoint_is_data_error(tmp_path, capsys):
+    blob = fresh_checkpoint(tmp_path).read_bytes()
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("a b\n", encoding="utf-8")
+    bad = tmp_path / "bad.ckpt"
+    for data in [blob[:cut] for cut in range(0, len(blob), 37)] + [blob + b"\x00"]:
+        bad.write_bytes(data)
+        assert main(["eval", "--checkpoint", str(bad), "--corpus", str(corpus)]) == 2
+        assert "cannot read checkpoint" in capsys.readouterr().err
 
 
 # -- ngram ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import oracle
 from ctxlm import fusion, numeric as nm, rlm
-from ctxlm.corpus import ContextWindow, Sentence, Vocabulary
+from ctxlm.corpus import ContextWindow, Sentence, Vocabulary, bow_vector
 from ctxlm.numeric import Tape, Variable
 
 V = 14
@@ -54,27 +55,39 @@ def test_variant_tags_are_canonical():
 # -- early fusion --------------------------------------------------------------
 
 
+def _bow_ef_and_baseline(seed=0):
+    params = make_params("RLM-BoW-EF", seed=seed)
+    baseline = make_params("RLM")
+    copy_core(params, baseline)
+    return params, baseline
+
+
+def _token_nlls(window, tag, params):
+    trace = {}
+    fusion.conditional_sentence_nll(window, tag, params, VOCAB, trace=trace)
+    return trace["nll"]
+
+
 def test_early_fusion_input_reduces_without_projection():
-    params = make_params("RLM-BoW-EF")
+    params, baseline = _bow_ef_and_baseline()
     params["W_p"].value[...] = 0.0
-    p = Variable(np.random.default_rng(0).standard_normal((1, DIMS["d_ctx"])))
-    x = fusion.early_fusion_input(3, p, params)
-    assert np.array_equal(x.value[0], params["E"].value[3])
+    assert _token_nlls(WINDOW, "RLM-BoW-EF", params) == _token_nlls(WINDOW, "RLM", baseline)
 
 
 def test_early_fusion_input_reduces_on_zero_context():
-    params = make_params("RLM-BoW-EF")
-    p = Variable(np.zeros((1, DIMS["d_ctx"])))
-    x = fusion.early_fusion_input(3, p, params)
-    assert np.array_equal(x.value[0], params["E"].value[3])
+    params, baseline = _bow_ef_and_baseline()
+    assert _token_nlls(EMPTY, "RLM-BoW-EF", params) == _token_nlls(EMPTY, "RLM", baseline)
 
 
 def test_early_fusion_input_matches_sum_of_terms():
-    params = make_params("RLM-BoW-EF")
-    p = Variable(np.random.default_rng(1).standard_normal((1, DIMS["d_ctx"])))
-    x = fusion.early_fusion_input(3, p, params)
-    expect = params["E"].value[3] + p.value @ params["W_p"].value
-    assert np.max(np.abs(x.value - expect)) < 1e-15
+    """With a fixed context vector p, early fusion is the unconditioned model
+    whose every embedding row is shifted by p W_p."""
+    params, baseline = _bow_ef_and_baseline(seed=1)
+    p = bow_vector(WINDOW.context, VOCAB) @ params["P"].value
+    baseline["E"].value = params["E"].value + p @ params["W_p"].value
+    fused = _token_nlls(WINDOW, "RLM-BoW-EF", params)
+    shifted = _token_nlls(WINDOW, "RLM", baseline)
+    assert np.max(np.abs(np.subtract(fused, shifted))) < 1e-12
 
 
 # -- late fusion ---------------------------------------------------------------
@@ -144,9 +157,10 @@ def test_late_fusion_cell_untouched_by_context():
 
 def test_rlm_variant_equals_baseline_exactly():
     params = make_params("RLM")
-    via_fusion = fusion.conditional_sentence_nll(WINDOW, "RLM", params, VOCAB)
-    direct = rlm.sentence_nll(WINDOW.target, params)
-    assert float(via_fusion.value) == float(direct.value)
+    with_context = fusion.conditional_sentence_nll(WINDOW, "RLM", params, VOCAB)
+    without = fusion.conditional_sentence_nll(EMPTY, "RLM", params, VOCAB)
+    assert with_context.value.shape == ()
+    assert float(with_context.value) == float(without.value)
 
 
 @pytest.mark.parametrize("tag", EF_LF_TAGS)
@@ -155,7 +169,7 @@ def test_empty_context_reduces_to_baseline(tag):
     baseline = make_params("RLM")
     copy_core(params, baseline)
     fused = fusion.conditional_sentence_nll(EMPTY, tag, params, VOCAB)
-    plain = rlm.sentence_nll(EMPTY.target, baseline)
+    plain = fusion.conditional_sentence_nll(EMPTY, "RLM", baseline, VOCAB)
     assert float(fused.value) == pytest.approx(float(plain.value), abs=1e-12)
 
 
@@ -167,24 +181,10 @@ def test_zero_projection_reduces_to_baseline(tag):
     copy_core(params, baseline)
     trace_f, trace_b = {}, {}
     fused = fusion.conditional_sentence_nll(WINDOW, tag, params, VOCAB, trace=trace_f)
-    plain = rlm.sentence_nll(WINDOW.target, baseline, trace=trace_b)
+    plain = fusion.conditional_sentence_nll(WINDOW, "RLM", baseline, VOCAB, trace=trace_b)
     assert float(fused.value) == pytest.approx(float(plain.value), abs=1e-9)
     for a, b in zip(trace_f["nll"], trace_b["nll"]):
         assert a == pytest.approx(b, abs=1e-9)  # per-word probabilities agree
-
-
-@pytest.mark.parametrize("tag", ["RLM-BoW-LF", "RLM-SeqBoW-LF", "RLM-SeqBoW-ATT-LF"])
-def test_late_fusion_cell_trajectory_matches_unconditioned(tag):
-    params = make_params(tag)
-    baseline = make_params("RLM")
-    copy_core(params, baseline)
-    # same inputs: context influence enters h only, never c
-    params["W_p"].value[...] = 0.0
-    trace_f, trace_b = {}, {}
-    fusion.conditional_sentence_nll(WINDOW, tag, params, VOCAB, trace=trace_f)
-    rlm.sentence_nll(WINDOW.target, baseline, trace=trace_b)
-    for cf, cb in zip(trace_f["c"], trace_b["c"]):
-        assert np.max(np.abs(cf - cb)) < 1e-12
 
 
 @pytest.mark.parametrize("tag", EF_LF_TAGS)
@@ -235,11 +235,20 @@ MIXED = [
 
 @pytest.mark.parametrize("tag", sorted(fusion.VARIANTS))
 def test_batched_equals_unbatched(tag):
-    params = make_params(tag, seed=17)
+    """The batch engine, on the padded batch and on each window alone, against
+    the independent per-window oracle. Parameters are scaled to about ±0.8 so
+    the context terms (attention above all) move the NLL well beyond the
+    tolerance."""
+    params = make_params(tag, seed=17, scale=10.0)
     total, _ = fusion.batch_nll(MIXED, params, tag, VOCAB)
     for b, w in enumerate(MIXED):
-        single = float(fusion.conditional_sentence_nll(w, tag, params, VOCAB).value)
-        assert float(total.value[b]) == pytest.approx(single, abs=1e-9)
+        expect = oracle.token_nlls(params, tag, w.target.token_ids,
+                                   [s.token_ids for s in w.context])
+        assert float(total.value[b]) == pytest.approx(sum(expect), abs=1e-9)
+        trace = {}
+        single = fusion.conditional_sentence_nll(w, tag, params, VOCAB, trace=trace)
+        assert float(single.value) == pytest.approx(sum(expect), abs=1e-9)
+        assert np.max(np.abs(np.subtract(trace["nll"], expect))) <= 1e-9
 
 
 @pytest.mark.parametrize("tag", sorted(fusion.VARIANTS))
@@ -284,7 +293,7 @@ def test_all_empty_context_batch():
         copy_core(params, baseline)
         total, _ = fusion.batch_nll(windows, params, tag, VOCAB)
         for b, w in enumerate(windows):
-            plain = float(rlm.sentence_nll(w.target, baseline).value)
+            plain = float(fusion.conditional_sentence_nll(w, "RLM", baseline, VOCAB).value)
             assert float(total.value[b]) == pytest.approx(plain, abs=1e-12)
 
 

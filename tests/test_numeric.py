@@ -11,35 +11,6 @@ from ctxlm.numeric import Tape, Variable
 RNG = np.random.Generator(np.random.PCG64(1234))
 
 
-def test_softmax_symmetry():
-    assert np.allclose(nm.softmax_row(np.zeros(3)), [1 / 3] * 3, atol=1e-15)
-
-
-def test_softmax_frozen_values():
-    # direct evaluation of exp/sum in 64-bit
-    out = nm.softmax_row(np.array([1.0, 2.0, 3.0]))
-    assert np.allclose(out, [0.09003057, 0.24472847, 0.66524096], atol=1e-8)
-
-
-@given(st.lists(st.floats(-30, 30), min_size=1, max_size=8), st.floats(-50, 50))
-def test_softmax_shift_invariance_and_normalization(vals, shift):
-    v = np.array(vals)
-    a = nm.softmax_row(v)
-    b = nm.softmax_row(v + shift)
-    assert abs(a.sum() - 1.0) < 1e-12
-    assert np.all(a > 0) and np.all(a <= 1.0)
-    assert np.allclose(a, b, atol=1e-12)
-
-
-def test_softmax_errors():
-    with pytest.raises(ValueError):
-        nm.softmax_row(np.array([]))
-    with pytest.raises(ValueError):
-        nm.softmax_row(np.array([1.0, np.nan]))
-    with pytest.raises(ValueError):
-        nm.softmax_row(np.array([1.0, np.inf]))
-
-
 def test_sigmoid_tanh_point_values():
     assert nm.sigmoid(0.0) == 0.5
     assert math.tanh(0.0) == 0.0

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from ctxlm import numeric as nm, rlm
-from ctxlm.corpus import Sentence
+from ctxlm import fusion, numeric as nm, rlm
+from ctxlm.corpus import ContextWindow, Sentence, Vocabulary
 from ctxlm.numeric import Tape, Variable
-from ctxlm.rlm import LstmState, init_rlm_parameters, lstm_step, output_distribution
+from ctxlm.rlm import LstmState, init_rlm_parameters, lstm_step
 
 
 def zero_params(vocab_size=4, d_emb=3, d_h=2):
@@ -71,54 +71,47 @@ def test_lstm_step_shape_mismatch():
         lstm_step(row(1.0, 2.0), state, params)  # d_emb is 3
 
 
-def test_output_distribution_uniform_when_zero():
-    params = zero_params(vocab_size=4)
-    dist = output_distribution(np.zeros(2), params)
-    assert np.allclose(dist, 0.25, atol=1e-15)
+def vocab_of(size):
+    return Vocabulary(["<unk>", "</s>"] + [f"w{i}" for i in range(size - 2)])
 
 
-def test_output_distribution_concentrates_on_large_bias():
-    params = zero_params(vocab_size=4)
-    params["b_out"].value[2] = 50.0
-    dist = output_distribution(np.zeros(2), params)
-    assert dist[2] > 0.999999
-
-
-def test_output_distribution_matches_recomputation():
-    params = rand_params()
-    h = np.random.default_rng(5).standard_normal(4)
-    dist = output_distribution(h, params)
-    logits = params["W_out"].value.T @ h + params["b_out"].value
-    expect = np.exp(logits - logits.max())
-    expect /= expect.sum()
-    assert np.max(np.abs(dist - expect)) < 1e-12
-    assert abs(dist.sum() - 1.0) < 1e-12
+def sentence_nll(sentence, params, tape=None, trace=None):
+    """The sentence model alone: the RLM variant on a window without context."""
+    vocab = vocab_of(params["b_out"].shape[0])
+    return fusion.conditional_sentence_nll(ContextWindow(sentence, ()), "RLM", params,
+                                           vocab, tape, trace)
 
 
 def test_sentence_nll_uniform_model():
     V = 10
     params = zero_params(vocab_size=V)
     s = Sentence((2, 3, 2, 1))  # three content tokens + EOS
-    nll = rlm.sentence_nll(s, params)
+    nll = sentence_nll(s, params)
     assert float(nll.value) == pytest.approx(4 * math.log(V), abs=1e-12)
 
 
 def test_sentence_nll_nonnegative_and_distributions_normalized():
-    params = rand_params()
-    s = Sentence((2, 4, 1))
+    V = 6
+    params = rand_params(vocab_size=V)
     trace = {}
-    nll = rlm.sentence_nll(s, params, trace=trace)
+    nll = sentence_nll(Sentence((2, 4, 1)), params, trace=trace)
     assert float(nll.value) >= 0.0
-    for h in trace["h"]:
-        assert abs(output_distribution(h, params).sum() - 1.0) < 1e-12
     assert all(v > 0 for v in trace["nll"])
+    assert sum(trace["nll"]) == pytest.approx(float(nll.value), abs=1e-12)
+    # the first prediction's probabilities over every next token sum to one
+    first = []
+    for w in range(V):
+        trace = {}
+        sentence_nll(Sentence((w, 1)), params, trace=trace)
+        first.append(math.exp(-trace["nll"][0]))
+    assert abs(sum(first) - 1.0) < 1e-12
 
 
 def test_sentence_nll_gradients_match_finite_differences():
     params = rand_params(vocab_size=5, d_emb=2, d_h=3)
     s = Sentence((2, 3, 1))
     tape = Tape()
-    nll = rlm.sentence_nll(s, params, tape=tape)
+    nll = sentence_nll(s, params, tape)
     tape.backward(nll)
     for name, p in params.items():
         got = p.grad_buffer().copy().ravel()
@@ -127,7 +120,7 @@ def test_sentence_nll_gradients_match_finite_differences():
         def f(theta, p=p):
             saved = p.value
             p.value = theta.reshape(shape)
-            out = float(rlm.sentence_nll(s, params).value)
+            out = float(sentence_nll(s, params).value)
             p.value = saved
             return out
 
@@ -152,6 +145,5 @@ def test_precision_modes():
     rng = np.random.Generator(np.random.PCG64(0))
     params32 = init_rlm_parameters(4, 2, 2, rng, np.float32)
     assert all(p.dtype == np.float32 for p in params32.values())
-    s = Sentence((2, 1))
-    out = rlm.sentence_nll(s, params32)
+    out = sentence_nll(Sentence((2, 1)), params32)
     assert out.value.dtype == np.float32

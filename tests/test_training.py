@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from ctxlm import fusion, training
-from ctxlm.corpus import Document, Sentence, Vocabulary
-from ctxlm.training import (AdadeltaState, ConfigError, EarlyStopper,
+from ctxlm.corpus import CorpusError, Document, Sentence, Vocabulary
+from ctxlm.training import (AdadeltaState, CheckpointError, ConfigError, EarlyStopper,
                             TrainConfig, adadelta_update, clip_gradients,
                             config_from_mapping, format_config, format_log,
                             gradient_batch, load_checkpoint, parse_config_text,
@@ -243,7 +243,7 @@ def test_train_nonfinite_gradient_aborts(monkeypatch):
 
 
 def test_train_empty_windows_raises():
-    with pytest.raises(ValueError):
+    with pytest.raises(CorpusError):
         train(tiny_config(max_len=1), docs_from([[(2, 3, 4)]]), VALID_DOCS, VOCAB)
 
 
@@ -292,6 +292,22 @@ def test_checkpoint_rng_state_roundtrip():
     encoded = training.encode_rng_state(rng)
     restored = training.decode_rng_state(encoded)
     assert np.array_equal(rng.standard_normal(5), restored.standard_normal(5))
+
+
+def test_checkpoint_rejects_every_truncation_and_trailing_bytes(tmp_path):
+    result = train(tiny_config(max_epochs=1), TRAIN_DOCS, VALID_DOCS, VOCAB)
+    path = tmp_path / "a.ckpt"
+    save_checkpoint(result.checkpoint, path)
+    blob = path.read_bytes()
+    cut_path = tmp_path / "cut.ckpt"
+    for cut in range(len(blob)):
+        cut_path.write_bytes(blob[:cut])
+        expect = CheckpointError if cut >= len(training.CHECKPOINT_MAGIC) else ConfigError
+        with pytest.raises(expect):
+            load_checkpoint(cut_path)
+    cut_path.write_bytes(blob + b"\x00")
+    with pytest.raises(CheckpointError, match="after the checkpoint's end"):
+        load_checkpoint(cut_path)
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
