@@ -89,9 +89,12 @@ def _load_documents(path, vocab=None):
 
 
 def cmd_train(args) -> int:
-    with open(args.config, encoding="utf-8") as fh:
-        raw = parse_config_text(fh.read())
-    config = config_from_mapping(raw)
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{args.config}: invalid UTF-8 at byte {e.start}") from e
+    config = config_from_mapping(parse_config_text(text))
     for key in ("train_path", "valid_path"):
         if not getattr(config, key):
             raise ConfigError(f"missing config key {key!r}")
@@ -128,6 +131,10 @@ def _load_checkpoint_model(path) -> tuple[Model, Checkpoint]:
 
 
 def cmd_eval(args) -> int:
+    if args.batch_size < 1:
+        raise ConfigError("--batch-size must be at least 1")
+    if args.top_k < 0:
+        raise ConfigError("--top-k must not be negative")
     model, ckpt = _load_checkpoint_model(args.checkpoint)
     docs = _load_documents(args.corpus, model.vocab)
     n = args.n if args.n is not None else ckpt.config.n

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fusion
-from .corpus import Document, UNK_ID, Vocabulary, context_windows
+from .corpus import Document, UNK_ID, Vocabulary, corpus_windows, load_corpus
 from .ngram import NGramTable, sentence_log_probability
 from .numeric import Variable
 
@@ -99,9 +99,9 @@ def _unk_rate(documents: list[Document]) -> float:
 def _window_nlls(model: Model, documents: list[Document], n: int, batch_size: int,
                  want_tokens: bool) -> tuple[list[float], list[np.ndarray]]:
     """Per-window NLL (and per-token NLL rows) for every sentence, document order."""
-    windows = []
-    for doc in documents:
-        windows.extend(context_windows(doc, n))
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+    windows = corpus_windows(documents, n)
     per_window: list[float] = []
     per_token: list[np.ndarray] = []
     for i in range(0, len(windows), batch_size):
@@ -132,22 +132,9 @@ def corpus_perplexity(model, documents: list[Document], n: int,
 
 
 def load_tag_annotations(stream) -> list[list[list[str]]]:
-    """Tag file: same line/document structure as the corpus, tags whitespace-split."""
-    data = stream.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    docs: list[list[list[str]]] = []
-    current: list[list[str]] = []
-    for line in data.split("\n"):
-        tags = line.split()
-        if tags:
-            current.append(tags)
-        elif current:
-            docs.append(current)
-            current = []
-    if current:
-        docs.append(current)
-    return docs
+    """Tag file: same line/document structure as the corpus, tags whitespace-split.
+    Invalid UTF-8 raises CorpusError."""
+    return load_corpus(stream)
 
 
 def check_alignment(documents: list[Document], annotations: list[list[list[str]]]) -> None:

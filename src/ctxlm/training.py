@@ -5,6 +5,11 @@ evaluation divides by tokens instead; both conventions are explicit in the
 code). Minibatches bucket windows by target length and mask the padding.
 Everything is driven by one seeded generator, so a fixed seed in 64-bit mode
 reproduces the whole trajectory bit for bit.
+
+Training has diverged when a batch's loss or its gradients' global norm
+before clipping is not finite (checked before any parameter moves), or when
+an epoch's validation NLL is not finite; `train` then returns the last good
+checkpoint with ``diverged`` set.
 """
 
 import math
@@ -32,12 +37,6 @@ class ConfigError(ValueError):
 
 class CheckpointError(ValueError):
     """A checkpoint file that is truncated or carries bytes after its end."""
-
-
-class NonFiniteGradient(RuntimeError):
-    def __init__(self, name: str):
-        super().__init__(f"non-finite gradient for parameter {name!r}")
-        self.name = name
 
 
 @dataclass
@@ -174,11 +173,9 @@ class AdadeltaState:
 
 
 def adadelta_update(param: np.ndarray, grad: np.ndarray, sq_grad: np.ndarray,
-                    sq_delta: np.ndarray, rho: float, eps: float, name: str = "") -> None:
+                    sq_delta: np.ndarray, rho: float, eps: float) -> None:
     """In-place Adadelta step: accumulate E[g^2], apply the scale-free delta,
-    then accumulate E[delta^2]."""
-    if not np.all(np.isfinite(grad)):
-        raise NonFiniteGradient(name or "<anonymous>")
+    then accumulate E[delta^2]. The gradient must be finite; `train` checks."""
     sq_grad *= rho
     sq_grad += (1.0 - rho) * grad * grad
     delta = -(np.sqrt(sq_delta + eps) / np.sqrt(sq_grad + eps)) * grad
@@ -188,10 +185,13 @@ def adadelta_update(param: np.ndarray, grad: np.ndarray, sq_grad: np.ndarray,
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most max_norm.
-    Non-positive max_norm disables clipping. Returns the pre-clip norm."""
-    norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    if max_norm > 0.0 and norm > max_norm:
+    """Scale all gradients in place so their global L2 norm is at most max_norm.
+    Non-positive max_norm disables clipping. Returns the pre-clip norm, which is
+    NaN or inf (and the gradients are left unscaled) when any gradient is
+    non-finite or the sum of squares overflows."""
+    with np.errstate(over="ignore"):
+        norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    if 0.0 < max_norm < norm < math.inf:
         factor = max_norm / norm
         for g in grads.values():
             g *= factor
@@ -200,12 +200,13 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
 
 def gradient_batch(windows: list[ContextWindow], params: dict[str, Variable],
                    variant, vocab: Vocabulary) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean per-window NLL and its gradients w.r.t. every parameter."""
+    """Mean per-window NLL and its gradients w.r.t. every parameter: the tape's
+    own buffers, which share no memory, so the caller may change them in place."""
     tape = Tape()
     total, _ = fusion.batch_nll(windows, params, variant, vocab, tape)
     loss = nm.scale(tape, nm.sum_all(tape, total), 1.0 / len(windows))
     tape.backward(loss)
-    grads = {name: p.grad_buffer().copy() for name, p in params.items()}
+    grads = {name: p.grad_buffer() for name, p in params.items()}
     for p in params.values():
         p.zero_grad()
     return float(loss.value), grads
@@ -440,19 +441,15 @@ def train(config: TrainConfig, train_docs: list[Document], valid_docs: list[Docu
         seen = 0
         for idx_batch in batches:
             ws = [train_windows[i] for i in idx_batch]
-            try:
-                loss, grads = gradient_batch(ws, params, variant, vocab)
-            except NonFiniteGradient:
+            loss, grads = gradient_batch(ws, params, variant, vocab)
+            norm = clip_gradients(grads, config.clip_norm)
+            # a non-finite gradient makes the norm NaN or inf: stop before any
+            # parameter moves
+            if not (math.isfinite(loss) and math.isfinite(norm)):
                 return TrainResult(best, log, diverged=True)
-            if not math.isfinite(loss):
-                return TrainResult(best, log, diverged=True)
-            clip_gradients(grads, config.clip_norm)
-            try:
-                for name, p in params.items():
-                    adadelta_update(p.value, grads[name], opt.sq_grad[name],
-                                    opt.sq_delta[name], config.rho, config.eps, name)
-            except NonFiniteGradient:
-                return TrainResult(best, log, diverged=True)
+            for name, p in params.items():
+                adadelta_update(p.value, grads[name], opt.sq_grad[name],
+                                opt.sq_delta[name], config.rho, config.eps)
             loss_sum += loss * len(ws)
             seen += len(ws)
         train_nll = loss_sum / seen

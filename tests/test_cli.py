@@ -132,6 +132,13 @@ def test_train_missing_config_file(tmp_path, capsys):
                  "--out", str(tmp_path / "m.ckpt")]) == 1
 
 
+def test_train_config_with_invalid_utf8_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    cfg.write_bytes(cfg.read_bytes() + b"# \xff\n")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")]) == 1
+    assert "invalid UTF-8" in capsys.readouterr().err
+
+
 def test_train_missing_corpus_is_data_error(tmp_path):
     cfg = write_config(tmp_path, train_path=str(tmp_path / "missing.txt"))
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")]) == 2
@@ -214,6 +221,46 @@ def test_eval_with_tags_and_misalignment(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "document 0, sentence 0" in err
+
+
+def test_eval_tags_with_invalid_utf8_is_data_error(tmp_path, capsys):
+    ckpt = fresh_checkpoint(tmp_path)
+    corpus = tmp_path / "eval.txt"
+    corpus.write_text("a b\n", encoding="utf-8")
+    tags = tmp_path / "tags.txt"
+    tags.write_bytes(b"NN \xff\n")
+    assert main(["pos-ppl", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+                 "--tags", str(tags)]) == 2
+    assert "invalid UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--batch-size", "0"], ["--batch-size", "-1"],
+                                   ["--top-k", "-1"]])
+def test_eval_rejects_out_of_range_flags(tmp_path, capsys, flags):
+    ckpt = fresh_checkpoint(tmp_path)
+    corpus = tmp_path / "eval.txt"
+    corpus.write_text("a b\nc\n", encoding="utf-8")
+    tags = tmp_path / "tags.txt"
+    tags.write_text("NN VBZ\nDT\n", encoding="utf-8")
+    for command in ("eval", "pos-ppl"):
+        assert main([command, "--checkpoint", str(ckpt), "--corpus", str(corpus),
+                     "--tags", str(tags)] + flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flags[0] in captured.err
+
+
+def test_eval_top_k_zero_keeps_only_the_all_row(tmp_path, capsys):
+    ckpt = fresh_checkpoint(tmp_path)
+    corpus = tmp_path / "eval.txt"
+    corpus.write_text("a b\nc\n", encoding="utf-8")
+    tags = tmp_path / "tags.txt"
+    tags.write_text("NN VBZ\nDT\n", encoding="utf-8")
+    assert main(["pos-ppl", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+                 "--tags", str(tags), "--top-k", "0"]) == 0
+    tag_table = capsys.readouterr().out.split("\n\n")[1].strip().split("\n")
+    assert tag_table[0] == "tag,count,mean_nll,perplexity"
+    assert tag_table[1].startswith("ALL,3,") and len(tag_table) == 2
 
 
 def test_pos_ppl_alias_requires_tags(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 import oracle
 from ctxlm import evaluation, fusion
-from ctxlm.corpus import Document, Sentence, Vocabulary
+from ctxlm.corpus import CorpusError, Document, Sentence, Vocabulary
 from ctxlm.evaluation import (EvalReport, Model, TagAlignmentError, TagReport,
                               check_alignment, corpus_perplexity,
                               load_tag_annotations, perplexity_by_tag)
@@ -221,6 +221,15 @@ def test_load_tag_annotations_structure():
     text = "NN VBZ\nDT\n\nJJ JJ\n"
     docs = load_tag_annotations(io.StringIO(text))
     assert docs == [[["NN", "VBZ"], ["DT"]], [["JJ", "JJ"]]]
+    with pytest.raises(CorpusError, match="UTF-8"):
+        load_tag_annotations(io.BytesIO(b"NN \xff\n"))
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_nonpositive_batch_size_rejected(batch_size):
+    docs = docs_from([[(2, 3)]])
+    with pytest.raises(ValueError, match="batch_size"):
+        corpus_perplexity(random_model(), docs, n=1, batch_size=batch_size)
 
 
 def test_report_csv_shapes():

@@ -1,5 +1,6 @@
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -72,12 +73,6 @@ def test_adadelta_update_is_scale_free():
     assert abs(deltas[0] - deltas[1]) / abs(deltas[0]) < 0.01
 
 
-def test_adadelta_rejects_nonfinite_gradient():
-    with pytest.raises(training.NonFiniteGradient, match="W_out"):
-        adadelta_update(np.zeros(1), np.array([np.nan]), np.zeros(1), np.zeros(1),
-                        0.95, 1e-6, name="W_out")
-
-
 def test_adadelta_state_accumulators_stay_nonnegative():
     rng = np.random.default_rng(0)
     param, sq_g, sq_d = np.zeros(5), np.zeros(5), np.zeros(5)
@@ -98,6 +93,17 @@ def test_clip_gradients_global_norm():
     disabled = {"a": np.array([30.0])}
     clip_gradients(disabled, 0.0)
     assert disabled["a"][0] == 30.0
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 1e200])
+def test_clip_gradients_nonfinite_norm_leaves_gradients_unscaled(bad):
+    # 1e200 is finite, but its square overflows the sum of squares
+    grads = {"a": np.array([3.0, 4.0]), "b": np.array([bad])}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        norm = clip_gradients(grads, 1.0)
+    assert not math.isfinite(norm)
+    assert np.array_equal(grads["a"], [3.0, 4.0])
 
 
 # -- early stopping -------------------------------------------------------------
@@ -160,6 +166,24 @@ def test_gradient_batch_duplicate_window_same_mean():
     assert one == pytest.approx(two, abs=1e-12)
     for k in grads_one:
         assert np.allclose(grads_one[k], grads_two[k], atol=1e-12)
+
+
+@pytest.mark.parametrize("tag", sorted(fusion.VARIANTS))
+def test_gradient_batch_hands_over_disjoint_buffers(tag):
+    # train() clips and consumes these arrays in place, so none may be shared
+    cfg = tiny_config(variant=tag)
+    rng = np.random.Generator(np.random.PCG64(3))
+    params = fusion.init_parameters(fusion.parse_variant(tag), len(VOCAB), cfg.d_emb,
+                                    cfg.d_h, cfg.d_ctx, cfg.d_a, rng, np.float64)
+    _, grads = gradient_batch(_windows()[:4], params, tag, VOCAB)
+    assert set(grads) == set(params)
+    arrays = list(grads.values())
+    for i, g in enumerate(arrays):
+        for other in arrays[i + 1:]:
+            assert not np.shares_memory(g, other)
+        for p in params.values():
+            assert not np.shares_memory(g, p.value)
+    assert all(p.grad is None for p in params.values())
 
 
 # -- train loop -------------------------------------------------------------------
@@ -240,6 +264,29 @@ def test_train_nonfinite_gradient_aborts(monkeypatch):
     result = train(tiny_config(), TRAIN_DOCS, VALID_DOCS, VOCAB)
     assert result.diverged
     assert result.checkpoint.epoch == 0
+
+
+@pytest.mark.parametrize("bad", [math.inf, 1e200])
+def test_train_diverges_on_last_gradient_before_any_update(monkeypatch, bad):
+    # one +inf (or a finite value whose square overflows) in the last
+    # parameter's gradient: no parameter may move, no warning may be raised
+    seen = {}
+
+    def one_bad_entry(windows, params, variant, vocab):
+        seen["params"] = params
+        seen["before"] = {k: p.value.copy() for k, p in params.items()}
+        grads = {k: np.ones_like(p.value) for k, p in params.items()}
+        grads[list(grads)[-1]].flat[0] = bad
+        return 1.0, grads
+
+    monkeypatch.setattr(training, "gradient_batch", one_bad_entry)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = train(tiny_config(), TRAIN_DOCS, VALID_DOCS, VOCAB)
+    assert result.diverged
+    assert result.checkpoint.epoch == 0
+    for name, p in seen["params"].items():
+        assert np.array_equal(p.value, seen["before"][name]), name
 
 
 def test_train_empty_windows_raises():
