@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import (CorpusError, build_vocabulary, encode_documents, load_corpus_file)
-from .evaluation import (Model, TagAlignmentError, corpus_perplexity,
+from .evaluation import (Model, TagAlignmentError, check_alignment, corpus_perplexity,
                          load_tag_annotations, perplexity_by_tag)
 from .ngram import count_ngrams, write_arpa
 from .training import (Checkpoint, ConfigError, config_from_mapping,
@@ -138,14 +138,17 @@ def cmd_eval(args) -> int:
     model, ckpt = _load_checkpoint_model(args.checkpoint)
     docs = _load_documents(args.corpus, model.vocab)
     n = args.n if args.n is not None else ckpt.config.n
+    # a bad tag file ends the run before any evaluation or output
+    if args.tags:
+        with open(args.tags, "rb") as fh:
+            annotations = load_tag_annotations(fh)
+        check_alignment(docs, annotations)
     report = corpus_perplexity(model, docs, n, batch_size=args.batch_size)
     if report.unk_rate > 0.5:
         log(f"warning: {report.unk_rate:.1%} of tokens are unknown; "
             "vocabulary and corpus may not match")
     sys.stdout.write(report.csv())
     if args.tags:
-        with open(args.tags, "rb") as fh:
-            annotations = load_tag_annotations(fh)
         tag_report = perplexity_by_tag(model, docs, annotations, n, top_k=args.top_k,
                                        average=args.average, batch_size=args.batch_size)
         sys.stdout.write("\n" + tag_report.csv())

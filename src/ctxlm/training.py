@@ -10,9 +10,22 @@ Training has diverged when a batch's loss or its gradients' global norm
 before clipping is not finite (checked before any parameter moves), or when
 an epoch's validation NLL is not finite; `train` then returns the last good
 checkpoint with ``diverged`` set.
+
+The optimizer step and the training state make no parameter-sized copies.
+`adadelta_update` rounds every element exactly as the one-expression
+Adadelta formula does, but works through cache-sized row blocks with two
+small scratch buffers, so its results are bitwise that formula's. `train`
+keeps the best epoch's state as a copy only while a later epoch can still
+move the parameters; the last epoch's snapshot holds the live arrays, and
+the epoch-0 state is never copied: it is rebuilt from the seed when
+divergence before the first validation forces `train` to return it.
+`save_checkpoint` writes to a temporary file beside the target and renames
+it into place.
 """
 
 import math
+import os
+import secrets
 import struct
 import time
 from dataclasses import dataclass, field, fields
@@ -166,22 +179,63 @@ class AdadeltaState:
 
     @classmethod
     def for_params(cls, params: dict[str, Variable]) -> "AdadeltaState":
+        # np.zeros maps zero pages lazily; zeros_like would write every page now
         return cls(
-            {k: np.zeros_like(v.value) for k, v in params.items()},
-            {k: np.zeros_like(v.value) for k, v in params.items()},
+            {k: np.zeros(v.value.shape, v.value.dtype) for k, v in params.items()},
+            {k: np.zeros(v.value.shape, v.value.dtype) for k, v in params.items()},
         )
+
+
+# Elements per Adadelta block: the block's slices of the four operands and the
+# two scratch buffers stay in L2 cache (at most 768 KB in float64).
+ADADELTA_BLOCK = 1 << 14
 
 
 def adadelta_update(param: np.ndarray, grad: np.ndarray, sq_grad: np.ndarray,
                     sq_delta: np.ndarray, rho: float, eps: float) -> None:
     """In-place Adadelta step: accumulate E[g^2], apply the scale-free delta,
-    then accumulate E[delta^2]. The gradient must be finite; `train` checks."""
+    then accumulate E[delta^2]. The gradient must be finite; `train` checks.
+
+    Works through blocks of whole rows (leading-axis slices) of about
+    ADADELTA_BLOCK elements with two block-sized scratch buffers, so no
+    parameter-sized temporary exists; any of the four arrays may be a strided
+    view. Each element is rounded exactly as in
+    ``delta = -(sqrt(E[d^2] + eps) / sqrt(E[g^2] + eps)) * g``, so the result is
+    bitwise that formula's."""
+    rows = param.shape[0] if param.ndim else 1
+    step = max(1, ADADELTA_BLOCK // max(math.prod(param.shape[1:]), 1))
+    if step >= rows:
+        scratch = np.empty((2,) + param.shape, param.dtype)
+        # [i, ...] keeps a 0-d parameter's scratch an array, not a scalar
+        _adadelta_block(param, grad, sq_grad, sq_delta, rho, eps,
+                        scratch[0, ...], scratch[1, ...])
+        return
+    scratch = np.empty((2, step) + param.shape[1:], param.dtype)
+    for r in range(0, rows, step):
+        block = slice(r, r + step)
+        t1, t2 = scratch[:, : min(step, rows - r)]
+        _adadelta_block(param[block], grad[block], sq_grad[block], sq_delta[block],
+                        rho, eps, t1, t2)
+
+
+def _adadelta_block(param, grad, sq_grad, sq_delta, rho, eps, t1, t2) -> None:
     sq_grad *= rho
-    sq_grad += (1.0 - rho) * grad * grad
-    delta = -(np.sqrt(sq_delta + eps) / np.sqrt(sq_grad + eps)) * grad
+    np.multiply(1.0 - rho, grad, out=t1)
+    t1 *= grad
+    sq_grad += t1
+    np.add(sq_delta, eps, out=t1)
+    np.sqrt(t1, out=t1)
+    np.add(sq_grad, eps, out=t2)
+    np.sqrt(t2, out=t2)
+    t1 /= t2
+    # t1 = sqrt(E[d^2] + eps) / sqrt(E[g^2] + eps) * g = -delta: IEEE rounding is
+    # symmetric in sign, so (c * -x) * -x == (c * x) * x and p + -x == p - x
+    t1 *= grad
     sq_delta *= rho
-    sq_delta += (1.0 - rho) * delta * delta
-    param += delta
+    np.multiply(1.0 - rho, t1, out=t2)
+    t2 *= t1
+    sq_delta += t2
+    param -= t1
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
@@ -271,15 +325,32 @@ def decode_rng_state(text: str) -> np.random.Generator:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    blob = bytearray()
-    blob += CHECKPOINT_MAGIC
-    blob += struct.pack("<II", CHECKPOINT_VERSION, len(ckpt.arrays))
+    """Write the checkpoint atomically: the bytes go to a new file beside ``path``
+    that then replaces it, so a failed write leaves any earlier file intact."""
+    path = os.fspath(path)
+    tmp = f"{path}.{secrets.token_hex(4)}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            _write_checkpoint(ckpt, fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _write_checkpoint(ckpt: Checkpoint, fh) -> None:
+    fh.write(CHECKPOINT_MAGIC)
+    fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(ckpt.arrays)))
     for name, arr in ckpt.arrays.items():
         encoded = name.encode("utf-8")
-        blob += struct.pack("<H", len(encoded)) + encoded
-        blob += struct.pack("<BB", DTYPE_CODES[arr.dtype], arr.ndim)
-        blob += struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b""
-        blob += np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes()
+        fh.write(struct.pack("<H", len(encoded)) + encoded)
+        fh.write(struct.pack("<BB", DTYPE_CODES[arr.dtype], arr.ndim))
+        fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+        # no copy when the array is already contiguous and little-endian
+        fh.write(np.ascontiguousarray(arr, arr.dtype.newbyteorder("<")))
     extras = {
         "epoch": str(ckpt.epoch),
         "best_valid_nll": repr(ckpt.best_valid_nll),
@@ -287,9 +358,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "vocab": " ".join(ckpt.vocab_tokens),
     }
     text = format_config(ckpt.config, extras).encode("utf-8")
-    blob += struct.pack("<I", len(text)) + text
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    fh.write(struct.pack("<I", len(text)) + text)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -389,15 +458,34 @@ class EarlyStopper:
 
 
 def _snapshot(config: TrainConfig, params: dict[str, Variable], opt: AdadeltaState,
-              vocab: Vocabulary, epoch: int, best: float,
-              rng: np.random.Generator) -> Checkpoint:
-    arrays: dict[str, np.ndarray] = {}
-    for name, p in params.items():
-        arrays[name] = p.value.copy()
+              vocab: Vocabulary, epoch: int, best: float, rng: np.random.Generator,
+              copy: bool) -> Checkpoint:
+    """The training state as a checkpoint; without ``copy`` it holds the live
+    arrays, which is safe only once nothing will update them again."""
+    arrays = {name: p.value for name, p in params.items()}
     for name in params:
-        arrays[f"opt.Eg.{name}"] = opt.sq_grad[name].copy()
-        arrays[f"opt.Ed.{name}"] = opt.sq_delta[name].copy()
+        arrays[f"opt.Eg.{name}"] = opt.sq_grad[name]
+        arrays[f"opt.Ed.{name}"] = opt.sq_delta[name]
+    if copy:
+        arrays = {name: a.copy() for name, a in arrays.items()}
     return Checkpoint(config, arrays, list(vocab.tokens), epoch, best, encode_rng_state(rng))
+
+
+def _initial_state(config: TrainConfig, variant, vocab: Vocabulary
+                   ) -> tuple[dict[str, Variable], AdadeltaState, np.random.Generator]:
+    """Parameters, zero Adadelta moments and the generator, as seeded."""
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    params = fusion.init_parameters(
+        variant, len(vocab), config.d_emb, config.d_h, config.d_ctx, config.d_a, rng,
+        config.dtype
+    )
+    return params, AdadeltaState.for_params(params), rng
+
+
+def _initial_checkpoint(config: TrainConfig, variant, vocab: Vocabulary) -> Checkpoint:
+    """The epoch-0 checkpoint, rebuilt from the seed instead of kept as a copy."""
+    params, opt, rng = _initial_state(config, variant, vocab)
+    return _snapshot(config, params, opt, vocab, 0, math.inf, rng, copy=False)
 
 
 def _length_bucketed_batches(windows: list[ContextWindow], rng: np.random.Generator,
@@ -417,12 +505,7 @@ def train(config: TrainConfig, train_docs: list[Document], valid_docs: list[Docu
     ``diverged`` set instead of raising.
     """
     variant = fusion.parse_variant(config.variant)
-    dtype = config.dtype
-    rng = np.random.Generator(np.random.PCG64(config.seed))
-    params = fusion.init_parameters(
-        variant, len(vocab), config.d_emb, config.d_h, config.d_ctx, config.d_a, rng, dtype
-    )
-    opt = AdadeltaState.for_params(params)
+    params, opt, rng = _initial_state(config, variant, vocab)
 
     train_windows = corpus_windows(filter_by_length(train_docs, config.max_len), config.n)
     valid_windows = corpus_windows(filter_by_length(valid_docs, config.max_len), config.n)
@@ -432,8 +515,13 @@ def train(config: TrainConfig, train_docs: list[Document], valid_docs: list[Docu
         raise CorpusError("no validation windows after length filtering")
 
     stopper = EarlyStopper(config.patience)
-    best = _snapshot(config, params, opt, vocab, 0, math.inf, rng)
+    best: Checkpoint | None = None    # None: the epoch-0 state, rebuilt on demand
     log: list[EpochRecord] = []
+
+    def diverged() -> TrainResult:
+        checkpoint = best if best is not None else _initial_checkpoint(config, variant, vocab)
+        return TrainResult(checkpoint, log, diverged=True)
+
     for epoch in range(1, config.max_epochs + 1):
         started = time.monotonic()
         batches = _length_bucketed_batches(train_windows, rng, config.batch_size)
@@ -446,7 +534,7 @@ def train(config: TrainConfig, train_docs: list[Document], valid_docs: list[Docu
             # a non-finite gradient makes the norm NaN or inf: stop before any
             # parameter moves
             if not (math.isfinite(loss) and math.isfinite(norm)):
-                return TrainResult(best, log, diverged=True)
+                return diverged()
             for name, p in params.items():
                 adadelta_update(p.value, grads[name], opt.sq_grad[name],
                                 opt.sq_delta[name], config.rho, config.eps)
@@ -459,9 +547,11 @@ def train(config: TrainConfig, train_docs: list[Document], valid_docs: list[Docu
         if progress is not None:
             progress(record)
         if not math.isfinite(valid_nll):
-            return TrainResult(best, log, diverged=True)
+            return diverged()
         if stopper.update(epoch, valid_nll):
-            best = _snapshot(config, params, opt, vocab, epoch, valid_nll, rng)
+            # the last epoch's arrays never move again, so they need no copy
+            best = _snapshot(config, params, opt, vocab, epoch, valid_nll, rng,
+                             copy=epoch < config.max_epochs)
         if stopper.should_stop:
             break
     return TrainResult(best, log, diverged=False)

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from ctxlm import fusion, training
@@ -166,12 +165,7 @@ def fresh_checkpoint(tmp_path, variant="RLM", vocab_tokens=8, seed=1, d=4):
     config = training.TrainConfig(variant=variant, n=1, d_h=d, d_emb=d, d_ctx=d,
                                   vocab_size=len(vocab), batch_size=4, max_epochs=1,
                                   patience=1, seed=seed)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    params = fusion.init_parameters(fusion.parse_variant(variant), len(vocab),
-                                    config.d_emb, config.d_h, config.d_ctx,
-                                    config.d_a, rng, np.float64)
-    ckpt = training._snapshot(config, params, training.AdadeltaState.for_params(params),
-                              vocab, 0, math.inf, rng)
+    ckpt = training._initial_checkpoint(config, fusion.parse_variant(variant), vocab)
     path = tmp_path / "fresh.ckpt"
     training.save_checkpoint(ckpt, path)
     return path
@@ -218,9 +212,10 @@ def test_eval_with_tags_and_misalignment(tmp_path, capsys):
     bad.write_text("NN\nDT\n", encoding="utf-8")
     code = main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus),
                  "--tags", str(bad)])
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     assert code == 2
-    assert "document 0, sentence 0" in err
+    assert "document 0, sentence 0" in captured.err
+    assert captured.out == ""
 
 
 def test_eval_tags_with_invalid_utf8_is_data_error(tmp_path, capsys):
@@ -231,7 +226,9 @@ def test_eval_tags_with_invalid_utf8_is_data_error(tmp_path, capsys):
     tags.write_bytes(b"NN \xff\n")
     assert main(["pos-ppl", "--checkpoint", str(ckpt), "--corpus", str(corpus),
                  "--tags", str(tags)]) == 2
-    assert "invalid UTF-8" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "invalid UTF-8" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("flags", [["--batch-size", "0"], ["--batch-size", "-1"],

@@ -1,5 +1,8 @@
+import errno
 import math
+import os
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -79,6 +82,57 @@ def test_adadelta_state_accumulators_stay_nonnegative():
     for _ in range(50):
         adadelta_update(param, rng.standard_normal(5), sq_g, sq_d, 0.95, 1e-6)
         assert np.all(sq_g >= 0) and np.all(sq_d >= 0)
+
+
+def _adadelta_formula(param, grad, sq_grad, sq_delta, rho, eps):
+    # the update as one expression per line, allocating full-size temporaries
+    sq_grad *= rho
+    sq_grad += (1.0 - rho) * grad * grad
+    delta = -(np.sqrt(sq_delta + eps) / np.sqrt(sq_grad + eps)) * grad
+    sq_delta *= rho
+    sq_delta += (1.0 - rho) * delta * delta
+    param += delta
+
+
+def _adadelta_cases(rng, dtype):
+    block = training.ADADELTA_BLOCK
+    d = 200   # a (d, d) gate slice holds more than one block
+    wide = [rng.standard_normal((d, 4 * d)).astype(dtype) for _ in range(4)]
+    return {
+        "ragged_rows": [rng.standard_normal((37, 1001)).astype(dtype) for _ in range(4)],
+        "bias": [rng.standard_normal(3 * block + 5).astype(dtype) for _ in range(4)],
+        "one_block": [rng.standard_normal((7, 13)).astype(dtype) for _ in range(4)],
+        "gate_columns": [w[:, 2 * d : 3 * d] for w in wide],
+    }
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adadelta_update_bitwise_equals_formula(dtype):
+    cases = _adadelta_cases(np.random.default_rng(5), dtype)
+    for case, (param, grad, sq_g, sq_d) in cases.items():
+        grad[..., 0] = 0.0   # zero deltas: signed zeros must match too
+        sq_g[...] = np.abs(sq_g)
+        sq_d[...] = np.abs(sq_d)
+        expect = [a.copy() for a in (param, sq_g, sq_d)]
+        for step in range(3):
+            _adadelta_formula(expect[0], grad, expect[1], expect[2], 0.95, 1e-6)
+            adadelta_update(param, grad, sq_g, sq_d, 0.95, 1e-6)
+            for got, want in zip((param, sq_g, sq_d), expect):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want), (case, step)
+
+
+def test_adadelta_update_allocates_no_parameter_sized_temporary():
+    param = np.zeros((1000, 1000))
+    grad = np.ones_like(param)
+    sq_g, sq_d = np.zeros_like(param), np.zeros_like(param)
+    tracemalloc.start()
+    try:
+        adadelta_update(param, grad, sq_g, sq_d, 0.95, 1e-6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < param.nbytes / 8
 
 
 def test_clip_gradients_global_norm():
@@ -261,9 +315,44 @@ def test_train_nonfinite_gradient_aborts(monkeypatch):
         return 1.0, {k: np.full_like(p.value, np.nan) for k, p in params.items()}
 
     monkeypatch.setattr(training, "gradient_batch", nan_grads)
-    result = train(tiny_config(), TRAIN_DOCS, VALID_DOCS, VOCAB)
+    cfg = tiny_config()
+    result = train(cfg, TRAIN_DOCS, VALID_DOCS, VOCAB)
     assert result.diverged
     assert result.checkpoint.epoch == 0
+    # the epoch-0 checkpoint is the seeded initial state, bit for bit
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    fresh = fusion.init_parameters(fusion.parse_variant(cfg.variant), len(VOCAB), cfg.d_emb,
+                                   cfg.d_h, cfg.d_ctx, cfg.d_a, rng, cfg.dtype)
+    arrays = result.checkpoint.arrays
+    assert len(arrays) == 3 * len(fresh)
+    for name, p in fresh.items():
+        assert arrays[name].dtype == p.value.dtype
+        assert np.array_equal(arrays[name], p.value), name
+        for moment in (f"opt.Eg.{name}", f"opt.Ed.{name}"):
+            assert arrays[moment].shape == p.value.shape
+            assert arrays[moment].dtype == p.value.dtype
+            assert not arrays[moment].any(), moment
+    assert result.checkpoint.rng_state == training.encode_rng_state(rng)
+    assert result.checkpoint.best_valid_nll == math.inf
+
+
+def test_train_returns_the_best_epoch_state_not_a_later_one(monkeypatch):
+    # best epoch 2 of 3: its snapshot must not follow the parameters into epoch 3
+    seen = []
+
+    def fake_mean_nll(windows, params, variant, vocab, batch_size):
+        seen.append({name: p.value.copy() for name, p in params.items()})
+        return {1: 3.0, 2: 2.0, 3: 2.5}[len(seen)]
+
+    monkeypatch.setattr(training, "mean_window_nll", fake_mean_nll)
+    result = train(tiny_config(max_epochs=3), TRAIN_DOCS, VALID_DOCS, VOCAB)
+    assert not result.diverged
+    assert result.checkpoint.epoch == 2
+    after_epoch2, after_epoch3 = seen[1], seen[2]
+    for name, value in after_epoch2.items():
+        assert np.array_equal(result.checkpoint.arrays[name], value), name
+    assert any(not np.array_equal(result.checkpoint.arrays[name], value)
+               for name, value in after_epoch3.items())
 
 
 @pytest.mark.parametrize("bad", [math.inf, 1e200])
@@ -313,6 +402,47 @@ def test_checkpoint_roundtrip_byte_identical(tmp_path):
     assert loaded.epoch == result.checkpoint.epoch
     assert loaded.best_valid_nll == result.checkpoint.best_valid_nll
     assert loaded.rng_state == result.checkpoint.rng_state
+
+
+class _DiskFullAfter:
+    """A binary file that accepts `limit` bytes, then fails like a full disk."""
+
+    def __init__(self, fh, limit):
+        self.fh, self.left = fh, limit
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        data = bytes(data)
+        if len(data) > self.left:
+            self.fh.write(data[: self.left])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.left -= len(data)
+        return self.fh.write(data)
+
+    def flush(self):
+        self.fh.flush()
+
+    def fileno(self):
+        return self.fh.fileno()
+
+
+def test_failed_checkpoint_write_keeps_the_earlier_file(tmp_path, monkeypatch):
+    result = train(tiny_config(max_epochs=1), TRAIN_DOCS, VALID_DOCS, VOCAB)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(result.checkpoint, path)
+    before = path.read_bytes()
+    monkeypatch.setattr(training, "open",
+                        lambda *a, **kw: _DiskFullAfter(open(*a, **kw), len(before) // 2),
+                        raising=False)
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(result.checkpoint, path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["m.ckpt"]
 
 
 def test_checkpoint_binary_layout(tmp_path):
