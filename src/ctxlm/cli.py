@@ -135,6 +135,8 @@ def cmd_eval(args) -> int:
         raise ConfigError("--batch-size must be at least 1")
     if args.top_k < 0:
         raise ConfigError("--top-k must not be negative")
+    if args.n is not None and args.n < 0:
+        raise ConfigError("--n must not be negative")
     model, ckpt = _load_checkpoint_model(args.checkpoint)
     docs = _load_documents(args.corpus, model.vocab)
     n = args.n if args.n is not None else ckpt.config.n
@@ -158,6 +160,8 @@ def cmd_eval(args) -> int:
 def cmd_ngram(args) -> int:
     if args.order < 1:
         raise ConfigError("order must be at least 1")
+    if args.vocab_size < 0 or args.vocab_size == 1:
+        raise ConfigError("--vocab-size must be 0 or at least 2")
     train_raw = _load_documents(args.train)
     max_size = args.vocab_size if args.vocab_size else 2 + len(
         {t for doc in train_raw for sent in doc for t in sent}

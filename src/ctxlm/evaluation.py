@@ -43,7 +43,6 @@ class EvalReport:
     tokens: int            # predicted events
     total_nll: float       # nats
     unk_rate: float        # UNK share among content tokens
-    includes_eos: bool = True
     variant: str = ""
     label: str = "ALL"
 

@@ -167,8 +167,8 @@ def make_batch(windows: list[ContextWindow], vocab: Vocabulary, variant: Variant
     return WindowBatch(inputs, targets, mask, bow_sum, bow_seq, ctx_mask)
 
 
-def batch_nll(windows_or_batch, params: dict[str, Variable], variant: Variant | str,
-              vocab: Vocabulary | None = None, tape: Tape | None = None,
+def batch_nll(windows: list[ContextWindow], params: dict[str, Variable], variant: Variant | str,
+              vocab: Vocabulary, tape: Tape | None = None,
               want_token_nll: bool = False):
     """Per-window NLL over a padded batch -> ((B,) Variable, (B,T) array | None).
 
@@ -181,11 +181,8 @@ def batch_nll(windows_or_batch, params: dict[str, Variable], variant: Variant | 
     """
     if isinstance(variant, str):
         variant = parse_variant(variant)
-    if isinstance(windows_or_batch, WindowBatch):
-        batch = windows_or_batch
-    else:
-        batch = make_batch(windows_or_batch, vocab, variant, params["E"].dtype)
     dtype = params["E"].dtype
+    batch = make_batch(windows, vocab, variant, dtype)
     B, T = batch.inputs.shape
     d_h = params["b_i"].shape[0]
 

@@ -6,6 +6,12 @@ never end in the padding token. The highest order interpolates raw counts;
 every lower order uses continuation counts (number of distinct left contexts);
 the base distribution is uniform over the vocabulary, which keeps every
 probability strictly positive.
+
+``count_ngrams`` counts and then derives, once, every map a query reads (see
+``NGramTable``). A query interpolates bottom-up in one loop: the top-down
+recursion p_k = max(c - D, 0) / total + weight * p_(k-1) evaluates its lower
+orders first anyway, so starting from the uniform base and going up the
+orders performs the same float operations in the same order.
 """
 
 import logging
@@ -19,7 +25,6 @@ log = logging.getLogger(__name__)
 
 BOS = -1  # context-only padding id, never in the vocabulary and never predicted
 
-DEFAULT_ORDER = 5
 FALLBACK_DISCOUNT = 0.5  # used when count-of-counts give no usable discount
 
 
@@ -29,30 +34,16 @@ class OrderDiscounts:
     d2: float
     d3plus: float
 
-    def applied(self, count: int) -> float:
-        if count <= 0:
-            return 0.0
-        if count == 1:
-            return self.d1
-        if count == 2:
-            return self.d2
-        return self.d3plus
-
-
-@dataclass(frozen=True)
-class DiscountSet:
-    per_order: dict[int, OrderDiscounts]
-
-    def applied(self, order: int, count: int) -> float:
-        return self.per_order[order].applied(count)
-
 
 class NGramTable:
-    """N-gram statistics: raw counts per order plus derived continuation counts.
+    """N-gram statistics: raw counts per order plus the maps derived from them.
 
-    ``counts[k]`` maps k-tuples of token ids to occurrence counts. Derived
-    structures (context totals, continuation counts, per-context discount
-    buckets) are built once by ``_freeze`` after counting.
+    ``counts[k]`` maps k-tuples of token ids to occurrence counts. Once counting
+    is done, ``_freeze`` derives everything the queries read, once: per order
+    the effective counts (raw at the top order, continuation counts below),
+    their per-context totals, the discounts, and each context's interpolation
+    weight ``(d1*n1 + d2*n2 + d3+*n3+) / total``. A table with derived maps
+    takes no more sentences.
     """
 
     def __init__(self, order: int, vocab_size: int):
@@ -63,14 +54,16 @@ class NGramTable:
         self.order = order
         self.vocab_size = vocab_size
         self.counts: dict[int, dict[tuple[int, ...], int]] = {k: {} for k in range(1, order + 1)}
-        self._frozen = False
-        self._discounts: DiscountSet | None = None
-
-    # -- counting ------------------------------------------------------------
+        # derived by _freeze; empty while counting
+        self.discounts: dict[int, OrderDiscounts] = {}
+        self._effective: dict[int, dict[tuple[int, ...], int]] = {}
+        self._totals: dict[int, dict[tuple[int, ...], int]] = {}
+        self._weights: dict[int, dict[tuple[int, ...], float]] = {}
+        self._discount: dict[int, tuple[float, float, float, float]] = {}  # by min(count, 3)
 
     def add_sentence(self, sentence: Sentence) -> None:
-        if self._frozen:
-            raise RuntimeError("table already frozen")
+        if self._effective:
+            raise RuntimeError("table already counted")
         seq = (BOS,) * (self.order - 1) + sentence.token_ids
         start = self.order - 1
         for i in range(start, len(seq)):
@@ -80,106 +73,58 @@ class NGramTable:
                 m[gram] = m.get(gram, 0) + 1
 
     def _freeze(self) -> None:
-        if self._frozen:
-            return
-        # raw context totals per order: sum over final word
-        self._ctx_total: dict[int, dict[tuple[int, ...], int]] = {}
-        for k in range(1, self.order + 1):
-            totals: dict[tuple[int, ...], int] = {}
-            for gram, c in self.counts[k].items():
-                h = gram[:-1]
-                totals[h] = totals.get(h, 0) + c
-            self._ctx_total[k] = totals
-        # continuation counts: distinct left extensions of each k-gram
-        self._cont: dict[int, dict[tuple[int, ...], int]] = {}
-        self._cont_total: dict[int, dict[tuple[int, ...], int]] = {}
-        for k in range(1, self.order):
-            seen: set[tuple[int, ...]] = set(self.counts[k + 1])
+        top = self.order
+        self._effective = {top: self.counts[top]}
+        for k in range(top - 1, 0, -1):
+            # continuation count: number of distinct left extensions
             cont: dict[tuple[int, ...], int] = {}
-            for gram in seen:
+            for gram in self.counts[k + 1]:
                 suffix = gram[1:]
                 cont[suffix] = cont.get(suffix, 0) + 1
-            self._cont[k] = cont
-            totals = {}
-            for gram, c in cont.items():
-                h = gram[:-1]
-                totals[h] = totals.get(h, 0) + c
-            self._cont_total[k] = totals
-        # per-context buckets of effective counts: (#count==1, #count==2, #count>=3)
-        self._buckets: dict[int, dict[tuple[int, ...], list[int]]] = {}
-        for k in range(1, self.order + 1):
-            buckets: dict[tuple[int, ...], list[int]] = {}
-            for gram, c in self._effective_counts(k).items():
-                h = gram[:-1]
-                b = buckets.setdefault(h, [0, 0, 0])
-                b[min(c, 3) - 1] += 1
-            self._buckets[k] = buckets
-        self._frozen = True
-
-    def _effective_counts(self, order: int) -> dict[tuple[int, ...], int]:
-        """Counts the recursion at this order distributes: raw at the top, continuation below."""
-        if order == self.order:
-            return self.counts[order]
-        return self._cont[order]
-
-    def _effective_total(self, order: int, context: tuple[int, ...]) -> int:
-        if order == self.order:
-            return self._ctx_total[order].get(context, 0)
-        return self._cont_total[order].get(context, 0)
-
-    # -- discounts -----------------------------------------------------------
+            self._effective[k] = cont
+        self.discounts = estimate_discounts(self)
+        for k, counts in self._effective.items():
+            stats: dict[tuple[int, ...], list[int]] = {}  # context -> [total, n1, n2, n3+]
+            for gram, c in counts.items():
+                s = stats.get(gram[:-1])
+                if s is None:
+                    s = stats[gram[:-1]] = [0, 0, 0, 0]
+                s[0] += c
+                s[min(c, 3)] += 1
+            d = self.discounts[k]
+            self._discount[k] = (0.0, d.d1, d.d2, d.d3plus)
+            self._totals[k] = {h: s[0] for h, s in stats.items()}
+            self._weights[k] = {h: (d.d1 * n1 + d.d2 * n2 + d.d3plus * n3) / total
+                                for h, (total, n1, n2, n3) in stats.items()}
 
     def count_of_counts(self, order: int) -> tuple[int, int, int, int]:
-        """n1..n4 over the effective counts at this order, recomputed from the maps."""
-        self._freeze()
-        tally = Counter(self._effective_counts(order).values())
+        """n1..n4 over the effective counts at this order."""
+        tally = Counter(self._effective[order].values())
         return tally[1], tally[2], tally[3], tally[4]
 
-    @property
-    def discounts(self) -> DiscountSet:
-        if self._discounts is None:
-            self._discounts = estimate_discounts(self)
-        return self._discounts
-
-    # -- queries -------------------------------------------------------------
-
     def probability(self, word: int, context: tuple[int, ...] = ()) -> float:
-        """Interpolated modified-KN probability of a vocabulary word after a context."""
+        """Interpolated modified-KN probability of a vocabulary word after a context.
+
+        Starts from the uniform base and goes up the orders: each order whose
+        context was seen sets ``p = max(c - D, 0) / total + weight * p``, and an
+        order whose context was never seen leaves ``p`` as it is. These are the
+        float operations of the top-down recursion, in the same order.
+        """
         if not 0 <= word < self.vocab_size:
             raise ValueError(f"word id {word} outside vocabulary of size {self.vocab_size}")
-        self._freeze()
-        ds = self.discounts
         context = tuple(context)
-        if len(context) > self.order - 1:
-            context = context[len(context) - (self.order - 1):]
-        return self._interp(word, context, ds)
-
-    def _interp(self, word: int, context: tuple[int, ...], ds: DiscountSet) -> float:
-        k = len(context) + 1
-        if k == 1:
-            total = self._effective_total(1, ())
-            uniform = 1.0 / self.vocab_size
-            if total == 0:
-                return uniform
-            c = self._effective_counts(1).get((word,), 0)
-            gamma = self._gamma(1, (), total, ds)
-            return max(c - ds.applied(1, c), 0.0) / total + gamma * uniform
-        total = self._effective_total(k, context)
-        if total == 0:
-            return self._interp(word, context[1:], ds)
-        c = self._effective_counts(k).get(context + (word,), 0)
-        gamma = self._gamma(k, context, total, ds)
-        return max(c - ds.applied(k, c), 0.0) / total + gamma * self._interp(word, context[1:], ds)
-
-    def _gamma(self, order: int, context: tuple[int, ...], total: int, ds: DiscountSet) -> float:
-        n1, n2, n3p = self._buckets[order].get(context, (0, 0, 0))
-        d = ds.per_order[order]
-        return (d.d1 * n1 + d.d2 * n2 + d.d3plus * n3p) / total
+        n = len(context)
+        p = 1.0 / self.vocab_size
+        for k in range(1, min(n, self.order - 1) + 2):
+            h = context[n - k + 1 :]
+            total = self._totals[k].get(h)
+            if total:
+                c = self._effective[k].get(h + (word,), 0)
+                p = max(c - self._discount[k][min(c, 3)], 0.0) / total + self._weights[k][h] * p
+        return p
 
 
 def count_ngrams(documents: list[Document], order: int, vocab_size: int) -> NGramTable:
-    if order < 1:
-        raise ValueError("order must be at least 1")
     table = NGramTable(order, vocab_size)
     for doc in documents:
         for sent in doc.sentences:
@@ -188,7 +133,7 @@ def count_ngrams(documents: list[Document], order: int, vocab_size: int) -> NGra
     return table
 
 
-def estimate_discounts(table: NGramTable) -> DiscountSet:
+def estimate_discounts(table: NGramTable) -> dict[int, OrderDiscounts]:
     """Three discounts per order from count-of-counts: Y = n1/(n1+2*n2),
     D1 = 1 - 2*Y*n2/n1, D2 = 2 - 3*Y*n3/n2, D3+ = 3 - 4*Y*n4/n3.
 
@@ -202,7 +147,7 @@ def estimate_discounts(table: NGramTable) -> DiscountSet:
         if n1 == 0 and n2 == 0:
             # order carries no types at all (or only duplicates beyond 2); any
             # positive discount keeps the interpolation positive
-            if len(table._effective_counts(k)) == 0:
+            if not table._effective[k]:
                 per_order[k] = OrderDiscounts(0.0, 0.0, 0.0)
             else:
                 log.warning("order %d: no singleton/doubleton types, using D=%.2f", k, FALLBACK_DISCOUNT)
@@ -222,7 +167,7 @@ def estimate_discounts(table: NGramTable) -> DiscountSet:
             log.warning("order %d: degenerate count-of-counts, falling back to D=Y", k)
         d = y if y > 0.0 else FALLBACK_DISCOUNT
         per_order[k] = OrderDiscounts(d, d, d)
-    return DiscountSet(per_order)
+    return per_order
 
 
 def sentence_log_probability(sentence: Sentence, table: NGramTable) -> float:
@@ -238,7 +183,6 @@ def sentence_log_probability(sentence: Sentence, table: NGramTable) -> float:
 
 def write_arpa(table: NGramTable, vocab, stream) -> None:
     """Conventional text export: per line log10 prob, tab, tokens, tab, log10 backoff."""
-    table._freeze()
 
     def render(tid: int) -> str:
         return "<s>" if tid == BOS else vocab.decode(tid)
@@ -246,14 +190,13 @@ def write_arpa(table: NGramTable, vocab, stream) -> None:
     def log10(x: float) -> float:
         return math.log10(x) if x > 0 else -99.0
 
-    ds = table.discounts
     # context-only prefixes (begin-padding) get a placeholder probability line
     # so that their backoff weights have somewhere to live
     listed: dict[int, list[tuple[int, ...]]] = {}
     for k in range(1, table.order + 1):
         grams = set(table.counts[k])
         if k < table.order:
-            grams.update(h for h in table._ctx_total[k + 1] if h not in grams)
+            grams.update(gram[:-1] for gram in table.counts[k + 1])
         listed[k] = sorted(grams)
     stream.write("\\data\\\n")
     for k in range(1, table.order + 1):
@@ -262,12 +205,12 @@ def write_arpa(table: NGramTable, vocab, stream) -> None:
     for k in range(1, table.order + 1):
         stream.write(f"\\{k}-grams:\n")
         for gram in listed[k]:
-            prob = table._interp(gram[-1], gram[:-1], ds) if gram[-1] != BOS else 0.0
+            prob = table.probability(gram[-1], gram[:-1]) if gram[-1] != BOS else 0.0
             line = f"{log10(prob):.7f}\t{' '.join(render(t) for t in gram)}"
             if k < table.order:
-                total = table._effective_total(k + 1, gram)
-                if total > 0:
-                    line += f"\t{log10(table._gamma(k + 1, gram, total, ds)):.7f}"
+                weight = table._weights[k + 1].get(gram)
+                if weight is not None:
+                    line += f"\t{log10(weight):.7f}"
             stream.write(line + "\n")
         stream.write("\n")
     stream.write("\\end\\\n")

@@ -103,9 +103,8 @@ class TrainConfig:
 
 
 CONFIG_KEYS = [f.name for f in fields(TrainConfig)]
-_INT_KEYS = {"n", "d_h", "d_emb", "d_ctx", "vocab_size", "max_len", "batch_size",
-             "max_epochs", "patience", "seed"}
-_FLOAT_KEYS = {"rho", "eps", "clip_norm"}
+_INT_KEYS = {f.name for f in fields(TrainConfig) if f.type is int}
+_FLOAT_KEYS = {f.name for f in fields(TrainConfig) if f.type is float}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -362,40 +361,48 @@ def _write_checkpoint(ckpt: Checkpoint, fh) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a file written by ``save_checkpoint``. Every length field is checked
+    against the bytes left in the file before anything is allocated, and each
+    array is read straight into its own buffer, so no copy of the file is held."""
     with open(path, "rb") as fh:
-        blob = memoryview(fh.read())
-    if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise ConfigError("not a checkpoint file (bad magic)")
-    off = len(CHECKPOINT_MAGIC)
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+            raise ConfigError("not a checkpoint file (bad magic)")
+        off = len(CHECKPOINT_MAGIC)
 
-    def take(n: int) -> memoryview:
-        nonlocal off
-        if n > len(blob) - off:
-            raise CheckpointError(f"truncated checkpoint: {n} bytes needed at offset {off}, "
-                                  f"{len(blob) - off} left")
-        off += n
-        return blob[off - n : off]
+        def claim(n: int) -> None:
+            nonlocal off
+            if n > size - off:
+                raise CheckpointError(f"truncated checkpoint: {n} bytes needed at offset {off}, "
+                                      f"{size - off} left")
+            off += n
 
-    def unpack(fmt: str) -> tuple:
-        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+        def take(n: int) -> bytes:
+            claim(n)
+            return fh.read(n)
 
-    version, count = unpack("<II")
-    if version != CHECKPOINT_VERSION:
-        raise ConfigError(f"unsupported checkpoint version {version}")
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = unpack("<H")
-        name = str(take(name_len), "utf-8")
-        code, rank = unpack("<BB")
-        dims = unpack(f"<{rank}Q")
-        dtype = CODE_DTYPES[code]
-        data = take(math.prod(dims) * dtype.itemsize)
-        arr = np.frombuffer(data, dtype=dtype.newbyteorder("<")).astype(dtype)
-        arrays[name] = arr.reshape(dims)
-    (text_len,) = unpack("<I")
-    text = str(take(text_len), "utf-8")
-    if off != len(blob):
-        raise CheckpointError(f"{len(blob) - off} unexpected bytes after the checkpoint's end")
+        def unpack(fmt: str) -> tuple:
+            return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+        version, count = unpack("<II")
+        if version != CHECKPOINT_VERSION:
+            raise ConfigError(f"unsupported checkpoint version {version}")
+        arrays: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = unpack("<H")
+            name = str(take(name_len), "utf-8")
+            code, rank = unpack("<BB")
+            dims = unpack(f"<{rank}Q")
+            dtype = CODE_DTYPES[code]
+            claim(math.prod(dims) * dtype.itemsize)
+            flat = np.empty(math.prod(dims), dtype.newbyteorder("<"))
+            if fh.readinto(flat.view(np.uint8)) != flat.nbytes:
+                raise CheckpointError(f"{path} shrank while it was read")
+            arrays[name] = flat.reshape(dims).astype(dtype, copy=False)
+        (text_len,) = unpack("<I")
+        text = str(take(text_len), "utf-8")
+    if off != size:
+        raise CheckpointError(f"{size - off} unexpected bytes after the checkpoint's end")
     raw = parse_config_text(text)
     epoch = int(raw.pop("epoch"))
     best = float(raw.pop("best_valid_nll"))

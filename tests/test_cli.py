@@ -232,7 +232,7 @@ def test_eval_tags_with_invalid_utf8_is_data_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags", [["--batch-size", "0"], ["--batch-size", "-1"],
-                                   ["--top-k", "-1"]])
+                                   ["--top-k", "-1"], ["--n", "-1"]])
 def test_eval_rejects_out_of_range_flags(tmp_path, capsys, flags):
     ckpt = fresh_checkpoint(tmp_path)
     corpus = tmp_path / "eval.txt"
@@ -333,6 +333,16 @@ def test_ngram_rejects_order_zero(tmp_path, capsys):
     train, _ = write_corpora(tmp_path)
     assert main(["ngram", "--order", "0", "--train", str(train),
                  "--eval", str(train)]) == 1
+
+
+@pytest.mark.parametrize("size", ["-3", "1"])
+def test_ngram_rejects_out_of_range_vocab_size(tmp_path, capsys, size):
+    train, _ = write_corpora(tmp_path)
+    assert main(["ngram", "--order", "2", "--train", str(train), "--eval", str(train),
+                 "--vocab-size", size]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--vocab-size" in captured.err
 
 
 def test_ngram_missing_corpus(tmp_path):

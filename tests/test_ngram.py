@@ -63,7 +63,7 @@ def test_discount_formulas_frozen():
     table.counts[1] = {(2,): 1, (3,): 2, (4,): 3, (5,): 4}
     table._freeze()
     assert table.count_of_counts(1) == (1, 1, 1, 1)
-    d = estimate_discounts(table).per_order[1]
+    d = estimate_discounts(table)[1]
     assert d.d1 == pytest.approx(Fraction(1, 3), abs=1e-15)
     assert d.d2 == pytest.approx(1.0, abs=1e-12)
     assert d.d3plus == pytest.approx(Fraction(5, 3), abs=1e-12)
@@ -73,7 +73,7 @@ def test_discount_fallback_on_degenerate_counts(caplog):
     # all types occur once: n2 = 0 -> single discount Y = 1
     table = count_ngrams([doc([A, B, C])], 1, vocab_size=5)
     with caplog.at_level(logging.WARNING, logger="ctxlm.ngram"):
-        d = estimate_discounts(table).per_order[1]
+        d = estimate_discounts(table)[1]
     assert d.d1 == d.d2 == d.d3plus
     assert caplog.records
 
@@ -82,7 +82,7 @@ def test_discounts_bounded_by_counts_they_discount():
     rng = np.random.default_rng(0)
     sents = [list(rng.integers(2, 7, size=rng.integers(1, 6))) for _ in range(40)]
     table = count_ngrams([doc(*sents)], 3, vocab_size=7)
-    for k, d in estimate_discounts(table).per_order.items():
+    for k, d in estimate_discounts(table).items():
         assert 0.0 <= d.d1 <= 1.0
         assert 0.0 <= d.d2 <= 2.0
         assert 0.0 <= d.d3plus <= 3.0
@@ -104,9 +104,9 @@ def _ab_ac_table():
 
 def test_hand_oracle_discounts():
     ds = estimate_discounts(_ab_ac_table())
-    assert ds.per_order[2].d1 == pytest.approx(Fraction(2, 3), abs=1e-15)
-    assert ds.per_order[2].d3plus == pytest.approx(Fraction(2, 3), abs=1e-15)
-    assert ds.per_order[1].d1 == pytest.approx(Fraction(3, 5), abs=1e-15)
+    assert ds[2].d1 == pytest.approx(Fraction(2, 3), abs=1e-15)
+    assert ds[2].d3plus == pytest.approx(Fraction(2, 3), abs=1e-15)
+    assert ds[1].d1 == pytest.approx(Fraction(3, 5), abs=1e-15)
 
 
 def test_hand_oracle_probability():
@@ -250,20 +250,28 @@ def test_duplicate_corpus_preserves_ml_ratios():
     for gram, c in single.counts[2].items():
         h = gram[:-1]
         assert double.counts[2][gram] == 2 * c
-        assert (c / single._ctx_total[2][h]
-                == double.counts[2][gram] / double._ctx_total[2][h])
+        assert (c / single._totals[2][h]
+                == double.counts[2][gram] / double._totals[2][h])
+
+
+class ToyVocab:
+    tokens = ["<unk>", "</s>", "a", "b", "c"]
+
+    def decode(self, i):
+        return self.tokens[i]
+
+
+def _arpa_rows(table):
+    """Tab-separated columns of every n-gram line of the table's text export."""
+    buf = io.StringIO()
+    write_arpa(table, ToyVocab(), buf)
+    return [line.split("\t") for line in buf.getvalue().splitlines() if "\t" in line]
 
 
 def test_arpa_export_structure():
-    class Vocab:
-        tokens = ["<unk>", "</s>", "a", "b", "c"]
-
-        def decode(self, i):
-            return self.tokens[i]
-
     table = _ab_ac_table()
     buf = io.StringIO()
-    write_arpa(table, Vocab(), buf)
+    write_arpa(table, ToyVocab(), buf)
     text = buf.getvalue()
     assert text.startswith("\\data\\\n")
     assert "\\1-grams:" in text and "\\2-grams:" in text and text.rstrip().endswith("\\end\\")
@@ -283,3 +291,27 @@ def test_arpa_export_structure():
             break
     else:
         pytest.fail("bigram 'a b' not exported")
+
+
+def test_arpa_order_one_has_no_backoff_column():
+    table = count_ngrams([doc([A, B]), doc([A, C])], 1, vocab_size=5)
+    rows = _arpa_rows(table)
+    assert [cols[1] for cols in rows] == ["</s>", "a", "b", "c"]
+    assert all(len(cols) == 2 for cols in rows)
+
+
+def test_arpa_lists_every_bos_prefix_with_a_backoff():
+    table = count_ngrams([doc([A, B, C]), doc([B])], 3, vocab_size=5)
+    rows = _arpa_rows(table)
+    bos_rows = {cols[1]: cols for cols in rows if cols[1].split()[-1] == "<s>"}
+    assert set(bos_rows) == {"<s>", "<s> <s>"}
+    for cols in bos_rows.values():
+        assert len(cols) == 3
+        assert float(cols[0]) == -99.0   # placeholder: BOS is never predicted
+        assert float(cols[2]) <= 0.0   # weights never exceed 1
+
+
+def test_add_sentence_after_counting_raises():
+    table = _ab_ac_table()
+    with pytest.raises(RuntimeError):
+        table.add_sentence(Sentence((A, EOS_ID)))

@@ -487,6 +487,23 @@ def test_checkpoint_rejects_every_truncation_and_trailing_bytes(tmp_path):
         load_checkpoint(cut_path)
 
 
+def test_checkpoint_load_holds_no_second_copy(tmp_path):
+    ckpt = train(tiny_config(max_epochs=1), TRAIN_DOCS, VALID_DOCS, VOCAB).checkpoint
+    rng = np.random.default_rng(5)
+    ckpt.arrays = {"W": rng.standard_normal((512, 512)), "b": rng.standard_normal(512)}
+    path = tmp_path / "big.ckpt"
+    save_checkpoint(ckpt, path)
+    array_bytes = sum(a.nbytes for a in ckpt.arrays.values())
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(np.array_equal(loaded.arrays[k], a) for k, a in ckpt.arrays.items())
+    assert peak < 1.25 * array_bytes
+
+
 def test_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"NOTLM1" + b"\x00" * 32)
