@@ -14,7 +14,7 @@ import numpy as np
 
 from .corpus import (CorpusError, build_vocabulary, encode_documents, load_corpus_file)
 from .evaluation import (Model, TagAlignmentError, check_alignment, corpus_perplexity,
-                         load_tag_annotations, perplexity_by_tag)
+                         load_tag_annotations, perplexity_with_tags)
 from .ngram import count_ngrams, write_arpa
 from .training import (Checkpoint, ConfigError, config_from_mapping,
                        load_checkpoint, parse_config_text, save_checkpoint, train)
@@ -145,14 +145,17 @@ def cmd_eval(args) -> int:
         with open(args.tags, "rb") as fh:
             annotations = load_tag_annotations(fh)
         check_alignment(docs, annotations)
-    report = corpus_perplexity(model, docs, n, batch_size=args.batch_size)
+    if args.tags:
+        report, tag_report = perplexity_with_tags(model, docs, annotations, n,
+                                                  top_k=args.top_k, average=args.average,
+                                                  batch_size=args.batch_size)
+    else:
+        report = corpus_perplexity(model, docs, n, batch_size=args.batch_size)
     if report.unk_rate > 0.5:
         log(f"warning: {report.unk_rate:.1%} of tokens are unknown; "
             "vocabulary and corpus may not match")
     sys.stdout.write(report.csv())
     if args.tags:
-        tag_report = perplexity_by_tag(model, docs, annotations, n, top_k=args.top_k,
-                                       average=args.average, batch_size=args.batch_size)
         sys.stdout.write("\n" + tag_report.csv())
     return EXIT_OK
 

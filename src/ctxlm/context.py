@@ -1,11 +1,14 @@
 """Context-sentence encoders: BoW projection, sequential BoW LSTM, and
 bidirectional annotations with additive attention.
 
-These are the encoders the batch engine runs, over a padded batch of B
-windows. Context sentences are left-padded to K positions, position-major
-(K, B, ...), with a (B, K) 0/1 mask; the context LSTM carries its state
-unchanged over padded positions, so a window without context encodes to the
-zero vector and its attention weights are all zero.
+These are the encoders the batch engine runs, over a batch of B windows in
+the engine's row order. Context sentences are left-padded to K positions,
+position-major (K, B, ...), with a (B, K) 0/1 mask; the context LSTM carries
+its state unchanged over padded positions, so a window without context
+encodes to the zero vector and its attention weights are all zero. An
+attention query may cover only the n <= B leading windows (the targets
+still running at a decoder step); it then reads those windows' rows of the
+annotations and keys.
 """
 
 import numpy as np
@@ -49,14 +52,14 @@ def context_lstm(tape: Tape | None, params: dict[str, Variable], x: Variable,
                  mask: np.ndarray, prefix: str, reverse: bool = False) -> list[Variable]:
     """Masked context-LSTM pass over projected BoW rows x (K*B, d_ctx), position-major;
     one (B, d_ctx) hidden state per position."""
-    K = mask.shape[1]
-    B = x.shape[0] // K
+    B, K = mask.shape
     W, U, b = rlm.gate_weights(tape, params, prefix)
-    xproj = nm.reshape(tape, nm.matmul(tape, x, W), (K, B, -1))
+    xproj = nm.matmul(tape, x, W)
     states: list[Variable | None] = [None] * K
     state = rlm.zero_state(B, x.shape[1], x.dtype)
     for k in (range(K - 1, -1, -1) if reverse else range(K)):
-        _, _, c_new, h_new = nm.lstm_cell(tape, xproj, k, state.h, state.c, U, b)
+        rows = slice(k * B, (k + 1) * B)
+        _, _, c_new, h_new = nm.lstm_cell(tape, xproj, rows, state.h, state.c, U, b)
         m = mask[:, k : k + 1]
         state = LstmState(nm.blend(tape, m, h_new, state.h), nm.blend(tape, m, c_new, state.c))
         states[k] = state.h
@@ -91,7 +94,9 @@ def attention_keys(tape: Tape | None, params: dict[str, Variable],
 def attend(tape: Tape | None, params: dict[str, Variable], annotations: Variable,
            keys: Variable, h_query: Variable, mask: np.ndarray) -> tuple[Variable, Variable]:
     """Additive attention: score_k = v_a . tanh(W_a z_k + U_a h), softmax over the
-    unmasked positions; returns (weighted annotation sum (B, D), alphas (B, K))."""
+    unmasked positions; returns (weighted annotation sum (n, D), alphas (n, K))
+    for a query h_query (n, d_h) of the n leading windows, whose mask rows
+    (n, K) are ``mask``."""
     query = nm.matmul(tape, h_query, params["U_a"])
     scores = nm.attention_scores(tape, keys, query, params["v_a"])
     alphas = nm.masked_softmax(tape, scores, mask)

@@ -119,13 +119,18 @@ def corpus_perplexity(model, documents: list[Document], n: int,
     """Perplexity of a sentence model or an n-gram table over whole documents."""
     if not documents:
         raise ValueError("empty corpus")
-    tokens = sum(len(s.token_ids) for d in documents for s in d.sentences)
     if isinstance(model, NGramTable):
+        tokens = sum(len(s.token_ids) for d in documents for s in d.sentences)
         total = -sum(
             sentence_log_probability(s, model) for d in documents for s in d.sentences
         )
         return EvalReport(tokens, total, _unk_rate(documents), variant=f"kn{model.order}")
     nlls, _ = _window_nlls(model, documents, n, batch_size, want_tokens=False)
+    return _corpus_report(model, documents, nlls)
+
+
+def _corpus_report(model: Model, documents: list[Document], nlls: list[float]) -> EvalReport:
+    tokens = sum(len(s.token_ids) for d in documents for s in d.sentences)
     return EvalReport(tokens, float(sum(nlls)), _unk_rate(documents),
                       variant=model.variant.tag)
 
@@ -157,10 +162,34 @@ def perplexity_by_tag(model: Model, documents: list[Document],
                       annotations: list[list[list[str]]], n: int, top_k: int = 10,
                       average: str = "geometric", batch_size: int = 64) -> TagReport:
     """Group per-token NLLs by POS tag; NN/NNS merge into Noun, VB/VBZ into Verb."""
+    _check_tag_request(documents, annotations, average)
+    _, per_token = _window_nlls(model, documents, n, batch_size, want_tokens=True)
+    return _tag_report(per_token, annotations, top_k, average)
+
+
+def perplexity_with_tags(model: Model, documents: list[Document],
+                         annotations: list[list[list[str]]], n: int, top_k: int = 10,
+                         average: str = "geometric",
+                         batch_size: int = 64) -> tuple[EvalReport, TagReport]:
+    """``corpus_perplexity`` and ``perplexity_by_tag`` of a sentence model from
+    one forward pass over the corpus."""
+    if not documents:
+        raise ValueError("empty corpus")
+    _check_tag_request(documents, annotations, average)
+    nlls, per_token = _window_nlls(model, documents, n, batch_size, want_tokens=True)
+    return (_corpus_report(model, documents, nlls),
+            _tag_report(per_token, annotations, top_k, average))
+
+
+def _check_tag_request(documents: list[Document], annotations: list[list[list[str]]],
+                       average: str) -> None:
     if average not in ("geometric", "arithmetic"):
         raise ValueError(f"unknown averaging mode {average!r}")
     check_alignment(documents, annotations)
-    _, per_token = _window_nlls(model, documents, n, batch_size, want_tokens=True)
+
+
+def _tag_report(per_token: list[np.ndarray], annotations: list[list[list[str]]],
+                top_k: int, average: str) -> TagReport:
     flat_tags = [tags for doc in annotations for tags in doc]
     nll_sum: dict[str, float] = {}
     ppl_sum: dict[str, float] = {}

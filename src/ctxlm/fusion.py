@@ -6,24 +6,31 @@ projected context into the output: r = sigmoid(W_rp q + W_rc c + b_r),
 h = o * tanh(c + r * q) with q = W_p p. Attention variants recompute the
 context vector at each step, queried by the previous hidden state.
 
-One engine evaluates every variant: a padded, masked batch of windows, used
-by training, corpus evaluation and (as a batch of one) the per-window NLL.
-It steps through time only for the recurrence, which records the fused
-``numeric.lstm_cell`` (plus ``numeric.late_fusion_output`` for late fusion
-and one batched scoring of all context positions for attention). The
-embedding gather, the input projection of all timesteps, the encoding of
-the context sentences (module ``context``) and the output softmax + NLL of
-all positions are each computed once per batch.
+One engine evaluates every variant, used by training, corpus evaluation and
+(as a batch of one) the per-window NLL. It works on a packed batch: the
+windows are sorted by target length, longest first (a stable sort), and only
+the N real target positions are kept, time-major. The windows still running
+at step t are then the n_t leading rows of the batch, so step t owns the
+packed rows ``bounds[t]:bounds[t+1]`` and no padded position is ever
+embedded, projected or scored. The engine steps through time only for the
+recurrence, which records the fused ``numeric.lstm_cell`` on the n_t leading
+rows (plus ``numeric.late_fusion_output`` for late fusion and one batched
+scoring of all context positions for attention). The embedding gather, the
+input projection of all N positions, the encoding of the context sentences
+(module ``context``) and the output softmax + NLL of all N positions are
+each computed once per batch. Per-window totals are segment sums of the
+packed NLLs, added in time order and returned in the caller's window order.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from . import context as ctx
 from . import numeric as nm
 from . import rlm
-from .corpus import ContextWindow, Vocabulary, bow_vector
+from .corpus import ContextWindow, Vocabulary, bow_vector  # noqa: F401  (re-exported)
 from .numeric import Tape, Variable
 from .rlm import LstmState
 
@@ -119,20 +126,29 @@ def conditional_sentence_nll(window: ContextWindow, variant: Variant | str,
 
 @dataclass
 class WindowBatch:
-    inputs: np.ndarray            # (B,T) int64: BOS then content tokens, EOS-padded
-    targets: np.ndarray           # (B,T) int64: content tokens then EOS, 0-padded
-    mask: np.ndarray              # (B,T) float: 1 at predicted positions
+    """B windows in engine row order (target length descending, ties in the
+    caller's order), their N real target positions packed time-major."""
+
+    inputs: np.ndarray            # (N,) int64: BOS, then the previous target token
+    targets: np.ndarray           # (N,) int64: content tokens, then EOS
+    bounds: np.ndarray            # (T+1,) int64: step t owns positions bounds[t]:bounds[t+1]
+    row: np.ndarray               # (N,) int64: each position's batch row
+    window: np.ndarray            # (N,) int64: each position's window, in the caller's order
     bow_sum: np.ndarray | None    # (B,V) summed context counts
     bow_seq: np.ndarray | None    # (K,B,V) per-sentence counts, left-padded
     ctx_mask: np.ndarray | None   # (B,K) float: 1 at real context positions
 
-    @property
-    def size(self) -> int:
-        return self.inputs.shape[0]
 
-    @property
-    def predicted_tokens(self) -> float:
-        return float(self.mask.sum())
+def _count_rows(pairs: list, rows: int, V: int, dtype) -> np.ndarray:
+    """(rows, V) token counts: each (row, sentence) pair adds that sentence's
+    content tokens (EOS excluded) to its row. One scatter for all pairs."""
+    lengths = [s.length for _, s in pairs]
+    flat = np.repeat(np.array([r for r, _ in pairs], dtype=np.int64) * V, lengths)
+    flat += np.fromiter(chain.from_iterable(s.content_ids for _, s in pairs),
+                        dtype=np.int64, count=len(flat))
+    counts = np.zeros(rows * V, dtype=dtype)
+    np.add.at(counts, flat, 1.0)
+    return counts.reshape(rows, V)
 
 
 def make_batch(windows: list[ContextWindow], vocab: Vocabulary, variant: Variant,
@@ -141,49 +157,53 @@ def make_batch(windows: list[ContextWindow], vocab: Vocabulary, variant: Variant
     if B == 0:
         raise ValueError("empty batch")
     V = len(vocab)
-    bos = V  # extra embedding row
-    T = max(len(w.target.token_ids) for w in windows)
-    inputs = np.full((B, T), 1, dtype=np.int64)  # EOS id as inert padding input
-    targets = np.zeros((B, T), dtype=np.int64)
-    mask = np.zeros((B, T), dtype=dtype)
-    for b, w in enumerate(windows):
-        ids = w.target.token_ids
-        inputs[b, 0] = bos
-        inputs[b, 1 : len(ids)] = ids[:-1]
-        targets[b, : len(ids)] = ids
-        mask[b, : len(ids)] = 1.0
+    order = sorted(range(B), key=lambda i: -len(windows[i].target.token_ids))
+    ranked = [windows[i] for i in order]
+    lengths = np.array([len(w.target.token_ids) for w in ranked])
+    T = int(lengths[0])
+    targets = np.zeros((T, B), dtype=np.int64)
+    for b, w in enumerate(ranked):
+        targets[: lengths[b], b] = w.target.token_ids
+    inputs = np.empty_like(targets)
+    inputs[0] = V  # BOS: the extra embedding row
+    inputs[1:] = targets[:-1]
+    real = np.arange(T)[:, None] < lengths  # (T,B): a prefix of the rows at every step
+    bounds = np.concatenate(([0], np.cumsum(real.sum(axis=1))))
+    row = np.broadcast_to(np.arange(B), (T, B))[real]
+    window = np.array(order)[row]
     bow_sum = bow_seq = ctx_mask = None
     if variant.context == "bow":
-        bow_sum = np.stack([bow_vector(w.context, vocab, dtype) for w in windows])
+        bow_sum = _count_rows([(b, s) for b, w in enumerate(ranked) for s in w.context],
+                              B, V, dtype)
     elif variant.context in ("seqbow", "att"):
-        K = max(len(w.context) for w in windows)
-        bow_seq = np.zeros((K, B, V), dtype=dtype)
-        ctx_mask = np.zeros((B, K), dtype=dtype)
-        for b, w in enumerate(windows):
-            off = K - len(w.context)
-            for j, sent in enumerate(w.context):
-                bow_seq[off + j, b] = bow_vector([sent], vocab, dtype)
-                ctx_mask[b, off + j] = 1.0
-    return WindowBatch(inputs, targets, mask, bow_sum, bow_seq, ctx_mask)
+        K = max(len(w.context) for w in ranked)
+        offsets = [K - len(w.context) for w in ranked]
+        pairs = [((off + j) * B + b, s)
+                 for b, (w, off) in enumerate(zip(ranked, offsets))
+                 for j, s in enumerate(w.context)]
+        bow_seq = _count_rows(pairs, K * B, V, dtype).reshape(K, B, V)
+        ctx_mask = (np.arange(K) >= np.array(offsets)[:, None]).astype(dtype)
+    return WindowBatch(inputs[real], targets[real], bounds, row, window,
+                       bow_sum, bow_seq, ctx_mask)
 
 
 def batch_nll(windows: list[ContextWindow], params: dict[str, Variable], variant: Variant | str,
               vocab: Vocabulary, tape: Tape | None = None,
               want_token_nll: bool = False):
-    """Per-window NLL over a padded batch -> ((B,) Variable, (B,T) array | None).
+    """Per-window NLL of a batch -> ((B,) Variable, (B,T) array | None), both in
+    the order of ``windows``; the per-token array is 0 past each window's end.
 
-    Padded positions contribute exactly zero to values and gradients; empty
-    contexts reduce to the unconditioned model. Only the recurrence runs step
-    by step: the embedding gather, the input projection of all T steps, the
-    context encoder's BoW projection and the attention keys W_a z_k are each
-    one product before the time loop, and the output affine and NLL of all
-    (T*B) positions one after it.
+    Empty contexts reduce to the unconditioned model. Only the recurrence runs
+    step by step, on the windows still running; the embedding gather, the
+    input projection of all N real positions, the context encoder's BoW
+    projection and the attention keys W_a z_k are each one product before the
+    time loop, and the output affine and NLL of all N positions one after it.
     """
     if isinstance(variant, str):
         variant = parse_variant(variant)
     dtype = params["E"].dtype
     batch = make_batch(windows, vocab, variant, dtype)
-    B, T = batch.inputs.shape
+    B, T = len(windows), len(batch.bounds) - 1
     d_h = params["b_i"].shape[0]
 
     p = None          # context vector, fixed over the sentence
@@ -208,33 +228,38 @@ def batch_nll(windows: list[ContextWindow], params: dict[str, Variable], variant
     q_r = nm.matmul(tape, q, params["W_rp"]) if q is not None else None
 
     W, U, b = rlm.gate_weights(tape, params, "")
-    x = nm.embed_rows(tape, params["E"], batch.inputs.T)
+    x = nm.embed_rows(tape, params["E"], batch.inputs)
     if extra is not None:
-        x = nm.add_bias(tape, x, extra)
-    x = nm.reshape(tape, x, (T * B, -1))
-    xproj = nm.reshape(tape, nm.matmul(tape, x, W), (T, B, -1))
+        x = nm.add(tape, x, nm.embed_rows(tape, extra, batch.row))
+    xproj = nm.matmul(tape, x, W)
 
     state = rlm.zero_state(B, d_h, dtype)
     hs = []
     for t in range(T):
+        rows = slice(batch.bounds[t], batch.bounds[t + 1])
+        n = rows.stop - rows.start
         step_in = None
         if annots is not None:
-            mixed, _ = ctx.attend(tape, params, annots, keys, state.h, batch.ctx_mask)
+            query = nm.leading_rows(tape, state.h, n)
+            mixed, _ = ctx.attend(tape, params, annots, keys, query, batch.ctx_mask[:n])
             proj_t = nm.matmul(tape, mixed, params["W_p"])
             if variant.fusion == "early":
                 step_in = nm.matmul(tape, proj_t, W)
             else:
                 q = proj_t
-        _, o, c_new, h_new = nm.lstm_cell(tape, xproj, t, state.h, state.c, U, b, step_in)
+        _, o, c_new, h_new = nm.lstm_cell(tape, xproj, rows, state.h, state.c, U, b, step_in)
         if variant.fusion == "late" and q is not None:
             h_new = _late_output(tape, params, o, c_new, q, q_r)
         hs.append(h_new)
         state = LstmState(h_new, c_new)
 
-    hidden = nm.reshape(tape, nm.stack_first(tape, hs), (T * B, d_h))
+    hidden = nm.concat_rows(tape, hs)
     logits = nm.add_bias(tape, nm.matmul(tape, hidden, params["W_out"]), params["b_out"])
-    nll = nm.nll_rows(tape, logits, batch.targets.T.ravel(), batch.mask.T.ravel())
-    nll = nm.reshape(tape, nll, (T, B))
-    total = nm.sum_all(tape, nll, axis=0)
-    token_nll = nll.value.T.astype(np.float64) if want_token_nll else None
+    nll = nm.nll_rows(tape, logits, batch.targets)
+    total = nm.segment_sum(tape, nll, batch.window, B)
+    token_nll = None
+    if want_token_nll:
+        token_nll = np.zeros((B, T))
+        steps = np.repeat(np.arange(T), np.diff(batch.bounds))
+        token_nll[batch.window, steps] = nll.value
     return total, token_nll

@@ -14,6 +14,16 @@ precomputed input projection and one ``h_prev @ U`` product),
 :func:`attention_scores` (additive-attention scores for every context
 position at once). Operands marked ``constant`` (data such as bag-of-words
 count matrices) receive no gradient.
+
+Packed batches: the batch engine sorts its sequences longest first, so the
+sequences still running at a timestep are the leading rows of the batch.
+The fused primitives therefore accept state and context operands wider than
+the step (``h_prev``/``c_prev`` of :func:`lstm_cell`, ``q``/``q_r`` of
+:func:`late_fusion_output`, the keys and annotations of attention): they
+read only the leading rows the step's other operands have, and add
+gradient back into those rows only. :func:`concat_rows` joins the ragged
+per-step outputs into one packed matrix, and :func:`segment_sum` adds
+packed rows up per sequence.
 """
 
 import numpy as np
@@ -68,6 +78,15 @@ class Variable:
             self.grad = g
         else:
             self.grad_buffer()[...] += g
+
+    def add_grad_leading(self, g: np.ndarray, axis: int = 0) -> None:
+        """Accumulate g into the leading ``g.shape[axis]`` entries along ``axis``
+        of a gradient that may be wider there (a packed step's prefix rows)."""
+        n = g.shape[axis]
+        if n == self.value.shape[axis]:
+            self.add_grad(g)
+        else:
+            self.grad_buffer()[(slice(None),) * axis + (slice(0, n),)] += g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -250,12 +269,10 @@ def embed_rows(tape: Tape | None, table: Variable, ids: np.ndarray) -> Variable:
     return out
 
 
-def nll_rows(tape: Tape | None, logits: Variable, targets: np.ndarray,
-             mask: np.ndarray | None = None) -> Variable:
-    """Per-row negative log-likelihood of targets under row softmax -> (B,).
+def nll_rows(tape: Tape | None, logits: Variable, targets: np.ndarray) -> Variable:
+    """Per-row negative log-likelihood of targets under row softmax -> (N,).
 
-    Fused log-softmax + NLL with max-subtraction. Rows where mask is 0
-    contribute exactly 0 to the value and to all gradients.
+    Fused log-softmax + NLL with max-subtraction.
     """
     z = logits.value
     zmax = z.max(axis=1, keepdims=True)
@@ -264,10 +281,7 @@ def nll_rows(tape: Tape | None, logits: Variable, targets: np.ndarray,
     picked = work[rows, targets]
     lse = np.log(np.exp(work, out=work).sum(axis=1))
     del work  # only zmax and lse are kept: backward rebuilds the softmax from z
-    nll = lse - picked
-    if mask is not None:
-        nll = nll * mask
-    out = Variable(nll)
+    out = Variable(lse - picked)
     if tape is not None:
         def backprop():
             g = out.grad
@@ -277,7 +291,7 @@ def nll_rows(tape: Tape | None, logits: Variable, targets: np.ndarray,
             soft -= lse[:, None]
             np.exp(soft, out=soft)
             soft[rows, targets] -= 1.0
-            soft *= (g if mask is None else g * mask)[:, None]
+            soft *= g[:, None]
             logits.add_grad(soft)
         tape.record(backprop)
     return out
@@ -311,15 +325,17 @@ def masked_softmax(tape: Tape | None, scores: Variable, mask: np.ndarray) -> Var
 
 
 def attention_mix(tape: Tape | None, alphas: Variable, annotations: Variable) -> Variable:
-    """Weighted sum of annotation vectors: alphas (B,K), annotations (K,B,D) -> (B,D)."""
-    out = Variable(np.einsum("bk,kbd->bd", alphas.value, annotations.value))
+    """Weighted sum of annotation vectors: alphas (n,K), annotations (K,B,D) with
+    B >= n -> (n,D); the mix reads the annotations' n leading rows."""
+    annots = annotations.value[:, :alphas.shape[0]]
+    out = Variable(np.einsum("bk,kbd->bd", alphas.value, annots))
     if tape is not None:
         def backprop():
             g = out.grad
             if g is None:
                 return
-            alphas.add_grad(np.einsum("bd,kbd->bk", g, annotations.value))
-            annotations.add_grad(np.einsum("bk,bd->kbd", alphas.value, g))
+            alphas.add_grad(np.einsum("bd,kbd->bk", g, annots))
+            annotations.add_grad_leading(np.einsum("bk,bd->kbd", alphas.value, g), axis=1)
         tape.record(backprop)
     return out
 
@@ -327,8 +343,9 @@ def attention_mix(tape: Tape | None, alphas: Variable, annotations: Variable) ->
 def attention_scores(tape: Tape | None, keys: Variable, query: Variable,
                      v: Variable) -> Variable:
     """Additive-attention scores of every position at once:
-    score[b,k] = v . tanh(keys[k,b] + query[b]); keys (K,B,A), query (B,A), v (A,) -> (B,K)."""
-    e = np.tanh(keys.value + query.value)
+    score[b,k] = v . tanh(keys[k,b] + query[b]); keys (K,B,A), query (n,A) with
+    n <= B, v (A,) -> (n,K). Only the keys' n leading rows are read."""
+    e = np.tanh(keys.value[:, :query.shape[0]] + query.value)
     out = Variable((e @ v.value).T)
     if tape is not None:
         def backprop():
@@ -337,28 +354,33 @@ def attention_scores(tape: Tape | None, keys: Variable, query: Variable,
                 return
             gt = g.T
             de = gt[:, :, None] * v.value * (1.0 - e * e)
-            keys.add_grad(de)
+            keys.add_grad_leading(de, axis=1)
             query.add_grad(de.sum(axis=0))
             v.add_grad(gt.reshape(-1) @ e.reshape(-1, e.shape[-1]))
         tape.record(backprop)
     return out
 
 
-def lstm_cell(tape: Tape | None, xproj: Variable, t: int, h_prev: Variable,
+def lstm_cell(tape: Tape | None, xproj: Variable, rows: slice, h_prev: Variable,
               c_prev: Variable, U: Variable, b: Variable, extra: Variable | None = None):
-    """One LSTM cell update with all four gates fused -> (i, o, c, h).
+    """One LSTM cell update with all four gates fused -> (i, o, c, h), each (n,d).
 
-    ``xproj`` (T,B,4d) holds the input projection x @ W of a whole sequence,
-    with gate blocks in ``rlm.GATES`` order (i, o, f, c); the cell reads step
-    ``t``. The pre-activations are
-    h_prev @ U + xproj[t] (+ ``extra``, a further (B,4d) input term) + b; then
-    c = f*c_prev + i*g and h = o*tanh(c). One closure backpropagates every
+    ``xproj`` (N,4d) holds the input projection x @ W of a whole packed
+    sequence batch, with gate blocks in ``rlm.GATES`` order (i, o, f, c); the
+    step reads its n rows ``xproj[rows]``. ``h_prev`` and ``c_prev`` may have
+    more rows than n: the step reads, and sends gradient to, their n leading
+    rows. The pre-activations are
+    h_prev[:n] @ U + xproj[rows] (+ ``extra``, a further (n,4d) input term) + b;
+    then c = f*c_prev + i*g and h = o*tanh(c). One closure backpropagates every
     output's gradient: it forms the pre-activation gradient dz once, then
-    dh_prev = dz @ U.T, dc_prev, dU = h_prev.T @ dz, db, and xproj[t] (and
+    dh_prev = dz @ U.T, dc_prev, dU = h_prev.T @ dz, db, and xproj[rows] (and
     extra) receive dz.
     """
-    z = h_prev.value @ U.value
-    z += xproj.value[t]
+    x_t = xproj.value[rows]
+    n = x_t.shape[0]
+    h_in, c_in = h_prev.value[:n], c_prev.value[:n]
+    z = h_in @ U.value
+    z += x_t
     if extra is not None:
         z += extra.value
     z += b.value
@@ -367,7 +389,7 @@ def lstm_cell(tape: Tape | None, xproj: Variable, t: int, h_prev: Variable,
     act[:, :3 * d] = sigmoid(z[:, :3 * d])
     act[:, 3 * d:] = np.tanh(z[:, 3 * d:])
     i, o, f, g = act[:, :d], act[:, d:2 * d], act[:, 2 * d:3 * d], act[:, 3 * d:]
-    c = f * c_prev.value + i * g
+    c = f * c_in + i * g
     tc = np.tanh(c)
     i_out, o_out, c_out, h_out = Variable(i), Variable(o), Variable(c), Variable(o * tc)
     if tape is not None:
@@ -385,17 +407,17 @@ def lstm_cell(tape: Tape | None, xproj: Variable, t: int, h_prev: Variable,
             if gi is not None:
                 dz[:, :d] = gi
             dz[:, :d] += dc * g
-            dz[:, 2 * d:3 * d] = dc * c_prev.value
+            dz[:, 2 * d:3 * d] = dc * c_in
             dz[:, 3 * d:] = dc * i
             sig = act[:, :3 * d]
             dz[:, :3 * d] *= sig * (1.0 - sig)
             dz[:, 3 * d:] *= 1.0 - g * g
-            xproj.grad_buffer()[t] += dz
+            xproj.grad_buffer()[rows] += dz
             if extra is not None:
                 extra.grad_buffer()[...] += dz
-            h_prev.add_grad(dz @ U.value.T)
-            c_prev.add_grad(dc * f)
-            U.add_grad(h_prev.value.T @ dz)
+            h_prev.add_grad_leading(dz @ U.value.T)
+            c_prev.add_grad_leading(dc * f)
+            U.add_grad(h_in.T @ dz)
             b.add_grad(dz.sum(axis=0))
         tape.record(backprop)
     return i_out, o_out, c_out, h_out
@@ -404,11 +426,14 @@ def lstm_cell(tape: Tape | None, xproj: Variable, t: int, h_prev: Variable,
 def late_fusion_output(tape: Tape | None, o: Variable, c: Variable, q: Variable,
                        q_r: Variable, W_rc: Variable, b_r: Variable) -> Variable:
     """Late-fusion hidden state h = o * tanh(c + r*q), gated by
-    r = sigmoid(q_r + c @ W_rc + b_r) where q_r = q @ W_rp; all (B,d). One closure."""
-    pre = q_r.value + c.value @ W_rc.value
+    r = sigmoid(q_r + c @ W_rc + b_r) where q_r = q @ W_rp; o and c (n,d), and
+    q and q_r (B,d) with B >= n, of which the n leading rows are read. One closure."""
+    n = c.shape[0]
+    q_n = q.value[:n]
+    pre = q_r.value[:n] + c.value @ W_rc.value
     pre += b_r.value
     r = sigmoid(pre)
-    u = np.tanh(c.value + r * q.value)
+    u = np.tanh(c.value + r * q_n)
     out = Variable(o.value * u)
     if tape is not None:
         def backprop():
@@ -417,12 +442,12 @@ def late_fusion_output(tape: Tape | None, o: Variable, c: Variable, q: Variable,
                 return
             o.add_grad(g * u)
             du = g * o.value * (1.0 - u * u)
-            q.add_grad(du * r)
-            dpre = du * q.value * r * (1.0 - r)
+            q.add_grad_leading(du * r)
+            dpre = du * q_n * r * (1.0 - r)
             b_r.add_grad(dpre.sum(axis=0))
             W_rc.add_grad(c.value.T @ dpre)
             c.add_grad(du + dpre @ W_rc.value.T)
-            q_r.add_grad(dpre)
+            q_r.add_grad_leading(dpre)
         tape.record(backprop)
     return out
 
@@ -437,6 +462,38 @@ def stack_first(tape: Tape | None, parts: list[Variable]) -> Variable:
                 return
             for k, p in enumerate(parts):
                 p.add_grad(g[k])
+        tape.record(backprop)
+    return out
+
+
+def concat_rows(tape: Tape | None, parts: list[Variable]) -> Variable:
+    """Concatenate parts (n_i, D) along their first axis -> (sum n_i, D)."""
+    out = Variable(np.concatenate([p.value for p in parts]))
+    if tape is not None:
+        def backprop():
+            g = out.grad
+            if g is None:
+                return
+            off = 0
+            for p in parts:
+                n = p.value.shape[0]
+                p.add_grad(g[off:off + n])
+                off += n
+        tape.record(backprop)
+    return out
+
+
+def leading_rows(tape: Tape | None, x: Variable, n: int) -> Variable:
+    """The first n rows of x; x itself when it has exactly n."""
+    if n == x.shape[0]:
+        return x
+    out = Variable(x.value[:n])
+    if tape is not None:
+        def backprop():
+            g = out.grad
+            if g is None:
+                return
+            x.add_grad_leading(g)
         tape.record(backprop)
     return out
 
@@ -484,15 +541,31 @@ def reshape(tape: Tape | None, x: Variable, shape) -> Variable:
     return out
 
 
-def sum_all(tape: Tape | None, x: Variable, axis: int | None = None) -> Variable:
-    """Sum of all elements, or along one axis."""
-    out = Variable(np.asarray(x.value.sum(axis=axis)))
+def sum_all(tape: Tape | None, x: Variable) -> Variable:
+    """Sum of all elements."""
+    out = Variable(np.asarray(x.value.sum()))
     if tape is not None:
         def backprop():
             g = out.grad
             if g is None:
                 return
-            x.grad_buffer()[...] += g if axis is None else np.expand_dims(g, axis)
+            x.grad_buffer()[...] += g
+        tape.record(backprop)
+    return out
+
+
+def segment_sum(tape: Tape | None, x: Variable, segment: np.ndarray, count: int) -> Variable:
+    """Per-segment sums of x (N,) -> (count,): entry s adds up, in index order,
+    every x[j] with segment[j] == s."""
+    total = np.zeros(count, dtype=x.dtype)
+    np.add.at(total, segment, x.value)
+    out = Variable(total)
+    if tape is not None:
+        def backprop():
+            g = out.grad
+            if g is None:
+                return
+            x.add_grad(g[segment])
         tape.record(backprop)
     return out
 

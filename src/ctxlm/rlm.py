@@ -64,8 +64,8 @@ def gate_weights(tape: Tape | None, params: dict[str, Variable],
 def _cell(tape: Tape | None, params: dict[str, Variable], prefix: str, x: Variable,
           state: LstmState) -> tuple[Variable, Variable, Variable, Variable]:
     W, U, b = gate_weights(tape, params, prefix)
-    xproj = nm.reshape(tape, nm.matmul(tape, x, W), (1, x.shape[0], -1))
-    return nm.lstm_cell(tape, xproj, 0, state.h, state.c, U, b)
+    xproj = nm.matmul(tape, x, W)
+    return nm.lstm_cell(tape, xproj, slice(0, x.shape[0]), state.h, state.c, U, b)
 
 
 def lstm_gates(tape: Tape | None, params: dict[str, Variable], prefix: str,

@@ -2,9 +2,9 @@ import math
 
 import pytest
 
-from ctxlm import fusion, training
+from ctxlm import evaluation, fusion, training
 from ctxlm.cli import SynthSpec, generate_synthetic, main
-from ctxlm.corpus import Vocabulary
+from ctxlm.corpus import Vocabulary, encode_documents, load_corpus
 
 
 TRAIN_TEXT = """a b c
@@ -216,6 +216,37 @@ def test_eval_with_tags_and_misalignment(tmp_path, capsys):
     assert code == 2
     assert "document 0, sentence 0" in captured.err
     assert captured.out == ""
+
+
+def test_pos_ppl_runs_the_forward_pass_once(tmp_path, capsys, monkeypatch):
+    """Both reports of ``eval --tags`` come from one pass over the corpus, and
+    stdout is what the two separate reports print."""
+    ckpt = fresh_checkpoint(tmp_path, variant="RLM-SeqBoW-ATT-LF")
+    corpus = tmp_path / "eval.txt"
+    corpus.write_text("a b\nc\nd e a\n\nb\nc c d\n", encoding="utf-8")
+    tags = tmp_path / "tags.txt"
+    tags.write_text("NN VBZ\nDT\nNN JJ NNS\n\nVB\nDT DT NN\n", encoding="utf-8")
+    calls = []
+    batch_nll = fusion.batch_nll
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return batch_nll(*args, **kwargs)
+
+    monkeypatch.setattr(fusion, "batch_nll", counted)
+    assert main(["pos-ppl", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+                 "--tags", str(tags), "--batch-size", "4"]) == 0
+    out = capsys.readouterr().out
+    assert calls == [4, 1]
+
+    model = evaluation.Model.from_checkpoint(training.load_checkpoint(ckpt))
+    with open(corpus, encoding="utf-8") as fh:
+        docs = encode_documents(load_corpus(fh), model.vocab)
+    with open(tags, encoding="utf-8") as fh:
+        annotations = evaluation.load_tag_annotations(fh)
+    expect = (evaluation.corpus_perplexity(model, docs, 1, batch_size=4).csv() + "\n" +
+              evaluation.perplexity_by_tag(model, docs, annotations, 1, batch_size=4).csv())
+    assert out == expect
 
 
 def test_eval_tags_with_invalid_utf8_is_data_error(tmp_path, capsys):

@@ -155,6 +155,32 @@ def test_bucketing_matches_bruteforce_oracle():
         assert row.mean_nll == pytest.approx(sum(vals) / len(vals), abs=1e-9)
 
 
+@pytest.mark.parametrize("tag", sorted(fusion.VARIANTS))
+def test_reports_do_not_depend_on_batch_size(tag):
+    """Batches of 1, 3 and all windows pack the same positions in different
+    groupings; the reports agree to float64 rounding (a row's products can
+    take another BLAS path when the row count changes)."""
+    model = random_model(tag, seed=11)
+    for p in model.params.values():
+        p.value *= 10.0  # weights of about ±0.8, so the context terms matter
+    rng = np.random.default_rng(8)
+    docs = docs_from([[tuple(rng.integers(2, V, size=rng.integers(1, 7)))
+                       for _ in range(int(rng.integers(2, 6)))] for _ in range(4)])
+    tags = [[["NN" if t % 2 else "DT" for t in s.content_ids] for s in d.sentences]
+            for d in docs]
+    reports = [(corpus_perplexity(model, docs, n=2, batch_size=bs),
+                perplexity_by_tag(model, docs, tags, n=2, batch_size=bs))
+               for bs in (1, 3, 64)]
+    base, base_tags = reports[0]
+    for report, tag_report in reports[1:]:
+        assert report.tokens == base.tokens
+        assert report.total_nll == pytest.approx(base.total_nll, rel=1e-12)
+        assert [(r.tag, r.count) for r in tag_report.rows] == \
+            [(r.tag, r.count) for r in base_tags.rows]
+        for row, want in zip(tag_report.rows, base_tags.rows):
+            assert row.mean_nll == pytest.approx(want.mean_nll, rel=1e-12)
+
+
 def test_merges_and_top_k_ranking():
     model = zero_model()
     docs = docs_from([[(2, 3, 4, 5), (6, 7)]])

@@ -306,34 +306,45 @@ PADDED = [
     ContextWindow(sent(9,), (sent(2, 6, 6),)),
 ]
 
+# target lengths 2, 3, 3, 5 in the caller's order: the engine reverses them,
+# keeping the tied pair in order
+TIED_ASCENDING = [
+    ContextWindow(sent(7,), (sent(3, 3),)),
+    ContextWindow(sent(2, 9), ()),
+    ContextWindow(sent(5, 4), (sent(8,), sent(6, 2, 4))),
+    ContextWindow(sent(4, 6, 3, 2), (sent(9,),)),
+]
+
 
 @pytest.mark.parametrize("tag", sorted(fusion.VARIANTS))
 def test_batch_engine_gradients_match_finite_differences(tag):
-    """Every parameter gradient of sum(batch_nll) over a padded batch of three
-    windows of different lengths, one with an empty context, against central
-    differences with AC-1's tolerances. Parameters are scaled to about ±0.8:
-    at the default ±0.08 the attention gradients sit below what the
-    difference quotient resolves, so a wrong one would pass unseen."""
+    """Every parameter gradient of sum(batch_nll) against central differences
+    with AC-1's tolerances, on two batches: three windows of different lengths,
+    one with an empty context, and four whose lengths tie and ascend.
+    Parameters are scaled to about ±0.8: at the default ±0.08 the attention
+    gradients sit below what the difference quotient resolves, so a wrong one
+    would pass unseen."""
     params = make_params(tag, seed=31, scale=10.0)
-    tape = Tape()
-    total, _ = fusion.batch_nll(PADDED, params, tag, VOCAB, tape)
-    tape.backward(nm.sum_all(tape, total))
-    for name, p in params.items():
-        got = p.grad_buffer().copy().ravel()
-        shape = p.value.shape
+    for windows in (PADDED, TIED_ASCENDING):
+        tape = Tape()
+        total, _ = fusion.batch_nll(windows, params, tag, VOCAB, tape)
+        tape.backward(nm.sum_all(tape, total))
+        for name, p in params.items():
+            got = p.grad_buffer().copy().ravel()
+            shape = p.value.shape
 
-        def f(theta, p=p):
-            saved = p.value
-            p.value = theta.reshape(shape)
-            out = float(fusion.batch_nll(PADDED, params, tag, VOCAB)[0].value.sum())
-            p.value = saved
-            return out
+            def f(theta, p=p):
+                saved = p.value
+                p.value = theta.reshape(shape)
+                out = float(fusion.batch_nll(windows, params, tag, VOCAB)[0].value.sum())
+                p.value = saved
+                return out
 
-        fd = nm.finite_difference_gradient(f, p.value.ravel().copy())
-        resolvable = (np.abs(got) + np.abs(fd)) >= 1e-5
-        assert nm.relative_error(got[resolvable], fd[resolvable]).max(initial=0.0) <= 1e-4, name
-        assert np.max(np.abs(got[~resolvable] - fd[~resolvable]), initial=0.0) <= 1e-8, name
-        p.zero_grad()
+            fd = nm.finite_difference_gradient(f, p.value.ravel().copy())
+            resolvable = (np.abs(got) + np.abs(fd)) >= 1e-5
+            assert nm.relative_error(got[resolvable], fd[resolvable]).max(initial=0.0) <= 1e-4, name
+            assert np.max(np.abs(got[~resolvable] - fd[~resolvable]), initial=0.0) <= 1e-8, name
+            p.zero_grad()
 
 
 @pytest.mark.parametrize("tag", ["RLM-BoW-LF", "RLM-SeqBoW-EF", "RLM-SeqBoW-ATT-LF"])
@@ -356,6 +367,68 @@ def test_count_matrices_get_no_gradient(tag, monkeypatch):
     assert counts, "no count-matrix operand seen"
     assert all(a.grad is None for a in counts)
     assert params["P"].grad is not None and np.any(params["P"].grad != 0.0)
+
+
+@pytest.mark.parametrize("tag", sorted(fusion.VARIANTS))
+def test_wide_products_see_only_real_positions(tag, monkeypatch):
+    """The input projection (by W) and the output affine (by W_out) run on
+    the packed real positions only: sum(len(target)) rows, not B*T."""
+    operands = []
+    matmul = nm.matmul
+
+    def spy(tape, a, b):
+        operands.append((a.shape[0], b.shape))
+        return matmul(tape, a, b)
+
+    monkeypatch.setattr(nm, "matmul", spy)
+    fusion.batch_nll(MIXED, make_params(tag, seed=43), tag, VOCAB, Tape())
+    real = sum(len(w.target.token_ids) for w in MIXED)
+    assert real < len(MIXED) * max(len(w.target.token_ids) for w in MIXED)
+    W_shape, out_shape = (DIMS["d_emb"], 4 * DIMS["d_h"]), (DIMS["d_h"], V)
+    by_W = [rows for rows, shape in operands if shape == W_shape]
+    assert by_W[0] == real  # the input projection; ATT-EF adds one product per step
+    assert sum(by_W) == (2 * real if tag == "RLM-SeqBoW-ATT-EF" else real)
+    assert [rows for rows, shape in operands if shape == out_shape] == [real]
+
+
+@pytest.mark.parametrize("tag", ["RLM-BoW-LF", "RLM-SeqBoW-ATT-EF"])
+def test_make_batch_counts_equal_bow_vector(tag):
+    """The scattered count matrices equal corpus.bow_vector of each window's
+    context, bitwise, in the engine's row order (longest target first), with
+    an empty context and per-sentence rows left-padded to the longest one."""
+    windows = [
+        ContextWindow(sent(3, 5), (sent(4, 4, 6), sent(2,))),
+        ContextWindow(sent(6, 2, 8, 3), ()),
+        ContextWindow(sent(2,), (sent(9, 9, 9),)),
+        ContextWindow(sent(5, 7, 7), (sent(2, 3), sent(3,), sent(4, 8, 4, 4))),
+    ]
+    for dtype in (np.float32, np.float64):
+        batch = fusion.make_batch(windows, VOCAB, fusion.parse_variant(tag), dtype)
+        order = batch.window[: batch.bounds[1]].tolist()  # step 0 holds every row
+        assert order == [1, 3, 0, 2]
+        if batch.bow_sum is not None:
+            expect = np.stack([bow_vector(windows[i].context, VOCAB, dtype) for i in order])
+            assert batch.bow_sum.dtype == dtype and np.array_equal(batch.bow_sum, expect)
+            continue
+        K = batch.bow_seq.shape[0]
+        assert K == 3 and batch.bow_seq.dtype == dtype
+        for b, i in enumerate(order):
+            context = windows[i].context
+            pad = K - len(context)
+            assert batch.ctx_mask[b].tolist() == [0.0] * pad + [1.0] * len(context)
+            assert not batch.bow_seq[:pad, b].any()
+            for j, s in enumerate(context):
+                assert np.array_equal(batch.bow_seq[pad + j, b], bow_vector([s], VOCAB, dtype))
+
+
+def test_make_batch_packs_real_positions_time_major():
+    batch = fusion.make_batch(TIED_ASCENDING, VOCAB, fusion.parse_variant("RLM"), np.float64)
+    assert batch.bounds.tolist() == [0, 4, 8, 11, 12, 13]
+    assert batch.row.tolist() == [0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 0, 0]
+    assert batch.window.tolist() == [3, 1, 2, 0, 3, 1, 2, 0, 3, 1, 2, 3, 3]
+    bos = len(VOCAB)
+    assert batch.inputs.tolist() == [bos] * 4 + [4, 2, 5, 7, 6, 9, 4, 3, 2]
+    assert batch.targets.tolist() == [4, 2, 5, 7, 6, 9, 4, 1, 3, 1, 1, 2, 1]
 
 
 def _tape_length(tag, target_length):

@@ -112,7 +112,8 @@ def test_tape_backward_requires_scalar():
 
 
 def _check_op(build, inputs, tol=1e-4):
-    """Tape gradient of sum(op(inputs)) vs finite differences, elementwise."""
+    """Tape gradient of sum(op(inputs)) vs finite differences, elementwise;
+    returns the checked Variables with their tape gradients."""
     variables = [Variable(v.copy()) for v in inputs]
     tape = Tape()
     out = build(tape, variables)
@@ -129,6 +130,7 @@ def _check_op(build, inputs, tol=1e-4):
 
         fd = nm.finite_difference_gradient(f, inputs[k].ravel().copy())
         assert nm.relative_error(got, fd).max() < tol, f"input {k}"
+    return variables
 
 
 def test_grad_matmul():
@@ -160,15 +162,8 @@ def test_grad_embed_rows():
 
 def test_grad_nll_rows():
     targets = np.array([1, 0, 3])
-    mask = np.array([1.0, 0.0, 1.0])
-    _check_op(lambda t, v: nm.nll_rows(t, v[0], targets, mask),
+    _check_op(lambda t, v: nm.nll_rows(t, v[0], targets),
               [RNG.standard_normal((3, 5))])
-
-
-def test_nll_rows_masked_rows_are_exactly_zero():
-    logits = Variable(RNG.standard_normal((2, 4)))
-    out = nm.nll_rows(None, logits, np.array([1, 2]), np.array([0.0, 1.0]))
-    assert out.value[0] == 0.0 and out.value[1] > 0.0
 
 
 def test_grad_masked_softmax():
@@ -224,29 +219,53 @@ def test_grad_add_bias_per_row_vector_over_timesteps():
               [RNG.standard_normal((3, 2, 4)), RNG.standard_normal((2, 4))])
 
 
-def test_grad_concat_last_axis_and_sum_along_axis():
+def test_grad_concat_last_axis_and_segment_sum():
     _check_op(lambda t, v: nm.concat_cols(t, [v[0], v[1]]),
               [RNG.standard_normal(3), RNG.standard_normal(2)])
     _check_op(lambda t, v: nm.concat_cols(t, [v[0], v[1]]),
               [RNG.standard_normal((2, 3, 2)), RNG.standard_normal((2, 3, 1))])
-    weights = Variable(RNG.standard_normal(4))
-    _check_op(lambda t, v: nm.mul(t, nm.sum_all(t, v[0], axis=0), weights),
-              [RNG.standard_normal((3, 4))])
+    weights = Variable(RNG.standard_normal(3))
+    segment = np.array([2, 0, 2, 1, 2, 0])
+    _check_op(lambda t, v: nm.mul(t, nm.segment_sum(t, v[0], segment, 3), weights),
+              [RNG.standard_normal(6)])
 
 
-def _lstm_cell_combined(t, v, step=1, with_extra=True):
+def test_segment_sum_adds_in_index_order_and_in_the_operand_dtype():
+    x = np.array([1e16, 1.0, -1e16, 1.0, 5.0])
+    out = nm.segment_sum(None, Variable(x), np.array([0, 0, 0, 0, 1]), 3)
+    assert out.value.tolist() == [((1e16 + 1.0) - 1e16) + 1.0, 5.0, 0.0]
+    half_ulp = np.float32(2.0 ** -24)  # 1 + half_ulp rounds back to 1 in float32
+    x32 = np.array([1.0, half_ulp, half_ulp], dtype=np.float32)
+    out32 = nm.segment_sum(None, Variable(x32), np.zeros(3, dtype=np.int64), 1)
+    assert out32.value.dtype == np.float32 and out32.value[0] == 1.0
+
+
+def test_grad_concat_rows_and_leading_rows():
+    _check_op(lambda t, v: nm.concat_rows(t, [v[0], v[1], v[2]]),
+              [RNG.standard_normal((3, 2)), RNG.standard_normal((1, 2)),
+               RNG.standard_normal((2, 2))])
+    weights = Variable(RNG.standard_normal((2, 3)))
+    x = _check_op(lambda t, v: nm.mul(t, nm.leading_rows(t, v[0], 2), weights),
+                  [RNG.standard_normal((4, 3))])[0]
+    assert np.all(x.grad[2:] == 0.0)
+    same = Variable(RNG.standard_normal((2, 3)))
+    assert nm.leading_rows(Tape(), same, 2) is same
+
+
+def _lstm_cell_combined(t, v, rows=slice(2, 4), with_extra=True):
     """A weighted sum of all four outputs of one cell, so every output's
-    gradient path is exercised. v: xproj (T,B,4d), h_prev, c_prev, U, b, extra."""
-    i, o, c, h = nm.lstm_cell(t, v[0], step, v[1], v[2], v[3], v[4],
+    gradient path is exercised. v: xproj (N,4d), h_prev, c_prev, U, b, extra;
+    the cell runs on the two rows ``rows`` of xproj."""
+    i, o, c, h = nm.lstm_cell(t, v[0], rows, v[1], v[2], v[3], v[4],
                               v[5] if with_extra else None)
     weights = [Variable(np.linspace(-1.0, 1.0, 6).reshape(2, 3) * k) for k in (1, 2, 3, 4)]
     terms = [nm.mul(t, out, w) for out, w in zip((i, o, c, h), weights)]
     return nm.add(t, nm.add(t, terms[0], terms[1]), nm.add(t, terms[2], terms[3]))
 
 
-def _cell_inputs():
-    return [RNG.standard_normal((3, 2, 12)), RNG.standard_normal((2, 3)),
-            RNG.standard_normal((2, 3)), RNG.standard_normal((3, 12)),
+def _cell_inputs(state_rows=2):
+    return [RNG.standard_normal((6, 12)), RNG.standard_normal((state_rows, 3)),
+            RNG.standard_normal((state_rows, 3)), RNG.standard_normal((3, 12)),
             RNG.standard_normal(12), RNG.standard_normal((2, 12))]
 
 
@@ -255,14 +274,23 @@ def test_grad_lstm_cell():
 
 
 def test_grad_lstm_cell_without_extra_input():
-    _check_op(lambda t, v: _lstm_cell_combined(t, v, step=0, with_extra=False), _cell_inputs())
+    _check_op(lambda t, v: _lstm_cell_combined(t, v, rows=slice(0, 2), with_extra=False),
+              _cell_inputs())
+
+
+def test_grad_lstm_cell_reads_leading_rows_of_wider_state():
+    """A packed step: h_prev and c_prev hold 4 rows, the cell runs on 2. The
+    rows past the step get no gradient, nor do xproj rows outside the slice."""
+    xproj, h_prev, c_prev = _check_op(_lstm_cell_combined, _cell_inputs(state_rows=4))[:3]
+    assert np.all(h_prev.grad[2:] == 0.0) and np.all(c_prev.grad[2:] == 0.0)
+    assert np.all(xproj.grad[:2] == 0.0) and np.all(xproj.grad[4:] == 0.0)
 
 
 def test_lstm_cell_matches_per_gate_formula():
     xproj, h, c, U, b, _ = _cell_inputs()
-    i, o, c_new, h_new = nm.lstm_cell(None, Variable(xproj), 2, Variable(h), Variable(c),
-                                      Variable(U), Variable(b))
-    z = xproj[2] + h @ U + b
+    i, o, c_new, h_new = nm.lstm_cell(None, Variable(xproj), slice(4, 6), Variable(h),
+                                      Variable(c), Variable(U), Variable(b))
+    z = xproj[4:6] + h @ U + b
     sig = lambda a: 1.0 / (1.0 + np.exp(-a))
     gi, go, gf, gc = sig(z[:, 0:3]), sig(z[:, 3:6]), sig(z[:, 6:9]), np.tanh(z[:, 9:12])
     expect_c = gf * c + gi * gc
@@ -279,11 +307,30 @@ def test_grad_late_fusion_output():
                RNG.standard_normal((3, 3)), RNG.standard_normal(3)])
 
 
+def test_grad_late_fusion_output_reads_leading_rows_of_wider_context():
+    q, q_r = _check_op(lambda t, v: nm.late_fusion_output(t, *v),
+                       [RNG.standard_normal((2, 3)), RNG.standard_normal((2, 3)),
+                        RNG.standard_normal((4, 3)), RNG.standard_normal((4, 3)),
+                        RNG.standard_normal((3, 3)), RNG.standard_normal(3)])[2:4]
+    assert np.all(q.grad[2:] == 0.0) and np.all(q_r.grad[2:] == 0.0)
+
+
 def test_grad_attention_scores():
     _check_op(lambda t, v: nm.mul(t, nm.attention_scores(t, v[0], v[1], v[2]),
                                   Variable(np.array([[0.5, -2.0, 1.0, 3.0]] * 2))),
               [RNG.standard_normal((4, 2, 3)), RNG.standard_normal((2, 3)),
                RNG.standard_normal(3)])
+
+
+def test_grad_attention_reads_leading_rows_of_wider_keys_and_annotations():
+    weights = Variable(np.array([[0.5, -2.0, 1.0, 3.0]] * 2))
+    keys = _check_op(lambda t, v: nm.mul(t, nm.attention_scores(t, v[0], v[1], v[2]), weights),
+                     [RNG.standard_normal((4, 5, 3)), RNG.standard_normal((2, 3)),
+                      RNG.standard_normal(3)])[0]
+    assert np.all(keys.grad[:, 2:] == 0.0)
+    annotations = _check_op(lambda t, v: nm.attention_mix(t, v[0], v[1]),
+                            [RNG.standard_normal((2, 3)), RNG.standard_normal((3, 4, 4))])[1]
+    assert np.all(annotations.grad[:, 2:] == 0.0)
 
 
 def test_attention_scores_match_per_position_formula():
