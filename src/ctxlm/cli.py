@@ -6,6 +6,7 @@ divergence.
 """
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import (CorpusError, build_vocabulary, encode_documents, load_corpus_file)
-from .evaluation import (Model, TagAlignmentError, check_alignment, corpus_perplexity,
-                         load_tag_annotations, perplexity_with_tags)
+from .evaluation import (Model, TagAlignmentError, corpus_perplexity, load_tag_annotations,
+                         perplexity_with_tags)
 from .ngram import count_ngrams, write_arpa
 from .training import (Checkpoint, ConfigError, config_from_mapping,
                        load_checkpoint, parse_config_text, save_checkpoint, train)
@@ -52,8 +53,8 @@ class SynthSpec:
                 raise ConfigError(f"synth {key} must be positive")
         if self.len_min > self.len_max:
             raise ConfigError("synth len_min must not exceed len_max")
-        if self.sharpness <= 0:
-            raise ConfigError("synth sharpness must be positive")
+        if not (math.isfinite(self.sharpness) and self.sharpness > 0):
+            raise ConfigError("synth sharpness must be finite and positive")
 
 
 def generate_synthetic(spec: SynthSpec) -> dict[str, str]:
@@ -140,12 +141,10 @@ def cmd_eval(args) -> int:
     model, ckpt = _load_checkpoint_model(args.checkpoint)
     docs = _load_documents(args.corpus, model.vocab)
     n = args.n if args.n is not None else ckpt.config.n
-    # a bad tag file ends the run before any evaluation or output
     if args.tags:
         with open(args.tags, "rb") as fh:
             annotations = load_tag_annotations(fh)
-        check_alignment(docs, annotations)
-    if args.tags:
+        # perplexity_with_tags checks the tags' alignment before any output
         report, tag_report = perplexity_with_tags(model, docs, annotations, n,
                                                   top_k=args.top_k, average=args.average,
                                                   batch_size=args.batch_size)

@@ -22,23 +22,19 @@ CTX_FWD = "cf_"
 CTX_REV = "cr_"
 
 
-def init_bow(params: dict[str, Variable], vocab_size: int, d_ctx: int, rng, dtype) -> None:
-    params["P"] = Variable(nm.uniform_init(rng, (vocab_size, d_ctx), dtype))
+def bow_shapes(vocab_size: int, d_ctx: int) -> rlm.Shapes:
+    return {"P": (vocab_size, d_ctx)}
 
 
-def init_seqbow(params: dict[str, Variable], vocab_size: int, d_ctx: int,
-                bidirectional: bool, rng, dtype) -> None:
-    init_bow(params, vocab_size, d_ctx, rng, dtype)
-    rlm.init_lstm(params, CTX_FWD, d_ctx, d_ctx, rng, dtype)
+def seqbow_shapes(vocab_size: int, d_ctx: int, bidirectional: bool) -> rlm.Shapes:
+    shapes = {**bow_shapes(vocab_size, d_ctx), **rlm.lstm_shapes(CTX_FWD, d_ctx, d_ctx)}
     if bidirectional:
-        rlm.init_lstm(params, CTX_REV, d_ctx, d_ctx, rng, dtype)
+        shapes.update(rlm.lstm_shapes(CTX_REV, d_ctx, d_ctx))
+    return shapes
 
 
-def init_attention(params: dict[str, Variable], annot_dim: int, d_h: int, d_a: int,
-                   rng, dtype) -> None:
-    params["W_a"] = Variable(nm.uniform_init(rng, (annot_dim, d_a), dtype))
-    params["U_a"] = Variable(nm.uniform_init(rng, (d_h, d_a), dtype))
-    params["v_a"] = Variable(nm.uniform_init(rng, (d_a,), dtype))
+def attention_shapes(annot_dim: int, d_h: int, d_a: int) -> rlm.Shapes:
+    return {"W_a": (annot_dim, d_a), "U_a": (d_h, d_a), "v_a": (d_a,)}
 
 
 def project_counts(tape: Tape | None, params: dict[str, Variable],

@@ -40,19 +40,6 @@ class Vocabulary:
     def decode(self, token_id: int) -> str:
         return self.tokens[token_id]
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for tok in self.tokens:
-                fh.write(tok + "\n")
-
-    @classmethod
-    def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
-        if tokens[:2] != [UNK_TOKEN, EOS_TOKEN]:
-            raise CorpusError(f"vocabulary file must start with {UNK_TOKEN} and {EOS_TOKEN}")
-        return cls(tokens)
-
 
 @dataclass(frozen=True)
 class Sentence:

@@ -4,7 +4,9 @@ Perplexity is exp(total NLL / predicted tokens) with end-of-sentence events
 counted. Tag analysis groups per-token NLLs by externally supplied tags
 (one tag per content token, none for EOS); per-tag perplexity is the
 geometric convention exp(mean NLL), with an arithmetic alternative one flag
-away. Evaluation is read-only over the model.
+away. Evaluation is read-only over the model: one pass of the batch engine
+over the corpus gives both the per-sentence totals and the per-token NLLs,
+the latter as one array in corpus order, each sentence's EOS last.
 """
 
 import math
@@ -43,8 +45,6 @@ class EvalReport:
     tokens: int            # predicted events
     total_nll: float       # nats
     unk_rate: float        # UNK share among content tokens
-    variant: str = ""
-    label: str = "ALL"
 
     @property
     def mean_nll(self) -> float:
@@ -56,7 +56,7 @@ class EvalReport:
 
     def csv(self) -> str:
         return ("tag,count,mean_nll,perplexity\n"
-                f"{self.label},{self.tokens},{self.mean_nll:.6f},{self.perplexity:.6f}\n")
+                f"ALL,{self.tokens},{self.mean_nll:.6f},{self.perplexity:.6f}\n")
 
 
 @dataclass
@@ -95,23 +95,21 @@ def _unk_rate(documents: list[Document]) -> float:
     return unk / total if total else 0.0
 
 
-def _window_nlls(model: Model, documents: list[Document], n: int, batch_size: int,
-                 want_tokens: bool) -> tuple[list[float], list[np.ndarray]]:
-    """Per-window NLL (and per-token NLL rows) for every sentence, document order."""
+def _window_nlls(model: Model, documents: list[Document], n: int,
+                 batch_size: int) -> tuple[list[float], np.ndarray]:
+    """Per-window NLL of every sentence, and all their per-token NLLs (EOS
+    included) concatenated, both in document order."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     windows = corpus_windows(documents, n)
     per_window: list[float] = []
     per_token: list[np.ndarray] = []
     for i in range(0, len(windows), batch_size):
-        chunk = windows[i : i + batch_size]
-        totals, tokens = fusion.batch_nll(chunk, model.params, model.variant,
-                                          model.vocab, want_token_nll=want_tokens)
+        totals, tokens = fusion.batch_nll(windows[i : i + batch_size], model.params,
+                                          model.variant, model.vocab)
         per_window.extend(totals.value.tolist())
-        if want_tokens:
-            for b, w in enumerate(chunk):
-                per_token.append(tokens[b, : len(w.target.token_ids)])
-    return per_window, per_token
+        per_token.append(tokens)
+    return per_window, np.concatenate(per_token)
 
 
 def corpus_perplexity(model, documents: list[Document], n: int,
@@ -124,15 +122,14 @@ def corpus_perplexity(model, documents: list[Document], n: int,
         total = -sum(
             sentence_log_probability(s, model) for d in documents for s in d.sentences
         )
-        return EvalReport(tokens, total, _unk_rate(documents), variant=f"kn{model.order}")
-    nlls, _ = _window_nlls(model, documents, n, batch_size, want_tokens=False)
-    return _corpus_report(model, documents, nlls)
+        return EvalReport(tokens, total, _unk_rate(documents))
+    nlls, _ = _window_nlls(model, documents, n, batch_size)
+    return _corpus_report(documents, nlls)
 
 
-def _corpus_report(model: Model, documents: list[Document], nlls: list[float]) -> EvalReport:
+def _corpus_report(documents: list[Document], nlls: list[float]) -> EvalReport:
     tokens = sum(len(s.token_ids) for d in documents for s in d.sentences)
-    return EvalReport(tokens, float(sum(nlls)), _unk_rate(documents),
-                      variant=model.variant.tag)
+    return EvalReport(tokens, float(sum(nlls)), _unk_rate(documents))
 
 
 def load_tag_annotations(stream) -> list[list[list[str]]]:
@@ -163,7 +160,7 @@ def perplexity_by_tag(model: Model, documents: list[Document],
                       average: str = "geometric", batch_size: int = 64) -> TagReport:
     """Group per-token NLLs by POS tag; NN/NNS merge into Noun, VB/VBZ into Verb."""
     _check_tag_request(documents, annotations, average)
-    _, per_token = _window_nlls(model, documents, n, batch_size, want_tokens=True)
+    _, per_token = _window_nlls(model, documents, n, batch_size)
     return _tag_report(per_token, annotations, top_k, average)
 
 
@@ -176,8 +173,8 @@ def perplexity_with_tags(model: Model, documents: list[Document],
     if not documents:
         raise ValueError("empty corpus")
     _check_tag_request(documents, annotations, average)
-    nlls, per_token = _window_nlls(model, documents, n, batch_size, want_tokens=True)
-    return (_corpus_report(model, documents, nlls),
+    nlls, per_token = _window_nlls(model, documents, n, batch_size)
+    return (_corpus_report(documents, nlls),
             _tag_report(per_token, annotations, top_k, average))
 
 
@@ -188,22 +185,26 @@ def _check_tag_request(documents: list[Document], annotations: list[list[list[st
     check_alignment(documents, annotations)
 
 
-def _tag_report(per_token: list[np.ndarray], annotations: list[list[list[str]]],
+def _tag_report(per_token: np.ndarray, annotations: list[list[list[str]]],
                 top_k: int, average: str) -> TagReport:
-    flat_tags = [tags for doc in annotations for tags in doc]
+    """Walk the corpus-order per-token NLLs sentence by sentence, one tag per
+    content token, skipping each sentence's trailing EOS."""
+    nlls = per_token.tolist()
     nll_sum: dict[str, float] = {}
     ppl_sum: dict[str, float] = {}
     counts: dict[str, int] = {}
     total_nll = 0.0
     total_count = 0
-    for nlls, tags in zip(per_token, flat_tags):
-        for value, tag in zip(nlls, tags):  # drops the trailing EOS position
+    pos = 0
+    for tags in (tags for doc in annotations for tags in doc):
+        for value, tag in zip(nlls[pos : pos + len(tags)], tags):
             tag = TAG_MERGES.get(tag, tag)
             counts[tag] = counts.get(tag, 0) + 1
-            nll_sum[tag] = nll_sum.get(tag, 0.0) + float(value)
-            ppl_sum[tag] = ppl_sum.get(tag, 0.0) + math.exp(float(value))
-            total_nll += float(value)
+            nll_sum[tag] = nll_sum.get(tag, 0.0) + value
+            ppl_sum[tag] = ppl_sum.get(tag, 0.0) + math.exp(value)
+            total_nll += value
             total_count += 1
+        pos += len(tags) + 1  # the sentence's EOS
     ranked = sorted(counts, key=lambda t: (-counts[t], t))[:top_k]
     rows = []
     for tag in ranked:

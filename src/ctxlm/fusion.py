@@ -6,20 +6,22 @@ projected context into the output: r = sigmoid(W_rp q + W_rc c + b_r),
 h = o * tanh(c + r * q) with q = W_p p. Attention variants recompute the
 context vector at each step, queried by the previous hidden state.
 
-One engine evaluates every variant, used by training, corpus evaluation and
-(as a batch of one) the per-window NLL. It works on a packed batch: the
-windows are sorted by target length, longest first (a stable sort), and only
-the N real target positions are kept, time-major. The windows still running
-at step t are then the n_t leading rows of the batch, so step t owns the
-packed rows ``bounds[t]:bounds[t+1]`` and no padded position is ever
-embedded, projected or scored. The engine steps through time only for the
+One engine, ``batch_nll``, evaluates every variant for training, corpus
+evaluation and tests alike; a single window is a batch of one. It works on a
+packed batch: the windows are sorted by target length, longest first (a
+stable sort), and only the N real target positions are kept, time-major.
+The windows still running at step t are then the n_t leading rows of the
+batch, so step t owns the packed rows ``bounds[t]:bounds[t+1]`` and no
+padded position is ever embedded, projected or scored. The engine steps through time only for the
 recurrence, which records the fused ``numeric.lstm_cell`` on the n_t leading
 rows (plus ``numeric.late_fusion_output`` for late fusion and one batched
 scoring of all context positions for attention). The embedding gather, the
 input projection of all N positions, the encoding of the context sentences
 (module ``context``) and the output softmax + NLL of all N positions are
 each computed once per batch. Per-window totals are segment sums of the
-packed NLLs, added in time order and returned in the caller's window order.
+packed NLLs, added in time order and returned in the caller's window order;
+the per-position NLLs come back in that order too, gathered once from the
+packed ones.
 """
 
 from dataclasses import dataclass
@@ -30,7 +32,8 @@ import numpy as np
 from . import context as ctx
 from . import numeric as nm
 from . import rlm
-from .corpus import ContextWindow, Vocabulary, bow_vector  # noqa: F401  (re-exported)
+# bow_vector is re-exported only because bench/tracing.py wraps fusion.bow_vector
+from .corpus import ContextWindow, Vocabulary, bow_vector  # noqa: F401
 from .numeric import Tape, Variable
 from .rlm import LstmState
 
@@ -67,56 +70,31 @@ def context_dim(variant: Variant, d_ctx: int) -> int:
     return 2 * d_ctx if variant.context == "att" else d_ctx
 
 
+def parameter_shapes(variant: Variant, vocab_size: int, d_emb: int, d_h: int,
+                     d_ctx: int, d_a: int) -> rlm.Shapes:
+    """Name -> shape of every trainable parameter of one model variant, in the
+    order ``init_parameters`` draws them; checkpoints are checked against it."""
+    shapes = rlm.rlm_shapes(vocab_size, d_emb, d_h)
+    if variant.context is None:
+        return shapes
+    if variant.context == "bow":
+        shapes.update(ctx.bow_shapes(vocab_size, d_ctx))
+    else:
+        shapes.update(ctx.seqbow_shapes(vocab_size, d_ctx, variant.context == "att"))
+    if variant.context == "att":
+        shapes.update(ctx.attention_shapes(2 * d_ctx, d_h, d_a))
+    d_target = d_emb if variant.fusion == "early" else d_h
+    shapes["W_p"] = (context_dim(variant, d_ctx), d_target)
+    if variant.fusion == "late":
+        shapes.update(W_rp=(d_h, d_h), W_rc=(d_h, d_h), b_r=(d_h,))
+    return shapes
+
+
 def init_parameters(variant: Variant, vocab_size: int, d_emb: int, d_h: int,
                     d_ctx: int, d_a: int, rng, dtype) -> dict[str, Variable]:
     """All trainable parameters for one model variant, in a stable order."""
-    params = rlm.init_rlm_parameters(vocab_size, d_emb, d_h, rng, dtype)
-    if variant.context is None:
-        return params
-    if variant.context == "bow":
-        ctx.init_bow(params, vocab_size, d_ctx, rng, dtype)
-    else:
-        ctx.init_seqbow(params, vocab_size, d_ctx, variant.context == "att", rng, dtype)
-    if variant.context == "att":
-        ctx.init_attention(params, 2 * d_ctx, d_h, d_a, rng, dtype)
-    d_target = d_emb if variant.fusion == "early" else d_h
-    params["W_p"] = Variable(nm.uniform_init(rng, (context_dim(variant, d_ctx), d_target), dtype))
-    if variant.fusion == "late":
-        params["W_rp"] = Variable(nm.uniform_init(rng, (d_h, d_h), dtype))
-        params["W_rc"] = Variable(nm.uniform_init(rng, (d_h, d_h), dtype))
-        params["b_r"] = Variable(nm.uniform_init(rng, (d_h,), dtype))
-    return params
-
-
-def _late_output(tape: Tape | None, params: dict[str, Variable], o: Variable,
-                 c_new: Variable, q: Variable, q_r: Variable | None = None) -> Variable:
-    """h = o * tanh(c + r*q); ``q_r`` is q @ W_rp when the caller already has it."""
-    if q_r is None:
-        q_r = nm.matmul(tape, q, params["W_rp"])
-    return nm.late_fusion_output(tape, o, c_new, q, q_r, params["W_rc"], params["b_r"])
-
-
-def late_fusion_step(x: Variable, state: LstmState, p: Variable,
-                     params: dict[str, Variable],
-                     tape: Tape | None = None) -> tuple[LstmState, Variable]:
-    """One decoder step with late fusion; the cell update is the plain LSTM's."""
-    _, o, c_new = rlm.lstm_gates(tape, params, "", x, state)
-    q = nm.matmul(tape, p, params["W_p"])
-    h_new = _late_output(tape, params, o, c_new, q)
-    return LstmState(h_new, c_new), h_new
-
-
-def conditional_sentence_nll(window: ContextWindow, variant: Variant | str,
-                             params: dict[str, Variable], vocab: Vocabulary,
-                             tape: Tape | None = None, trace: dict | None = None) -> Variable:
-    """Negative log-likelihood (scalar) of the target sentence given its context
-    window: the batch engine on a batch of one. ``trace``, when given, receives
-    the per-position NLLs (EOS included) under ``"nll"``."""
-    total, token_nll = batch_nll([window], params, variant, vocab, tape,
-                                 want_token_nll=trace is not None)
-    if trace is not None:
-        trace["nll"] = token_nll[0].tolist()
-    return nm.reshape(tape, total, ())
+    return rlm.draw_parameters(parameter_shapes(variant, vocab_size, d_emb, d_h, d_ctx, d_a),
+                               rng, dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +112,7 @@ class WindowBatch:
     bounds: np.ndarray            # (T+1,) int64: step t owns positions bounds[t]:bounds[t+1]
     row: np.ndarray               # (N,) int64: each position's batch row
     window: np.ndarray            # (N,) int64: each position's window, in the caller's order
+    token_order: np.ndarray       # (N,) int64: the positions by window (caller's order), then step
     bow_sum: np.ndarray | None    # (B,V) summed context counts
     bow_seq: np.ndarray | None    # (K,B,V) per-sentence counts, left-padded
     ctx_mask: np.ndarray | None   # (B,K) float: 1 at real context positions
@@ -171,6 +150,8 @@ def make_batch(windows: list[ContextWindow], vocab: Vocabulary, variant: Variant
     bounds = np.concatenate(([0], np.cumsum(real.sum(axis=1))))
     row = np.broadcast_to(np.arange(B), (T, B))[real]
     window = np.array(order)[row]
+    # time-major packing lists each window's positions in step order already
+    token_order = np.argsort(window, kind="stable")
     bow_sum = bow_seq = ctx_mask = None
     if variant.context == "bow":
         bow_sum = _count_rows([(b, s) for b, w in enumerate(ranked) for s in w.context],
@@ -183,15 +164,16 @@ def make_batch(windows: list[ContextWindow], vocab: Vocabulary, variant: Variant
                  for j, s in enumerate(w.context)]
         bow_seq = _count_rows(pairs, K * B, V, dtype).reshape(K, B, V)
         ctx_mask = (np.arange(K) >= np.array(offsets)[:, None]).astype(dtype)
-    return WindowBatch(inputs[real], targets[real], bounds, row, window,
+    return WindowBatch(inputs[real], targets[real], bounds, row, window, token_order,
                        bow_sum, bow_seq, ctx_mask)
 
 
 def batch_nll(windows: list[ContextWindow], params: dict[str, Variable], variant: Variant | str,
-              vocab: Vocabulary, tape: Tape | None = None,
-              want_token_nll: bool = False):
-    """Per-window NLL of a batch -> ((B,) Variable, (B,T) array | None), both in
-    the order of ``windows``; the per-token array is 0 past each window's end.
+              vocab: Vocabulary, tape: Tape | None = None) -> tuple[Variable, np.ndarray]:
+    """NLL of a batch of windows -> (total, token_nll). ``total`` is the (B,)
+    per-window NLL in the order of ``windows``; ``token_nll`` (N,) holds every
+    window's per-position NLLs, EOS included, windows in that order and each
+    window's positions in time order.
 
     Empty contexts reduce to the unconditioned model. Only the recurrence runs
     step by step, on the windows still running; the embedding gather, the
@@ -248,8 +230,10 @@ def batch_nll(windows: list[ContextWindow], params: dict[str, Variable], variant
             else:
                 q = proj_t
         _, o, c_new, h_new = nm.lstm_cell(tape, xproj, rows, state.h, state.c, U, b, step_in)
-        if variant.fusion == "late" and q is not None:
-            h_new = _late_output(tape, params, o, c_new, q, q_r)
+        if variant.fusion == "late":
+            if annots is not None:  # attention: q is new at every step
+                q_r = nm.matmul(tape, q, params["W_rp"])
+            h_new = nm.late_fusion_output(tape, o, c_new, q, q_r, params["W_rc"], params["b_r"])
         hs.append(h_new)
         state = LstmState(h_new, c_new)
 
@@ -257,9 +241,4 @@ def batch_nll(windows: list[ContextWindow], params: dict[str, Variable], variant
     logits = nm.add_bias(tape, nm.matmul(tape, hidden, params["W_out"]), params["b_out"])
     nll = nm.nll_rows(tape, logits, batch.targets)
     total = nm.segment_sum(tape, nll, batch.window, B)
-    token_nll = None
-    if want_token_nll:
-        token_nll = np.zeros((B, T))
-        steps = np.repeat(np.arange(T), np.diff(batch.bounds))
-        token_nll[batch.window, steps] = nll.value
-    return total, token_nll
+    return total, nll.value[batch.token_order]

@@ -203,6 +203,7 @@ def add(tape: Tape | None, a: Variable, b: Variable) -> Variable:
     return out
 
 
+# no engine use; kept because bench/tracing.py wraps numeric.mul by name
 def mul(tape: Tape | None, a: Variable, b: Variable) -> Variable:
     """Elementwise product of same-shape arrays."""
     out = Variable(a.value * b.value)
@@ -232,6 +233,7 @@ def add_bias(tape: Tape | None, x: Variable, b: Variable) -> Variable:
     return out
 
 
+# no engine use; kept because bench/tracing.py wraps numeric.sigmoid_v by name
 def sigmoid_v(tape: Tape | None, x: Variable) -> Variable:
     out = Variable(sigmoid(x.value))
     if tape is not None:
@@ -244,6 +246,7 @@ def sigmoid_v(tape: Tape | None, x: Variable) -> Variable:
     return out
 
 
+# no engine use; kept because bench/tracing.py wraps numeric.tanh_v by name
 def tanh_v(tape: Tape | None, x: Variable) -> Variable:
     out = Variable(np.tanh(x.value))
     if tape is not None:

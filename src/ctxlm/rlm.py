@@ -1,8 +1,10 @@
 """Sentence-level LSTM language model: embeddings, one LSTM layer, softmax output.
 
-This module holds the model's parameters and its LSTM cell; the sentence NLL
-of every variant, this unconditioned one included, is computed by the batch
-engine, ``fusion.batch_nll``. Parameters live in an ordered name->Variable dict. Weight storage is
+This module holds the model's parameter shapes and its gate-weight layout;
+the sentence NLL of every variant, this unconditioned one included, is
+computed by the batch engine, ``fusion.batch_nll``. Parameters live in an
+ordered name->Variable dict, drawn by :func:`draw_parameters` in the order
+of a name->shape table; the same table checks a checkpoint's arrays. Weight storage is
 row-batch friendly: an input-to-hidden map is stored as (d_in, d_h) so a
 batch (B, d_in) multiplies it directly. The embedding table carries one
 extra row used as the begin-of-sentence input for the first prediction.
@@ -28,22 +30,28 @@ class LstmState:
     c: Variable
 
 
-def init_lstm(params: dict[str, Variable], prefix: str, d_in: int, d_h: int, rng, dtype) -> None:
-    """Add one LSTM layer's gate weights under a name prefix."""
+Shapes = dict[str, tuple[int, ...]]
+
+
+def lstm_shapes(prefix: str, d_in: int, d_h: int) -> Shapes:
+    """One LSTM layer's gate weights under a name prefix."""
+    shapes: Shapes = {}
     for g in GATES:
-        params[f"{prefix}W_{g}"] = Variable(nm.uniform_init(rng, (d_in, d_h), dtype))
-        params[f"{prefix}U_{g}"] = Variable(nm.uniform_init(rng, (d_h, d_h), dtype))
-        params[f"{prefix}b_{g}"] = Variable(nm.uniform_init(rng, (d_h,), dtype))
+        shapes[f"{prefix}W_{g}"] = (d_in, d_h)
+        shapes[f"{prefix}U_{g}"] = (d_h, d_h)
+        shapes[f"{prefix}b_{g}"] = (d_h,)
+    return shapes
 
 
-def init_rlm_parameters(vocab_size: int, d_emb: int, d_h: int, rng, dtype) -> dict[str, Variable]:
+def rlm_shapes(vocab_size: int, d_emb: int, d_h: int) -> Shapes:
     """Embedding (+1 row for begin-of-sentence), LSTM gates, output affine."""
-    params: dict[str, Variable] = {}
-    params["E"] = Variable(nm.uniform_init(rng, (vocab_size + 1, d_emb), dtype))
-    init_lstm(params, "", d_emb, d_h, rng, dtype)
-    params["W_out"] = Variable(nm.uniform_init(rng, (d_h, vocab_size), dtype))
-    params["b_out"] = Variable(nm.uniform_init(rng, (vocab_size,), dtype))
-    return params
+    return {"E": (vocab_size + 1, d_emb), **lstm_shapes("", d_emb, d_h),
+            "W_out": (d_h, vocab_size), "b_out": (vocab_size,)}
+
+
+def draw_parameters(shapes: Shapes, rng, dtype) -> dict[str, Variable]:
+    """One uniform draw per parameter, in the table's order."""
+    return {name: Variable(nm.uniform_init(rng, shape, dtype)) for name, shape in shapes.items()}
 
 
 def parameter_count(params: dict[str, Variable]) -> int:
@@ -61,6 +69,7 @@ def gate_weights(tape: Tape | None, params: dict[str, Variable],
                  for kind in ("W", "U", "b"))
 
 
+# no engine use; kept for lstm_gates and lstm_step, which bench/tracing.py wraps
 def _cell(tape: Tape | None, params: dict[str, Variable], prefix: str, x: Variable,
           state: LstmState) -> tuple[Variable, Variable, Variable, Variable]:
     W, U, b = gate_weights(tape, params, prefix)
@@ -68,6 +77,7 @@ def _cell(tape: Tape | None, params: dict[str, Variable], prefix: str, x: Variab
     return nm.lstm_cell(tape, xproj, slice(0, x.shape[0]), state.h, state.c, U, b)
 
 
+# no engine use; kept because bench/tracing.py wraps rlm.lstm_gates by name
 def lstm_gates(tape: Tape | None, params: dict[str, Variable], prefix: str,
                x: Variable, state: LstmState) -> tuple[Variable, Variable, Variable]:
     """One LSTM cell update; returns (input gate i, output gate o, new cell c)."""
@@ -75,6 +85,7 @@ def lstm_gates(tape: Tape | None, params: dict[str, Variable], prefix: str,
     return i, o, c_new
 
 
+# no engine use; kept because bench/tracing.py wraps rlm.lstm_step by name
 def lstm_step(x: Variable, state: LstmState, params: dict[str, Variable],
               tape: Tape | None = None, prefix: str = "") -> LstmState:
     _, _, c_new, h_new = _cell(tape, params, prefix, x, state)

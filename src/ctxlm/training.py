@@ -49,7 +49,8 @@ class ConfigError(ValueError):
 
 
 class CheckpointError(ValueError):
-    """A checkpoint file that is truncated or carries bytes after its end."""
+    """A checkpoint file that is truncated, carries bytes after its end, or
+    holds other parameters than its configuration describes."""
 
 
 @dataclass
@@ -88,8 +89,10 @@ class TrainConfig:
             raise ConfigError("vocab_size must be at least 2")
         if not 0.0 < self.rho < 1.0:
             raise ConfigError("rho must be in (0, 1)")
-        if self.eps <= 0.0:
-            raise ConfigError("eps must be positive")
+        if not (math.isfinite(self.eps) and self.eps > 0.0):
+            raise ConfigError("eps must be finite and positive")
+        if not math.isfinite(self.clip_norm):
+            raise ConfigError("clip_norm must be finite (0 or less disables clipping)")
         nm.dtype_of(self.precision)
 
     @property
@@ -265,6 +268,7 @@ def gradient_batch(windows: list[ContextWindow], params: dict[str, Variable],
     return float(loss.value), grads
 
 
+# validation goes through this name because bench/tracing.py times it
 def mean_window_nll(windows: list[ContextWindow], params: dict[str, Variable],
                     variant, vocab: Vocabulary, batch_size: int) -> float:
     total = 0.0
@@ -363,7 +367,9 @@ def _write_checkpoint(ckpt: Checkpoint, fh) -> None:
 def load_checkpoint(path) -> Checkpoint:
     """Read a file written by ``save_checkpoint``. Every length field is checked
     against the bytes left in the file before anything is allocated, and each
-    array is read straight into its own buffer, so no copy of the file is held."""
+    array is read straight into its own buffer, so no copy of the file is held.
+    The model arrays must have exactly the names, shapes and precision of the
+    parameters of the stored configuration and vocabulary."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
@@ -409,7 +415,24 @@ def load_checkpoint(path) -> Checkpoint:
     rng_state = raw.pop("rng_state")
     vocab_tokens = raw.pop("vocab").split(" ")
     config = config_from_mapping(raw)
+    _check_parameters(arrays, config, len(Vocabulary(vocab_tokens)))
     return Checkpoint(config, arrays, vocab_tokens, epoch, best, rng_state)
+
+
+def _check_parameters(arrays: dict[str, np.ndarray], config: TrainConfig,
+                      vocab_size: int) -> None:
+    expect = fusion.parameter_shapes(fusion.parse_variant(config.variant), vocab_size,
+                                     config.d_emb, config.d_h, config.d_ctx, config.d_a)
+    got = {name: a for name, a in arrays.items() if not name.startswith("opt.")}
+    problems = [f"missing {name}" for name in expect if name not in got]
+    problems += [f"unexpected {name}" for name in got if name not in expect]
+    problems += [f"{name} is {got[name].shape}, not {shape}" for name, shape in expect.items()
+                 if name in got and got[name].shape != shape]
+    problems += [f"{name} is {a.dtype}, not {config.precision}" for name, a in got.items()
+                 if a.dtype != config.dtype]
+    if problems:
+        raise CheckpointError(f"parameters do not fit {config.variant}: "
+                              + ", ".join(problems))
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,8 @@ def announce(name, detail):
 def test_ac1_gradient_correctness():
     """Every parameter gradient of every variant matches central differences.
 
-    conditional_sentence_nll is the batch engine on a batch of one, so these
-    are the gradients training uses.
+    The window is a batch of one through fusion.batch_nll, the engine that
+    training uses, so these are the gradients training follows.
 
     Coordinates the 1e-5 central-difference oracle can resolve
     (|tape| + |fd| >= 1e-5) must agree to relative error 1e-4; coordinates
@@ -60,8 +60,8 @@ def test_ac1_gradient_correctness():
         params = fusion.init_parameters(fusion.parse_variant(tag), V, 8, 8, 6, 6,
                                         rng, np.float64)
         tape = Tape()
-        nll = fusion.conditional_sentence_nll(window, tag, params, vocab, tape)
-        tape.backward(nll)
+        total, _ = fusion.batch_nll([window], params, tag, vocab, tape)
+        tape.backward(nm.sum_all(tape, total))
         for name, p in params.items():
             got = p.grad_buffer().copy().ravel()
             shape = p.value.shape
@@ -69,7 +69,7 @@ def test_ac1_gradient_correctness():
             def f(theta, p=p):
                 saved = p.value
                 p.value = theta.reshape(shape)
-                out = float(fusion.conditional_sentence_nll(window, tag, params, vocab).value)
+                out = float(fusion.batch_nll([window], params, tag, vocab)[0].value[0])
                 p.value = saved
                 return out
 
@@ -91,14 +91,46 @@ def test_ac1_gradient_correctness():
 # -- AC-2: reduction equivalences -------------------------------------------------
 
 
+def _decoder_cell_calls(windows, tag, params, vocab):
+    """The engine's decoder nm.lstm_cell calls on a batch: (extra, the leading
+    rows of c_prev the step reads, the c it returns), copied at the call."""
+    calls = []
+    lstm_cell = nm.lstm_cell
+    d_h = params["b_i"].shape[0]
+
+    def spy(tape, xproj, rows, h_prev, c_prev, U, b, extra=None):
+        i, o, c, h = lstm_cell(tape, xproj, rows, h_prev, c_prev, U, b, extra)
+        if U.shape == (d_h, 4 * d_h):  # the context LSTMs are d_ctx wide
+            calls.append((extra, c_prev.value[: c.shape[0]].copy(), c.value.copy()))
+        return i, o, c, h
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nm, "lstm_cell", spy)
+        fusion.batch_nll(windows, params, tag, vocab)
+    return calls
+
+
 def test_ac2_reduction_equivalences():
+    """Every conditioned variant reduces to the unconditioned model (RLM with
+    the shared weights) when p = 0 or W_p = 0. Late fusion leaves the memory
+    cell alone, checked on the engine itself: its decoder cell gets no
+    context input, the cell state it carries from step to step is the one the
+    cell returned, bitwise, and a closed gate (r exactly 0) gives RLM's
+    per-position NLLs bitwise."""
     V = 14
     vocab = Vocabulary(["<unk>", "</s>"] + [f"w{i}" for i in range(V - 2)])
     rng = np.random.Generator(np.random.PCG64(5))
     target = sent_of(rng, V)
     context = (sent_of(rng, V), sent_of(rng, V))
+    batch = [ContextWindow(sent_of(rng, V, 1, 9), tuple(sent_of(rng, V) for _ in range(k)))
+             for k in (0, 1, 2, 3, 2, 1, 3, 2)]
     variants = [t for t in sorted(fusion.VARIANTS) if t != "RLM"]
+
+    def token_nll(window, tag, params):
+        return fusion.batch_nll([window], params, tag, vocab)[1]
+
     worst = 0.0
+    steps = 0
     for tag in variants:
         params = fusion.init_parameters(fusion.parse_variant(tag), V, 5, 4, 3, 3,
                                         rng, np.float64)
@@ -106,43 +138,45 @@ def test_ac2_reduction_equivalences():
                     fusion.init_parameters(fusion.parse_variant("RLM"), V, 5, 4, 3, 3,
                                            np.random.Generator(np.random.PCG64(0)),
                                            np.float64)}
-        trace_base = {}
-        fusion.conditional_sentence_nll(ContextWindow(target, ()), "RLM", baseline, vocab,
-                                        trace=trace_base)
-        base_probs = np.exp(-np.array(trace_base["nll"]))
+        base_nll = token_nll(ContextWindow(target, ()), "RLM", baseline)
+        base_probs = np.exp(-base_nll)
 
         # p = 0 via an empty context window
-        trace = {}
-        fusion.conditional_sentence_nll(ContextWindow(target, ()), tag, params, vocab,
-                                        trace=trace)
-        diff = np.max(np.abs(np.exp(-np.array(trace["nll"])) - base_probs))
+        probs = np.exp(-token_nll(ContextWindow(target, ()), tag, params))
+        diff = np.max(np.abs(probs - base_probs))
         assert diff <= 1e-9, f"{tag} empty-context: {diff:.3g}"
         worst = max(worst, diff)
 
         # W_p = 0 with a real context
         saved = params["W_p"].value.copy()
         params["W_p"].value[...] = 0.0
-        trace = {}
-        fusion.conditional_sentence_nll(ContextWindow(target, context), tag, params,
-                                        vocab, trace=trace)
+        probs = np.exp(-token_nll(ContextWindow(target, context), tag, params))
         params["W_p"].value = saved
-        diff = np.max(np.abs(np.exp(-np.array(trace["nll"])) - base_probs))
+        diff = np.max(np.abs(probs - base_probs))
         assert diff <= 1e-9, f"{tag} zero-projection: {diff:.3g}"
         worst = max(worst, diff)
 
-    # late fusion never perturbs the cell update: same (x, state, p) inputs
-    params = fusion.init_parameters(fusion.parse_variant("RLM-BoW-LF"), V, 5, 4, 3, 3,
-                                    rng, np.float64)
-    for _ in range(25):
-        x = Variable(rng.standard_normal((1, 5)))
-        state = rlm.LstmState(Variable(rng.standard_normal((1, 4))),
-                              Variable(rng.standard_normal((1, 4))))
-        p = Variable(rng.standard_normal((1, 3)))
-        fused_state, _ = fusion.late_fusion_step(x, state, p, params)
-        plain = rlm.lstm_step(x, state, params)
-        assert np.array_equal(fused_state.c.value, plain.c.value)
+        if fusion.VARIANTS[tag].fusion != "late":
+            continue
+        # late fusion never perturbs the cell update
+        calls = _decoder_cell_calls(batch, tag, params, vocab)
+        assert len(calls) == max(len(w.target.token_ids) for w in batch)
+        assert all(extra is None for extra, _, _ in calls), f"{tag}: context enters the cell"
+        assert not calls[0][1].any()
+        for (_, _, c_returned), (_, c_read, _) in zip(calls, calls[1:]):
+            assert np.array_equal(c_read, c_returned[: len(c_read)]), \
+                f"{tag}: the carried cell state is not the cell's own"
+        steps += len(calls)
+
+        # a closed gate: b_r = -1e3 makes r exactly 0
+        saved = params["b_r"].value.copy()
+        params["b_r"].value[...] = -1e3
+        closed = token_nll(ContextWindow(target, context), tag, params)
+        params["b_r"].value = saved
+        assert np.array_equal(closed, base_nll), f"{tag} closed gate differs from RLM"
     announce("AC-2", f"6 variants reduce to baseline (worst prob diff {worst:.2e}); "
-                     "late-fusion cell bitwise equal on 25 random steps")
+                     f"late-fusion decoder cell context-free and carried bitwise over "
+                     f"{steps} engine steps; closed gate bitwise RLM")
 
 
 # -- AC-3: Kneser-Ney normalization ------------------------------------------------
@@ -220,9 +254,8 @@ def test_ac5_attention_sanity():
     """context.attend, the engine's attention, on one batch of 1000 windows
     with 1-5 live context positions each, left-padded to 5 with junk."""
     rng = np.random.default_rng(9)
-    params = {}
-    ctx.init_attention(params, annot_dim=6, d_h=4, d_a=5,
-                       rng=np.random.Generator(np.random.PCG64(3)), dtype=np.float64)
+    params = rlm.draw_parameters(ctx.attention_shapes(annot_dim=6, d_h=4, d_a=5),
+                                 np.random.Generator(np.random.PCG64(3)), np.float64)
 
     def attend(annots, h, mask):
         annots = Variable(annots)

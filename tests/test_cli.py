@@ -81,6 +81,15 @@ def test_synth_sharpness_limit_concentrates_topics():
         assert len(types) <= 2  # near-one-hot topics make documents near-single-token
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-2"])
+def test_synth_rejects_non_finite_or_non_positive_sharpness(tmp_path, capsys, value):
+    code = main(["synth", "--out-dir", str(tmp_path / "s"), "--docs", "2",
+                 "--sharpness", value])
+    captured = capsys.readouterr()
+    assert code == 1 and "sharpness" in captured.err
+    assert not (tmp_path / "s").exists()
+
+
 def test_synth_validation():
     with pytest.raises(training.ConfigError):
         SynthSpec(topics=0, vocab=5, train_docs=1, valid_docs=1, test_docs=1,
@@ -110,6 +119,15 @@ def test_train_happy_path_and_determinism(tmp_path, capsys):
     for line in log1:
         epoch, train_nll, valid_nll = line.split(",")
         int(epoch), float(train_nll), float(valid_nll)
+
+
+@pytest.mark.parametrize("key", ["eps", "clip_norm"])
+def test_train_non_finite_eps_or_clip_norm_is_config_error(tmp_path, capsys, key):
+    cfg = write_config(tmp_path, **{key: "nan"})
+    out = tmp_path / "m.ckpt"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_missing_path_key_names_it(tmp_path, capsys):
@@ -327,6 +345,28 @@ def test_eval_truncated_or_padded_checkpoint_is_data_error(tmp_path, capsys):
         bad.write_bytes(data)
         assert main(["eval", "--checkpoint", str(bad), "--corpus", str(corpus)]) == 2
         assert "cannot read checkpoint" in capsys.readouterr().err
+
+
+def test_eval_checkpoint_with_wrong_parameters_is_data_error(tmp_path, capsys):
+    """A checkpoint whose arrays do not fit its variant (a parameter missing,
+    one too many, a wrong shape) exits 2 before any output."""
+    path = fresh_checkpoint(tmp_path, variant="RLM-BoW-LF")
+    ckpt = training.load_checkpoint(path)
+    arrays = dict(ckpt.arrays)
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("a b\nc\n", encoding="utf-8")
+    tags = tmp_path / "tags.txt"
+    tags.write_text("X X\nX\n", encoding="utf-8")
+    for bad in ({k: a for k, a in arrays.items() if k != "W_p"},
+                {**arrays, "W_out": arrays["W_out"][:, :5]},
+                {**arrays, "W_extra": arrays["b_r"]}):
+        ckpt.arrays = bad
+        training.save_checkpoint(ckpt, path)
+        for flags in ([], ["--tags", str(tags)]):
+            code = main(["eval", "--checkpoint", str(path), "--corpus", str(corpus)] + flags)
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert "do not fit RLM-BoW-LF" in captured.err
 
 
 # -- ngram ---------------------------------------------------------------------------

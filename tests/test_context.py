@@ -22,24 +22,18 @@ def batch_of(*contexts, tag="RLM-SeqBoW-ATT-LF"):
 
 def bow_params(d_ctx=3, seed=1):
     rng = np.random.Generator(np.random.PCG64(seed))
-    params = {}
-    ctx.init_bow(params, V, d_ctx, rng, np.float64)
-    return params
+    return rlm.draw_parameters(ctx.bow_shapes(V, d_ctx), rng, np.float64)
 
 
 def seq_params(d_ctx=3, seed=1, bidirectional=False):
     rng = np.random.Generator(np.random.PCG64(seed))
-    params = {}
-    ctx.init_seqbow(params, V, d_ctx, bidirectional, rng, np.float64)
-    return params
+    return rlm.draw_parameters(ctx.seqbow_shapes(V, d_ctx, bidirectional), rng, np.float64)
 
 
 def att_params(d_ctx=3, d_a=3, d_h=4, seed=1):
     rng = np.random.Generator(np.random.PCG64(seed))
-    params = {}
-    ctx.init_seqbow(params, V, d_ctx, True, rng, np.float64)
-    ctx.init_attention(params, 2 * d_ctx, d_h, d_a, rng, np.float64)
-    return params
+    shapes = {**ctx.seqbow_shapes(V, d_ctx, True), **ctx.attention_shapes(2 * d_ctx, d_h, d_a)}
+    return rlm.draw_parameters(shapes, rng, np.float64)
 
 
 def encode_bow(params, *contexts):

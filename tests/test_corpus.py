@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ctxlm import corpus
-from ctxlm.corpus import (CorpusError, Document, Sentence, Vocabulary, bow_vector,
+from ctxlm.corpus import (CorpusError, Document, Sentence, bow_vector,
                           build_vocabulary, context_windows, encode_documents,
                           filter_by_length, load_corpus)
 
@@ -73,17 +73,6 @@ def test_vocabulary_round_trip_and_unk():
     for i in range(len(v)):
         assert v.encode(v.decode(i)) == i
     assert v.encode("never-seen") == corpus.UNK_ID
-
-
-def test_vocabulary_file_format(tmp_path):
-    v = build_vocabulary(raw("b a a\n"), 4)
-    path = tmp_path / "vocab.txt"
-    v.save(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "<unk>" and lines[1] == "</s>"
-    assert lines[2:] == ["a", "b"]
-    loaded = Vocabulary.load(path)
-    assert loaded.tokens == v.tokens
 
 
 def test_sentence_requires_eos_and_counts_content():

@@ -106,8 +106,9 @@ def test_single_tag_equals_content_token_perplexity():
     assert row.tag == "X"
     assert row.count == sum(s.length for d in DOCS for s in d.sentences)
     # matches exp(mean NLL) over exactly the content-token positions
-    _, per_token = evaluation._window_nlls(model, DOCS, 1, 64, True)
-    content = np.concatenate([t[:-1] for t in per_token])
+    _, per_token = evaluation._window_nlls(model, DOCS, 1, 64)
+    eos = np.cumsum([len(s.token_ids) for d in DOCS for s in d.sentences]) - 1
+    content = np.delete(per_token, eos)
     assert row.mean_nll == pytest.approx(content.mean(), abs=1e-12)
     assert row.perplexity == pytest.approx(math.exp(content.mean()), rel=1e-12)
 

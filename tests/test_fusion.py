@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import oracle
-from ctxlm import fusion, numeric as nm, rlm
+from ctxlm import fusion, numeric as nm
 from ctxlm.corpus import ContextWindow, Sentence, Vocabulary, bow_vector
-from ctxlm.numeric import Tape, Variable
+from ctxlm.numeric import Tape
 
 V = 14
 VOCAB = Vocabulary(["<unk>", "</s>"] + [f"w{i}" for i in range(V - 2)])
@@ -42,7 +42,7 @@ def test_parse_variant_rejects_unknown():
     with pytest.raises(ValueError, match="unknown variant"):
         fusion.parse_variant("RLM-BoW-EF-4")
     with pytest.raises(ValueError):
-        fusion.conditional_sentence_nll(WINDOW, "nope", make_params("RLM"), VOCAB)
+        fusion.batch_nll([WINDOW], make_params("RLM"), "nope", VOCAB)
 
 
 def test_variant_tags_are_canonical():
@@ -63,20 +63,26 @@ def _bow_ef_and_baseline(seed=0):
 
 
 def _token_nlls(window, tag, params):
-    trace = {}
-    fusion.conditional_sentence_nll(window, tag, params, VOCAB, trace=trace)
-    return trace["nll"]
+    """One window's per-position NLLs: the engine on a batch of one."""
+    return fusion.batch_nll([window], params, tag, VOCAB)[1]
+
+
+def _nll(window, tag, params, tape=None):
+    """One window's NLL as a scalar Variable."""
+    return nm.sum_all(tape, fusion.batch_nll([window], params, tag, VOCAB, tape)[0])
 
 
 def test_early_fusion_input_reduces_without_projection():
     params, baseline = _bow_ef_and_baseline()
     params["W_p"].value[...] = 0.0
-    assert _token_nlls(WINDOW, "RLM-BoW-EF", params) == _token_nlls(WINDOW, "RLM", baseline)
+    assert np.array_equal(_token_nlls(WINDOW, "RLM-BoW-EF", params),
+                          _token_nlls(WINDOW, "RLM", baseline))
 
 
 def test_early_fusion_input_reduces_on_zero_context():
     params, baseline = _bow_ef_and_baseline()
-    assert _token_nlls(EMPTY, "RLM-BoW-EF", params) == _token_nlls(EMPTY, "RLM", baseline)
+    assert np.array_equal(_token_nlls(EMPTY, "RLM-BoW-EF", params),
+                          _token_nlls(EMPTY, "RLM", baseline))
 
 
 def test_early_fusion_input_matches_sum_of_terms():
@@ -92,73 +98,115 @@ def test_early_fusion_input_matches_sum_of_terms():
 
 # -- late fusion ---------------------------------------------------------------
 
+LF_TAGS = [t for t, v in sorted(fusion.VARIANTS.items()) if v.fusion == "late"]
 
-def _lf_setup(seed=7):
-    params = make_params("RLM-BoW-LF", seed=seed)
-    rng = np.random.default_rng(seed)
-    x = Variable(rng.standard_normal((1, DIMS["d_emb"])))
-    state = rlm.LstmState(Variable(rng.standard_normal((1, DIMS["d_h"]))),
-                          Variable(rng.standard_normal((1, DIMS["d_h"]))))
-    return params, x, state
+
+def _decoder_trace(windows, tag, params):
+    """Run the engine with spies on the decoder's nm.lstm_cell calls and on
+    the output affine -> (one dict per step: the cell's ``extra`` input, the
+    leading rows of ``c_prev`` it reads, and the ``o`` and ``c`` it returns,
+    all copied at the call; the packed hidden states that reach W_out)."""
+    steps, hidden = [], []
+    lstm_cell, matmul = nm.lstm_cell, nm.matmul
+    d_h = params["b_i"].shape[0]
+
+    def cell_spy(tape, xproj, rows, h_prev, c_prev, U, b, extra=None):
+        out = lstm_cell(tape, xproj, rows, h_prev, c_prev, U, b, extra)
+        if U.shape == (d_h, 4 * d_h):  # the context LSTMs are d_ctx wide
+            steps.append(dict(extra=extra, c_prev=c_prev.value[: out[2].shape[0]].copy(),
+                              o=out[1].value.copy(), c=out[2].value.copy()))
+        return out
+
+    def matmul_spy(tape, a, b):
+        if b is params["W_out"]:
+            hidden.append(a.value.copy())
+        return matmul(tape, a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nm, "lstm_cell", cell_spy)
+        mp.setattr(nm, "matmul", matmul_spy)
+        fusion.batch_nll(windows, params, tag, VOCAB)
+    return steps, hidden[0]
 
 
 def test_late_fusion_zero_context_equals_plain_step():
-    params, x, state = _lf_setup()
-    p = Variable(np.zeros((1, DIMS["d_ctx"])))
-    fused_state, h = fusion.late_fusion_step(x, state, p, params)
-    plain = rlm.lstm_step(x, state, params)
-    assert np.array_equal(h.value, plain.h.value)
-    assert np.array_equal(fused_state.c.value, plain.c.value)
+    """Without context sentences q = 0, and every LF variant's per-position
+    NLLs equal the unconditioned model's bitwise."""
+    for tag in LF_TAGS:
+        params = make_params(tag, seed=7)
+        baseline = make_params("RLM")
+        copy_core(params, baseline)
+        assert np.array_equal(_token_nlls(EMPTY, tag, params),
+                              _token_nlls(EMPTY, "RLM", baseline)), tag
 
 
 def test_late_fusion_saturated_gate_open():
-    params, x, state = _lf_setup()
+    """With r = 1 exactly (W_rp = W_rc = 0, b_r = 1e3) the hidden state the
+    engine scores is o * tanh(c + q), q = (s P) W_p for the context counts s."""
+    params = make_params("RLM-BoW-LF", seed=7, scale=10.0)
     params["W_rp"].value[...] = 0.0
     params["W_rc"].value[...] = 0.0
-    params["b_r"].value[...] = 20.0
-    p = Variable(np.random.default_rng(2).standard_normal((1, DIMS["d_ctx"])))
-    _, h = fusion.late_fusion_step(x, state, p, params)
-    _, o, c_new = rlm.lstm_gates(None, params, "", x, state)
-    q = p.value @ params["W_p"].value
-    expect = o.value * np.tanh(c_new.value + q)
-    assert np.max(np.abs(h.value - expect)) < 1e-8
+    params["b_r"].value[...] = 1e3
+    steps, hidden = _decoder_trace([WINDOW], "RLM-BoW-LF", params)
+    q = bow_vector(WINDOW.context, VOCAB) @ params["P"].value @ params["W_p"].value
+    assert np.any(np.abs(q) > 0.1)
+    expect = np.concatenate([s["o"] * np.tanh(s["c"] + q) for s in steps])
+    assert np.max(np.abs(hidden - expect)) < 1e-12
 
 
 def test_late_fusion_saturated_gate_closed():
-    params, x, state = _lf_setup()
-    params["b_r"].value[...] = -20.0
-    p = Variable(np.random.default_rng(3).standard_normal((1, DIMS["d_ctx"])))
-    _, h = fusion.late_fusion_step(x, state, p, params)
-    plain = rlm.lstm_step(x, state, params)
-    assert np.max(np.abs(h.value - plain.h.value)) < 1e-8
+    """A gate near closing (b_r = -20, r about 2e-9) keeps every LF variant's
+    per-position NLLs within 1e-8 of the unconditioned model's."""
+    for tag in LF_TAGS:
+        params = make_params(tag, seed=7)
+        params["b_r"].value[...] = -20.0
+        baseline = make_params("RLM")
+        copy_core(params, baseline)
+        diff = _token_nlls(WINDOW, tag, params) - _token_nlls(WINDOW, "RLM", baseline)
+        assert np.max(np.abs(diff)) < 1e-8, tag
 
 
-def test_late_fusion_gate_is_strictly_inside_unit_interval():
-    params, x, state = _lf_setup()
-    p = Variable(np.random.default_rng(4).standard_normal((1, DIMS["d_ctx"])))
-    q = nm.matmul(None, p, params["W_p"])
-    pre = nm.add(None, nm.matmul(None, q, params["W_rp"]),
-                 nm.matmul(None, state.c, params["W_rc"]))
-    r = nm.sigmoid_v(None, nm.add_bias(None, pre, params["b_r"]))
-    assert np.all(r.value > 0.0) and np.all(r.value < 1.0)
+def test_late_fusion_gate_is_strictly_inside_unit_interval(monkeypatch):
+    """The gate r of every engine step, recomputed from the arguments of its
+    nm.late_fusion_output call, lies strictly inside (0, 1)."""
+    gates = []
+    late_fusion_output = nm.late_fusion_output
+
+    def spy(tape, o, c, q, q_r, W_rc, b_r):
+        n = c.shape[0]
+        gates.append(nm.sigmoid(q_r.value[:n] + c.value @ W_rc.value + b_r.value))
+        return late_fusion_output(tape, o, c, q, q_r, W_rc, b_r)
+
+    monkeypatch.setattr(nm, "late_fusion_output", spy)
+    for tag in LF_TAGS:
+        gates.clear()
+        fusion.batch_nll(MIXED, make_params(tag, seed=7, scale=10.0), tag, VOCAB)
+        steps = max(len(w.target.token_ids) for w in MIXED)
+        assert len(gates) == steps, tag
+        r = np.concatenate(gates)
+        assert np.all(r > 0.0) and np.all(r < 1.0), tag
 
 
 def test_late_fusion_cell_untouched_by_context():
-    params, x, state = _lf_setup()
-    for seed in range(3):
-        p = Variable(np.random.default_rng(seed).standard_normal((1, DIMS["d_ctx"])))
-        fused_state, _ = fusion.late_fusion_step(x, state, p, params)
-        plain = rlm.lstm_step(x, state, params)
-        assert np.array_equal(fused_state.c.value, plain.c.value)
+    """For every LF variant the decoder's cell gets no context input, and the
+    cell state it reads at each step is, bitwise, the one it returned at the
+    step before: the context reaches the output only."""
+    for tag in LF_TAGS:
+        steps, _ = _decoder_trace(MIXED, tag, make_params(tag, seed=7))
+        assert len(steps) == max(len(w.target.token_ids) for w in MIXED), tag
+        assert all(s["extra"] is None for s in steps), tag
+        assert not steps[0]["c_prev"].any()
+        for prev, step in zip(steps, steps[1:]):
+            assert np.array_equal(step["c_prev"], prev["c"][: len(step["c_prev"])]), tag
 
 
-# -- conditional sentence NLL ----------------------------------------------------
+# -- one window's NLL ------------------------------------------------------------
 
 
 def test_rlm_variant_equals_baseline_exactly():
     params = make_params("RLM")
-    with_context = fusion.conditional_sentence_nll(WINDOW, "RLM", params, VOCAB)
-    without = fusion.conditional_sentence_nll(EMPTY, "RLM", params, VOCAB)
+    with_context = _nll(WINDOW, "RLM", params)
+    without = _nll(EMPTY, "RLM", params)
     assert with_context.value.shape == ()
     assert float(with_context.value) == float(without.value)
 
@@ -168,8 +216,8 @@ def test_empty_context_reduces_to_baseline(tag):
     params = make_params(tag)
     baseline = make_params("RLM")
     copy_core(params, baseline)
-    fused = fusion.conditional_sentence_nll(EMPTY, tag, params, VOCAB)
-    plain = fusion.conditional_sentence_nll(EMPTY, "RLM", baseline, VOCAB)
+    fused = _nll(EMPTY, tag, params)
+    plain = _nll(EMPTY, "RLM", baseline)
     assert float(fused.value) == pytest.approx(float(plain.value), abs=1e-12)
 
 
@@ -179,11 +227,10 @@ def test_zero_projection_reduces_to_baseline(tag):
     params["W_p"].value[...] = 0.0
     baseline = make_params("RLM")
     copy_core(params, baseline)
-    trace_f, trace_b = {}, {}
-    fused = fusion.conditional_sentence_nll(WINDOW, tag, params, VOCAB, trace=trace_f)
-    plain = fusion.conditional_sentence_nll(WINDOW, "RLM", baseline, VOCAB, trace=trace_b)
-    assert float(fused.value) == pytest.approx(float(plain.value), abs=1e-9)
-    for a, b in zip(trace_f["nll"], trace_b["nll"]):
+    fused, fused_tokens = fusion.batch_nll([WINDOW], params, tag, VOCAB)
+    plain, plain_tokens = fusion.batch_nll([WINDOW], baseline, "RLM", VOCAB)
+    assert float(fused.value[0]) == pytest.approx(float(plain.value[0]), abs=1e-9)
+    for a, b in zip(fused_tokens, plain_tokens, strict=True):
         assert a == pytest.approx(b, abs=1e-9)  # per-word probabilities agree
 
 
@@ -191,8 +238,7 @@ def test_zero_projection_reduces_to_baseline(tag):
 def test_context_gradient_is_connected(tag):
     params = make_params(tag, seed=9)
     tape = Tape()
-    nll = fusion.conditional_sentence_nll(WINDOW, tag, params, VOCAB, tape)
-    tape.backward(nll)
+    tape.backward(_nll(WINDOW, tag, params, tape))
     assert params["W_p"].grad is not None and np.any(params["W_p"].grad != 0.0)
     assert params["P"].grad is not None and np.any(params["P"].grad != 0.0)
 
@@ -202,8 +248,7 @@ def test_gradients_match_finite_differences(tag):
     params = make_params(tag, seed=13, scale=3.0)
     window = ContextWindow(sent(3, 5), (sent(4, 6), sent(2,)))
     tape = Tape()
-    nll = fusion.conditional_sentence_nll(window, tag, params, VOCAB, tape)
-    tape.backward(nll)
+    tape.backward(_nll(window, tag, params, tape))
     for name, p in params.items():
         got = p.grad_buffer().copy().ravel()
         shape = p.value.shape
@@ -211,7 +256,7 @@ def test_gradients_match_finite_differences(tag):
         def f(theta, p=p):
             saved = p.value
             p.value = theta.reshape(shape)
-            out = float(fusion.conditional_sentence_nll(window, tag, params, VOCAB).value)
+            out = float(_nll(window, tag, params).value)
             p.value = saved
             return out
 
@@ -235,7 +280,7 @@ MIXED = [
 
 @pytest.mark.parametrize("tag", sorted(fusion.VARIANTS))
 def test_batched_equals_unbatched(tag):
-    """The batch engine, on the padded batch and on each window alone, against
+    """The batch engine, on the mixed batch and on each window alone, against
     the independent per-window oracle. Parameters are scaled to about ±0.8 so
     the context terms (attention above all) move the NLL well beyond the
     tolerance."""
@@ -245,21 +290,26 @@ def test_batched_equals_unbatched(tag):
         expect = oracle.token_nlls(params, tag, w.target.token_ids,
                                    [s.token_ids for s in w.context])
         assert float(total.value[b]) == pytest.approx(sum(expect), abs=1e-9)
-        trace = {}
-        single = fusion.conditional_sentence_nll(w, tag, params, VOCAB, trace=trace)
-        assert float(single.value) == pytest.approx(sum(expect), abs=1e-9)
-        assert np.max(np.abs(np.subtract(trace["nll"], expect))) <= 1e-9
+        single, tokens = fusion.batch_nll([w], params, tag, VOCAB)
+        assert float(single.value[0]) == pytest.approx(sum(expect), abs=1e-9)
+        assert np.max(np.abs(tokens - expect)) <= 1e-9
 
 
 @pytest.mark.parametrize("tag", sorted(fusion.VARIANTS))
 def test_batched_token_nll_masks_padding(tag):
+    """The per-position NLLs hold the real positions only, windows in the
+    caller's order (not the engine's longest-first rows) and each window's
+    positions in time order: the oracle's per-window lists concatenated, to
+    1e-12 in float64. Each window's slice sums to its total."""
     params = make_params(tag, seed=19)
-    total, token = fusion.batch_nll(MIXED, params, tag, VOCAB, want_token_nll=True)
-    lengths = [len(w.target.token_ids) for w in MIXED]
-    for b, L in enumerate(lengths):
-        assert np.all(token[b, L:] == 0.0)
-        assert np.all(token[b, :L] > 0.0)
-        assert token[b].sum() == pytest.approx(float(total.value[b]), rel=1e-12)
+    total, token = fusion.batch_nll(MIXED, params, tag, VOCAB)
+    expect = [oracle.token_nlls(params, tag, w.target.token_ids,
+                                [s.token_ids for s in w.context]) for w in MIXED]
+    assert token.dtype == np.float64 and token.shape == (sum(map(len, expect)),)
+    assert np.max(np.abs(token - np.concatenate(expect))) <= 1e-12
+    ends = np.cumsum([len(e) for e in expect])
+    for b, piece in enumerate(np.split(token, ends[:-1])):
+        assert piece.sum() == pytest.approx(float(total.value[b]), rel=1e-12)
 
 
 @pytest.mark.parametrize("tag", ["RLM-BoW-LF", "RLM-SeqBoW-ATT-EF"])
@@ -276,8 +326,7 @@ def test_batch_gradient_equals_mean_of_single_gradients(tag):
     accum = {k: np.zeros_like(p.value) for k, p in params.items()}
     for w in MIXED:
         tape = Tape()
-        nll = fusion.conditional_sentence_nll(w, tag, params, VOCAB, tape)
-        tape.backward(nll)
+        tape.backward(_nll(w, tag, params, tape))
         for k, p in params.items():
             accum[k] += p.grad_buffer() / len(MIXED)
             p.zero_grad()
@@ -293,7 +342,7 @@ def test_all_empty_context_batch():
         copy_core(params, baseline)
         total, _ = fusion.batch_nll(windows, params, tag, VOCAB)
         for b, w in enumerate(windows):
-            plain = float(fusion.conditional_sentence_nll(w, "RLM", baseline, VOCAB).value)
+            plain = float(_nll(w, "RLM", baseline).value)
             assert float(total.value[b]) == pytest.approx(plain, abs=1e-12)
 
 

@@ -6,7 +6,11 @@ import pytest
 from ctxlm import fusion, numeric as nm, rlm
 from ctxlm.corpus import ContextWindow, Sentence, Vocabulary
 from ctxlm.numeric import Tape, Variable
-from ctxlm.rlm import LstmState, init_rlm_parameters, lstm_step
+from ctxlm.rlm import LstmState, lstm_step
+
+
+def init_rlm_parameters(vocab_size, d_emb, d_h, rng, dtype):
+    return rlm.draw_parameters(rlm.rlm_shapes(vocab_size, d_emb, d_h), rng, dtype)
 
 
 def zero_params(vocab_size=4, d_emb=3, d_h=2):
@@ -75,35 +79,32 @@ def vocab_of(size):
     return Vocabulary(["<unk>", "</s>"] + [f"w{i}" for i in range(size - 2)])
 
 
-def sentence_nll(sentence, params, tape=None, trace=None):
-    """The sentence model alone: the RLM variant on a window without context."""
+def sentence_nll(sentence, params, tape=None):
+    """The sentence model alone: the RLM variant on a window without context
+    -> (scalar NLL Variable, per-position NLLs)."""
     vocab = vocab_of(params["b_out"].shape[0])
-    return fusion.conditional_sentence_nll(ContextWindow(sentence, ()), "RLM", params,
-                                           vocab, tape, trace)
+    total, token_nll = fusion.batch_nll([ContextWindow(sentence, ())], params, "RLM", vocab,
+                                        tape)
+    return nm.sum_all(tape, total), token_nll
 
 
 def test_sentence_nll_uniform_model():
     V = 10
     params = zero_params(vocab_size=V)
     s = Sentence((2, 3, 2, 1))  # three content tokens + EOS
-    nll = sentence_nll(s, params)
+    nll, _ = sentence_nll(s, params)
     assert float(nll.value) == pytest.approx(4 * math.log(V), abs=1e-12)
 
 
 def test_sentence_nll_nonnegative_and_distributions_normalized():
     V = 6
     params = rand_params(vocab_size=V)
-    trace = {}
-    nll = sentence_nll(Sentence((2, 4, 1)), params, trace=trace)
+    nll, token_nll = sentence_nll(Sentence((2, 4, 1)), params)
     assert float(nll.value) >= 0.0
-    assert all(v > 0 for v in trace["nll"])
-    assert sum(trace["nll"]) == pytest.approx(float(nll.value), abs=1e-12)
+    assert token_nll.shape == (3,) and np.all(token_nll > 0)
+    assert token_nll.sum() == pytest.approx(float(nll.value), abs=1e-12)
     # the first prediction's probabilities over every next token sum to one
-    first = []
-    for w in range(V):
-        trace = {}
-        sentence_nll(Sentence((w, 1)), params, trace=trace)
-        first.append(math.exp(-trace["nll"][0]))
+    first = [math.exp(-sentence_nll(Sentence((w, 1)), params)[1][0]) for w in range(V)]
     assert abs(sum(first) - 1.0) < 1e-12
 
 
@@ -111,7 +112,7 @@ def test_sentence_nll_gradients_match_finite_differences():
     params = rand_params(vocab_size=5, d_emb=2, d_h=3)
     s = Sentence((2, 3, 1))
     tape = Tape()
-    nll = sentence_nll(s, params, tape)
+    nll, _ = sentence_nll(s, params, tape)
     tape.backward(nll)
     for name, p in params.items():
         got = p.grad_buffer().copy().ravel()
@@ -120,7 +121,7 @@ def test_sentence_nll_gradients_match_finite_differences():
         def f(theta, p=p):
             saved = p.value
             p.value = theta.reshape(shape)
-            out = float(sentence_nll(s, params).value)
+            out = float(sentence_nll(s, params)[0].value)
             p.value = saved
             return out
 
@@ -145,5 +146,5 @@ def test_precision_modes():
     rng = np.random.Generator(np.random.PCG64(0))
     params32 = init_rlm_parameters(4, 2, 2, rng, np.float32)
     assert all(p.dtype == np.float32 for p in params32.values())
-    out = sentence_nll(Sentence((2, 1)), params32)
-    assert out.value.dtype == np.float32
+    out, token_nll = sentence_nll(Sentence((2, 1)), params32)
+    assert out.value.dtype == np.float32 and token_nll.dtype == np.float32

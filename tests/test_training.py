@@ -1,6 +1,7 @@
 import errno
 import math
 import os
+import re
 import struct
 import tracemalloc
 import warnings
@@ -203,7 +204,7 @@ def test_gradient_batch_single_window_equals_nll():
                                     np.float64)
     w = _windows()[2]
     loss, grads = gradient_batch([w], params, cfg.variant, VOCAB)
-    single = float(fusion.conditional_sentence_nll(w, cfg.variant, params, VOCAB).value)
+    single = float(fusion.batch_nll([w], params, cfg.variant, VOCAB)[0].value[0])
     assert loss == pytest.approx(single, abs=1e-12)
     assert set(grads) == set(params)
 
@@ -489,8 +490,10 @@ def test_checkpoint_rejects_every_truncation_and_trailing_bytes(tmp_path):
 
 def test_checkpoint_load_holds_no_second_copy(tmp_path):
     ckpt = train(tiny_config(max_epochs=1), TRAIN_DOCS, VALID_DOCS, VOCAB).checkpoint
-    rng = np.random.default_rng(5)
-    ckpt.arrays = {"W": rng.standard_normal((512, 512)), "b": rng.standard_normal(512)}
+    ckpt.config = tiny_config(variant="RLM", d_h=256, d_emb=256)
+    params = fusion.init_parameters(fusion.parse_variant("RLM"), len(VOCAB), 256, 256, 256,
+                                    256, np.random.Generator(np.random.PCG64(5)), np.float64)
+    ckpt.arrays = {name: p.value for name, p in params.items()}
     path = tmp_path / "big.ckpt"
     save_checkpoint(ckpt, path)
     array_bytes = sum(a.nbytes for a in ckpt.arrays.values())
@@ -502,6 +505,38 @@ def test_checkpoint_load_holds_no_second_copy(tmp_path):
         tracemalloc.stop()
     assert all(np.array_equal(loaded.arrays[k], a) for k, a in ckpt.arrays.items())
     assert peak < 1.25 * array_bytes
+
+
+def test_checkpoint_parameters_must_fit_the_config(tmp_path):
+    """A checkpoint whose model arrays lack a parameter, carry one more, or
+    have a wrong shape or precision is refused at load; optimizer arrays are
+    not checked."""
+    good = train(tiny_config(max_epochs=1), TRAIN_DOCS, VALID_DOCS, VOCAB).checkpoint
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(good, path)
+    assert set(load_checkpoint(path).model_params()) == set(fusion.parameter_shapes(
+        fusion.parse_variant("RLM-BoW-LF"), len(VOCAB), 3, 3, 2, 2))
+    arrays = dict(good.arrays)
+    cases = {
+        "missing W_p": {k: a for k, a in arrays.items() if k != "W_p"},
+        "unexpected W_extra": {**arrays, "W_extra": np.zeros(2)},
+        "W_out is (3, 5), not (3, 6)": {**arrays, "W_out": arrays["W_out"][:, :5]},
+        "b_r is float32, not f64": {**arrays, "b_r": arrays["b_r"].astype(np.float32)},
+    }
+    for message, bad in cases.items():
+        good.arrays = bad
+        save_checkpoint(good, path)
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            load_checkpoint(path)
+
+
+def test_parameter_shapes_are_what_init_parameters_draws():
+    rng = np.random.Generator(np.random.PCG64(0))
+    for tag, variant in fusion.VARIANTS.items():
+        shapes = fusion.parameter_shapes(variant, 9, 5, 4, 3, 2)
+        params = fusion.init_parameters(variant, 9, 5, 4, 3, 2, rng, np.float32)
+        assert list(shapes) == list(params), tag
+        assert all(params[k].shape == s for k, s in shapes.items()), tag
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
@@ -542,6 +577,12 @@ def test_config_type_errors_and_validation():
         TrainConfig(variant="RLM-XL", n=1)
     with pytest.raises(ConfigError, match="patience"):
         TrainConfig(variant="RLM", n=1, patience=0)
+    for value in ("nan", "inf", "-inf"):
+        with pytest.raises(ConfigError, match="eps"):
+            config_from_mapping({"variant": "RLM", "n": "1", "eps": value})
+        with pytest.raises(ConfigError, match="clip_norm"):
+            config_from_mapping({"variant": "RLM", "n": "1", "clip_norm": value})
+    assert TrainConfig(variant="RLM", n=1, clip_norm=-1.0).clip_norm == -1.0  # no clipping
 
 
 def test_config_duplicate_key_and_bad_line():
