@@ -126,7 +126,7 @@ def cmd_train(args) -> int:
 def _load_checkpoint_model(path) -> tuple[Model, Checkpoint]:
     try:
         ckpt = load_checkpoint(path)
-    except (ValueError, KeyError, IndexError) as e:
+    except ValueError as e:
         raise CorpusError(f"cannot read checkpoint {path}: {e}")
     return Model.from_checkpoint(ckpt), ckpt
 

@@ -2,7 +2,8 @@
 
 The objective is the mean per-sentence NLL over context windows (perplexity
 evaluation divides by tokens instead; both conventions are explicit in the
-code). Minibatches bucket windows by target length and mask the padding.
+code). Minibatches group windows of similar target length, and the engine
+packs each batch so it computes only real positions.
 Everything is driven by one seeded generator, so a fixed seed in 64-bit mode
 reproduces the whole trajectory bit for bit.
 
@@ -14,10 +15,11 @@ checkpoint with ``diverged`` set.
 The optimizer step and the training state make no parameter-sized copies.
 `adadelta_update` rounds every element exactly as the one-expression
 Adadelta formula does, but works through cache-sized row blocks with two
-small scratch buffers, so its results are bitwise that formula's. `train`
-keeps the best epoch's state as a copy only while a later epoch can still
-move the parameters; the last epoch's snapshot holds the live arrays, and
-the epoch-0 state is never copied: it is rebuilt from the seed when
+small scratch buffers, so its results are bitwise that formula's. A checkpoint
+holds the model parameters and the run's metadata, not the optimizer's
+moments. `train` keeps the best epoch's parameters as a copy only while a
+later epoch can still move them; the last epoch's snapshot holds the live
+arrays, and the epoch-0 state is never copied: it is rebuilt from the seed when
 divergence before the first validation forces `train` to return it.
 `save_checkpoint` writes to a temporary file beside the target and renames
 it into place.
@@ -39,7 +41,7 @@ from .corpus import (ContextWindow, CorpusError, Document, Vocabulary, corpus_wi
 from .numeric import Tape, Variable
 
 CHECKPOINT_MAGIC = b"CTXLM1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 DTYPE_CODES = {np.dtype(np.float32): 1, np.dtype(np.float64): 2}
 CODE_DTYPES = {v: k for k, v in DTYPE_CODES.items()}
 
@@ -49,8 +51,9 @@ class ConfigError(ValueError):
 
 
 class CheckpointError(ValueError):
-    """A checkpoint file that is truncated, carries bytes after its end, or
-    holds other parameters than its configuration describes."""
+    """A checkpoint file that is truncated, carries bytes after its end, holds
+    an array of unknown precision, lacks a trailer key, or holds other
+    parameters than its configuration describes."""
 
 
 @dataclass
@@ -286,23 +289,14 @@ def mean_window_nll(windows: list[ContextWindow], params: dict[str, Variable],
 @dataclass
 class Checkpoint:
     config: TrainConfig
-    arrays: dict[str, np.ndarray]  # model parameters, then optimizer state
+    arrays: dict[str, np.ndarray]  # exactly the model parameters
     vocab_tokens: list[str]
     epoch: int
     best_valid_nll: float
     rng_state: str
 
     def model_params(self) -> dict[str, Variable]:
-        return {
-            name: Variable(arr, name)
-            for name, arr in self.arrays.items()
-            if not name.startswith("opt.")
-        }
-
-    def optimizer_state(self) -> AdadeltaState:
-        eg = {n[len("opt.Eg."):]: a for n, a in self.arrays.items() if n.startswith("opt.Eg.")}
-        ed = {n[len("opt.Ed."):]: a for n, a in self.arrays.items() if n.startswith("opt.Ed.")}
-        return AdadeltaState(eg, ed)
+        return {name: Variable(arr, name) for name, arr in self.arrays.items()}
 
     def vocabulary(self) -> Vocabulary:
         return Vocabulary(self.vocab_tokens)
@@ -311,20 +305,6 @@ class Checkpoint:
 def encode_rng_state(rng: np.random.Generator) -> str:
     s = rng.bit_generator.state
     return f"{s['bit_generator']}:{s['state']['state']}:{s['state']['inc']}:{s['has_uint32']}:{s['uinteger']}"
-
-
-def decode_rng_state(text: str) -> np.random.Generator:
-    kind, state, inc, has32, uint = text.split(":")
-    if kind != "PCG64":
-        raise ConfigError(f"unsupported generator {kind!r}")
-    g = np.random.Generator(np.random.PCG64())
-    g.bit_generator.state = {
-        "bit_generator": kind,
-        "state": {"state": int(state), "inc": int(inc)},
-        "has_uint32": int(has32),
-        "uinteger": int(uint),
-    }
-    return g
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -399,7 +379,9 @@ def load_checkpoint(path) -> Checkpoint:
             name = str(take(name_len), "utf-8")
             code, rank = unpack("<BB")
             dims = unpack(f"<{rank}Q")
-            dtype = CODE_DTYPES[code]
+            dtype = CODE_DTYPES.get(code)
+            if dtype is None:
+                raise CheckpointError(f"array {name} has unknown precision code {code}")
             claim(math.prod(dims) * dtype.itemsize)
             flat = np.empty(math.prod(dims), dtype.newbyteorder("<"))
             if fh.readinto(flat.view(np.uint8)) != flat.nbytes:
@@ -410,6 +392,10 @@ def load_checkpoint(path) -> Checkpoint:
     if off != size:
         raise CheckpointError(f"{size - off} unexpected bytes after the checkpoint's end")
     raw = parse_config_text(text)
+    missing = [key for key in ("epoch", "best_valid_nll", "rng_state", "vocab")
+               if key not in raw]
+    if missing:
+        raise CheckpointError(f"checkpoint trailer lacks {', '.join(missing)}")
     epoch = int(raw.pop("epoch"))
     best = float(raw.pop("best_valid_nll"))
     rng_state = raw.pop("rng_state")
@@ -423,12 +409,11 @@ def _check_parameters(arrays: dict[str, np.ndarray], config: TrainConfig,
                       vocab_size: int) -> None:
     expect = fusion.parameter_shapes(fusion.parse_variant(config.variant), vocab_size,
                                      config.d_emb, config.d_h, config.d_ctx, config.d_a)
-    got = {name: a for name, a in arrays.items() if not name.startswith("opt.")}
-    problems = [f"missing {name}" for name in expect if name not in got]
-    problems += [f"unexpected {name}" for name in got if name not in expect]
-    problems += [f"{name} is {got[name].shape}, not {shape}" for name, shape in expect.items()
-                 if name in got and got[name].shape != shape]
-    problems += [f"{name} is {a.dtype}, not {config.precision}" for name, a in got.items()
+    problems = [f"missing {name}" for name in expect if name not in arrays]
+    problems += [f"unexpected {name}" for name in arrays if name not in expect]
+    problems += [f"{name} is {arrays[name].shape}, not {shape}" for name, shape in expect.items()
+                 if name in arrays and arrays[name].shape != shape]
+    problems += [f"{name} is {a.dtype}, not {config.precision}" for name, a in arrays.items()
                  if a.dtype != config.dtype]
     if problems:
         raise CheckpointError(f"parameters do not fit {config.variant}: "
@@ -487,35 +472,29 @@ class EarlyStopper:
         return self.stale > self.patience
 
 
-def _snapshot(config: TrainConfig, params: dict[str, Variable], opt: AdadeltaState,
-              vocab: Vocabulary, epoch: int, best: float, rng: np.random.Generator,
-              copy: bool) -> Checkpoint:
-    """The training state as a checkpoint; without ``copy`` it holds the live
-    arrays, which is safe only once nothing will update them again."""
-    arrays = {name: p.value for name, p in params.items()}
-    for name in params:
-        arrays[f"opt.Eg.{name}"] = opt.sq_grad[name]
-        arrays[f"opt.Ed.{name}"] = opt.sq_delta[name]
-    if copy:
-        arrays = {name: a.copy() for name, a in arrays.items()}
+def _snapshot(config: TrainConfig, params: dict[str, Variable], vocab: Vocabulary,
+              epoch: int, best: float, rng: np.random.Generator, copy: bool) -> Checkpoint:
+    """The model as a checkpoint; without ``copy`` it holds the live arrays,
+    which is safe only once nothing will update them again."""
+    arrays = {name: p.value.copy() if copy else p.value for name, p in params.items()}
     return Checkpoint(config, arrays, list(vocab.tokens), epoch, best, encode_rng_state(rng))
 
 
 def _initial_state(config: TrainConfig, variant, vocab: Vocabulary
-                   ) -> tuple[dict[str, Variable], AdadeltaState, np.random.Generator]:
-    """Parameters, zero Adadelta moments and the generator, as seeded."""
+                   ) -> tuple[dict[str, Variable], np.random.Generator]:
+    """Parameters and the generator, as seeded."""
     rng = np.random.Generator(np.random.PCG64(config.seed))
     params = fusion.init_parameters(
         variant, len(vocab), config.d_emb, config.d_h, config.d_ctx, config.d_a, rng,
         config.dtype
     )
-    return params, AdadeltaState.for_params(params), rng
+    return params, rng
 
 
 def _initial_checkpoint(config: TrainConfig, variant, vocab: Vocabulary) -> Checkpoint:
     """The epoch-0 checkpoint, rebuilt from the seed instead of kept as a copy."""
-    params, opt, rng = _initial_state(config, variant, vocab)
-    return _snapshot(config, params, opt, vocab, 0, math.inf, rng, copy=False)
+    params, rng = _initial_state(config, variant, vocab)
+    return _snapshot(config, params, vocab, 0, math.inf, rng, copy=False)
 
 
 def _length_bucketed_batches(windows: list[ContextWindow], rng: np.random.Generator,
@@ -535,7 +514,8 @@ def train(config: TrainConfig, train_docs: list[Document], valid_docs: list[Docu
     ``diverged`` set instead of raising.
     """
     variant = fusion.parse_variant(config.variant)
-    params, opt, rng = _initial_state(config, variant, vocab)
+    params, rng = _initial_state(config, variant, vocab)
+    moments = AdadeltaState.for_params(params)
 
     train_windows = corpus_windows(filter_by_length(train_docs, config.max_len), config.n)
     valid_windows = corpus_windows(filter_by_length(valid_docs, config.max_len), config.n)
@@ -566,8 +546,8 @@ def train(config: TrainConfig, train_docs: list[Document], valid_docs: list[Docu
             if not (math.isfinite(loss) and math.isfinite(norm)):
                 return diverged()
             for name, p in params.items():
-                adadelta_update(p.value, grads[name], opt.sq_grad[name],
-                                opt.sq_delta[name], config.rho, config.eps)
+                adadelta_update(p.value, grads[name], moments.sq_grad[name],
+                                moments.sq_delta[name], config.rho, config.eps)
             loss_sum += loss * len(ws)
             seen += len(ws)
         train_nll = loss_sum / seen
@@ -580,7 +560,7 @@ def train(config: TrainConfig, train_docs: list[Document], valid_docs: list[Docu
             return diverged()
         if stopper.update(epoch, valid_nll):
             # the last epoch's arrays never move again, so they need no copy
-            best = _snapshot(config, params, opt, vocab, epoch, valid_nll, rng,
+            best = _snapshot(config, params, vocab, epoch, valid_nll, rng,
                              copy=epoch < config.max_epochs)
         if stopper.should_stop:
             break

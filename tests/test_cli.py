@@ -1,4 +1,6 @@
 import math
+import re
+import struct
 
 import pytest
 
@@ -345,6 +347,35 @@ def test_eval_truncated_or_padded_checkpoint_is_data_error(tmp_path, capsys):
         bad.write_bytes(data)
         assert main(["eval", "--checkpoint", str(bad), "--corpus", str(corpus)]) == 2
         assert "cannot read checkpoint" in capsys.readouterr().err
+
+
+def test_eval_checkpoint_with_unknown_precision_or_no_epoch_is_data_error(tmp_path, capsys):
+    """An array of unknown precision code, and a trailer without ``epoch``
+    whose length field fits its shortened text, each exit 2 naming what is
+    wrong, with nothing on stdout."""
+    blob = fresh_checkpoint(tmp_path).read_bytes()
+    (name_len,) = struct.unpack_from("<H", blob, 14)
+    bad_code = bytearray(blob)
+    bad_code[16 + name_len] = 7
+    text_at = blob.rindex(b"variant = ")  # the trailer's first line
+    text = blob[text_at:]
+    assert struct.unpack_from("<I", blob, text_at - 4) == (len(text),)
+    no_epoch = re.sub(rb"(?m)^epoch = \d+\n", b"", text)
+    assert len(no_epoch) < len(text)
+    cases = {
+        f"array {blob[16 : 16 + name_len].decode()} has unknown precision code 7": bad_code,
+        "trailer lacks epoch":
+            blob[: text_at - 4] + struct.pack("<I", len(no_epoch)) + no_epoch,
+    }
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("a b\n", encoding="utf-8")
+    bad = tmp_path / "bad.ckpt"
+    for message, data in cases.items():
+        bad.write_bytes(data)
+        code = main(["eval", "--checkpoint", str(bad), "--corpus", str(corpus)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert message in captured.err
 
 
 def test_eval_checkpoint_with_wrong_parameters_is_data_error(tmp_path, capsys):

@@ -283,18 +283,6 @@ def test_train_returns_best_checkpoint_and_stops_early():
     assert result.checkpoint.best_valid_nll == 2.0
 
 
-def test_train_optimizer_state_mirrors_parameter_shapes():
-    cfg = tiny_config(max_epochs=1)
-    result = train(cfg, TRAIN_DOCS, VALID_DOCS, VOCAB)
-    params = result.checkpoint.model_params()
-    opt = result.checkpoint.optimizer_state()
-    assert set(opt.sq_grad) == set(params)
-    for name, p in params.items():
-        assert opt.sq_grad[name].shape == p.value.shape
-        assert opt.sq_delta[name].shape == p.value.shape
-        assert np.all(opt.sq_grad[name] >= 0)
-
-
 def test_train_divergence_returns_last_good_checkpoint(monkeypatch):
     state = {"batches": 0}
 
@@ -325,14 +313,10 @@ def test_train_nonfinite_gradient_aborts(monkeypatch):
     fresh = fusion.init_parameters(fusion.parse_variant(cfg.variant), len(VOCAB), cfg.d_emb,
                                    cfg.d_h, cfg.d_ctx, cfg.d_a, rng, cfg.dtype)
     arrays = result.checkpoint.arrays
-    assert len(arrays) == 3 * len(fresh)
+    assert len(arrays) == len(fresh)
     for name, p in fresh.items():
         assert arrays[name].dtype == p.value.dtype
         assert np.array_equal(arrays[name], p.value), name
-        for moment in (f"opt.Eg.{name}", f"opt.Ed.{name}"):
-            assert arrays[moment].shape == p.value.shape
-            assert arrays[moment].dtype == p.value.dtype
-            assert not arrays[moment].any(), moment
     assert result.checkpoint.rng_state == training.encode_rng_state(rng)
     assert result.checkpoint.best_valid_nll == math.inf
 
@@ -354,6 +338,34 @@ def test_train_returns_the_best_epoch_state_not_a_later_one(monkeypatch):
         assert np.array_equal(result.checkpoint.arrays[name], value), name
     assert any(not np.array_equal(result.checkpoint.arrays[name], value)
                for name, value in after_epoch3.items())
+
+
+def test_best_epoch_snapshot_copies_only_the_parameters(monkeypatch):
+    # epoch 1 improves while epoch 2 can still move the parameters, so its
+    # snapshot is a copy: of the parameters alone, not of optimizer state
+    monkeypatch.setattr(training, "mean_window_nll",
+                        lambda windows, params, variant, vocab, batch_size: 3.0)
+    snapshot = training._snapshot
+    peaks = []
+
+    def traced(config, params, *args, copy):
+        if not copy:
+            return snapshot(config, params, *args, copy=copy)
+        tracemalloc.start()
+        try:
+            ckpt = snapshot(config, params, *args, copy=copy)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak / sum(p.value.nbytes for p in params.values()))
+        return ckpt
+
+    monkeypatch.setattr(training, "_snapshot", traced)
+    cfg = tiny_config(d_h=96, d_emb=96, d_ctx=96, max_epochs=2)
+    result = train(cfg, TRAIN_DOCS, VALID_DOCS, VOCAB)
+    assert result.checkpoint.epoch == 1
+    assert len(peaks) == 1
+    assert peaks[0] <= 1.25, f"snapshot copy peaked at {peaks[0]:.2f}x the parameter bytes"
 
 
 @pytest.mark.parametrize("bad", [math.inf, 1e200])
@@ -454,7 +466,7 @@ def test_checkpoint_binary_layout(tmp_path):
     blob = path.read_bytes()
     assert blob[:6] == b"CTXLM1"
     version, count = struct.unpack_from("<II", blob, 6)
-    assert version == 1
+    assert version == 2
     assert count == len(result.checkpoint.arrays)
     (name_len,) = struct.unpack_from("<H", blob, 14)
     name = blob[16 : 16 + name_len].decode("utf-8")
@@ -462,14 +474,6 @@ def test_checkpoint_binary_layout(tmp_path):
     code, rank = struct.unpack_from("<BB", blob, 16 + name_len)
     assert code == 2  # f64
     assert rank == result.checkpoint.arrays[name].ndim
-
-
-def test_checkpoint_rng_state_roundtrip():
-    rng = np.random.Generator(np.random.PCG64(99))
-    rng.standard_normal(10)
-    encoded = training.encode_rng_state(rng)
-    restored = training.decode_rng_state(encoded)
-    assert np.array_equal(rng.standard_normal(5), restored.standard_normal(5))
 
 
 def test_checkpoint_rejects_every_truncation_and_trailing_bytes(tmp_path):
@@ -508,9 +512,9 @@ def test_checkpoint_load_holds_no_second_copy(tmp_path):
 
 
 def test_checkpoint_parameters_must_fit_the_config(tmp_path):
-    """A checkpoint whose model arrays lack a parameter, carry one more, or
-    have a wrong shape or precision is refused at load; optimizer arrays are
-    not checked."""
+    """A checkpoint whose arrays lack a parameter, carry one more (optimizer
+    moments included), or have a wrong shape or precision is refused at load,
+    and so is a version-1 file, which carried the Adadelta moments."""
     good = train(tiny_config(max_epochs=1), TRAIN_DOCS, VALID_DOCS, VOCAB).checkpoint
     path = tmp_path / "m.ckpt"
     save_checkpoint(good, path)
@@ -520,6 +524,7 @@ def test_checkpoint_parameters_must_fit_the_config(tmp_path):
     cases = {
         "missing W_p": {k: a for k, a in arrays.items() if k != "W_p"},
         "unexpected W_extra": {**arrays, "W_extra": np.zeros(2)},
+        "unexpected opt.Eg.E": {**arrays, "opt.Eg.E": np.zeros_like(arrays["E"])},
         "W_out is (3, 5), not (3, 6)": {**arrays, "W_out": arrays["W_out"][:, :5]},
         "b_r is float32, not f64": {**arrays, "b_r": arrays["b_r"].astype(np.float32)},
     }
@@ -528,6 +533,14 @@ def test_checkpoint_parameters_must_fit_the_config(tmp_path):
         save_checkpoint(good, path)
         with pytest.raises(CheckpointError, match=re.escape(message)):
             load_checkpoint(path)
+    good.arrays = {**arrays, **{f"opt.{m}.{k}": np.zeros_like(a)
+                                for m in ("Eg", "Ed") for k, a in arrays.items()}}
+    save_checkpoint(good, path)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<I", blob, len(training.CHECKPOINT_MAGIC), 1)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ConfigError, match="unsupported checkpoint version 1"):
+        load_checkpoint(path)
 
 
 def test_parameter_shapes_are_what_init_parameters_draws():
