@@ -99,6 +99,9 @@ def cmd_train(args) -> int:
     for key in ("train_path", "valid_path"):
         if not getattr(config, key):
             raise ConfigError(f"missing config key {key!r}")
+    # the checkpoint is written after the last epoch: refuse a target that cannot take it now
+    if not os.path.isdir(os.path.dirname(args.out) or ".") or os.path.isdir(args.out):
+        raise CorpusError(f"--out {args.out}: not a file in an existing directory")
     try:
         train_raw = _load_documents(config.train_path)
         valid_raw = _load_documents(config.valid_path)
@@ -173,10 +176,11 @@ def cmd_ngram(args) -> int:
     table = count_ngrams(train_docs, args.order, len(vocab))
     eval_docs = _load_documents(args.eval, vocab)
     report = corpus_perplexity(table, eval_docs, n=0)
+    export = open(args.export, "w", encoding="utf-8") if args.export else None  # before any output
     sys.stdout.write(report.csv())
-    if args.export:
-        with open(args.export, "w", encoding="utf-8") as fh:
-            write_arpa(table, vocab, fh)
+    if export:
+        with export:
+            write_arpa(table, vocab, export)
         log(f"wrote {args.export}")
     return EXIT_OK
 

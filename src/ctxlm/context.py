@@ -5,10 +5,11 @@ These are the encoders the batch engine runs, over a batch of B windows in
 the engine's row order. Context sentences are left-padded to K positions,
 position-major (K, B, ...), with a (B, K) 0/1 mask; the context LSTM carries
 its state unchanged over padded positions, so a window without context
-encodes to the zero vector and its attention weights are all zero. An
-attention query may cover only the n <= B leading windows (the targets
-still running at a decoder step); it then reads those windows' rows of the
-annotations and keys.
+encodes to the zero vector and its attention weights are all zero.
+:func:`attend` returns one decoder step's weights only; the engine mixes
+the annotations' projections (from :func:`project`) with them, which equals
+projecting the mix. Its query may cover only the n <= B leading windows
+(the targets still running at a decoder step), which read their keys' rows.
 """
 
 import numpy as np
@@ -35,6 +36,16 @@ def seqbow_shapes(vocab_size: int, d_ctx: int, bidirectional: bool) -> rlm.Shape
 
 def attention_shapes(annot_dim: int, d_h: int, d_a: int) -> rlm.Shapes:
     return {"W_a": (annot_dim, d_a), "U_a": (d_h, d_a), "v_a": (d_a,)}
+
+
+def project(tape: Tape | None, x: Variable, weight: Variable) -> Variable:
+    """A context summary (B, D) or annotations (K, B, D) times weight (D, E) ->
+    (B, E) or (K, B, E), one product either way."""
+    if x.value.ndim == 2:
+        return nm.matmul(tape, x, weight)
+    K, B, D = x.shape
+    flat = nm.reshape(tape, x, (K * B, D))
+    return nm.reshape(tape, nm.matmul(tape, flat, weight), (K, B, -1))
 
 
 def project_counts(tape: Tape | None, params: dict[str, Variable],
@@ -79,21 +90,12 @@ def annotate(tape: Tape | None, params: dict[str, Variable], bow_seq: np.ndarray
     return nm.concat_cols(tape, [nm.stack_first(tape, fwd), nm.stack_first(tape, rev)])
 
 
-def attention_keys(tape: Tape | None, params: dict[str, Variable],
-                   annotations: Variable) -> Variable:
-    """W_a z_k for every annotation at once: (K, B, D) -> (K, B, d_a)."""
-    K, B, D = annotations.shape
-    flat = nm.reshape(tape, annotations, (K * B, D))
-    return nm.reshape(tape, nm.matmul(tape, flat, params["W_a"]), (K, B, -1))
-
-
-def attend(tape: Tape | None, params: dict[str, Variable], annotations: Variable,
-           keys: Variable, h_query: Variable, mask: np.ndarray) -> tuple[Variable, Variable]:
-    """Additive attention: score_k = v_a . tanh(W_a z_k + U_a h), softmax over the
-    unmasked positions; returns (weighted annotation sum (n, D), alphas (n, K))
-    for a query h_query (n, d_h) of the n leading windows, whose mask rows
-    (n, K) are ``mask``."""
+def attend(tape: Tape | None, params: dict[str, Variable], keys: Variable,
+           h_query: Variable, mask: np.ndarray) -> Variable:
+    """Additive attention weights: score_k = v_a . tanh(W_a z_k + U_a h), softmax
+    over the unmasked positions -> alphas (n, K), for a query h_query (n, d_h)
+    of the n leading windows, whose mask rows (n, K) are ``mask``. ``keys``
+    (K, B, d_a) holds every W_a z_k, from :func:`project`."""
     query = nm.matmul(tape, h_query, params["U_a"])
     scores = nm.attention_scores(tape, keys, query, params["v_a"])
-    alphas = nm.masked_softmax(tape, scores, mask)
-    return nm.attention_mix(tape, alphas, annotations), alphas
+    return nm.masked_softmax(tape, scores, mask)

@@ -1,10 +1,11 @@
 """Conditioning the sentence LSTM on preceding-sentence context.
 
-Early fusion adds the projected context vector to the word input at every
-timestep. Late fusion leaves the cell update untouched and gates the
-projected context into the output: r = sigmoid(W_rp q + W_rc c + b_r),
-h = o * tanh(c + r * q) with q = W_p p. Attention variants recompute the
-context vector at each step, queried by the previous hidden state.
+Every variant projects its context once per batch, q = p W_p. Early fusion
+feeds q W into the cell's input term (q added to the word input, as W is
+linear). Late fusion leaves the cell untouched and gates q into the output:
+r = sigmoid(q W_rp + c W_rc + b_r), h = o * tanh(c + r * q). Attention's p
+holds one annotation per context sentence; each step mixes their
+projections with weights queried by the previous hidden state.
 
 One engine, ``batch_nll``, evaluates every variant for training, corpus
 evaluation and tests alike; a single window is a batch of one. It works on a
@@ -12,16 +13,14 @@ packed batch: the windows are sorted by target length, longest first (a
 stable sort), and only the N real target positions are kept, time-major.
 The windows still running at step t are then the n_t leading rows of the
 batch, so step t owns the packed rows ``bounds[t]:bounds[t+1]`` and no
-padded position is ever embedded, projected or scored. The engine steps through time only for the
-recurrence, which records the fused ``numeric.lstm_cell`` on the n_t leading
-rows (plus ``numeric.late_fusion_output`` for late fusion and one batched
-scoring of all context positions for attention). The embedding gather, the
-input projection of all N positions, the encoding of the context sentences
-(module ``context``) and the output softmax + NLL of all N positions are
-each computed once per batch. Per-window totals are segment sums of the
-packed NLLs, added in time order and returned in the caller's window order;
-the per-position NLLs come back in that order too, gathered once from the
-packed ones.
+padded position is ever embedded, projected or scored. The engine steps
+through time only for the recurrence, which records the fused
+``numeric.lstm_cell`` on the n_t leading rows (plus
+``numeric.late_fusion_output`` for late fusion, and attention's weights and
+mix). Everything else is computed once per batch. Per-window totals are
+segment sums of the packed NLLs, added in time order and returned in the
+caller's window order; the per-position NLLs come back in that order too,
+gathered once from the packed ones.
 """
 
 from dataclasses import dataclass
@@ -110,7 +109,6 @@ class WindowBatch:
     inputs: np.ndarray            # (N,) int64: BOS, then the previous target token
     targets: np.ndarray           # (N,) int64: content tokens, then EOS
     bounds: np.ndarray            # (T+1,) int64: step t owns positions bounds[t]:bounds[t+1]
-    row: np.ndarray               # (N,) int64: each position's batch row
     window: np.ndarray            # (N,) int64: each position's window, in the caller's order
     token_order: np.ndarray       # (N,) int64: the positions by window (caller's order), then step
     bow_sum: np.ndarray | None    # (B,V) summed context counts
@@ -148,8 +146,7 @@ def make_batch(windows: list[ContextWindow], vocab: Vocabulary, variant: Variant
     inputs[1:] = targets[:-1]
     real = np.arange(T)[:, None] < lengths  # (T,B): a prefix of the rows at every step
     bounds = np.concatenate(([0], np.cumsum(real.sum(axis=1))))
-    row = np.broadcast_to(np.arange(B), (T, B))[real]
-    window = np.array(order)[row]
+    window = np.array(order)[np.broadcast_to(np.arange(B), (T, B))[real]]
     # time-major packing lists each window's positions in step order already
     token_order = np.argsort(window, kind="stable")
     bow_sum = bow_seq = ctx_mask = None
@@ -164,7 +161,7 @@ def make_batch(windows: list[ContextWindow], vocab: Vocabulary, variant: Variant
                  for j, s in enumerate(w.context)]
         bow_seq = _count_rows(pairs, K * B, V, dtype).reshape(K, B, V)
         ctx_mask = (np.arange(K) >= np.array(offsets)[:, None]).astype(dtype)
-    return WindowBatch(inputs[real], targets[real], bounds, row, window, token_order,
+    return WindowBatch(inputs[real], targets[real], bounds, window, token_order,
                        bow_sum, bow_seq, ctx_mask)
 
 
@@ -176,10 +173,10 @@ def batch_nll(windows: list[ContextWindow], params: dict[str, Variable], variant
     window's positions in time order.
 
     Empty contexts reduce to the unconditioned model. Only the recurrence runs
-    step by step, on the windows still running; the embedding gather, the
-    input projection of all N real positions, the context encoder's BoW
-    projection and the attention keys W_a z_k are each one product before the
-    time loop, and the output affine and NLL of all N positions one after it.
+    step by step, on the windows still running; its only product is
+    attention's query h U_a. The input projection of all N real positions
+    and every product of the context are made before the time loop, and the
+    output affine and NLL of all N positions after it.
     """
     if isinstance(variant, str):
         variant = parse_variant(variant)
@@ -188,10 +185,8 @@ def batch_nll(windows: list[ContextWindow], params: dict[str, Variable], variant
     B, T = len(windows), len(batch.bounds) - 1
     d_h = params["b_i"].shape[0]
 
-    p = None          # context vector, fixed over the sentence
-    extra = None      # early fusion: fixed projected context
-    q = None          # late fusion: projected context entering the output gate
-    annots = None     # attention: annotations (K,B,2*d_ctx)
+    p = None          # context: a summary (B,D), or attention's annotations (K,B,D)
+    annots = None
     if variant.context == "bow":
         p = ctx.project_counts(tape, params, batch.bow_sum)
     elif variant.context in ("seqbow", "att") and batch.bow_seq.shape[0] == 0:
@@ -199,20 +194,17 @@ def batch_nll(windows: list[ContextWindow], params: dict[str, Variable], variant
     elif variant.context == "seqbow":
         p = ctx.seqbow_summary(tape, params, batch.bow_seq, batch.ctx_mask)
     elif variant.context == "att":
-        annots = ctx.annotate(tape, params, batch.bow_seq, batch.ctx_mask)
-        keys = ctx.attention_keys(tape, params, annots)
-    if p is not None:
-        proj = nm.matmul(tape, p, params["W_p"])
-        if variant.fusion == "early":
-            extra = proj
-        else:
-            q = proj
-    q_r = nm.matmul(tape, q, params["W_rp"]) if q is not None else None
-
+        p = annots = ctx.annotate(tape, params, batch.bow_seq, batch.ctx_mask)
+        keys = ctx.project(tape, annots, params["W_a"])
+    feed = ()         # the decoder's context: (q W,) for early fusion, (q, q W_rp) for late
+    if variant.fusion == "late":
+        q = ctx.project(tape, p, params["W_p"])
+        feed = (q, ctx.project(tape, q, params["W_rp"]))
     W, U, b = rlm.gate_weights(tape, params, "")
+    if variant.fusion == "early":
+        feed = (ctx.project(tape, ctx.project(tape, p, params["W_p"]), W),)
+
     x = nm.embed_rows(tape, params["E"], batch.inputs)
-    if extra is not None:
-        x = nm.add(tape, x, nm.embed_rows(tape, extra, batch.row))
     xproj = nm.matmul(tape, x, W)
 
     state = rlm.zero_state(B, d_h, dtype)
@@ -220,20 +212,15 @@ def batch_nll(windows: list[ContextWindow], params: dict[str, Variable], variant
     for t in range(T):
         rows = slice(batch.bounds[t], batch.bounds[t + 1])
         n = rows.stop - rows.start
-        step_in = None
-        if annots is not None:
+        step = feed
+        if annots is not None:  # this step's weights mix the projected annotations
             query = nm.leading_rows(tape, state.h, n)
-            mixed, _ = ctx.attend(tape, params, annots, keys, query, batch.ctx_mask[:n])
-            proj_t = nm.matmul(tape, mixed, params["W_p"])
-            if variant.fusion == "early":
-                step_in = nm.matmul(tape, proj_t, W)
-            else:
-                q = proj_t
-        _, o, c_new, h_new = nm.lstm_cell(tape, xproj, rows, state.h, state.c, U, b, step_in)
+            alphas = ctx.attend(tape, params, keys, query, batch.ctx_mask[:n])
+            step = tuple(nm.attention_mix(tape, alphas, f) for f in feed)
+        extra = step[0] if variant.fusion == "early" else None
+        _, o, c_new, h_new = nm.lstm_cell(tape, xproj, rows, state.h, state.c, U, b, extra)
         if variant.fusion == "late":
-            if annots is not None:  # attention: q is new at every step
-                q_r = nm.matmul(tape, q, params["W_rp"])
-            h_new = nm.late_fusion_output(tape, o, c_new, q, q_r, params["W_rc"], params["b_r"])
+            h_new = nm.late_fusion_output(tape, o, c_new, *step, params["W_rc"], params["b_r"])
         hs.append(h_new)
         state = LstmState(h_new, c_new)
 

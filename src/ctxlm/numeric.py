@@ -18,7 +18,7 @@ count matrices) receive no gradient.
 Packed batches: the batch engine sorts its sequences longest first, so the
 sequences still running at a timestep are the leading rows of the batch.
 The fused primitives therefore accept state and context operands wider than
-the step (``h_prev``/``c_prev`` of :func:`lstm_cell`, ``q``/``q_r`` of
+the step (``h_prev``/``c_prev``/``extra`` of :func:`lstm_cell`, ``q``/``q_r`` of
 :func:`late_fusion_output`, the keys and annotations of attention): they
 read only the leading rows the step's other operands have, and add
 gradient back into those rows only. :func:`concat_rows` joins the ragged
@@ -190,6 +190,7 @@ def matmul(tape: Tape | None, a: Variable, b: Variable) -> Variable:
     return out
 
 
+# no engine use; kept because bench/tracing.py wraps numeric.add by name
 def add(tape: Tape | None, a: Variable, b: Variable) -> Variable:
     out = Variable(a.value + b.value)
     if tape is not None:
@@ -370,10 +371,10 @@ def lstm_cell(tape: Tape | None, xproj: Variable, rows: slice, h_prev: Variable,
 
     ``xproj`` (N,4d) holds the input projection x @ W of a whole packed
     sequence batch, with gate blocks in ``rlm.GATES`` order (i, o, f, c); the
-    step reads its n rows ``xproj[rows]``. ``h_prev`` and ``c_prev`` may have
-    more rows than n: the step reads, and sends gradient to, their n leading
-    rows. The pre-activations are
-    h_prev[:n] @ U + xproj[rows] (+ ``extra``, a further (n,4d) input term) + b;
+    step reads its n rows ``xproj[rows]``. ``h_prev``, ``c_prev`` and ``extra``
+    may have more rows than n: the step reads, and sends gradient to, their n
+    leading rows. The pre-activations are
+    h_prev[:n] @ U + xproj[rows] (+ ``extra[:n]``, a further input term) + b;
     then c = f*c_prev + i*g and h = o*tanh(c). One closure backpropagates every
     output's gradient: it forms the pre-activation gradient dz once, then
     dh_prev = dz @ U.T, dc_prev, dU = h_prev.T @ dz, db, and xproj[rows] (and
@@ -385,7 +386,7 @@ def lstm_cell(tape: Tape | None, xproj: Variable, rows: slice, h_prev: Variable,
     z = h_in @ U.value
     z += x_t
     if extra is not None:
-        z += extra.value
+        z += extra.value[:n]
     z += b.value
     d = z.shape[1] // 4
     act = np.empty_like(z)
@@ -416,12 +417,12 @@ def lstm_cell(tape: Tape | None, xproj: Variable, rows: slice, h_prev: Variable,
             dz[:, :3 * d] *= sig * (1.0 - sig)
             dz[:, 3 * d:] *= 1.0 - g * g
             xproj.grad_buffer()[rows] += dz
-            if extra is not None:
-                extra.grad_buffer()[...] += dz
             h_prev.add_grad_leading(dz @ U.value.T)
             c_prev.add_grad_leading(dc * f)
             U.add_grad(h_in.T @ dz)
             b.add_grad(dz.sum(axis=0))
+            if extra is not None:  # last: it may adopt dz as its gradient
+                extra.add_grad_leading(dz)
         tape.record(backprop)
     return i_out, o_out, c_out, h_out
 

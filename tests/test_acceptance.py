@@ -251,16 +251,18 @@ def test_ac4_directional_larger_context_benefit():
 
 
 def test_ac5_attention_sanity():
-    """context.attend, the engine's attention, on one batch of 1000 windows
-    with 1-5 live context positions each, left-padded to 5 with junk."""
+    """The engine's attention (keys by context.project, weights by
+    context.attend, the mix by numeric.attention_mix) on one batch of 1000
+    windows with 1-5 live context positions each, left-padded to 5 with junk."""
     rng = np.random.default_rng(9)
     params = rlm.draw_parameters(ctx.attention_shapes(annot_dim=6, d_h=4, d_a=5),
                                  np.random.Generator(np.random.PCG64(3)), np.float64)
 
     def attend(annots, h, mask):
         annots = Variable(annots)
-        keys = ctx.attention_keys(None, params, annots)
-        mixed, alphas = ctx.attend(None, params, annots, keys, Variable(h), mask)
+        keys = ctx.project(None, annots, params["W_a"])
+        alphas = ctx.attend(None, params, keys, Variable(h), mask)
+        mixed = nm.attention_mix(None, alphas, annots)
         return mixed.value, alphas.value
 
     # single annotation concentrates all weight

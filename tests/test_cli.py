@@ -176,6 +176,20 @@ def test_train_empty_validation_set_is_data_error(tmp_path, capsys):
     assert "no validation windows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out", ["nodir/m.ckpt", "."])
+def test_train_unwritable_out_fails_before_training(tmp_path, capsys, out):
+    """An --out in a missing directory, or one that is a directory, exits 2
+    before any corpus is read: no epoch is trained and no file is written."""
+    cfg = write_config(tmp_path)
+    before = sorted(p.name for p in tmp_path.rglob("*"))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert "--out" in err
+    assert not re.search(r"^\d+,", err, re.MULTILINE)  # no epoch line
+    assert "training" not in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == before
+
+
 # -- eval -------------------------------------------------------------------------
 
 
@@ -429,6 +443,15 @@ def test_ngram_export(tmp_path, capsys):
                  "--eval", str(train), "--export", str(arpa)]) == 0
     text = arpa.read_text(encoding="utf-8")
     assert text.startswith("\\data\\") and "\\2-grams:" in text
+
+
+def test_ngram_export_failure_prints_nothing(tmp_path, capsys):
+    train, _ = write_corpora(tmp_path)
+    assert main(["ngram", "--order", "2", "--train", str(train),
+                 "--eval", str(train), "--export", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(tmp_path) in captured.err
 
 
 def test_ngram_rejects_order_zero(tmp_path, capsys):

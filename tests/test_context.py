@@ -50,6 +50,14 @@ def annotate(params, *contexts, tape=None):
     return ctx.annotate(tape, params, batch.bow_seq, batch.ctx_mask), batch.ctx_mask
 
 
+def attention(params, annots, h_query, mask, tape=None):
+    """Attention as the engine runs it: keys by ctx.project, weights by
+    ctx.attend, and the annotations mixed with those weights -> (mixed, alphas)."""
+    keys = ctx.project(tape, annots, params["W_a"])
+    alphas = ctx.attend(tape, params, keys, h_query, mask)
+    return nm.attention_mix(tape, alphas, annots), alphas
+
+
 def test_encode_bow_empty_is_zero():
     p = encode_bow(bow_params(), (), (sent(2, 3),))
     assert np.all(p.value[0] == 0.0)
@@ -95,8 +103,7 @@ def test_annotate_empty_context_is_zero():
     annots, mask = annotate(params, (), (sent(2, 3), sent(4,)))
     assert np.all(annots.value[:, 0] == 0.0)
     assert np.all(annots.value[:, 1] != 0.0)
-    keys = ctx.attention_keys(None, params, annots)
-    mixed, alphas = ctx.attend(None, params, annots, keys, query(batch=2), mask)
+    mixed, alphas = attention(params, annots, query(batch=2), mask)
     assert np.all(alphas.value[0] == 0.0) and np.all(mixed.value[0] == 0.0)
 
 
@@ -138,8 +145,7 @@ def query(d_h=4, seed=2, batch=1):
 def attend_one(zs, h, params):
     """Attention of one window over the annotations zs, each (D,)."""
     annots = Variable(np.stack(zs)[:, None, :])
-    keys = ctx.attention_keys(None, params, annots)
-    mixed, alphas = ctx.attend(None, params, annots, keys, h, np.ones((1, len(zs))))
+    mixed, alphas = attention(params, annots, h, np.ones((1, len(zs))))
     return mixed.value[0], alphas.value[0]
 
 
@@ -185,9 +191,7 @@ def test_attend_alphas_properties_and_hull():
     live = rng.integers(1, K + 1, size=B)
     mask = (np.arange(K) >= K - live[:, None]).astype(np.float64)
     annots = Variable(rng.standard_normal((K, B, 6)))
-    keys = ctx.attention_keys(None, params, annots)
-    mixed, alphas = ctx.attend(None, params, annots, keys,
-                               Variable(rng.standard_normal((B, 4))), mask)
+    mixed, alphas = attention(params, annots, Variable(rng.standard_normal((B, 4))), mask)
     for b in range(B):
         a = alphas.value[b]
         on = mask[b] > 0
@@ -202,9 +206,8 @@ def test_attend_alphas_properties_and_hull():
 def test_attend_fully_masked_row_is_zero():
     params = att_params()
     annots = Variable(np.random.default_rng(7).standard_normal((3, 2, 6)))
-    keys = ctx.attention_keys(None, params, annots)
     mask = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
-    mixed, alphas = ctx.attend(None, params, annots, keys, query(batch=2), mask)
+    mixed, alphas = attention(params, annots, query(batch=2), mask)
     assert np.all(alphas.value[0] == 0.0) and np.all(mixed.value[0] == 0.0)
     assert abs(alphas.value[1].sum() - 1.0) < 1e-12
 
@@ -213,8 +216,7 @@ def test_encoder_gradients_flow_through_tape():
     params = att_params(seed=41)
     tape = Tape()
     annots, mask = annotate(params, (sent(2, 3), sent(4,)), tape=tape)
-    keys = ctx.attention_keys(tape, params, annots)
-    mixed, _ = ctx.attend(tape, params, annots, keys, query(), mask)
+    mixed, _ = attention(params, annots, query(), mask, tape=tape)
     tape.backward(nm.sum_all(tape, mixed))
     for name in ("P", "cf_W_i", "cr_U_f", "W_a", "U_a", "v_a"):
         assert params[name].grad is not None and np.any(params[name].grad != 0.0), name

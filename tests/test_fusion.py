@@ -421,23 +421,32 @@ def test_count_matrices_get_no_gradient(tag, monkeypatch):
 @pytest.mark.parametrize("tag", sorted(fusion.VARIANTS))
 def test_wide_products_see_only_real_positions(tag, monkeypatch):
     """The input projection (by W) and the output affine (by W_out) run on
-    the packed real positions only: sum(len(target)) rows, not B*T."""
+    the packed real positions only: sum(len(target)) rows, not B*T. Every
+    product of the context by W_p, W or W_rp runs once per batch, before the
+    time loop, on one row per window (per context sentence for attention)."""
     operands = []
     matmul = nm.matmul
 
     def spy(tape, a, b):
-        operands.append((a.shape[0], b.shape))
+        operands.append((a.shape[0], b))
         return matmul(tape, a, b)
 
     monkeypatch.setattr(nm, "matmul", spy)
-    fusion.batch_nll(MIXED, make_params(tag, seed=43), tag, VOCAB, Tape())
+    params = make_params(tag, seed=43)
+    fusion.batch_nll(MIXED, params, tag, VOCAB, Tape())
     real = sum(len(w.target.token_ids) for w in MIXED)
     assert real < len(MIXED) * max(len(w.target.token_ids) for w in MIXED)
+    variant = fusion.parse_variant(tag)
+    K = max(len(w.context) for w in MIXED)
+    ctx_rows = K * len(MIXED) if variant.context == "att" else len(MIXED)
     W_shape, out_shape = (DIMS["d_emb"], 4 * DIMS["d_h"]), (DIMS["d_h"], V)
-    by_W = [rows for rows, shape in operands if shape == W_shape]
-    assert by_W[0] == real  # the input projection; ATT-EF adds one product per step
-    assert sum(by_W) == (2 * real if tag == "RLM-SeqBoW-ATT-EF" else real)
-    assert [rows for rows, shape in operands if shape == out_shape] == [real]
+    by_W = [rows for rows, b in operands if b.shape == W_shape]
+    # the input projection, and early fusion's context product q W
+    assert sorted(by_W) == sorted([real] + [ctx_rows] * (variant.fusion == "early"))
+    assert [rows for rows, b in operands if b.shape == out_shape] == [real]
+    for name, used in (("W_p", variant.context is not None),
+                       ("W_rp", variant.fusion == "late")):
+        assert [rows for rows, b in operands if b is params.get(name)] == [ctx_rows] * used
 
 
 @pytest.mark.parametrize("tag", ["RLM-BoW-LF", "RLM-SeqBoW-ATT-EF"])
@@ -473,7 +482,6 @@ def test_make_batch_counts_equal_bow_vector(tag):
 def test_make_batch_packs_real_positions_time_major():
     batch = fusion.make_batch(TIED_ASCENDING, VOCAB, fusion.parse_variant("RLM"), np.float64)
     assert batch.bounds.tolist() == [0, 4, 8, 11, 12, 13]
-    assert batch.row.tolist() == [0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 0, 0]
     assert batch.window.tolist() == [3, 1, 2, 0, 3, 1, 2, 0, 3, 1, 2, 3, 3]
     bos = len(VOCAB)
     assert batch.inputs.tolist() == [bos] * 4 + [4, 2, 5, 7, 6, 9, 4, 3, 2]

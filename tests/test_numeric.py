@@ -286,6 +286,15 @@ def test_grad_lstm_cell_reads_leading_rows_of_wider_state():
     assert np.all(xproj.grad[:2] == 0.0) and np.all(xproj.grad[4:] == 0.0)
 
 
+def test_grad_lstm_cell_reads_leading_rows_of_wider_extra():
+    """Early fusion's context term: ``extra`` holds 4 rows, the cell runs on 2.
+    Only its 2 leading rows are read and get gradient."""
+    inputs = _cell_inputs()
+    inputs[5] = RNG.standard_normal((4, 12))
+    extra = _check_op(_lstm_cell_combined, inputs)[5]
+    assert np.any(extra.grad[:2] != 0.0) and np.all(extra.grad[2:] == 0.0)
+
+
 def test_lstm_cell_matches_per_gate_formula():
     xproj, h, c, U, b, _ = _cell_inputs()
     i, o, c_new, h_new = nm.lstm_cell(None, Variable(xproj), slice(4, 6), Variable(h),
