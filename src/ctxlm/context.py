@@ -66,7 +66,7 @@ def context_lstm(tape: Tape | None, params: dict[str, Variable], x: Variable,
     state = rlm.zero_state(B, x.shape[1], x.dtype)
     for k in (range(K - 1, -1, -1) if reverse else range(K)):
         rows = slice(k * B, (k + 1) * B)
-        _, _, c_new, h_new = nm.lstm_cell(tape, xproj, rows, state.h, state.c, U, b)
+        _, c_new, h_new = nm.lstm_cell(tape, xproj, rows, state.h, state.c, U, b)
         m = mask[:, k : k + 1]
         state = LstmState(nm.blend(tape, m, h_new, state.h), nm.blend(tape, m, c_new, state.c))
         states[k] = state.h

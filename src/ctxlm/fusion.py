@@ -218,7 +218,7 @@ def batch_nll(windows: list[ContextWindow], params: dict[str, Variable], variant
             alphas = ctx.attend(tape, params, keys, query, batch.ctx_mask[:n])
             step = tuple(nm.attention_mix(tape, alphas, f) for f in feed)
         extra = step[0] if variant.fusion == "early" else None
-        _, o, c_new, h_new = nm.lstm_cell(tape, xproj, rows, state.h, state.c, U, b, extra)
+        o, c_new, h_new = nm.lstm_cell(tape, xproj, rows, state.h, state.c, U, b, extra)
         if variant.fusion == "late":
             h_new = nm.late_fusion_output(tape, o, c_new, *step, params["W_rc"], params["b_r"])
         hs.append(h_new)

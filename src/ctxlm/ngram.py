@@ -7,8 +7,10 @@ every lower order uses continuation counts (number of distinct left contexts);
 the base distribution is uniform over the vocabulary, which keeps every
 probability strictly positive.
 
-``count_ngrams`` counts and then derives, once, every map a query reads (see
-``NGramTable``). A query interpolates bottom-up in one loop: the top-down
+The table holds, per order, exactly what that order's estimate reads: one
+count map and one context map (see ``NGramTable``). Counting fills the top
+order only; ``count_ngrams`` then derives the lower orders and the context
+maps once. A query interpolates bottom-up in one loop: the top-down
 recursion p_k = max(c - D, 0) / total + weight * p_(k-1) evaluates its lower
 orders first anyway, so starting from the uniform base and going up the
 orders performs the same float operations in the same order.
@@ -36,14 +38,19 @@ class OrderDiscounts:
 
 
 class NGramTable:
-    """N-gram statistics: raw counts per order plus the maps derived from them.
+    """N-gram statistics, one count map and one context map per order.
 
-    ``counts[k]`` maps k-tuples of token ids to occurrence counts. Once counting
-    is done, ``_freeze`` derives everything the queries read, once: per order
-    the effective counts (raw at the top order, continuation counts below),
-    their per-context totals, the discounts, and each context's interpolation
-    weight ``(d1*n1 + d2*n2 + d3+*n3+) / total``. A table with derived maps
-    takes no more sentences.
+    ``counts[k]`` maps k-tuples of token ids to the count order k's estimate
+    uses: occurrence counts at the top order, continuation counts (the number
+    of distinct left extensions) below. ``_contexts[k]`` maps each seen
+    (k-1)-gram context to ``(total, weight)``: the sum of its counts and its
+    interpolation weight ``(d1*n1 + d2*n2 + d3+*n3+) / total``.
+
+    Counting fills ``counts[order]`` only. ``_freeze`` then derives each lower
+    order from the keys of the order above, the discounts and the context
+    maps, once. This is exact: the order-1 begin paddings give every position
+    a full top-order gram, so every lower-order gram is a suffix of one. A
+    frozen table takes no more sentences.
     """
 
     def __init__(self, order: int, vocab_size: int):
@@ -53,39 +60,33 @@ class NGramTable:
             raise ValueError("vocab_size must cover the reserved ids")
         self.order = order
         self.vocab_size = vocab_size
-        self.counts: dict[int, dict[tuple[int, ...], int]] = {k: {} for k in range(1, order + 1)}
+        self.counts: dict[int, dict[tuple[int, ...], int]] = {order: {}}
         # derived by _freeze; empty while counting
         self.discounts: dict[int, OrderDiscounts] = {}
-        self._effective: dict[int, dict[tuple[int, ...], int]] = {}
-        self._totals: dict[int, dict[tuple[int, ...], int]] = {}
-        self._weights: dict[int, dict[tuple[int, ...], float]] = {}
+        self._contexts: dict[int, dict[tuple[int, ...], tuple[int, float]]] = {}
         self._discount: dict[int, tuple[float, float, float, float]] = {}  # by min(count, 3)
 
     def add_sentence(self, sentence: Sentence) -> None:
-        if self._effective:
+        if self._contexts:
             raise RuntimeError("table already counted")
-        seq = (BOS,) * (self.order - 1) + sentence.token_ids
-        start = self.order - 1
-        for i in range(start, len(seq)):
-            for k in range(1, self.order + 1):
-                gram = seq[i - k + 1 : i + 1]
-                m = self.counts[k]
-                m[gram] = m.get(gram, 0) + 1
+        n = self.order
+        seq = (BOS,) * (n - 1) + sentence.token_ids
+        top = self.counts[n]
+        for i in range(len(seq) - n + 1):
+            gram = seq[i : i + n]
+            top[gram] = top.get(gram, 0) + 1
 
     def _freeze(self) -> None:
-        top = self.order
-        self._effective = {top: self.counts[top]}
-        for k in range(top - 1, 0, -1):
-            # continuation count: number of distinct left extensions
+        for k in range(self.order - 1, 0, -1):
             cont: dict[tuple[int, ...], int] = {}
             for gram in self.counts[k + 1]:
                 suffix = gram[1:]
                 cont[suffix] = cont.get(suffix, 0) + 1
-            self._effective[k] = cont
+            self.counts[k] = cont
         self.discounts = estimate_discounts(self)
-        for k, counts in self._effective.items():
+        for k in range(1, self.order + 1):
             stats: dict[tuple[int, ...], list[int]] = {}  # context -> [total, n1, n2, n3+]
-            for gram, c in counts.items():
+            for gram, c in self.counts[k].items():
                 s = stats.get(gram[:-1])
                 if s is None:
                     s = stats[gram[:-1]] = [0, 0, 0, 0]
@@ -93,13 +94,12 @@ class NGramTable:
                 s[min(c, 3)] += 1
             d = self.discounts[k]
             self._discount[k] = (0.0, d.d1, d.d2, d.d3plus)
-            self._totals[k] = {h: s[0] for h, s in stats.items()}
-            self._weights[k] = {h: (d.d1 * n1 + d.d2 * n2 + d.d3plus * n3) / total
-                                for h, (total, n1, n2, n3) in stats.items()}
+            self._contexts[k] = {h: (total, (d.d1 * n1 + d.d2 * n2 + d.d3plus * n3) / total)
+                                 for h, (total, n1, n2, n3) in stats.items()}
 
     def count_of_counts(self, order: int) -> tuple[int, int, int, int]:
-        """n1..n4 over the effective counts at this order."""
-        tally = Counter(self._effective[order].values())
+        """n1..n4 over the counts this order's estimate uses."""
+        tally = Counter(self.counts[order].values())
         return tally[1], tally[2], tally[3], tally[4]
 
     def probability(self, word: int, context: tuple[int, ...] = ()) -> float:
@@ -117,10 +117,11 @@ class NGramTable:
         p = 1.0 / self.vocab_size
         for k in range(1, min(n, self.order - 1) + 2):
             h = context[n - k + 1 :]
-            total = self._totals[k].get(h)
-            if total:
-                c = self._effective[k].get(h + (word,), 0)
-                p = max(c - self._discount[k][min(c, 3)], 0.0) / total + self._weights[k][h] * p
+            seen = self._contexts[k].get(h)
+            if seen is not None:
+                total, weight = seen
+                c = self.counts[k].get(h + (word,), 0)
+                p = max(c - self._discount[k][min(c, 3)], 0.0) / total + weight * p
         return p
 
 
@@ -147,7 +148,7 @@ def estimate_discounts(table: NGramTable) -> dict[int, OrderDiscounts]:
         if n1 == 0 and n2 == 0:
             # order carries no types at all (or only duplicates beyond 2); any
             # positive discount keeps the interpolation positive
-            if not table._effective[k]:
+            if not table.counts[k]:
                 per_order[k] = OrderDiscounts(0.0, 0.0, 0.0)
             else:
                 log.warning("order %d: no singleton/doubleton types, using D=%.2f", k, FALLBACK_DISCOUNT)
@@ -192,12 +193,8 @@ def write_arpa(table: NGramTable, vocab, stream) -> None:
 
     # context-only prefixes (begin-padding) get a placeholder probability line
     # so that their backoff weights have somewhere to live
-    listed: dict[int, list[tuple[int, ...]]] = {}
-    for k in range(1, table.order + 1):
-        grams = set(table.counts[k])
-        if k < table.order:
-            grams.update(gram[:-1] for gram in table.counts[k + 1])
-        listed[k] = sorted(grams)
+    listed = {k: sorted(table.counts[k].keys() | table._contexts.get(k + 1, {}).keys())
+              for k in range(1, table.order + 1)}
     stream.write("\\data\\\n")
     for k in range(1, table.order + 1):
         stream.write(f"ngram {k}={len(listed[k])}\n")
@@ -208,9 +205,9 @@ def write_arpa(table: NGramTable, vocab, stream) -> None:
             prob = table.probability(gram[-1], gram[:-1]) if gram[-1] != BOS else 0.0
             line = f"{log10(prob):.7f}\t{' '.join(render(t) for t in gram)}"
             if k < table.order:
-                weight = table._weights[k + 1].get(gram)
-                if weight is not None:
-                    line += f"\t{log10(weight):.7f}"
+                seen = table._contexts[k + 1].get(gram)
+                if seen is not None:
+                    line += f"\t{log10(seen[1]):.7f}"
             stream.write(line + "\n")
         stream.write("\n")
     stream.write("\\end\\\n")

@@ -139,32 +139,6 @@ def sigmoid(x):
     return out if out.shape else out[()]
 
 
-def relative_error(a, b) -> np.ndarray:
-    """|a-b| / max(1e-8, |a|+|b|), elementwise; stable near zero."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    return np.abs(a - b) / np.maximum(1e-8, np.abs(a) + np.abs(b))
-
-
-def finite_difference_gradient(f, theta: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a flat parameter array."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    theta = np.asarray(theta, dtype=np.float64)
-    grad = np.zeros_like(theta)
-    work = theta.copy()
-    for i in range(theta.size):
-        work[i] = theta[i] + eps
-        up = f(work)
-        work[i] = theta[i] - eps
-        down = f(work)
-        work[i] = theta[i]
-        if not (np.isfinite(up) and np.isfinite(down)):
-            raise ValueError(f"finite_difference_gradient: f non-finite at coordinate {i}")
-        grad[i] = (up - down) / (2.0 * eps)
-    return grad
-
-
 def uniform_init(rng: np.random.Generator, shape, dtype) -> np.ndarray:
     return rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape).astype(dtype)
 
@@ -309,10 +283,8 @@ def masked_softmax(tape: Tape | None, scores: Variable, mask: np.ndarray) -> Var
     """
     z = np.where(mask > 0, scores.value, -np.inf)
     zmax = z.max(axis=1, keepdims=True)
-    live = np.isfinite(zmax[:, 0])
-    e = np.zeros_like(scores.value)
-    if live.any():
-        e[live] = np.exp(z[live] - zmax[live])
+    zmax[~np.isfinite(zmax)] = 0.0  # a fully masked row stays -inf, so exp gives 0
+    e = np.exp(z - zmax)
     denom = e.sum(axis=1, keepdims=True)
     denom[denom == 0.0] = 1.0
     out = Variable(e / denom)
@@ -367,7 +339,7 @@ def attention_scores(tape: Tape | None, keys: Variable, query: Variable,
 
 def lstm_cell(tape: Tape | None, xproj: Variable, rows: slice, h_prev: Variable,
               c_prev: Variable, U: Variable, b: Variable, extra: Variable | None = None):
-    """One LSTM cell update with all four gates fused -> (i, o, c, h), each (n,d).
+    """One LSTM cell update with all four gates fused -> (o, c, h), each (n,d).
 
     ``xproj`` (N,4d) holds the input projection x @ W of a whole packed
     sequence batch, with gate blocks in ``rlm.GATES`` order (i, o, f, c); the
@@ -395,11 +367,11 @@ def lstm_cell(tape: Tape | None, xproj: Variable, rows: slice, h_prev: Variable,
     i, o, f, g = act[:, :d], act[:, d:2 * d], act[:, 2 * d:3 * d], act[:, 3 * d:]
     c = f * c_in + i * g
     tc = np.tanh(c)
-    i_out, o_out, c_out, h_out = Variable(i), Variable(o), Variable(c), Variable(o * tc)
+    o_out, c_out, h_out = Variable(o), Variable(c), Variable(o * tc)
     if tape is not None:
         def backprop():
-            gi, go, gc, gh = i_out.grad, o_out.grad, c_out.grad, h_out.grad
-            if gi is None and go is None and gc is None and gh is None:
+            go, gc, gh = o_out.grad, c_out.grad, h_out.grad
+            if go is None and gc is None and gh is None:
                 return
             dc = np.zeros_like(c) if gc is None else gc.copy()
             dz = np.zeros_like(act)  # gradient w.r.t. the activations, then w.r.t. z
@@ -408,8 +380,6 @@ def lstm_cell(tape: Tape | None, xproj: Variable, rows: slice, h_prev: Variable,
                 dc += gh * o * (1.0 - tc * tc)
             if go is not None:
                 dz[:, d:2 * d] += go
-            if gi is not None:
-                dz[:, :d] = gi
             dz[:, :d] += dc * g
             dz[:, 2 * d:3 * d] = dc * c_in
             dz[:, 3 * d:] = dc * i
@@ -424,7 +394,7 @@ def lstm_cell(tape: Tape | None, xproj: Variable, rows: slice, h_prev: Variable,
             if extra is not None:  # last: it may adopt dz as its gradient
                 extra.add_grad_leading(dz)
         tape.record(backprop)
-    return i_out, o_out, c_out, h_out
+    return o_out, c_out, h_out
 
 
 def late_fusion_output(tape: Tape | None, o: Variable, c: Variable, q: Variable,

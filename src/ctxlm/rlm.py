@@ -54,10 +54,6 @@ def draw_parameters(shapes: Shapes, rng, dtype) -> dict[str, Variable]:
     return {name: Variable(nm.uniform_init(rng, shape, dtype)) for name, shape in shapes.items()}
 
 
-def parameter_count(params: dict[str, Variable]) -> int:
-    return sum(p.value.size for p in params.values())
-
-
 def zero_state(batch: int, d_h: int, dtype) -> LstmState:
     return LstmState(nm.zeros((batch, d_h), dtype), nm.zeros((batch, d_h), dtype))
 
@@ -69,24 +65,14 @@ def gate_weights(tape: Tape | None, params: dict[str, Variable],
                  for kind in ("W", "U", "b"))
 
 
-# no engine use; kept for lstm_gates and lstm_step, which bench/tracing.py wraps
-def _cell(tape: Tape | None, params: dict[str, Variable], prefix: str, x: Variable,
-          state: LstmState) -> tuple[Variable, Variable, Variable, Variable]:
-    W, U, b = gate_weights(tape, params, prefix)
-    xproj = nm.matmul(tape, x, W)
-    return nm.lstm_cell(tape, xproj, slice(0, x.shape[0]), state.h, state.c, U, b)
-
-
-# no engine use; kept because bench/tracing.py wraps rlm.lstm_gates by name
-def lstm_gates(tape: Tape | None, params: dict[str, Variable], prefix: str,
-               x: Variable, state: LstmState) -> tuple[Variable, Variable, Variable]:
-    """One LSTM cell update; returns (input gate i, output gate o, new cell c)."""
-    i, o, c_new, _ = _cell(tape, params, prefix, x, state)
-    return i, o, c_new
-
-
-# no engine use; kept because bench/tracing.py wraps rlm.lstm_step by name
+# no engine use; kept because bench/tracing.py wraps rlm.lstm_step and rlm.lstm_gates by name
 def lstm_step(x: Variable, state: LstmState, params: dict[str, Variable],
               tape: Tape | None = None, prefix: str = "") -> LstmState:
-    _, _, c_new, h_new = _cell(tape, params, prefix, x, state)
+    """One LSTM cell update of the layer under ``prefix``."""
+    W, U, b = gate_weights(tape, params, prefix)
+    xproj = nm.matmul(tape, x, W)
+    _, c_new, h_new = nm.lstm_cell(tape, xproj, slice(0, x.shape[0]), state.h, state.c, U, b)
     return LstmState(h_new, c_new)
+
+
+lstm_gates = lstm_step

@@ -436,11 +436,6 @@ class EpochRecord:
         return f"{self.epoch},{self.train_nll!r},{self.valid_nll!r},{self.seconds:.3f}"
 
 
-def format_log(log: list[EpochRecord]) -> str:
-    """Canonical training log (timing excluded: wall clock is not reproducible)."""
-    return "".join(f"{r.epoch},{r.train_nll!r},{r.valid_nll!r}\n" for r in log)
-
-
 @dataclass
 class TrainResult:
     checkpoint: Checkpoint

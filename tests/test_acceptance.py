@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import oracle
+import support
 from ctxlm import context as ctx
 from ctxlm import fusion, numeric as nm, rlm
 from ctxlm.cli import SynthSpec, generate_synthetic
@@ -22,7 +23,7 @@ from ctxlm.corpus import (ContextWindow, Document, Sentence, Vocabulary,
 from ctxlm.evaluation import Model, corpus_perplexity, perplexity_by_tag
 from ctxlm.ngram import count_ngrams
 from ctxlm.numeric import Tape, Variable
-from ctxlm.training import TrainConfig, format_log, load_checkpoint, save_checkpoint, train
+from ctxlm.training import TrainConfig, load_checkpoint, save_checkpoint, train
 
 
 def sent_of(rng, vocab_size, lo=3, hi=7):
@@ -73,9 +74,9 @@ def test_ac1_gradient_correctness():
                 p.value = saved
                 return out
 
-            fd = nm.finite_difference_gradient(f, p.value.ravel().copy(), eps=1e-5)
+            fd = support.finite_difference_gradient(f, p.value.ravel().copy(), eps=1e-5)
             resolvable = (np.abs(got) + np.abs(fd)) >= 1e-5
-            rel = nm.relative_error(got[resolvable], fd[resolvable]).max(initial=0.0)
+            rel = support.relative_error(got[resolvable], fd[resolvable]).max(initial=0.0)
             sub = np.max(np.abs(got[~resolvable] - fd[~resolvable]), initial=0.0)
             assert rel <= 1e-4, f"{tag} {name}: relative error {rel:.3g}"
             assert sub <= 1e-8, f"{tag} {name}: sub-noise disagreement {sub:.3g}"
@@ -99,10 +100,10 @@ def _decoder_cell_calls(windows, tag, params, vocab):
     d_h = params["b_i"].shape[0]
 
     def spy(tape, xproj, rows, h_prev, c_prev, U, b, extra=None):
-        i, o, c, h = lstm_cell(tape, xproj, rows, h_prev, c_prev, U, b, extra)
+        o, c, h = lstm_cell(tape, xproj, rows, h_prev, c_prev, U, b, extra)
         if U.shape == (d_h, 4 * d_h):  # the context LSTMs are d_ctx wide
             calls.append((extra, c_prev.value[: c.shape[0]].copy(), c.value.copy()))
-        return i, o, c, h
+        return o, c, h
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nm, "lstm_cell", spy)
@@ -352,7 +353,7 @@ def test_ac7_determinism_and_persistence(tmp_path):
                       patience=5, seed=77, precision="f64")
     a = train(cfg, docs[:4], docs[4:], vocab)
     b = train(cfg, docs[:4], docs[4:], vocab)
-    assert format_log(a.log).encode() == format_log(b.log).encode()
+    assert support.format_log(a.log).encode() == support.format_log(b.log).encode()
     for name in a.checkpoint.arrays:
         assert np.array_equal(a.checkpoint.arrays[name], b.checkpoint.arrays[name])
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracle
+import support
 from ctxlm import fusion, numeric as nm
 from ctxlm.corpus import ContextWindow, Sentence, Vocabulary, bow_vector
 from ctxlm.numeric import Tape
@@ -113,8 +114,8 @@ def _decoder_trace(windows, tag, params):
     def cell_spy(tape, xproj, rows, h_prev, c_prev, U, b, extra=None):
         out = lstm_cell(tape, xproj, rows, h_prev, c_prev, U, b, extra)
         if U.shape == (d_h, 4 * d_h):  # the context LSTMs are d_ctx wide
-            steps.append(dict(extra=extra, c_prev=c_prev.value[: out[2].shape[0]].copy(),
-                              o=out[1].value.copy(), c=out[2].value.copy()))
+            steps.append(dict(extra=extra, c_prev=c_prev.value[: out[1].shape[0]].copy(),
+                              o=out[0].value.copy(), c=out[1].value.copy()))
         return out
 
     def matmul_spy(tape, a, b):
@@ -260,9 +261,9 @@ def test_gradients_match_finite_differences(tag):
             p.value = saved
             return out
 
-        fd = nm.finite_difference_gradient(f, p.value.ravel().copy())
+        fd = support.finite_difference_gradient(f, p.value.ravel().copy())
         resolvable = (np.abs(got) + np.abs(fd)) >= 1e-5
-        assert nm.relative_error(got[resolvable], fd[resolvable]).max(initial=0.0) < 1e-4, name
+        assert support.relative_error(got[resolvable], fd[resolvable]).max(initial=0.0) < 1e-4, name
         assert np.max(np.abs(got[~resolvable] - fd[~resolvable]), initial=0.0) < 1e-8, name
         p.zero_grad()
 
@@ -389,9 +390,9 @@ def test_batch_engine_gradients_match_finite_differences(tag):
                 p.value = saved
                 return out
 
-            fd = nm.finite_difference_gradient(f, p.value.ravel().copy())
+            fd = support.finite_difference_gradient(f, p.value.ravel().copy())
             resolvable = (np.abs(got) + np.abs(fd)) >= 1e-5
-            assert nm.relative_error(got[resolvable], fd[resolvable]).max(initial=0.0) <= 1e-4, name
+            assert support.relative_error(got[resolvable], fd[resolvable]).max(initial=0.0) <= 1e-4, name
             assert np.max(np.abs(got[~resolvable] - fd[~resolvable]), initial=0.0) <= 1e-8, name
             p.zero_grad()
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctxlm.corpus import Document, EOS_ID, Sentence
 from ctxlm.ngram import (BOS, NGramTable, count_ngrams, estimate_discounts,
@@ -46,6 +47,18 @@ def test_count_no_cross_sentence_ngrams():
 def test_count_rejects_order_zero():
     with pytest.raises(ValueError):
         count_ngrams([doc([A])], 0, vocab_size=3)
+
+
+def test_counting_fills_the_top_order_only():
+    table = NGramTable(3, vocab_size=5)
+    table.add_sentence(Sentence((A, B, EOS_ID)))
+    table.add_sentence(Sentence((A, EOS_ID)))
+    assert table.counts == {3: {(BOS, BOS, A): 2, (BOS, A, B): 1, (A, B, EOS_ID): 1,
+                                (BOS, A, EOS_ID): 1}}
+    table._freeze()
+    # lower orders hold continuation counts: distinct left extensions
+    assert table.counts[2] == {(BOS, A): 1, (A, B): 1, (B, EOS_ID): 1, (A, EOS_ID): 1}
+    assert table.counts[1] == {(A,): 1, (B,): 1, (EOS_ID,): 2}
 
 
 def test_context_prefix_exists_at_lower_order():
@@ -227,6 +240,54 @@ def test_matches_independent_oracle(order, seed):
         assert abs(sum(table.probability(w, ctxt) for w in range(V)) - 1.0) < 1e-9
 
 
+@st.composite
+def _corpora(draw):
+    """(sentences with EOS, order, vocab size, query contexts) over a tiny vocabulary."""
+    V = draw(st.integers(2, 10))
+    order = draw(st.integers(1, 5))
+    token = st.sampled_from([0] + list(range(2, V)))
+    sents = draw(st.lists(st.lists(token, min_size=1, max_size=6), max_size=6))
+    contexts = draw(st.lists(st.lists(st.integers(BOS, V - 1), max_size=order), max_size=4))
+    return [tuple(s) + (EOS_ID,) for s in sents], order, V, [()] + [tuple(c) for c in contexts]
+
+
+class NumberedVocab:
+    def decode(self, i):
+        return f"w{i}"
+
+
+@settings(deadline=None)
+@given(_corpora())
+def test_random_corpora_match_oracle_and_export_every_gram(case):
+    sents, order, V, contexts = case
+    table = count_ngrams([doc(*[s[:-1] for s in sents])] if sents else [], order, vocab_size=V)
+    oracle = _kn_oracle(sents, order, V)
+    for ctxt in contexts:
+        for w in range(V):
+            assert table.probability(w, ctxt) == pytest.approx(oracle(w, ctxt), abs=1e-12)
+    # brute force: every k-gram ending at a predicted position, and every
+    # k-token context in front of one
+    expect = {k: set() for k in range(1, order + 1)}
+    for s in sents:
+        seq = (BOS,) * (order - 1) + s
+        for i in range(order - 1, len(seq)):
+            for k in range(1, order + 1):
+                expect[k].add(seq[i - k + 1 : i + 1])
+                if k < order:
+                    expect[k].add(seq[i - k : i])
+    buf = io.StringIO()
+    write_arpa(table, NumberedVocab(), buf)
+    text = buf.getvalue()
+    listed = {k: set() for k in range(1, order + 1)}
+    for line in text.splitlines():
+        if "\t" in line:
+            names = line.split("\t")[1].split()
+            listed[len(names)].add(tuple(BOS if t == "<s>" else int(t[1:]) for t in names))
+    assert listed == expect
+    for k in range(1, order + 1):
+        assert f"ngram {k}={len(expect[k])}\n" in text
+
+
 def test_sentence_log_probability_deterministic_corpus():
     table = count_ngrams([doc(*[[A]] * 20)], 2, vocab_size=3)
     lp = sentence_log_probability(Sentence((A, EOS_ID)), table)
@@ -250,8 +311,8 @@ def test_duplicate_corpus_preserves_ml_ratios():
     for gram, c in single.counts[2].items():
         h = gram[:-1]
         assert double.counts[2][gram] == 2 * c
-        assert (c / single._totals[2][h]
-                == double.counts[2][gram] / double._totals[2][h])
+        assert (c / single._contexts[2][h][0]
+                == double.counts[2][gram] / double._contexts[2][h][0])
 
 
 class ToyVocab:

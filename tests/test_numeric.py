@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import support
 from ctxlm import numeric as nm
 from ctxlm.numeric import Tape, Variable
 
@@ -62,12 +63,12 @@ def test_sigmoid_scalar_and_integer_input():
 
 
 def test_finite_difference_quadratic():
-    grad = nm.finite_difference_gradient(lambda t: t[0] ** 2, np.array([3.0]), eps=1e-5)
+    grad = support.finite_difference_gradient(lambda t: t[0] ** 2, np.array([3.0]), eps=1e-5)
     assert abs(grad[0] - 6.0) < 1e-8
 
 
 def test_finite_difference_constant():
-    grad = nm.finite_difference_gradient(lambda t: 7.5, np.array([1.0, -2.0]))
+    grad = support.finite_difference_gradient(lambda t: 7.5, np.array([1.0, -2.0]))
     assert np.all(grad == 0.0)
 
 
@@ -76,12 +77,12 @@ def test_finite_difference_nonfinite_names_coordinate():
         return float("nan") if t[1] != 0.5 else 1.0
 
     with pytest.raises(ValueError, match="coordinate 1"):
-        nm.finite_difference_gradient(f, np.array([0.0, 0.5]))
+        support.finite_difference_gradient(f, np.array([0.0, 0.5]))
 
 
 def test_finite_difference_bad_eps():
     with pytest.raises(ValueError):
-        nm.finite_difference_gradient(lambda t: 0.0, np.array([1.0]), eps=0.0)
+        support.finite_difference_gradient(lambda t: 0.0, np.array([1.0]), eps=0.0)
 
 
 def test_matmul_associativity():
@@ -128,8 +129,8 @@ def _check_op(build, inputs, tol=1e-4):
             o = build(None, vs)
             return float(o.value.sum())
 
-        fd = nm.finite_difference_gradient(f, inputs[k].ravel().copy())
-        assert nm.relative_error(got, fd).max() < tol, f"input {k}"
+        fd = support.finite_difference_gradient(f, inputs[k].ravel().copy())
+        assert support.relative_error(got, fd).max() < tol, f"input {k}"
     return variables
 
 
@@ -203,8 +204,8 @@ def test_grad_concat_stack_blend_reshape_scale():
 
 
 def test_relative_error_floor():
-    assert nm.relative_error(0.0, 0.0) == 0.0
-    assert nm.relative_error(1e-12, 0.0) == pytest.approx(1e-4)
+    assert support.relative_error(0.0, 0.0) == 0.0
+    assert support.relative_error(1e-12, 0.0) == pytest.approx(1e-4)
 
 
 def test_dtype_of():
@@ -253,14 +254,14 @@ def test_grad_concat_rows_and_leading_rows():
 
 
 def _lstm_cell_combined(t, v, rows=slice(2, 4), with_extra=True):
-    """A weighted sum of all four outputs of one cell, so every output's
+    """A weighted sum of all three outputs of one cell, so every output's
     gradient path is exercised. v: xproj (N,4d), h_prev, c_prev, U, b, extra;
     the cell runs on the two rows ``rows`` of xproj."""
-    i, o, c, h = nm.lstm_cell(t, v[0], rows, v[1], v[2], v[3], v[4],
-                              v[5] if with_extra else None)
-    weights = [Variable(np.linspace(-1.0, 1.0, 6).reshape(2, 3) * k) for k in (1, 2, 3, 4)]
-    terms = [nm.mul(t, out, w) for out, w in zip((i, o, c, h), weights)]
-    return nm.add(t, nm.add(t, terms[0], terms[1]), nm.add(t, terms[2], terms[3]))
+    o, c, h = nm.lstm_cell(t, v[0], rows, v[1], v[2], v[3], v[4],
+                           v[5] if with_extra else None)
+    weights = [Variable(np.linspace(-1.0, 1.0, 6).reshape(2, 3) * k) for k in (2, 3, 4)]
+    terms = [nm.mul(t, out, w) for out, w in zip((o, c, h), weights)]
+    return nm.add(t, nm.add(t, terms[0], terms[1]), terms[2])
 
 
 def _cell_inputs(state_rows=2):
@@ -297,13 +298,12 @@ def test_grad_lstm_cell_reads_leading_rows_of_wider_extra():
 
 def test_lstm_cell_matches_per_gate_formula():
     xproj, h, c, U, b, _ = _cell_inputs()
-    i, o, c_new, h_new = nm.lstm_cell(None, Variable(xproj), slice(4, 6), Variable(h),
-                                      Variable(c), Variable(U), Variable(b))
+    o, c_new, h_new = nm.lstm_cell(None, Variable(xproj), slice(4, 6), Variable(h),
+                                   Variable(c), Variable(U), Variable(b))
     z = xproj[4:6] + h @ U + b
     sig = lambda a: 1.0 / (1.0 + np.exp(-a))
     gi, go, gf, gc = sig(z[:, 0:3]), sig(z[:, 3:6]), sig(z[:, 6:9]), np.tanh(z[:, 9:12])
     expect_c = gf * c + gi * gc
-    assert np.max(np.abs(i.value - gi)) < 1e-15
     assert np.max(np.abs(o.value - go)) < 1e-15
     assert np.max(np.abs(c_new.value - expect_c)) < 1e-14
     assert np.max(np.abs(h_new.value - go * np.tanh(expect_c))) < 1e-14

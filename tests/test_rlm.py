@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import support
 from ctxlm import fusion, numeric as nm, rlm
 from ctxlm.corpus import ContextWindow, Sentence, Vocabulary
 from ctxlm.numeric import Tape, Variable
@@ -125,9 +126,9 @@ def test_sentence_nll_gradients_match_finite_differences():
             p.value = saved
             return out
 
-        fd = nm.finite_difference_gradient(f, p.value.ravel().copy())
+        fd = support.finite_difference_gradient(f, p.value.ravel().copy())
         mask = (np.abs(got) + np.abs(fd)) >= 1e-5
-        assert nm.relative_error(got[mask], fd[mask]).max(initial=0.0) < 1e-4, name
+        assert support.relative_error(got[mask], fd[mask]).max(initial=0.0) < 1e-4, name
         assert np.max(np.abs(got[~mask] - fd[~mask]), initial=0.0) < 1e-8, name
         p.zero_grad()
 
@@ -139,7 +140,7 @@ def test_parameter_count():
     expect = (V + 1) * d_emb  # embedding incl. begin-of-sentence row
     expect += 4 * (d_emb * d_h + d_h * d_h + d_h)
     expect += d_h * V + V
-    assert rlm.parameter_count(params) == expect
+    assert support.parameter_count(params) == expect
 
 
 def test_precision_modes():

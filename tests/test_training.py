@@ -9,11 +9,12 @@ import warnings
 import numpy as np
 import pytest
 
+import support
 from ctxlm import fusion, training
 from ctxlm.corpus import CorpusError, Document, Sentence, Vocabulary
 from ctxlm.training import (AdadeltaState, CheckpointError, ConfigError, EarlyStopper,
                             TrainConfig, adadelta_update, clip_gradients,
-                            config_from_mapping, format_config, format_log,
+                            config_from_mapping, format_config,
                             gradient_batch, load_checkpoint, parse_config_text,
                             save_checkpoint, train)
 
@@ -244,11 +245,20 @@ def test_gradient_batch_hands_over_disjoint_buffers(tag):
 # -- train loop -------------------------------------------------------------------
 
 
+def test_format_log_is_canonical_and_excludes_timing():
+    Rec = training.EpochRecord
+    fast = [Rec(1, 2.5, 0.1 + 0.2, 0.01), Rec(2, 2.0, 1e-17, 0.02)]
+    slow = [Rec(1, 2.5, 0.1 + 0.2, 9.0), Rec(2, 2.0, 1e-17, 8.0)]
+    assert support.format_log(fast) == support.format_log(slow) == (
+        "1,2.5,0.30000000000000004\n2,2.0,1e-17\n")
+    assert support.format_log([]) == ""
+
+
 def test_train_is_deterministic_bit_exact():
     cfg = tiny_config(max_epochs=3)
     a = train(cfg, TRAIN_DOCS, VALID_DOCS, VOCAB)
     b = train(cfg, TRAIN_DOCS, VALID_DOCS, VOCAB)
-    assert format_log(a.log) == format_log(b.log)
+    assert support.format_log(a.log) == support.format_log(b.log)
     for name in a.checkpoint.arrays:
         assert np.array_equal(a.checkpoint.arrays[name], b.checkpoint.arrays[name]), name
     assert a.checkpoint.rng_state == b.checkpoint.rng_state
