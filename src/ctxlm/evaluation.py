@@ -16,8 +16,8 @@ import numpy as np
 
 from . import fusion
 from .corpus import Document, UNK_ID, Vocabulary, corpus_windows, load_corpus
-from .ngram import NGramTable, sentence_log_probability
-from .numeric import Variable
+from .ngram import NGramTable, sentence_log_probabilities
+from .numeric import Variable, fold_sum
 
 TAG_MERGES = {"NN": "Noun", "NNS": "Noun", "VB": "Verb", "VBZ": "Verb"}
 
@@ -118,10 +118,9 @@ def corpus_perplexity(model, documents: list[Document], n: int,
     if not documents:
         raise ValueError("empty corpus")
     if isinstance(model, NGramTable):
-        tokens = sum(len(s.token_ids) for d in documents for s in d.sentences)
-        total = -sum(
-            sentence_log_probability(s, model) for d in documents for s in d.sentences
-        )
+        sentences = [s for d in documents for s in d.sentences]
+        tokens = sum(len(s.token_ids) for s in sentences)
+        total = -fold_sum(sentence_log_probabilities(sentences, model))
         return EvalReport(tokens, total, _unk_rate(documents))
     nlls, _ = _window_nlls(model, documents, n, batch_size)
     return _corpus_report(documents, nlls)
@@ -129,7 +128,7 @@ def corpus_perplexity(model, documents: list[Document], n: int,
 
 def _corpus_report(documents: list[Document], nlls: list[float]) -> EvalReport:
     tokens = sum(len(s.token_ids) for d in documents for s in d.sentences)
-    return EvalReport(tokens, float(sum(nlls)), _unk_rate(documents))
+    return EvalReport(tokens, fold_sum(nlls), _unk_rate(documents))
 
 
 def load_tag_annotations(stream) -> list[list[list[str]]]:

@@ -139,6 +139,15 @@ def sigmoid(x):
     return out if out.shape else out[()]
 
 
+def fold_sum(values) -> float:
+    """Float sum from left to right. Builtin ``sum`` compensates its rounding
+    on Python 3.12 and later, so it gives other bits there than on 3.10."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 def uniform_init(rng: np.random.Generator, shape, dtype) -> np.ndarray:
     return rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape).astype(dtype)
 

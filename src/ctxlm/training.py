@@ -249,7 +249,7 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
     NaN or inf (and the gradients are left unscaled) when any gradient is
     non-finite or the sum of squares overflows."""
     with np.errstate(over="ignore"):
-        norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        norm = math.sqrt(nm.fold_sum(float((g * g).sum()) for g in grads.values()))
     if 0.0 < max_norm < norm < math.inf:
         factor = max_norm / norm
         for g in grads.values():

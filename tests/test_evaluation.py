@@ -88,6 +88,12 @@ def test_ngram_perplexity_matches_manual_sum():
     assert report.perplexity == pytest.approx(math.exp(manual / report.tokens), rel=1e-12)
 
 
+def test_corpus_total_adds_left_to_right():
+    # 1e16 + 1 + 1 is 1e16 from the left, but 1e16 + 2 with compensation
+    report = evaluation._corpus_report(DOCS, [1e16, 1.0, 1.0])
+    assert report.total_nll == 1e16
+
+
 def test_unk_rate():
     docs = docs_from([[(0, 0, 2), (3,)]])
     report = corpus_perplexity(zero_model(), docs, n=0)

@@ -151,6 +151,13 @@ def test_clip_gradients_global_norm():
     assert disabled["a"][0] == 30.0
 
 
+def test_clip_gradients_adds_squared_norms_left_to_right():
+    # squared norms 1e16, 1, 1: a left fold rounds each 1 away (the spacing of
+    # doubles at 1e16 is 2), a compensated sum keeps both and gives 1e16 + 2
+    grads = {"a": np.array([1e8]), "b": np.array([1.0]), "c": np.array([1.0])}
+    assert clip_gradients(grads, 0.0) == 1e8
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan, 1e200])
 def test_clip_gradients_nonfinite_norm_leaves_gradients_unscaled(bad):
     # 1e200 is finite, but its square overflows the sum of squares
