@@ -63,6 +63,14 @@ def context_lstm(tape: Tape | None, params: dict[str, Variable], x: Variable,
     W, U, b = rlm.gate_weights(tape, params, prefix)
     xproj = nm.matmul(tape, x, W)
     states: list[Variable | None] = [None] * K
+    # position k reads the state after position k-1 (k+1 in reverse); the
+    # position the pass starts at reads the zero state
+    if reverse:
+        later, read = slice(0, (K - 1) * B), slice(1, K)
+    else:
+        later, read = slice(B, K * B), slice(0, K - 1)
+    nm.step_weight_grads(tape, U, b, xproj, later,
+                         lambda: np.concatenate([s.value for s in states[read]]))
     state = rlm.zero_state(B, x.shape[1], x.dtype)
     for k in (range(K - 1, -1, -1) if reverse else range(K)):
         rows = slice(k * B, (k + 1) * B)

@@ -102,6 +102,8 @@ def _window_nlls(model: Model, documents: list[Document], n: int,
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     windows = corpus_windows(documents, n)
+    if not windows:
+        raise ValueError("empty corpus")
     per_window: list[float] = []
     per_token: list[np.ndarray] = []
     for i in range(0, len(windows), batch_size):
@@ -169,8 +171,6 @@ def perplexity_with_tags(model: Model, documents: list[Document],
                          batch_size: int = 64) -> tuple[EvalReport, TagReport]:
     """``corpus_perplexity`` and ``perplexity_by_tag`` of a sentence model from
     one forward pass over the corpus."""
-    if not documents:
-        raise ValueError("empty corpus")
     _check_tag_request(documents, annotations, average)
     nlls, per_token = _window_nlls(model, documents, n, batch_size)
     return (_corpus_report(documents, nlls),

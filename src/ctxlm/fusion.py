@@ -17,8 +17,10 @@ padded position is ever embedded, projected or scored. The engine steps
 through time only for the recurrence, which records the fused
 ``numeric.lstm_cell`` on the n_t leading rows (plus
 ``numeric.late_fusion_output`` for late fusion, and attention's weights and
-mix). Everything else is computed once per batch. Per-window totals are
-segment sums of the packed NLLs, added in time order and returned in the
+mix). Everything else is computed once per batch, the gradients of the
+weights every step applies (U and b, and late fusion's W_rc and b_r) included:
+``numeric.step_weight_grads`` forms each in one product. Per-window totals
+are segment sums of the packed NLLs, added in time order and returned in the
 caller's window order; the per-position NLLs come back in that order too,
 gathered once from the packed ones.
 """
@@ -207,8 +209,21 @@ def batch_nll(windows: list[ContextWindow], params: dict[str, Variable], variant
     x = nm.embed_rows(tape, params["E"], batch.inputs)
     xproj = nm.matmul(tape, x, W)
 
+    # step t >= 1 reads the leading rows of step t-1's hidden state, step 0 the
+    # zero state; late fusion's gate multiplies every step's cell state by W_rc
+    hs, cs = [], []
+    counts = np.diff(batch.bounds)
+    nm.step_weight_grads(tape, U, b, xproj, slice(batch.bounds[1], None),
+                         lambda: np.concatenate([h.value[:n] for h, n in zip(hs, counts[1:])]))
+    if variant.fusion == "late":
+        # only the gradient of gate is used: its value is a zero view that takes
+        # no memory, and its gradient is dropped once W_rc's and b_r's are formed
+        gate = Variable(np.broadcast_to(np.zeros((), dtype), (len(batch.targets), d_h)))
+        if tape is not None:
+            tape.record(gate.zero_grad)  # replayed after the closure recorded next
+        nm.step_weight_grads(tape, params["W_rc"], params["b_r"], gate, slice(None),
+                             lambda: np.concatenate([c.value for c in cs]))
     state = rlm.zero_state(B, d_h, dtype)
-    hs = []
     for t in range(T):
         rows = slice(batch.bounds[t], batch.bounds[t + 1])
         n = rows.stop - rows.start
@@ -220,7 +235,9 @@ def batch_nll(windows: list[ContextWindow], params: dict[str, Variable], variant
         extra = step[0] if variant.fusion == "early" else None
         o, c_new, h_new = nm.lstm_cell(tape, xproj, rows, state.h, state.c, U, b, extra)
         if variant.fusion == "late":
-            h_new = nm.late_fusion_output(tape, o, c_new, *step, params["W_rc"], params["b_r"])
+            h_new = nm.late_fusion_output(tape, o, c_new, *step, params["W_rc"], params["b_r"],
+                                          gate, rows)
+            cs.append(c_new)
         hs.append(h_new)
         state = LstmState(h_new, c_new)
 

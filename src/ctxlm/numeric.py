@@ -15,6 +15,13 @@ precomputed input projection and one ``h_prev @ U`` product),
 position at once). Operands marked ``constant`` (data such as bag-of-words
 count matrices) receive no gradient.
 
+A weight that every step of a recurrence applies gets its gradient once per
+batch, not once per step: the steps only write their pre-activation
+gradients into the rows they own of one packed buffer (the cell into its
+input projection's gradient, late fusion into a gate buffer), and
+:func:`step_weight_grads`, recorded before the first step, forms the
+weight's and the bias's gradients from that buffer in one product each.
+
 Packed batches: the batch engine sorts its sequences longest first, so the
 sequences still running at a timestep are the leading rows of the batch.
 The fused primitives therefore accept state and context operands wider than
@@ -31,6 +38,7 @@ import numpy as np
 DTYPES = {"f32": np.float32, "f64": np.float64}
 
 INIT_SCALE = 0.08  # uniform init range for all trainable parameters
+INIT_BLOCK = 1 << 14  # float64 draws per block of uniform_init
 
 
 def dtype_of(precision: str) -> np.dtype:
@@ -149,7 +157,21 @@ def fold_sum(values) -> float:
 
 
 def uniform_init(rng: np.random.Generator, shape, dtype) -> np.ndarray:
-    return rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape).astype(dtype)
+    """``rng.uniform(-INIT_SCALE, INIT_SCALE, shape).astype(dtype)``, bitwise and
+    with the same draws from rng, filled block by block through one float64
+    scratch block of INIT_BLOCK elements instead of a float64 copy of the
+    whole array: ``uniform`` computes low + (high - low) * u, and high - low
+    is exactly 2 * INIT_SCALE."""
+    out = np.empty(shape, dtype)
+    flat = out.reshape(-1)
+    scratch = np.empty(min(flat.size, INIT_BLOCK))
+    for start in range(0, flat.size, INIT_BLOCK):
+        block = scratch[: flat.size - start]
+        rng.random(out=block)
+        block *= 2 * INIT_SCALE
+        block += -INIT_SCALE
+        flat[start : start + block.size] = block
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +368,31 @@ def attention_scores(tape: Tape | None, keys: Variable, query: Variable,
     return out
 
 
+def step_weight_grads(tape: Tape | None, W: Variable, b: Variable, dz: Variable,
+                      rows: slice, inputs) -> None:
+    """Record the closure that forms, once per batch, the gradients of a weight
+    W (m,k) and bias b (k,) that every step of a recurrence applies to the
+    rows it owns of a packed batch: dW = inputs().T @ G[rows] and
+    db = G.sum(0), one product each, where G (N,k) is ``dz``'s gradient, into
+    which each step writes its rows' pre-activation gradient. ``inputs()``
+    returns what the steps owning ``rows`` multiplied by W, packed as those
+    rows; a row outside ``rows`` multiplied the zero state and adds nothing
+    to dW. Recorded before the recurrence's first step, the closure runs
+    after every step's backward; it calls ``inputs`` only then, and only when
+    ``rows`` is not empty."""
+    if tape is None:
+        return
+    def backprop():
+        g = dz.grad
+        if g is None:
+            return
+        g_rows = g[rows]
+        if len(g_rows):
+            W.add_grad(inputs().T @ g_rows)
+        b.add_grad(g.sum(axis=0))
+    tape.record(backprop)
+
+
 def lstm_cell(tape: Tape | None, xproj: Variable, rows: slice, h_prev: Variable,
               c_prev: Variable, U: Variable, b: Variable, extra: Variable | None = None):
     """One LSTM cell update with all four gates fused -> (o, c, h), each (n,d).
@@ -358,8 +405,9 @@ def lstm_cell(tape: Tape | None, xproj: Variable, rows: slice, h_prev: Variable,
     h_prev[:n] @ U + xproj[rows] (+ ``extra[:n]``, a further input term) + b;
     then c = f*c_prev + i*g and h = o*tanh(c). One closure backpropagates every
     output's gradient: it forms the pre-activation gradient dz once, then
-    dh_prev = dz @ U.T, dc_prev, dU = h_prev.T @ dz, db, and xproj[rows] (and
-    extra) receive dz.
+    dh_prev = dz @ U.T and dc_prev, and xproj[rows] (and extra) receive dz.
+    The cell forms no gradient of U or b: the caller records
+    :func:`step_weight_grads` over xproj for the whole recurrence.
     """
     x_t = xproj.value[rows]
     n = x_t.shape[0]
@@ -398,8 +446,6 @@ def lstm_cell(tape: Tape | None, xproj: Variable, rows: slice, h_prev: Variable,
             xproj.grad_buffer()[rows] += dz
             h_prev.add_grad_leading(dz @ U.value.T)
             c_prev.add_grad_leading(dc * f)
-            U.add_grad(h_in.T @ dz)
-            b.add_grad(dz.sum(axis=0))
             if extra is not None:  # last: it may adopt dz as its gradient
                 extra.add_grad_leading(dz)
         tape.record(backprop)
@@ -407,10 +453,15 @@ def lstm_cell(tape: Tape | None, xproj: Variable, rows: slice, h_prev: Variable,
 
 
 def late_fusion_output(tape: Tape | None, o: Variable, c: Variable, q: Variable,
-                       q_r: Variable, W_rc: Variable, b_r: Variable) -> Variable:
+                       q_r: Variable, W_rc: Variable, b_r: Variable, gate: Variable,
+                       rows: slice) -> Variable:
     """Late-fusion hidden state h = o * tanh(c + r*q), gated by
     r = sigmoid(q_r + c @ W_rc + b_r) where q_r = q @ W_rp; o and c (n,d), and
-    q and q_r (B,d) with B >= n, of which the n leading rows are read. One closure."""
+    q and q_r (B,d) with B >= n, of which the n leading rows are read. One
+    closure; it writes the gate's pre-activation gradient into rows ``rows``
+    of ``gate``'s gradient, a packed (N,d) buffer of the whole batch, and
+    forms no gradient of W_rc or b_r: the caller records
+    :func:`step_weight_grads` over ``gate`` for the whole recurrence."""
     n = c.shape[0]
     q_n = q.value[:n]
     pre = q_r.value[:n] + c.value @ W_rc.value
@@ -426,11 +477,10 @@ def late_fusion_output(tape: Tape | None, o: Variable, c: Variable, q: Variable,
             o.add_grad(g * u)
             du = g * o.value * (1.0 - u * u)
             q.add_grad_leading(du * r)
-            dpre = du * q_n * r * (1.0 - r)
-            b_r.add_grad(dpre.sum(axis=0))
-            W_rc.add_grad(c.value.T @ dpre)
+            dpre = gate.grad_buffer()[rows]
+            np.multiply(du * q_n * r, 1.0 - r, out=dpre)
             c.add_grad(du + dpre @ W_rc.value.T)
-            q_r.add_grad_leading(dpre)
+            q_r.grad_buffer()[:n] += dpre  # not adopted: dpre is part of gate's gradient
         tape.record(backprop)
     return out
 

@@ -71,7 +71,9 @@ def lstm_step(x: Variable, state: LstmState, params: dict[str, Variable],
     """One LSTM cell update of the layer under ``prefix``."""
     W, U, b = gate_weights(tape, params, prefix)
     xproj = nm.matmul(tape, x, W)
-    _, c_new, h_new = nm.lstm_cell(tape, xproj, slice(0, x.shape[0]), state.h, state.c, U, b)
+    rows = slice(0, x.shape[0])
+    nm.step_weight_grads(tape, U, b, xproj, rows, lambda: state.h.value[rows])
+    _, c_new, h_new = nm.lstm_cell(tape, xproj, rows, state.h, state.c, U, b)
     return LstmState(h_new, c_new)
 
 

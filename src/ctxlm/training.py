@@ -247,14 +247,34 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients in place so their global L2 norm is at most max_norm.
     Non-positive max_norm disables clipping. Returns the pre-clip norm, which is
     NaN or inf (and the gradients are left unscaled) when any gradient is
-    non-finite or the sum of squares overflows."""
+    non-finite or the sum of squares overflows. The squared norms of the
+    arrays are added from left to right."""
     with np.errstate(over="ignore"):
-        norm = math.sqrt(nm.fold_sum(float((g * g).sum()) for g in grads.values()))
+        norm = math.sqrt(nm.fold_sum(_sum_of_squares(g) for g in grads.values()))
     if 0.0 < max_norm < norm < math.inf:
         factor = max_norm / norm
         for g in grads.values():
             g *= factor
     return norm
+
+
+def _sum_of_squares(g: np.ndarray) -> float:
+    """Sum of g's squared entries, through blocks of whole rows (leading-axis
+    slices) of about ADADELTA_BLOCK elements and one block-sized scratch
+    buffer, as ``adadelta_update`` works, so no gradient-sized temporary
+    exists; g may be a strided view. The block sums are added left to right."""
+    rows = g.shape[0] if g.ndim else 1
+    step = max(1, ADADELTA_BLOCK // max(math.prod(g.shape[1:]), 1))
+    if step >= rows:
+        return float(np.square(g).sum())
+    scratch = np.empty((step,) + g.shape[1:], g.dtype)
+    total = 0.0
+    for r in range(0, rows, step):
+        block = g[r : r + step]
+        square = scratch[: len(block)]
+        np.multiply(block, block, out=square)
+        total += float(square.sum())
+    return total
 
 
 def gradient_batch(windows: list[ContextWindow], params: dict[str, Variable],

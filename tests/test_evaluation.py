@@ -103,6 +103,16 @@ def test_unk_rate():
 # -- per-tag analysis -----------------------------------------------------------
 
 
+def test_empty_corpus_fails_clearly_in_every_sentence_model_evaluation():
+    model = random_model()
+    with pytest.raises(ValueError, match="^empty corpus$"):
+        corpus_perplexity(model, [], n=1)
+    with pytest.raises(ValueError, match="^empty corpus$"):
+        perplexity_by_tag(model, [], [], n=1)
+    with pytest.raises(ValueError, match="^empty corpus$"):
+        evaluation.perplexity_with_tags(model, [], [], n=1)
+
+
 def test_single_tag_equals_content_token_perplexity():
     model = random_model()
     tags = [[["X"] * s.length for s in d.sentences] for d in DOCS]

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 import oracle
 import support
-from ctxlm import fusion, numeric as nm
+from ctxlm import context as ctx, fusion, numeric as nm, rlm
 from ctxlm.corpus import ContextWindow, Sentence, Vocabulary, bow_vector
 from ctxlm.numeric import Tape
 
@@ -173,10 +175,10 @@ def test_late_fusion_gate_is_strictly_inside_unit_interval(monkeypatch):
     gates = []
     late_fusion_output = nm.late_fusion_output
 
-    def spy(tape, o, c, q, q_r, W_rc, b_r):
+    def spy(tape, o, c, q, q_r, W_rc, b_r, *packed):
         n = c.shape[0]
         gates.append(nm.sigmoid(q_r.value[:n] + c.value @ W_rc.value + b_r.value))
-        return late_fusion_output(tape, o, c, q, q_r, W_rc, b_r)
+        return late_fusion_output(tape, o, c, q, q_r, W_rc, b_r, *packed)
 
     monkeypatch.setattr(nm, "late_fusion_output", spy)
     for tag in LF_TAGS:
@@ -395,6 +397,94 @@ def test_batch_engine_gradients_match_finite_differences(tag):
             assert support.relative_error(got[resolvable], fd[resolvable]).max(initial=0.0) <= 1e-4, name
             assert np.max(np.abs(got[~resolvable] - fd[~resolvable]), initial=0.0) <= 1e-8, name
             p.zero_grad()
+
+
+def _eos_only():
+    """A target of EOS alone, so the batch has one step (T = 1). The corpus
+    never makes one (a sentence has a content token); the engine must not
+    depend on that."""
+    target = object.__new__(Sentence)
+    object.__setattr__(target, "token_ids", (1,))
+    return target
+
+
+# every target one step long, each context one sentence long (K = 1 too)
+ONE_STEP = [ContextWindow(_eos_only(), (sent(4, 6),)), ContextWindow(_eos_only(), ()),
+            ContextWindow(_eos_only(), (sent(2, 8, 3),))]
+NO_CONTEXT = [ContextWindow(sent(3, 5, 2), ()), ContextWindow(sent(6, 2, 8, 3, 5), ()),
+              ContextWindow(sent(9,), ())]
+
+
+def _per_step_weight_grads(windows, tag, params):
+    """Backpropagate sum(batch_nll) with spies that, after each step's backward,
+    add that step's own weight gradients into a reference: h_prev.T @ dz and
+    dz.sum(0) for every lstm_cell (dz read back from xproj's gradient), and
+    c.T @ dpre and dpre.sum(0) for every late_fusion_output (dpre from the gate
+    buffer's). -> {parameter name: reference gradient}."""
+    lstm_cell, late_fusion_output = nm.lstm_cell, nm.late_fusion_output
+    ref_U = {}  # by id of the concatenated U: [U, dU, db]
+    ref_rc = {"W_rc": 0.0, "b_r": 0.0}
+
+    def cell_spy(tape, xproj, rows, h_prev, c_prev, U, b, extra=None):
+        n = rows.stop - rows.start
+        entry = ref_U.setdefault(id(U), [U, 0.0, 0.0])
+
+        def after_backward():  # recorded first, so it runs after the cell's backward
+            dz = xproj.grad[rows]
+            entry[1] = entry[1] + h_prev.value[:n].T @ dz
+            entry[2] = entry[2] + dz.sum(axis=0)
+        tape.record(after_backward)
+        return lstm_cell(tape, xproj, rows, h_prev, c_prev, U, b, extra)
+
+    def late_spy(tape, o, c, q, q_r, W_rc, b_r, gate, rows):
+        def after_backward():
+            dpre = gate.grad[rows]
+            ref_rc["W_rc"] = ref_rc["W_rc"] + c.value.T @ dpre
+            ref_rc["b_r"] = ref_rc["b_r"] + dpre.sum(axis=0)
+        tape.record(after_backward)
+        return late_fusion_output(tape, o, c, q, q_r, W_rc, b_r, gate, rows)
+
+    tape = Tape()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nm, "lstm_cell", cell_spy)
+        mp.setattr(nm, "late_fusion_output", late_spy)
+        total, _ = fusion.batch_nll(windows, params, tag, VOCAB, tape)
+    tape.backward(nm.sum_all(tape, total))
+    ref = {}
+    for U, dU, db in ref_U.values():
+        # the layer whose per-gate U_* the concatenated U holds
+        prefix = next(p for p in ("", ctx.CTX_FWD, ctx.CTX_REV)
+                      if f"{p}U_i" in params and np.array_equal(
+                          U.value, np.concatenate([params[f"{p}U_{g}"].value
+                                                   for g in rlm.GATES], axis=1)))
+        d = U.shape[0]
+        for k, g in enumerate(rlm.GATES):
+            ref[f"{prefix}U_{g}"] = dU[..., k * d:(k + 1) * d]
+            ref[f"{prefix}b_{g}"] = db[..., k * d:(k + 1) * d]
+    if "W_rc" in params:
+        ref.update(ref_rc)
+    return ref
+
+
+@pytest.mark.parametrize("tag", sorted(fusion.VARIANTS))
+def test_weight_gradients_equal_the_per_step_sum(tag):
+    """Every recurrent weight's gradient (U_* and b_* of the decoder and of
+    both context LSTMs, W_rc and b_r), formed once per batch, equals the sum
+    of every step's own h_prev.T @ dz (c.T @ dpre) and dz.sum(0) to 1e-12 of
+    its largest entry, in float64: on batches of mixed and tied lengths, one
+    whose every target is one step long and every context one sentence (so
+    dU is exactly 0), and one with no context at all."""
+    for windows in (PADDED, TIED_ASCENDING, ONE_STEP, NO_CONTEXT):
+        params = make_params(tag, seed=47, scale=10.0)
+        ref = _per_step_weight_grads(windows, tag, params)
+        recurrent = [n for n in params if re.fullmatch(r"(cf_|cr_)?[Ub]_[iofc]|W_rc|b_r", n)]
+        for name in recurrent:
+            got = params[name].grad_buffer()
+            want = np.broadcast_to(ref.get(name, 0.0), got.shape)  # unused layer: 0
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+        if windows is ONE_STEP:
+            assert all(not params[f"U_{g}"].grad_buffer().any() for g in rlm.GATES)
+            assert any(params[f"b_{g}"].grad_buffer().any() for g in rlm.GATES)
 
 
 @pytest.mark.parametrize("tag", ["RLM-BoW-LF", "RLM-SeqBoW-EF", "RLM-SeqBoW-ATT-LF"])

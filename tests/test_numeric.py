@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 import support
 from ctxlm import numeric as nm
 from ctxlm.numeric import Tape, Variable
+from ctxlm.training import encode_rng_state
 
 RNG = np.random.Generator(np.random.PCG64(1234))
 
@@ -107,6 +108,19 @@ def test_tape_backward_order_is_reversed():
 def test_tape_backward_requires_scalar():
     with pytest.raises(ValueError):
         Tape().backward(Variable(np.zeros(3)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(), (0,), (7,), (3, nm.INIT_BLOCK // 2 + 5)])
+def test_uniform_init_is_the_uniform_draw_cast_bitwise(shape, dtype):
+    """Drawn block by block, the init equals one float64 uniform draw cast to
+    the dtype, bitwise, and leaves the generator in the same state."""
+    blocked, whole = (np.random.Generator(np.random.PCG64(11)) for _ in range(2))
+    got = nm.uniform_init(blocked, shape, dtype)
+    want = whole.uniform(-nm.INIT_SCALE, nm.INIT_SCALE, size=shape).astype(dtype)
+    assert got.dtype == dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert encode_rng_state(blocked) == encode_rng_state(whole)
 
 
 # -- per-primitive gradient checks -------------------------------------------
@@ -256,7 +270,9 @@ def test_grad_concat_rows_and_leading_rows():
 def _lstm_cell_combined(t, v, rows=slice(2, 4), with_extra=True):
     """A weighted sum of all three outputs of one cell, so every output's
     gradient path is exercised. v: xproj (N,4d), h_prev, c_prev, U, b, extra;
-    the cell runs on the two rows ``rows`` of xproj."""
+    the cell runs on the two rows ``rows`` of xproj. U and b get their
+    gradients as in a recurrence of this one step, from step_weight_grads."""
+    nm.step_weight_grads(t, v[3], v[4], v[0], rows, lambda: v[1].value[:2])
     o, c, h = nm.lstm_cell(t, v[0], rows, v[1], v[2], v[3], v[4],
                            v[5] if with_extra else None)
     weights = [Variable(np.linspace(-1.0, 1.0, 6).reshape(2, 3) * k) for k in (2, 3, 4)]
@@ -309,15 +325,24 @@ def test_lstm_cell_matches_per_gate_formula():
     assert np.max(np.abs(h_new.value - go * np.tanh(expect_c))) < 1e-14
 
 
+def _late_fusion_step(t, v):
+    """One late-fusion step on rows 1:3 of a packed 4-row gate buffer; v: o, c,
+    q, q_r, W_rc, b_r. W_rc and b_r get their gradients as in a recurrence of
+    this one step, from step_weight_grads."""
+    gate, rows = nm.zeros((4, 3), np.float64), slice(1, 3)
+    nm.step_weight_grads(t, v[4], v[5], gate, rows, lambda: v[1].value)
+    return nm.late_fusion_output(t, *v, gate, rows)
+
+
 def test_grad_late_fusion_output():
-    _check_op(lambda t, v: nm.late_fusion_output(t, *v),
+    _check_op(_late_fusion_step,
               [RNG.standard_normal((2, 3)), RNG.standard_normal((2, 3)),
                RNG.standard_normal((2, 3)), RNG.standard_normal((2, 3)),
                RNG.standard_normal((3, 3)), RNG.standard_normal(3)])
 
 
 def test_grad_late_fusion_output_reads_leading_rows_of_wider_context():
-    q, q_r = _check_op(lambda t, v: nm.late_fusion_output(t, *v),
+    q, q_r = _check_op(_late_fusion_step,
                        [RNG.standard_normal((2, 3)), RNG.standard_normal((2, 3)),
                         RNG.standard_normal((4, 3)), RNG.standard_normal((4, 3)),
                         RNG.standard_normal((3, 3)), RNG.standard_normal(3)])[2:4]

@@ -69,6 +69,36 @@ def test_lstm_step_saturated_gates_retain_memory():
     assert np.max(np.abs(out.c.value - c0)) < 1e-8
 
 
+def test_lstm_step_gradients_match_finite_differences():
+    """A taped step from a nonzero state gives every gate weight, U and b
+    included, its gradient of sum(h) + sum(c)."""
+    params = rand_params(d_emb=3, d_h=4)
+    rng = np.random.Generator(np.random.PCG64(8))
+    x, h0, c0 = (rng.standard_normal((2, d)) for d in (3, 4, 4))
+
+    def objective(tape):
+        out = lstm_step(Variable(x), LstmState(Variable(h0), Variable(c0)), params, tape)
+        return nm.sum_all(tape, nm.add(tape, out.h, out.c))
+
+    tape = Tape()
+    tape.backward(objective(tape))
+    for name, p in params.items():
+        if name[0] not in "WUb" or name in ("W_out", "b_out"):
+            continue
+        got = p.grad_buffer().copy().ravel()
+
+        def f(theta, p=p):
+            saved = p.value
+            p.value = theta.reshape(saved.shape)
+            out = float(objective(None).value)
+            p.value = saved
+            return out
+
+        fd = support.finite_difference_gradient(f, p.value.ravel().copy())
+        assert np.any(got != 0.0), name
+        assert support.relative_error(got, fd).max() < 1e-6, name
+
+
 def test_lstm_step_shape_mismatch():
     params = zero_params(d_emb=3, d_h=2)
     state = rlm.zero_state(1, 2, np.float64)

@@ -158,6 +158,27 @@ def test_clip_gradients_adds_squared_norms_left_to_right():
     assert clip_gradients(grads, 0.0) == 1e8
 
 
+@pytest.mark.parametrize("gate_view", [False, True])
+def test_clip_gradients_makes_no_gradient_sized_temporary(gate_view):
+    """A (1000, 1000) float64 gradient, alone or as the column slice of a
+    (d, 4d) array that a gate's U receives: the norm is the plain one and
+    clipping scales in place, with a traced peak below 1/8 of its bytes."""
+    d = 1000
+    whole = np.random.default_rng(3).standard_normal((d, 4 * d) if gate_view else (d, d))
+    grad = whole[:, d : 2 * d] if gate_view else whole
+    expect = math.sqrt(float((grad * grad).sum()))
+    scaled = grad / expect
+    tracemalloc.start()
+    try:
+        norm = clip_gradients({"U_o": grad}, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < grad.nbytes / 8
+    assert norm == pytest.approx(expect, rel=1e-12)
+    assert np.allclose(grad, scaled, rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan, 1e200])
 def test_clip_gradients_nonfinite_norm_leaves_gradients_unscaled(bad):
     # 1e200 is finite, but its square overflows the sum of squares
