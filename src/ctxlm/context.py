@@ -51,7 +51,9 @@ def project(tape: Tape | None, x: Variable, weight: Variable) -> Variable:
 def project_counts(tape: Tape | None, params: dict[str, Variable],
                    counts: np.ndarray) -> Variable:
     """Count rows (N, V) projected by P -> (N, d_ctx); the counts get no gradient.
-    For BoW, one row per window holding all its context words: p = P s."""
+    For BoW, one row per window holding all its context words: p = P s. The
+    product is dense, but P's gradient is row-form: ``counts[:, rows].T @ g``
+    over the words the rows count (``numeric.matmul`` of a constant operand)."""
     return nm.matmul(tape, Variable(counts, constant=True), params["P"])
 
 

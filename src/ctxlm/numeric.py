@@ -15,6 +15,14 @@ precomputed input projection and one ``h_prev @ U`` product),
 position at once). Operands marked ``constant`` (data such as bag-of-words
 count matrices) receive no gradient.
 
+Row-form gradients: a batch reaches only the rows of an embedding table
+that its words select, and only the rows of the BoW projection that its
+context words count. :func:`embed_rows`, and :func:`matmul` for the weight a
+constant operand multiplies, therefore hand their operand a
+:class:`RowGrad`, the sorted unique rows it reaches with one value row each,
+instead of a dense array that is zero almost everywhere.
+:meth:`Variable.grad_buffer` densifies it on demand.
+
 A weight that every step of a recurrence applies gets its gradient once per
 batch, not once per step: the steps only write their pre-activation
 gradients into the rows they own of one packed buffer (the cell into its
@@ -39,6 +47,7 @@ DTYPES = {"f32": np.float32, "f64": np.float64}
 
 INIT_SCALE = 0.08  # uniform init range for all trainable parameters
 INIT_BLOCK = 1 << 14  # float64 draws per block of uniform_init
+GATHER_BLOCK = 1 << 13  # elements per gathered block of a constant operand's columns
 
 
 def dtype_of(precision: str) -> np.dtype:
@@ -48,8 +57,34 @@ def dtype_of(precision: str) -> np.dtype:
         raise ValueError(f"unknown precision {precision!r}, expected one of {sorted(DTYPES)}")
 
 
+class RowGrad:
+    """A gradient that is zero outside some rows (leading-axis entries) of an
+    array of ``shape``: row ``rows[i]`` holds ``values[i]``. ``rows`` is sorted
+    and unique."""
+
+    __slots__ = ("rows", "values", "shape")
+
+    def __init__(self, rows: np.ndarray, values: np.ndarray, shape: tuple):
+        self.rows = rows
+        self.values = values
+        self.shape = shape
+
+    @classmethod
+    def empty(cls, like: np.ndarray) -> "RowGrad":
+        """The zero gradient of ``like``, holding no row."""
+        return cls(np.empty(0, np.intp), np.empty((0,) + like.shape[1:], like.dtype),
+                   like.shape)
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape, self.values.dtype)
+        out[self.rows] = self.values
+        return out
+
+
 class Variable:
-    """A numpy array plus a lazily allocated gradient buffer of the same shape.
+    """A numpy array plus a lazily allocated gradient of the same shape: a
+    dense array, or a :class:`RowGrad` while the only gradient it has received
+    came through :meth:`add_row_grad`.
 
     A ``constant`` Variable holds data, not a parameter or an intermediate:
     :func:`matmul`, the primitive data operands enter through, computes no
@@ -60,7 +95,7 @@ class Variable:
 
     def __init__(self, value, name: str | None = None, constant: bool = False):
         self.value = np.asarray(value)
-        self.grad: np.ndarray | None = None
+        self.grad: np.ndarray | RowGrad | None = None
         self.name = name
         self.constant = constant
 
@@ -73,9 +108,22 @@ class Variable:
         return self.value.dtype
 
     def grad_buffer(self) -> np.ndarray:
+        """The gradient as a dense array: allocated as zeros, or densified from
+        a row-form gradient, on first use."""
         if self.grad is None:
             self.grad = np.zeros_like(self.value)
+        elif type(self.grad) is RowGrad:
+            self.grad = self.grad.dense()
         return self.grad
+
+    def add_row_grad(self, rows: np.ndarray, values: np.ndarray) -> None:
+        """Accumulate the gradient that is ``values`` at the sorted, unique
+        ``rows`` and zero elsewhere. It stays in row form (adopting ``values``)
+        while it is the only gradient received; otherwise it is added densely."""
+        if self.grad is None:
+            self.grad = RowGrad(rows, values, self.value.shape)
+        else:
+            self.grad_buffer()[rows] += values
 
     def add_grad(self, g: np.ndarray) -> None:
         """Accumulate g into the gradient. With no gradient yet, a g of the same
@@ -180,7 +228,10 @@ def uniform_init(rng: np.random.Generator, shape, dtype) -> np.ndarray:
 
 
 def matmul(tape: Tape | None, a: Variable, b: Variable) -> Variable:
-    """a (m,k) @ b (k,n) -> (m,n); a constant operand gets no gradient."""
+    """a (m,k) @ b (k,n) -> (m,n); a constant operand gets no gradient. When a
+    is constant (data, such as count rows over a vocabulary), b's gradient is
+    row-form: only the rows of b that a nonzero column of a multiplies get
+    one, ``a[:, rows].T @ g``, the dense product's rows."""
     out = Variable(a.value @ b.value)
     if tape is not None:
         def backprop():
@@ -189,10 +240,27 @@ def matmul(tape: Tape | None, a: Variable, b: Variable) -> Variable:
                 return
             if not a.constant:
                 a.add_grad(g @ b.value.T)
-            if not b.constant:
+            if b.constant:
+                return
+            if a.constant:
+                b.add_row_grad(*_constant_product_rows(a.value, g))
+            else:
                 b.add_grad(a.value.T @ g)
         tape.record(backprop)
     return out
+
+
+def _constant_product_rows(a: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, a[:, rows].T @ g)`` for the columns ``rows`` of a that hold a
+    nonzero: the rows of a.T @ g that can differ from 0. The columns are
+    gathered a few at a time, so no copy of more than GATHER_BLOCK elements
+    of a exists."""
+    rows = np.flatnonzero(a.any(axis=0))
+    values = np.empty((len(rows), g.shape[1]), g.dtype)
+    step = max(1, GATHER_BLOCK // max(len(a), 1))
+    for start in range(0, len(rows), step):
+        values[start : start + step] = a[:, rows[start : start + step]].T @ g
+    return rows, values
 
 
 # no engine use; kept because bench/tracing.py wraps numeric.add by name
@@ -266,14 +334,24 @@ def tanh_v(tape: Tape | None, x: Variable) -> Variable:
 
 
 def embed_rows(tape: Tape | None, table: Variable, ids: np.ndarray) -> Variable:
-    """Gather rows of table (V,d) at integer ids (B,) -> (B,d)."""
+    """Gather rows of table (V,d) at integer ids (N,) -> (N,d). The table gets
+    a row-form gradient over the distinct ids: ``np.add.at`` adds each id's
+    position gradients into its row in index order, as into a dense zero
+    table, so the rows hold that table's bits."""
     out = Variable(table.value[ids])
     if tape is not None:
         def backprop():
             g = out.grad
             if g is None:
                 return
-            np.add.at(table.grad_buffer(), ids, g)
+            # each table row's place among the distinct ids, without a sort
+            place = np.zeros(len(table.value), np.intp)
+            place[ids] = 1
+            rows = np.flatnonzero(place)
+            place[rows] = np.arange(len(rows))
+            values = np.zeros((len(rows),) + g.shape[1:], g.dtype)
+            np.add.at(values, place[ids], g)
+            table.add_row_grad(rows, values)
         tape.record(backprop)
     return out
 

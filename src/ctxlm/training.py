@@ -15,12 +15,19 @@ checkpoint with ``diverged`` set.
 The optimizer step and the training state make no parameter-sized copies.
 `adadelta_update` rounds every element exactly as the one-expression
 Adadelta formula does, but works through cache-sized row blocks with two
-small scratch buffers, so its results are bitwise that formula's. A checkpoint
-holds the model parameters and the run's metadata, not the optimizer's
-moments. `train` keeps the best epoch's parameters as a copy only while a
-later epoch can still move them; the last epoch's snapshot holds the live
-arrays, and the epoch-0 state is never copied: it is rebuilt from the seed when
-divergence before the first validation forces `train` to return it.
+small scratch buffers, so its results are bitwise that formula's. The word
+embedding ``E`` and the BoW projection ``P`` get row-form gradients
+(``numeric.RowGrad``): a batch reaches a few hundred of their rows. Clipping
+reads and scales only those rows, and Adadelta gives them the full step and
+every other row only the decay its moments undergo at a zero gradient,
+which is bitwise the dense step; rows whose moments are still 0 are not
+touched at all, so the untouched parts of the moments are never written.
+A checkpoint holds the model parameters and the run's metadata, not the
+optimizer's moments. `train` keeps the best epoch's parameters as a copy
+only while a later epoch can still move them; the last epoch's snapshot
+holds the live arrays, and the epoch-0 state is never copied: it is rebuilt
+from the seed when divergence before the first validation forces `train` to
+return it.
 `save_checkpoint` writes to a temporary file beside the target and renames
 it into place.
 """
@@ -177,10 +184,13 @@ def format_config(config: TrainConfig, extras: dict[str, str] | None = None) -> 
 
 @dataclass
 class AdadeltaState:
-    """Running second moments of gradients and updates, one pair per parameter."""
+    """Running second moments of gradients and updates, one pair per parameter,
+    and per parameter one flag per row (leading-axis entry), ``live``: False
+    while both moments of the row are still exactly 0."""
 
     sq_grad: dict[str, np.ndarray]
     sq_delta: dict[str, np.ndarray]
+    live: dict[str, np.ndarray]
 
     @classmethod
     def for_params(cls, params: dict[str, Variable]) -> "AdadeltaState":
@@ -188,6 +198,7 @@ class AdadeltaState:
         return cls(
             {k: np.zeros(v.value.shape, v.value.dtype) for k, v in params.items()},
             {k: np.zeros(v.value.shape, v.value.dtype) for k, v in params.items()},
+            {k: np.zeros(v.value.shape[:1], bool) for k, v in params.items()},
         )
 
 
@@ -196,8 +207,9 @@ class AdadeltaState:
 ADADELTA_BLOCK = 1 << 14
 
 
-def adadelta_update(param: np.ndarray, grad: np.ndarray, sq_grad: np.ndarray,
-                    sq_delta: np.ndarray, rho: float, eps: float) -> None:
+def adadelta_update(param: np.ndarray, grad: np.ndarray | nm.RowGrad, sq_grad: np.ndarray,
+                    sq_delta: np.ndarray, rho: float, eps: float,
+                    live: np.ndarray | None = None) -> None:
     """In-place Adadelta step: accumulate E[g^2], apply the scale-free delta,
     then accumulate E[delta^2]. The gradient must be finite; `train` checks.
 
@@ -206,9 +218,52 @@ def adadelta_update(param: np.ndarray, grad: np.ndarray, sq_grad: np.ndarray,
     parameter-sized temporary exists; any of the four arrays may be a strided
     view. Each element is rounded exactly as in
     ``delta = -(sqrt(E[d^2] + eps) / sqrt(E[g^2] + eps)) * g``, so the result is
-    bitwise that formula's."""
+    bitwise that formula's.
+
+    ``grad`` may be a row-form ``numeric.RowGrad``, zero outside its rows.
+    At g = 0 the step is exactly ``sq_grad *= rho; sq_delta *= rho`` (every
+    other term adds or subtracts an exact 0), so the gradient's rows get the
+    full step and every other row only that decay: bitwise the dense step on
+    the zero-filled gradient, with temporaries the size of the gradient's
+    rows. ``live`` (one flag per row; None means every row) marks the rows
+    whose moments may be non-zero: only those are decayed, as 0 * rho = 0,
+    and the step marks every row it reaches."""
+    if type(grad) is nm.RowGrad:
+        _adadelta_rows(param, grad, sq_grad, sq_delta, rho, eps, live)
+        return
+    if live is not None:
+        live[...] = True
+    _adadelta_dense(param, grad, sq_grad, sq_delta, rho, eps)
+
+
+def _adadelta_rows(param, grad, sq_grad, sq_delta, rho, eps, live) -> None:
+    rows = grad.rows
+    # gathered before the decay below reaches them, then stepped and put back
+    touched = param.take(rows, 0), sq_grad.take(rows, 0), sq_delta.take(rows, 0)
+    runs = [(0, len(param))] if live is None or live.all() else _live_runs(live)
+    for start, stop in runs:
+        sq_grad[start:stop] *= rho
+        sq_delta[start:stop] *= rho
+    _adadelta_dense(touched[0], grad.values, touched[1], touched[2], rho, eps)
+    param[rows], sq_grad[rows], sq_delta[rows] = touched
+    if live is not None:
+        live[rows] = True
+
+
+def _live_runs(live: np.ndarray) -> list[list[int]]:
+    """[start, stop) of every run of consecutive True flags."""
+    edges = np.flatnonzero(np.diff(live, prepend=False, append=False))
+    return edges.reshape(-1, 2).tolist()
+
+
+def _block_rows(shape) -> int:
+    """Rows (leading-axis entries) in one block of about ADADELTA_BLOCK elements."""
+    return max(1, ADADELTA_BLOCK // max(math.prod(shape[1:]), 1))
+
+
+def _adadelta_dense(param, grad, sq_grad, sq_delta, rho, eps) -> None:
     rows = param.shape[0] if param.ndim else 1
-    step = max(1, ADADELTA_BLOCK // max(math.prod(param.shape[1:]), 1))
+    step = _block_rows(param.shape)
     if step >= rows:
         scratch = np.empty((2,) + param.shape, param.dtype)
         # [i, ...] keeps a 0-d parameter's scratch an array, not a scalar
@@ -243,18 +298,22 @@ def _adadelta_block(param, grad, sq_grad, sq_delta, rho, eps, t1, t2) -> None:
     param -= t1
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
+def clip_gradients(grads: dict[str, np.ndarray | nm.RowGrad], max_norm: float) -> float:
     """Scale all gradients in place so their global L2 norm is at most max_norm.
     Non-positive max_norm disables clipping. Returns the pre-clip norm, which is
     NaN or inf (and the gradients are left unscaled) when any gradient is
     non-finite or the sum of squares overflows. The squared norms of the
-    arrays are added from left to right."""
+    arrays are added from left to right. A row-form gradient gives its dense
+    array's squared norm, bit for bit, and only its values are scaled."""
     with np.errstate(over="ignore"):
-        norm = math.sqrt(nm.fold_sum(_sum_of_squares(g) for g in grads.values()))
+        norm = math.sqrt(nm.fold_sum(
+            _row_sum_of_squares(g) if type(g) is nm.RowGrad else _sum_of_squares(g)
+            for g in grads.values()))
     if 0.0 < max_norm < norm < math.inf:
         factor = max_norm / norm
         for g in grads.values():
-            g *= factor
+            values = g.values if type(g) is nm.RowGrad else g
+            values *= factor
     return norm
 
 
@@ -264,7 +323,7 @@ def _sum_of_squares(g: np.ndarray) -> float:
     buffer, as ``adadelta_update`` works, so no gradient-sized temporary
     exists; g may be a strided view. The block sums are added left to right."""
     rows = g.shape[0] if g.ndim else 1
-    step = max(1, ADADELTA_BLOCK // max(math.prod(g.shape[1:]), 1))
+    step = _block_rows(g.shape)
     if step >= rows:
         return float(np.square(g).sum())
     scratch = np.empty((step,) + g.shape[1:], g.dtype)
@@ -277,15 +336,40 @@ def _sum_of_squares(g: np.ndarray) -> float:
     return total
 
 
+def _row_sum_of_squares(g: nm.RowGrad) -> float:
+    """``_sum_of_squares`` of g's dense array, bit for bit, from g's rows alone:
+    each block that holds some of them is squared into the scratch block with
+    its other rows zero and summed as there, so the sum groups the same terms;
+    a block without one would add an exact 0."""
+    rows = g.shape[0]
+    step = min(rows, _block_rows(g.shape))
+    scratch = np.empty((step,) + g.shape[1:], g.values.dtype)
+    blocks = g.rows // step
+    firsts = np.flatnonzero(np.diff(blocks, prepend=-1)).tolist()
+    total = 0.0
+    for lo, hi in zip(firsts, firsts[1:] + [len(blocks)]):
+        start = int(blocks[lo]) * step
+        square = scratch[: min(step, rows - start)]
+        square.fill(0)
+        square[g.rows[lo:hi] - start] = np.square(g.values[lo:hi])
+        total += float(square.sum())
+    return total
+
+
 def gradient_batch(windows: list[ContextWindow], params: dict[str, Variable],
-                   variant, vocab: Vocabulary) -> tuple[float, dict[str, np.ndarray]]:
+                   variant, vocab: Vocabulary
+                   ) -> tuple[float, dict[str, np.ndarray | nm.RowGrad]]:
     """Mean per-window NLL and its gradients w.r.t. every parameter: the tape's
-    own buffers, which share no memory, so the caller may change them in place."""
+    own buffers, which share no memory, so the caller may change them in place.
+    ``E`` and ``P`` come in row form (``numeric.RowGrad``) over the rows the
+    batch reaches, the others as dense arrays; a parameter the batch does not
+    reach at all gets an empty row-form gradient."""
     tape = Tape()
     total, _ = fusion.batch_nll(windows, params, variant, vocab, tape)
     loss = nm.scale(tape, nm.sum_all(tape, total), 1.0 / len(windows))
     tape.backward(loss)
-    grads = {name: p.grad_buffer() for name, p in params.items()}
+    grads = {name: nm.RowGrad.empty(p.value) if p.grad is None else p.grad
+             for name, p in params.items()}
     for p in params.values():
         p.zero_grad()
     return float(loss.value), grads
@@ -562,7 +646,8 @@ def train(config: TrainConfig, train_docs: list[Document], valid_docs: list[Docu
                 return diverged()
             for name, p in params.items():
                 adadelta_update(p.value, grads[name], moments.sq_grad[name],
-                                moments.sq_delta[name], config.rho, config.eps)
+                                moments.sq_delta[name], config.rho, config.eps,
+                                moments.live[name])
             loss_sum += loss * len(ws)
             seen += len(ws)
         train_nll = loss_sum / seen

@@ -219,4 +219,4 @@ def test_encoder_gradients_flow_through_tape():
     mixed, _ = attention(params, annots, query(), mask, tape=tape)
     tape.backward(nm.sum_all(tape, mixed))
     for name in ("P", "cf_W_i", "cr_U_f", "W_a", "U_a", "v_a"):
-        assert params[name].grad is not None and np.any(params[name].grad != 0.0), name
+        assert params[name].grad is not None and np.any(params[name].grad_buffer() != 0.0), name

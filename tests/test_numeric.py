@@ -175,6 +175,61 @@ def test_grad_embed_rows():
     _check_op(lambda t, v: nm.embed_rows(t, v[0], ids), [RNG.standard_normal((4, 3))])
 
 
+def _backward_from(tape, out, g):
+    """Run the tape's closures with ``g`` as the gradient of ``out``."""
+    out.grad = g
+    for fn in reversed(tape._backprops):
+        fn()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_embed_rows_gives_the_dense_scatter_rows_bitwise(dtype):
+    """The table's gradient is row-form over the distinct ids, sorted, and
+    each row holds the bits np.add.at leaves in a dense zero table: the
+    position gradients of a repeated id added in index order."""
+    rng = np.random.default_rng(8)
+    ids = rng.integers(0, 40, size=500)
+    table = Variable(rng.standard_normal((60, 7)).astype(dtype))
+    g = rng.standard_normal((500, 7)).astype(dtype)
+    tape = Tape()
+    _backward_from(tape, nm.embed_rows(tape, table, ids), g)
+    grad = table.grad
+    assert isinstance(grad, nm.RowGrad) and grad.shape == (60, 7)
+    assert grad.rows.tolist() == sorted(set(ids.tolist()))
+    dense = np.zeros((60, 7), dtype)
+    np.add.at(dense, ids, g)
+    assert grad.values.dtype == dtype
+    assert grad.values.tobytes() == dense[grad.rows].tobytes()
+    assert table.grad_buffer().tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("gather_block", [nm.GATHER_BLOCK, 8])
+def test_constant_operand_gives_the_weight_a_row_gradient(gather_block, monkeypatch):
+    """Counts times a weight: the weight's gradient is row-form over the
+    words some row counts, and equals the dense product's rows, whether the
+    counted columns are gathered at once or two at a time; a NaN in the
+    output gradient reaches those rows only (the dense product, 0 * NaN,
+    spread it over every row)."""
+    monkeypatch.setattr(nm, "GATHER_BLOCK", gather_block)
+    rng = np.random.default_rng(9)
+    counts = np.zeros((4, 10))
+    counts[[0, 1, 1, 3], [2, 2, 7, 5]] = [1.0, 2.0, 1.0, 3.0]
+    weights = Variable(rng.standard_normal((10, 3)))
+    g = rng.standard_normal((4, 3))
+    tape = Tape()
+    _backward_from(tape, nm.matmul(tape, Variable(counts, constant=True), weights), g.copy())
+    grad = weights.grad
+    assert isinstance(grad, nm.RowGrad) and grad.rows.tolist() == [2, 5, 7]
+    assert np.allclose(grad.values, (counts.T @ g)[[2, 5, 7]], rtol=1e-15, atol=0.0)
+    g[1, 0] = np.nan
+    weights.zero_grad()
+    tape = Tape()
+    _backward_from(tape, nm.matmul(tape, Variable(counts, constant=True), weights), g)
+    assert weights.grad.rows.tolist() == [2, 5, 7]
+    assert np.isnan(weights.grad.values[:, 0]).all()
+    assert np.isfinite(weights.grad.values[:, 1:]).all()
+
+
 def test_grad_nll_rows():
     targets = np.array([1, 0, 3])
     _check_op(lambda t, v: nm.nll_rows(t, v[0], targets),
@@ -381,7 +436,8 @@ def test_constant_operand_gets_no_gradient():
     tape = Tape()
     tape.backward(nm.sum_all(tape, nm.matmul(tape, data, weights)))
     assert data.grad is None
-    assert np.allclose(weights.grad, data.value.sum(axis=0)[:, None] * np.ones((1, 2)))
+    assert np.allclose(weights.grad_buffer(),
+                       data.value.sum(axis=0)[:, None] * np.ones((1, 2)))
 
 
 def test_adopted_gradients_are_never_shared_between_inputs():

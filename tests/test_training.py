@@ -11,7 +11,9 @@ import pytest
 
 import support
 from ctxlm import fusion, training
+from ctxlm import numeric as nm
 from ctxlm.corpus import CorpusError, Document, Sentence, Vocabulary
+from ctxlm.numeric import RowGrad
 from ctxlm.training import (AdadeltaState, CheckpointError, ConfigError, EarlyStopper,
                             TrainConfig, adadelta_update, clip_gradients,
                             config_from_mapping, format_config,
@@ -137,6 +139,72 @@ def test_adadelta_update_allocates_no_parameter_sized_temporary():
     assert peak < param.nbytes / 8
 
 
+# each step's touched rows of a (9, 6) parameter: row 2 is touched, missed,
+# then touched again; row 5's gradient is all (signed) zeros; row 0 only in
+# the last step, which reaches every row
+ROW_STEPS = [[1, 2, 5], [1, 3, 5, 7], [2, 4, 5, 8], list(range(9))]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("start", ["fresh", "warm", "no_mask", "dense_first"])
+def test_adadelta_row_form_step_is_bitwise_the_dense_step(dtype, start):
+    """The row-form step equals adadelta_update on the zero-filled dense
+    gradient, bit for bit (signed zeros included), for the parameter and both
+    moments after every step. "fresh" starts as training does, with zero
+    moments and no live row; "warm" with non-zero moments and every row live;
+    "no_mask" passes no live flags, so every row is decayed; "dense_first"
+    starts fresh but takes its first step from a dense gradient, which makes
+    every row live."""
+    rng = np.random.default_rng(11)
+    shape = (9, 6)
+    param = rng.standard_normal(shape).astype(dtype)
+    if start in ("fresh", "dense_first"):
+        sq_g, sq_d = np.zeros(shape, dtype), np.zeros(shape, dtype)
+    else:
+        sq_g, sq_d = (np.abs(rng.standard_normal(shape)).astype(dtype) for _ in range(2))
+    live = None if start == "no_mask" else np.full(9, start == "warm")
+    want = [a.copy() for a in (param, sq_g, sq_d)]
+    if start == "dense_first":
+        first = rng.standard_normal(shape).astype(dtype)
+        adadelta_update(*want[:1], first, *want[1:], 0.95, 1e-6)
+        adadelta_update(param, first.copy(), sq_g, sq_d, 0.95, 1e-6, live)
+        assert live.all()
+    for step, rows in enumerate(ROW_STEPS):
+        rows = np.array(rows)
+        values = rng.standard_normal((len(rows), 6)).astype(dtype)
+        values[rows == 5] = np.array([0.0, -0.0] * 3, dtype)
+        dense = np.zeros(shape, dtype)
+        dense[rows] = values
+        adadelta_update(*want[:1], dense, *want[1:], 0.95, 1e-6)
+        adadelta_update(param, RowGrad(rows, values, shape), sq_g, sq_d, 0.95, 1e-6, live)
+        for got, expect in zip((param, sq_g, sq_d), want):
+            assert got.dtype == dtype and got.tobytes() == expect.tobytes(), (start, step)
+        if start == "fresh" and step == 2:
+            # row 0 has not been reached: not live, its moments still exactly 0
+            assert live.tolist() == [False] + [True] * 5 + [False, True, True]
+            assert not sq_g[0].any() and not sq_d[0].any()
+            assert not sq_g[6].any() and not sq_d[6].any()
+
+
+def test_adadelta_row_step_allocates_only_row_sized_temporaries():
+    """A row-form step on 20 of 1000 rows, every row live: the decay works in
+    place, and the touched rows' gathered copies stay far below the
+    parameter's size."""
+    param = np.zeros((1000, 1000))
+    grad = RowGrad(np.arange(0, 1000, 50), np.ones((20, 1000)), param.shape)
+    sq_g, sq_d = np.ones_like(param), np.ones_like(param)
+    live = np.ones(1000, bool)
+    tracemalloc.start()
+    try:
+        adadelta_update(param, grad, sq_g, sq_d, 0.95, 1e-6, live)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < param.nbytes / 8
+    assert np.all(param[grad.rows] < 0) and not param[1:50].any()
+    assert np.all(sq_g[1:50] == 0.95)
+
+
 def test_clip_gradients_global_norm():
     grads = {"a": np.array([3.0, 0.0]), "b": np.array([4.0])}
     norm = clip_gradients(grads, 1.0)
@@ -155,6 +223,10 @@ def test_clip_gradients_adds_squared_norms_left_to_right():
     # squared norms 1e16, 1, 1: a left fold rounds each 1 away (the spacing of
     # doubles at 1e16 is 2), a compensated sum keeps both and gives 1e16 + 2
     grads = {"a": np.array([1e8]), "b": np.array([1.0]), "c": np.array([1.0])}
+    assert clip_gradients(grads, 0.0) == 1e8
+    # the same with row-form entries first and last
+    grads = {"a": RowGrad(np.array([3]), np.array([[1e8]]), (5, 1)), "b": np.array([1.0]),
+             "c": RowGrad(np.array([0]), np.array([[1.0]]), (2, 1))}
     assert clip_gradients(grads, 0.0) == 1e8
 
 
@@ -177,6 +249,27 @@ def test_clip_gradients_makes_no_gradient_sized_temporary(gate_view):
     assert peak < grad.nbytes / 8
     assert norm == pytest.approx(expect, rel=1e-12)
     assert np.allclose(grad, scaled, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(12, 300), (200, 300), (301, 40), (9,)])
+def test_clip_gradients_row_form_is_the_dense_clip(shape, dtype):
+    """A row-form entry gives its dense array's norm bit for bit, whether the
+    table is one block or many (rows in the first, last and a short last
+    block, several to a block or alone), and clipping scales its values
+    alone, in place, to the dense clip's bits."""
+    rng = np.random.default_rng(4)
+    rows = np.array([r for r in (0, 3, 4, 9, 54, 55, 120, 199, 300) if r < shape[0]])
+    values = rng.standard_normal((len(rows),) + shape[1:]).astype(dtype)
+    other = rng.standard_normal((5, 7)).astype(dtype)
+    grad = RowGrad(rows, values, shape)
+    dense, dense_other = grad.dense(), other.copy()
+    expect = clip_gradients({"W": dense_other, "E": dense}, 1.0)
+    norm = clip_gradients({"W": other, "E": grad}, 1.0)
+    assert norm == expect and norm > 1.0
+    assert grad.values is values and grad.rows is rows
+    assert grad.dense().tobytes() == dense.tobytes()
+    assert other.tobytes() == dense_other.tobytes()
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan, 1e200])
@@ -249,7 +342,11 @@ def test_gradient_batch_duplicate_window_same_mean():
     two, grads_two = gradient_batch([w, w], params, cfg.variant, VOCAB)
     assert one == pytest.approx(two, abs=1e-12)
     for k in grads_one:
-        assert np.allclose(grads_one[k], grads_two[k], atol=1e-12)
+        assert np.allclose(_dense(grads_one[k]), _dense(grads_two[k]), atol=1e-12)
+
+
+def _dense(g):
+    return g.dense() if isinstance(g, RowGrad) else g
 
 
 @pytest.mark.parametrize("tag", sorted(fusion.VARIANTS))
@@ -261,13 +358,33 @@ def test_gradient_batch_hands_over_disjoint_buffers(tag):
                                     cfg.d_h, cfg.d_ctx, cfg.d_a, rng, np.float64)
     _, grads = gradient_batch(_windows()[:4], params, tag, VOCAB)
     assert set(grads) == set(params)
-    arrays = list(grads.values())
+    # E and P come in row form, whose row indices and values count as buffers
+    assert all(isinstance(grads[k], RowGrad) for k in ("E", "P") if k in params)
+    arrays = [a for g in grads.values()
+              for a in ((g.rows, g.values) if isinstance(g, RowGrad) else (g,))]
     for i, g in enumerate(arrays):
         for other in arrays[i + 1:]:
             assert not np.shares_memory(g, other)
         for p in params.values():
             assert not np.shares_memory(g, p.value)
     assert all(p.grad is None for p in params.values())
+
+
+def test_gradient_batch_gives_unreached_parameters_empty_row_gradients():
+    """A batch whose windows have no context never reaches the context
+    encoder: its parameters get a row-form gradient holding no row, not a
+    dense zero array."""
+    tag = "RLM-SeqBoW-ATT-LF"
+    cfg = tiny_config(variant=tag)
+    params = fusion.init_parameters(fusion.parse_variant(tag), len(VOCAB), cfg.d_emb,
+                                    cfg.d_h, cfg.d_ctx, cfg.d_a,
+                                    np.random.Generator(np.random.PCG64(3)), np.float64)
+    windows = [w for w in _windows() if not w.context][:3]
+    _, grads = gradient_batch(windows, params, tag, VOCAB)
+    unreached = {k for k, g in grads.items() if isinstance(g, RowGrad) and not len(g.rows)}
+    assert unreached == {"P", "W_a", "U_a", "v_a"} | {k for k in params if k[:3] in ("cf_", "cr_")}
+    assert all(isinstance(grads[k], np.ndarray) for k in params if k not in unreached | {"E"})
+    assert grads["P"].values.shape == (0, cfg.d_ctx)
 
 
 # -- train loop -------------------------------------------------------------------
@@ -344,6 +461,10 @@ def test_train_nonfinite_gradient_aborts(monkeypatch):
     monkeypatch.setattr(training, "gradient_batch", nan_grads)
     cfg = tiny_config()
     result = train(cfg, TRAIN_DOCS, VALID_DOCS, VOCAB)
+    _assert_initial_checkpoint(result, cfg)
+
+
+def _assert_initial_checkpoint(result, cfg):
     assert result.diverged
     assert result.checkpoint.epoch == 0
     # the epoch-0 checkpoint is the seeded initial state, bit for bit
@@ -357,6 +478,34 @@ def test_train_nonfinite_gradient_aborts(monkeypatch):
         assert np.array_equal(arrays[name], p.value), name
     assert result.checkpoint.rng_state == training.encode_rng_state(rng)
     assert result.checkpoint.best_valid_nll == math.inf
+
+
+def _row_form_grads(params, name, bad):
+    """Dense ones for every parameter but E and P, which get row-form ones
+    over rows 1 and 3; one entry of ``name``'s last row is ``bad``."""
+    grads = {k: np.ones_like(p.value) for k, p in params.items()}
+    for k in ("E", "P"):
+        rows = np.array([1, 3])
+        values = np.ones((2,) + params[k].shape[1:], params[k].dtype)
+        grads[k] = RowGrad(rows, values, params[k].shape)
+    grads[name].values[-1, 0] = bad
+    return grads
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 1e200])
+@pytest.mark.parametrize("name", ["E", "P"])
+def test_train_nonfinite_row_gradient_aborts(monkeypatch, name, bad):
+    """A row-form gradient keeps a non-finite value in its row (the dense
+    product spread it over every row); the norm still sees it, and train
+    returns the seeded initial checkpoint."""
+    monkeypatch.setattr(training, "gradient_batch",
+                        lambda windows, params, variant, vocab:
+                        (1.0, _row_form_grads(params, name, bad)))
+    cfg = tiny_config()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = train(cfg, TRAIN_DOCS, VALID_DOCS, VOCAB)
+    _assert_initial_checkpoint(result, cfg)
 
 
 def test_train_returns_the_best_epoch_state_not_a_later_one(monkeypatch):
@@ -427,6 +576,100 @@ def test_train_diverges_on_last_gradient_before_any_update(monkeypatch, bad):
     assert result.checkpoint.epoch == 0
     for name, p in seen["params"].items():
         assert np.array_equal(p.value, seen["before"][name]), name
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 1e200])
+@pytest.mark.parametrize("name", ["E", "P"])
+def test_train_diverges_on_row_form_gradient_before_any_update(monkeypatch, name, bad):
+    # one bad entry in E's or P's row values (E is the first parameter, P
+    # follows dense ones): no Adadelta step runs and no parameter moves
+    seen = {}
+
+    def one_bad_entry(windows, params, variant, vocab):
+        seen["params"] = params
+        seen["before"] = {k: p.value.copy() for k, p in params.items()}
+        return 1.0, _row_form_grads(params, name, bad)
+
+    def no_update(*args):
+        raise AssertionError("adadelta_update ran on a diverged batch")
+
+    monkeypatch.setattr(training, "gradient_batch", one_bad_entry)
+    monkeypatch.setattr(training, "adadelta_update", no_update)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = train(tiny_config(), TRAIN_DOCS, VALID_DOCS, VOCAB)
+    assert result.diverged
+    assert result.checkpoint.epoch == 0
+    for k, p in seen["params"].items():
+        assert np.array_equal(p.value, seen["before"][k]), k
+
+
+# the training corpus never uses e and f; </s> is never an input and no
+# context counts it; <unk> never occurs
+WIDE_VOCAB = Vocabulary(["<unk>", "</s>", "a", "b", "c", "d", "e", "f"])
+UNUSED_ROWS = [0, 1, 6, 7]
+
+
+def test_train_leaves_unreached_rows_of_E_and_P_untouched(monkeypatch):
+    """After two epochs, every row of E and P that no window reaches keeps
+    its initial bits, both its moments are exactly 0, and it is not live:
+    the rows a batch misses cost nothing."""
+    state = {}
+    update = training.adadelta_update
+
+    def spy(param, grad, sq_grad, sq_delta, rho, eps, live=None):
+        state[param.shape] = (param, sq_grad, sq_delta, live)
+        update(param, grad, sq_grad, sq_delta, rho, eps, live)
+
+    monkeypatch.setattr(training, "adadelta_update", spy)
+    cfg = tiny_config(max_epochs=2)
+    result = train(cfg, TRAIN_DOCS, VALID_DOCS, WIDE_VOCAB)
+    assert not result.diverged and len(result.log) == 2
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    initial = fusion.init_parameters(fusion.parse_variant(cfg.variant), len(WIDE_VOCAB),
+                                     cfg.d_emb, cfg.d_h, cfg.d_ctx, cfg.d_a, rng, cfg.dtype)
+    for name in ("E", "P"):
+        before = initial[name].value
+        final, sq_grad, sq_delta, live = state[before.shape]
+        assert final[UNUSED_ROWS].tobytes() == before[UNUSED_ROWS].tobytes(), name
+        zeros = np.zeros_like(final[UNUSED_ROWS]).tobytes()
+        assert sq_grad[UNUSED_ROWS].tobytes() == zeros, name
+        assert sq_delta[UNUSED_ROWS].tobytes() == zeros, name
+        assert not live[UNUSED_ROWS].any() and live[[2, 3, 4, 5]].all(), name
+        assert np.all(final[[2, 3, 4, 5]] != before[[2, 3, 4, 5]]), name
+
+
+@pytest.mark.parametrize("tag", ["RLM-BoW-LF", "RLM-SeqBoW-ATT-EF"])
+def test_training_forms_no_dense_gradient_of_E_or_P(tag, monkeypatch):
+    """Through a whole two-epoch run, E and P receive only row-form
+    gradients over fewer rows than they have: no dense gradient of either is
+    allocated, accumulated or densified."""
+    tables = []
+    dense_uses = []
+    batch = training.gradient_batch
+
+    def spy_batch(windows, params, variant, vocab):
+        tables[:] = [params["E"], params["P"]]
+        loss, grads = batch(windows, params, variant, vocab)
+        for name in ("E", "P"):
+            g = grads[name]
+            assert type(g) is RowGrad and len(g.rows) < len(params[name].value), name
+        return loss, grads
+
+    def dense_spy(method):
+        def spy(self, *args, **kwargs):
+            if any(self is t for t in tables):
+                dense_uses.append(method.__name__)
+            return method(self, *args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(training, "gradient_batch", spy_batch)
+    for method in ("grad_buffer", "add_grad", "add_grad_leading"):
+        monkeypatch.setattr(nm.Variable, method, dense_spy(getattr(nm.Variable, method)))
+    monkeypatch.setattr(RowGrad, "dense", dense_spy(RowGrad.dense))
+    result = train(tiny_config(variant=tag, max_epochs=2), TRAIN_DOCS, VALID_DOCS, WIDE_VOCAB)
+    assert not result.diverged and len(result.log) == 2
+    assert dense_uses == []
 
 
 def test_train_empty_windows_raises():
