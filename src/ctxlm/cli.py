@@ -17,7 +17,7 @@ from .corpus import (CorpusError, build_vocabulary, encode_documents, load_corpu
 from .evaluation import (Model, TagAlignmentError, corpus_perplexity, load_tag_annotations,
                          perplexity_with_tags)
 from .ngram import count_ngrams, write_arpa
-from .training import (Checkpoint, ConfigError, config_from_mapping,
+from .training import (Checkpoint, ConfigError, check_array_size, config_from_mapping,
                        load_checkpoint, parse_config_text, save_checkpoint, train)
 
 EXIT_OK = 0
@@ -53,6 +53,8 @@ class SynthSpec:
                 raise ConfigError(f"synth {key} must be positive")
         if self.len_min > self.len_max:
             raise ConfigError("synth len_min must not exceed len_max")
+        check_array_size("synth topic distributions", (self.topics, self.vocab), np.float64)
+        check_array_size("synth sentence", (self.len_max,), np.int64)
         if not (math.isfinite(self.sharpness) and self.sharpness > 0):
             raise ConfigError("synth sharpness must be finite and positive")
 
@@ -165,6 +167,7 @@ def cmd_eval(args) -> int:
 def cmd_ngram(args) -> int:
     if args.order < 1:
         raise ConfigError("order must be at least 1")
+    check_array_size("--order's begin-of-sentence padding", (args.order - 1,), np.int64)
     if args.vocab_size < 0 or args.vocab_size == 1:
         raise ConfigError("--vocab-size must be 0 or at least 2")
     train_raw = _load_documents(args.train)

@@ -2,7 +2,9 @@
 bidirectional annotations with additive attention.
 
 These are the encoders the batch engine runs, over a batch of B windows in
-the engine's row order. Context sentences are left-padded to K positions,
+the engine's row order. Contexts arrive as counts over the batch's R
+distinct context words, never |V| wide, and P is read through those R rows
+alone. Context sentences are left-padded to K positions,
 position-major (K, B, ...), with a (B, K) 0/1 mask; the context LSTM carries
 its state unchanged over padded positions, so a window without context
 encodes to the zero vector and its attention weights are all zero.
@@ -48,13 +50,14 @@ def project(tape: Tape | None, x: Variable, weight: Variable) -> Variable:
     return nm.reshape(tape, nm.matmul(tape, flat, weight), (K, B, -1))
 
 
-def project_counts(tape: Tape | None, params: dict[str, Variable],
-                   counts: np.ndarray) -> Variable:
-    """Count rows (N, V) projected by P -> (N, d_ctx); the counts get no gradient.
-    For BoW, one row per window holding all its context words: p = P s. The
-    product is dense, but P's gradient is row-form: ``counts[:, rows].T @ g``
-    over the words the rows count (``numeric.matmul`` of a constant operand)."""
-    return nm.matmul(tape, Variable(counts, constant=True), params["P"])
+def project_counts(tape: Tape | None, params: dict[str, Variable], counts: np.ndarray,
+                   ids: np.ndarray) -> Variable:
+    """Count rows (N, R) over the sorted distinct words ``ids`` (R,) projected
+    by P -> (N, d_ctx): p = P s, one product with the R rows of P that ``ids``
+    gathers. For BoW, one row per window holding all its context words. P's
+    gradient is row-form over ``ids``, from ``numeric.embed_rows``; the counts'
+    own (N, R) gradient is formed and dropped."""
+    return nm.matmul(tape, Variable(counts), nm.embed_rows(tape, params["P"], ids))
 
 
 def context_lstm(tape: Tape | None, params: dict[str, Variable], x: Variable,
@@ -84,17 +87,19 @@ def context_lstm(tape: Tape | None, params: dict[str, Variable], x: Variable,
 
 
 def seqbow_summary(tape: Tape | None, params: dict[str, Variable], bow_seq: np.ndarray,
-                   mask: np.ndarray) -> Variable:
+                   bow_ids: np.ndarray, mask: np.ndarray) -> Variable:
     """The forward context LSTM's last hidden state (B, d_ctx) over per-sentence
-    counts (K, B, V)."""
-    x = project_counts(tape, params, bow_seq.reshape(-1, bow_seq.shape[-1]))
+    counts (K, B, R) of the words ``bow_ids``."""
+    K, B, R = bow_seq.shape  # not reshape(-1, R), which fails when K and R are 0
+    x = project_counts(tape, params, bow_seq.reshape(K * B, R), bow_ids)
     return context_lstm(tape, params, x, mask, CTX_FWD)[-1]
 
 
 def annotate(tape: Tape | None, params: dict[str, Variable], bow_seq: np.ndarray,
-             mask: np.ndarray) -> Variable:
+             bow_ids: np.ndarray, mask: np.ndarray) -> Variable:
     """Forward and reverse context-LSTM states side by side: (K, B, 2*d_ctx)."""
-    x = project_counts(tape, params, bow_seq.reshape(-1, bow_seq.shape[-1]))
+    K, B, R = bow_seq.shape
+    x = project_counts(tape, params, bow_seq.reshape(K * B, R), bow_ids)
     fwd = context_lstm(tape, params, x, mask, CTX_FWD)
     rev = context_lstm(tape, params, x, mask, CTX_REV, reverse=True)
     return nm.concat_cols(tape, [nm.stack_first(tape, fwd), nm.stack_first(tape, rev)])

@@ -13,7 +13,9 @@ packed batch: the windows are sorted by target length, longest first (a
 stable sort), and only the N real target positions are kept, time-major.
 The windows still running at step t are then the n_t leading rows of the
 batch, so step t owns the packed rows ``bounds[t]:bounds[t+1]`` and no
-padded position is ever embedded, projected or scored. The engine steps
+padded position is ever embedded, projected or scored. Contexts are counted
+over the batch's R distinct context words (``WindowBatch.bow_ids``), so the
+BoW product reads R rows of P, not |V|. The engine steps
 through time only for the recurrence, which records the fused
 ``numeric.lstm_cell`` on the n_t leading rows (plus
 ``numeric.late_fusion_output`` for late fusion, and attention's weights and
@@ -113,21 +115,25 @@ class WindowBatch:
     bounds: np.ndarray            # (T+1,) int64: step t owns positions bounds[t]:bounds[t+1]
     window: np.ndarray            # (N,) int64: each position's window, in the caller's order
     token_order: np.ndarray       # (N,) int64: the positions by window (caller's order), then step
-    bow_sum: np.ndarray | None    # (B,V) summed context counts
-    bow_seq: np.ndarray | None    # (K,B,V) per-sentence counts, left-padded
+    bow_ids: np.ndarray | None    # (R,) int64: the batch's distinct context words, ascending
+    bow_sum: np.ndarray | None    # (B,R) summed context counts of the words bow_ids
+    bow_seq: np.ndarray | None    # (K,B,R) per-sentence counts of bow_ids, left-padded
     ctx_mask: np.ndarray | None   # (B,K) float: 1 at real context positions
 
 
-def _count_rows(pairs: list, rows: int, V: int, dtype) -> np.ndarray:
-    """(rows, V) token counts: each (row, sentence) pair adds that sentence's
-    content tokens (EOS excluded) to its row. One scatter for all pairs."""
+def _count_rows(pairs: list, rows: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, R) token counts over the R distinct words ``ids`` the pairs hold,
+    ascending -> (counts, ids): each (row, sentence) pair adds that sentence's
+    content tokens (EOS excluded) to its row. One unique and one bincount for
+    all pairs."""
     lengths = [s.length for _, s in pairs]
-    flat = np.repeat(np.array([r for r, _ in pairs], dtype=np.int64) * V, lengths)
-    flat += np.fromiter(chain.from_iterable(s.content_ids for _, s in pairs),
-                        dtype=np.int64, count=len(flat))
-    counts = np.zeros(rows * V, dtype=dtype)
-    np.add.at(counts, flat, 1.0)
-    return counts.reshape(rows, V)
+    words = np.fromiter(chain.from_iterable(s.content_ids for _, s in pairs),
+                        dtype=np.int64, count=sum(lengths))
+    ids, column = np.unique(words, return_inverse=True)
+    flat = np.repeat(np.array([r for r, _ in pairs], dtype=np.int64) * len(ids), lengths)
+    flat += column
+    counts = np.bincount(flat, minlength=rows * len(ids)).astype(dtype)
+    return counts.reshape(rows, len(ids)), ids
 
 
 def make_batch(windows: list[ContextWindow], vocab: Vocabulary, variant: Variant,
@@ -151,20 +157,21 @@ def make_batch(windows: list[ContextWindow], vocab: Vocabulary, variant: Variant
     window = np.array(order)[np.broadcast_to(np.arange(B), (T, B))[real]]
     # time-major packing lists each window's positions in step order already
     token_order = np.argsort(window, kind="stable")
-    bow_sum = bow_seq = ctx_mask = None
+    bow_ids = bow_sum = bow_seq = ctx_mask = None
     if variant.context == "bow":
-        bow_sum = _count_rows([(b, s) for b, w in enumerate(ranked) for s in w.context],
-                              B, V, dtype)
+        bow_sum, bow_ids = _count_rows([(b, s) for b, w in enumerate(ranked) for s in w.context],
+                                       B, dtype)
     elif variant.context in ("seqbow", "att"):
         K = max(len(w.context) for w in ranked)
         offsets = [K - len(w.context) for w in ranked]
         pairs = [((off + j) * B + b, s)
                  for b, (w, off) in enumerate(zip(ranked, offsets))
                  for j, s in enumerate(w.context)]
-        bow_seq = _count_rows(pairs, K * B, V, dtype).reshape(K, B, V)
+        counts, bow_ids = _count_rows(pairs, K * B, dtype)
+        bow_seq = counts.reshape(K, B, len(bow_ids))
         ctx_mask = (np.arange(K) >= np.array(offsets)[:, None]).astype(dtype)
     return WindowBatch(inputs[real], targets[real], bounds, window, token_order,
-                       bow_sum, bow_seq, ctx_mask)
+                       bow_ids, bow_sum, bow_seq, ctx_mask)
 
 
 def batch_nll(windows: list[ContextWindow], params: dict[str, Variable], variant: Variant | str,
@@ -190,13 +197,13 @@ def batch_nll(windows: list[ContextWindow], params: dict[str, Variable], variant
     p = None          # context: a summary (B,D), or attention's annotations (K,B,D)
     annots = None
     if variant.context == "bow":
-        p = ctx.project_counts(tape, params, batch.bow_sum)
+        p = ctx.project_counts(tape, params, batch.bow_sum, batch.bow_ids)
     elif variant.context in ("seqbow", "att") and batch.bow_seq.shape[0] == 0:
         p = nm.zeros((B, context_dim(variant, params["P"].shape[1])), dtype)
     elif variant.context == "seqbow":
-        p = ctx.seqbow_summary(tape, params, batch.bow_seq, batch.ctx_mask)
+        p = ctx.seqbow_summary(tape, params, batch.bow_seq, batch.bow_ids, batch.ctx_mask)
     elif variant.context == "att":
-        p = annots = ctx.annotate(tape, params, batch.bow_seq, batch.ctx_mask)
+        p = annots = ctx.annotate(tape, params, batch.bow_seq, batch.bow_ids, batch.ctx_mask)
         keys = ctx.project(tape, annots, params["W_a"])
     feed = ()         # the decoder's context: (q W,) for early fusion, (q, q W_rp) for late
     if variant.fusion == "late":

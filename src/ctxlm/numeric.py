@@ -12,16 +12,14 @@ a hand-written backward: :func:`lstm_cell` (all four gates from one
 precomputed input projection and one ``h_prev @ U`` product),
 :func:`late_fusion_output` (the gated context term of late fusion) and
 :func:`attention_scores` (additive-attention scores for every context
-position at once). Operands marked ``constant`` (data such as bag-of-words
-count matrices) receive no gradient.
+position at once).
 
 Row-form gradients: a batch reaches only the rows of an embedding table
 that its words select, and only the rows of the BoW projection that its
-context words count. :func:`embed_rows`, and :func:`matmul` for the weight a
-constant operand multiplies, therefore hand their operand a
-:class:`RowGrad`, the sorted unique rows it reaches with one value row each,
-instead of a dense array that is zero almost everywhere.
-:meth:`Variable.grad_buffer` densifies it on demand.
+context words count; both enter through :func:`embed_rows`, the gather of
+those rows. It hands the table a :class:`RowGrad`, the sorted unique rows it
+reaches with one value row each, instead of a dense array that is zero
+almost everywhere. :meth:`Variable.grad_buffer` densifies it on demand.
 
 A weight that every step of a recurrence applies gets its gradient once per
 batch, not once per step: the steps only write their pre-activation
@@ -47,7 +45,6 @@ DTYPES = {"f32": np.float32, "f64": np.float64}
 
 INIT_SCALE = 0.08  # uniform init range for all trainable parameters
 INIT_BLOCK = 1 << 14  # float64 draws per block of uniform_init
-GATHER_BLOCK = 1 << 13  # elements per gathered block of a constant operand's columns
 
 
 def dtype_of(precision: str) -> np.dtype:
@@ -84,20 +81,14 @@ class RowGrad:
 class Variable:
     """A numpy array plus a lazily allocated gradient of the same shape: a
     dense array, or a :class:`RowGrad` while the only gradient it has received
-    came through :meth:`add_row_grad`.
+    came through :meth:`add_row_grad`."""
 
-    A ``constant`` Variable holds data, not a parameter or an intermediate:
-    :func:`matmul`, the primitive data operands enter through, computes no
-    gradient for it, so its ``grad`` stays None.
-    """
+    __slots__ = ("value", "grad", "name")
 
-    __slots__ = ("value", "grad", "name", "constant")
-
-    def __init__(self, value, name: str | None = None, constant: bool = False):
+    def __init__(self, value, name: str | None = None):
         self.value = np.asarray(value)
         self.grad: np.ndarray | RowGrad | None = None
         self.name = name
-        self.constant = constant
 
     @property
     def shape(self):
@@ -228,39 +219,17 @@ def uniform_init(rng: np.random.Generator, shape, dtype) -> np.ndarray:
 
 
 def matmul(tape: Tape | None, a: Variable, b: Variable) -> Variable:
-    """a (m,k) @ b (k,n) -> (m,n); a constant operand gets no gradient. When a
-    is constant (data, such as count rows over a vocabulary), b's gradient is
-    row-form: only the rows of b that a nonzero column of a multiplies get
-    one, ``a[:, rows].T @ g``, the dense product's rows."""
+    """a (m,k) @ b (k,n) -> (m,n)."""
     out = Variable(a.value @ b.value)
     if tape is not None:
         def backprop():
             g = out.grad
             if g is None:
                 return
-            if not a.constant:
-                a.add_grad(g @ b.value.T)
-            if b.constant:
-                return
-            if a.constant:
-                b.add_row_grad(*_constant_product_rows(a.value, g))
-            else:
-                b.add_grad(a.value.T @ g)
+            a.add_grad(g @ b.value.T)
+            b.add_grad(a.value.T @ g)
         tape.record(backprop)
     return out
-
-
-def _constant_product_rows(a: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(rows, a[:, rows].T @ g)`` for the columns ``rows`` of a that hold a
-    nonzero: the rows of a.T @ g that can differ from 0. The columns are
-    gathered a few at a time, so no copy of more than GATHER_BLOCK elements
-    of a exists."""
-    rows = np.flatnonzero(a.any(axis=0))
-    values = np.empty((len(rows), g.shape[1]), g.dtype)
-    step = max(1, GATHER_BLOCK // max(len(a), 1))
-    for start in range(0, len(rows), step):
-        values[start : start + step] = a[:, rows[start : start + step]].T @ g
-    return rows, values
 
 
 # no engine use; kept because bench/tracing.py wraps numeric.add by name

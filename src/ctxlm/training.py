@@ -57,6 +57,13 @@ class ConfigError(ValueError):
     pass
 
 
+def check_array_size(what: str, shape: tuple, dtype) -> None:
+    """Raise ConfigError unless numpy can hold an array of ``shape`` and
+    ``dtype``: its size in bytes must fit a signed index."""
+    if math.prod(shape) * np.dtype(dtype).itemsize > np.iinfo(np.intp).max:
+        raise ConfigError(f"{what} of shape {shape} is too large for an array")
+
+
 class CheckpointError(ValueError):
     """A checkpoint file that is truncated, carries bytes after its end, holds
     an array of unknown precision, lacks a trailer key, or holds other
@@ -85,7 +92,7 @@ class TrainConfig:
     test_path: str = ""
 
     def __post_init__(self):
-        fusion.parse_variant(self.variant)
+        variant = fusion.parse_variant(self.variant)
         if self.d_emb == 0:
             self.d_emb = self.d_h
         if self.d_ctx == 0:
@@ -103,7 +110,11 @@ class TrainConfig:
             raise ConfigError("eps must be finite and positive")
         if not math.isfinite(self.clip_norm):
             raise ConfigError("clip_norm must be finite (0 or less disables clipping)")
-        nm.dtype_of(self.precision)
+        dtype = nm.dtype_of(self.precision)
+        shapes = fusion.parameter_shapes(variant, self.vocab_size, self.d_emb, self.d_h,
+                                         self.d_ctx, self.d_a)
+        for name, shape in shapes.items():
+            check_array_size(f"parameter {name}", shape, dtype)
 
     @property
     def d_a(self) -> int:
@@ -208,8 +219,7 @@ ADADELTA_BLOCK = 1 << 14
 
 
 def adadelta_update(param: np.ndarray, grad: np.ndarray | nm.RowGrad, sq_grad: np.ndarray,
-                    sq_delta: np.ndarray, rho: float, eps: float,
-                    live: np.ndarray | None = None) -> None:
+                    sq_delta: np.ndarray, rho: float, eps: float, live: np.ndarray) -> None:
     """In-place Adadelta step: accumulate E[g^2], apply the scale-free delta,
     then accumulate E[delta^2]. The gradient must be finite; `train` checks.
 
@@ -225,14 +235,13 @@ def adadelta_update(param: np.ndarray, grad: np.ndarray | nm.RowGrad, sq_grad: n
     other term adds or subtracts an exact 0), so the gradient's rows get the
     full step and every other row only that decay: bitwise the dense step on
     the zero-filled gradient, with temporaries the size of the gradient's
-    rows. ``live`` (one flag per row; None means every row) marks the rows
-    whose moments may be non-zero: only those are decayed, as 0 * rho = 0,
-    and the step marks every row it reaches."""
+    rows. ``live`` (one flag per row) marks the rows whose moments may be
+    non-zero: only those are decayed, as 0 * rho = 0, and the step marks
+    every row it reaches."""
     if type(grad) is nm.RowGrad:
         _adadelta_rows(param, grad, sq_grad, sq_delta, rho, eps, live)
         return
-    if live is not None:
-        live[...] = True
+    live[...] = True
     _adadelta_dense(param, grad, sq_grad, sq_delta, rho, eps)
 
 
@@ -240,14 +249,12 @@ def _adadelta_rows(param, grad, sq_grad, sq_delta, rho, eps, live) -> None:
     rows = grad.rows
     # gathered before the decay below reaches them, then stepped and put back
     touched = param.take(rows, 0), sq_grad.take(rows, 0), sq_delta.take(rows, 0)
-    runs = [(0, len(param))] if live is None or live.all() else _live_runs(live)
-    for start, stop in runs:
+    for start, stop in _live_runs(live):
         sq_grad[start:stop] *= rho
         sq_delta[start:stop] *= rho
     _adadelta_dense(touched[0], grad.values, touched[1], touched[2], rho, eps)
     param[rows], sq_grad[rows], sq_delta[rows] = touched
-    if live is not None:
-        live[rows] = True
+    live[rows] = True
 
 
 def _live_runs(live: np.ndarray) -> list[list[int]]:

@@ -101,6 +101,33 @@ def test_synth_validation():
                   sentences=1, len_min=3, len_max=2, sharpness=1.0, seed=0)
 
 
+# -- sizes numpy cannot hold ------------------------------------------------------
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("train", "d_h", 10**30), ("train", "d_h", 2**40),  # 2**40: the (d_h, d_h) U overflows
+    ("ngram", "--order", 10**30),
+    ("synth", "--vocab", 10**30), ("synth", "--topics", 10**30), ("synth", "--len-max", 10**30),
+])
+def test_sizes_numpy_cannot_hold_are_config_errors(tmp_path, capsys, command, option, value):
+    """An integer option that sizes an array beyond numpy's index range exits
+    1 with a config error before any corpus is read or output written: the
+    corpora named do not exist, and a read would exit 2."""
+    missing = str(tmp_path / "missing.txt")
+    out = tmp_path / "out"
+    if command == "train":
+        cfg = write_config(tmp_path, **{option: value}, train_path=missing, valid_path=missing)
+        argv = ["train", "--config", str(cfg), "--out", str(out)]
+    elif command == "ngram":
+        argv = ["ngram", option, str(value), "--train", missing, "--eval", missing]
+    else:
+        argv = ["synth", "--out-dir", str(out), option, str(value)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "too large for an array" in err
+    assert not out.exists()
+
+
 # -- train ------------------------------------------------------------------------
 
 

@@ -37,17 +37,19 @@ def att_params(d_ctx=3, d_a=3, d_h=4, seed=1):
 
 
 def encode_bow(params, *contexts):
-    return ctx.project_counts(None, params, batch_of(*contexts, tag="RLM-BoW-LF").bow_sum)
+    batch = batch_of(*contexts, tag="RLM-BoW-LF")
+    return ctx.project_counts(None, params, batch.bow_sum, batch.bow_ids)
 
 
 def encode_seqbow(params, *contexts):
     batch = batch_of(*contexts, tag="RLM-SeqBoW-LF")
-    return ctx.seqbow_summary(None, params, batch.bow_seq, batch.ctx_mask)
+    return ctx.seqbow_summary(None, params, batch.bow_seq, batch.bow_ids, batch.ctx_mask)
 
 
 def annotate(params, *contexts, tape=None):
     batch = batch_of(*contexts)
-    return ctx.annotate(tape, params, batch.bow_seq, batch.ctx_mask), batch.ctx_mask
+    return (ctx.annotate(tape, params, batch.bow_seq, batch.bow_ids, batch.ctx_mask),
+            batch.ctx_mask)
 
 
 def attention(params, annots, h_query, mask, tape=None):

@@ -488,25 +488,18 @@ def test_weight_gradients_equal_the_per_step_sum(tag):
 
 
 @pytest.mark.parametrize("tag", ["RLM-BoW-LF", "RLM-SeqBoW-EF", "RLM-SeqBoW-ATT-LF"])
-def test_count_matrices_get_no_gradient(tag, monkeypatch):
-    """The BoW count matrices enter as constant matmul operands: backward
-    leaves their gradient unallocated while P still gets one."""
-    operands = []
-    matmul = nm.matmul
-
-    def spy(tape, a, b):
-        operands.append(a)
-        return matmul(tape, a, b)
-
-    monkeypatch.setattr(nm, "matmul", spy)
+def test_p_gets_a_row_gradient_over_bow_ids(tag):
+    """P enters through embed_rows of the batch's context words: after
+    backward its gradient is row-form over exactly bow_ids."""
     params = make_params(tag, seed=37)
     tape = Tape()
     total, _ = fusion.batch_nll(MIXED, params, tag, VOCAB, tape)
     tape.backward(nm.sum_all(tape, total))
-    counts = [a for a in operands if a.constant]
-    assert counts, "no count-matrix operand seen"
-    assert all(a.grad is None for a in counts)
-    assert params["P"].grad is not None and np.any(params["P"].grad_buffer() != 0.0)
+    batch = fusion.make_batch(MIXED, VOCAB, fusion.parse_variant(tag), np.float64)
+    grad = params["P"].grad
+    assert isinstance(grad, nm.RowGrad) and grad.shape == params["P"].shape
+    assert grad.rows.tolist() == batch.bow_ids.tolist() and len(grad.rows) < V
+    assert np.any(grad.values != 0.0)
 
 
 @pytest.mark.parametrize("tag", sorted(fusion.VARIANTS))
@@ -542,32 +535,52 @@ def test_wide_products_see_only_real_positions(tag, monkeypatch):
 
 @pytest.mark.parametrize("tag", ["RLM-BoW-LF", "RLM-SeqBoW-ATT-EF"])
 def test_make_batch_counts_equal_bow_vector(tag):
-    """The scattered count matrices equal corpus.bow_vector of each window's
-    context, bitwise, in the engine's row order (longest target first), with
-    an empty context and per-sentence rows left-padded to the longest one."""
+    """The batch counts over its context words only: bow_ids is sorted,
+    unique and exactly the words the contexts hold. Scattered back into |V|
+    columns, the counts equal corpus.bow_vector of each window's context,
+    bitwise, in the engine's row order (longest target first), with an empty
+    context and per-sentence rows left-padded to the longest one. A batch
+    whose contexts are all empty counts over no column at all."""
     windows = [
         ContextWindow(sent(3, 5), (sent(4, 4, 6), sent(2,))),
         ContextWindow(sent(6, 2, 8, 3), ()),
         ContextWindow(sent(2,), (sent(9, 9, 9),)),
         ContextWindow(sent(5, 7, 7), (sent(2, 3), sent(3,), sent(4, 8, 4, 4))),
     ]
+    variant = fusion.parse_variant(tag)
     for dtype in (np.float32, np.float64):
-        batch = fusion.make_batch(windows, VOCAB, fusion.parse_variant(tag), dtype)
+        batch = fusion.make_batch(windows, VOCAB, variant, dtype)
+        assert batch.bow_ids.tolist() == [2, 3, 4, 6, 8, 9]  # sorted and unique
+
+        def widen(counts):
+            wide = np.zeros(counts.shape[:-1] + (V,), dtype)
+            wide[..., batch.bow_ids] = counts
+            return wide
+
         order = batch.window[: batch.bounds[1]].tolist()  # step 0 holds every row
         assert order == [1, 3, 0, 2]
         if batch.bow_sum is not None:
             expect = np.stack([bow_vector(windows[i].context, VOCAB, dtype) for i in order])
-            assert batch.bow_sum.dtype == dtype and np.array_equal(batch.bow_sum, expect)
-            continue
-        K = batch.bow_seq.shape[0]
-        assert K == 3 and batch.bow_seq.dtype == dtype
-        for b, i in enumerate(order):
-            context = windows[i].context
-            pad = K - len(context)
-            assert batch.ctx_mask[b].tolist() == [0.0] * pad + [1.0] * len(context)
-            assert not batch.bow_seq[:pad, b].any()
-            for j, s in enumerate(context):
-                assert np.array_equal(batch.bow_seq[pad + j, b], bow_vector([s], VOCAB, dtype))
+            assert batch.bow_sum.dtype == dtype
+            assert batch.bow_sum.shape == (4, 6) and np.array_equal(widen(batch.bow_sum), expect)
+        else:
+            K = batch.bow_seq.shape[0]
+            assert batch.bow_seq.shape == (3, 4, 6) and batch.bow_seq.dtype == dtype
+            bow_seq = widen(batch.bow_seq)
+            for b, i in enumerate(order):
+                context = windows[i].context
+                pad = K - len(context)
+                assert batch.ctx_mask[b].tolist() == [0.0] * pad + [1.0] * len(context)
+                assert not bow_seq[:pad, b].any()
+                for j, s in enumerate(context):
+                    assert np.array_equal(bow_seq[pad + j, b], bow_vector([s], VOCAB, dtype))
+        empty = fusion.make_batch([ContextWindow(sent(3), ()), ContextWindow(sent(5, 2), ())],
+                                  VOCAB, variant, dtype)
+        assert empty.bow_ids.shape == (0,)
+        if empty.bow_sum is not None:
+            assert empty.bow_sum.shape == (2, 0)
+        else:
+            assert empty.bow_seq.shape == (0, 2, 0) and empty.ctx_mask.shape == (2, 0)
 
 
 def test_make_batch_packs_real_positions_time_major():

@@ -203,31 +203,29 @@ def test_embed_rows_gives_the_dense_scatter_rows_bitwise(dtype):
     assert table.grad_buffer().tobytes() == dense.tobytes()
 
 
-@pytest.mark.parametrize("gather_block", [nm.GATHER_BLOCK, 8])
-def test_constant_operand_gives_the_weight_a_row_gradient(gather_block, monkeypatch):
-    """Counts times a weight: the weight's gradient is row-form over the
-    words some row counts, and equals the dense product's rows, whether the
-    counted columns are gathered at once or two at a time; a NaN in the
-    output gradient reaches those rows only (the dense product, 0 * NaN,
-    spread it over every row)."""
-    monkeypatch.setattr(nm, "GATHER_BLOCK", gather_block)
+def test_count_product_gives_the_weight_a_row_gradient():
+    """Counts over some words times those words' rows of a weight, gathered by
+    embed_rows: the weight's gradient is row-form over exactly those words and
+    holds the row products counts[:, ids].T @ g of the |V|-wide counts, bit
+    for bit; a NaN in the output gradient reaches those rows only."""
     rng = np.random.default_rng(9)
-    counts = np.zeros((4, 10))
-    counts[[0, 1, 1, 3], [2, 2, 7, 5]] = [1.0, 2.0, 1.0, 3.0]
+    full = np.zeros((4, 10))
+    full[[0, 1, 1, 3], [2, 2, 7, 5]] = [1.0, 2.0, 1.0, 3.0]
+    ids = np.array([2, 5, 7])
     weights = Variable(rng.standard_normal((10, 3)))
     g = rng.standard_normal((4, 3))
-    tape = Tape()
-    _backward_from(tape, nm.matmul(tape, Variable(counts, constant=True), weights), g.copy())
-    grad = weights.grad
-    assert isinstance(grad, nm.RowGrad) and grad.rows.tolist() == [2, 5, 7]
-    assert np.allclose(grad.values, (counts.T @ g)[[2, 5, 7]], rtol=1e-15, atol=0.0)
-    g[1, 0] = np.nan
-    weights.zero_grad()
-    tape = Tape()
-    _backward_from(tape, nm.matmul(tape, Variable(counts, constant=True), weights), g)
-    assert weights.grad.rows.tolist() == [2, 5, 7]
-    assert np.isnan(weights.grad.values[:, 0]).all()
-    assert np.isfinite(weights.grad.values[:, 1:]).all()
+    for _ in range(2):
+        tape = Tape()
+        out = nm.matmul(tape, Variable(full[:, ids]), nm.embed_rows(tape, weights, ids))
+        assert out.value.tobytes() == (full[:, ids] @ weights.value[ids]).tobytes()
+        _backward_from(tape, out, g.copy())
+        grad = weights.grad
+        assert isinstance(grad, nm.RowGrad) and grad.rows.tolist() == [2, 5, 7]
+        assert grad.values.tobytes() == (full[:, ids].T @ g).tobytes()
+        assert np.allclose(grad.values, (full.T @ g)[ids], rtol=1e-15, atol=0.0, equal_nan=True)
+        weights.zero_grad()
+        g[1, 0] = np.nan
+    assert np.isnan(grad.values[:, 0]).all() and np.isfinite(grad.values[:, 1:]).all()
 
 
 def test_grad_nll_rows():
@@ -428,16 +426,6 @@ def test_attention_scores_match_per_position_formula():
     out = nm.attention_scores(None, Variable(keys), Variable(query), Variable(v))
     for k in range(4):
         assert np.max(np.abs(out.value[:, k] - np.tanh(keys[k] + query) @ v)) < 1e-15
-
-
-def test_constant_operand_gets_no_gradient():
-    data = Variable(RNG.standard_normal((3, 4)), constant=True)
-    weights = Variable(RNG.standard_normal((4, 2)))
-    tape = Tape()
-    tape.backward(nm.sum_all(tape, nm.matmul(tape, data, weights)))
-    assert data.grad is None
-    assert np.allclose(weights.grad_buffer(),
-                       data.value.sum(axis=0)[:, None] * np.ones((1, 2)))
 
 
 def test_adopted_gradients_are_never_shared_between_inputs():

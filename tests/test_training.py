@@ -55,7 +55,7 @@ def test_adadelta_zero_gradient_only_decays_state():
     param = np.array([1.0, -2.0])
     sq_g = np.array([0.4, 0.1])
     sq_d = np.array([0.2, 0.3])
-    adadelta_update(param, np.zeros(2), sq_g, sq_d, rho=0.95, eps=1e-6)
+    adadelta_update(param, np.zeros(2), sq_g, sq_d, rho=0.95, eps=1e-6, live=np.ones(2, bool))
     assert np.array_equal(param, [1.0, -2.0])
     assert np.allclose(sq_g, [0.38, 0.095], atol=1e-15)
     assert np.allclose(sq_d, [0.19, 0.285], atol=1e-15)
@@ -66,7 +66,8 @@ def test_adadelta_first_step_frozen_value():
     param = np.array([0.0])
     sq_g = np.zeros(1)
     sq_d = np.zeros(1)
-    adadelta_update(param, np.array([1.0]), sq_g, sq_d, rho=0.95, eps=1e-6)
+    adadelta_update(param, np.array([1.0]), sq_g, sq_d, rho=0.95, eps=1e-6,
+                    live=np.zeros(1, bool))
     assert param[0] == pytest.approx(-4.4720e-3, abs=1e-7)
     assert sq_g[0] == pytest.approx(0.05, abs=1e-15)
 
@@ -75,7 +76,8 @@ def test_adadelta_update_is_scale_free():
     deltas = []
     for g in (1.0, 10.0):
         param = np.array([0.0])
-        adadelta_update(param, np.array([g]), np.zeros(1), np.zeros(1), 0.95, 1e-6)
+        adadelta_update(param, np.array([g]), np.zeros(1), np.zeros(1), 0.95, 1e-6,
+                        np.zeros(1, bool))
         deltas.append(param[0])
     assert abs(deltas[0] - deltas[1]) / abs(deltas[0]) < 0.01
 
@@ -84,7 +86,7 @@ def test_adadelta_state_accumulators_stay_nonnegative():
     rng = np.random.default_rng(0)
     param, sq_g, sq_d = np.zeros(5), np.zeros(5), np.zeros(5)
     for _ in range(50):
-        adadelta_update(param, rng.standard_normal(5), sq_g, sq_d, 0.95, 1e-6)
+        adadelta_update(param, rng.standard_normal(5), sq_g, sq_d, 0.95, 1e-6, np.ones(5, bool))
         assert np.all(sq_g >= 0) and np.all(sq_d >= 0)
 
 
@@ -120,7 +122,7 @@ def test_adadelta_update_bitwise_equals_formula(dtype):
         expect = [a.copy() for a in (param, sq_g, sq_d)]
         for step in range(3):
             _adadelta_formula(expect[0], grad, expect[1], expect[2], 0.95, 1e-6)
-            adadelta_update(param, grad, sq_g, sq_d, 0.95, 1e-6)
+            adadelta_update(param, grad, sq_g, sq_d, 0.95, 1e-6, np.ones(len(param), bool))
             for got, want in zip((param, sq_g, sq_d), expect):
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want), (case, step)
@@ -132,7 +134,7 @@ def test_adadelta_update_allocates_no_parameter_sized_temporary():
     sq_g, sq_d = np.zeros_like(param), np.zeros_like(param)
     tracemalloc.start()
     try:
-        adadelta_update(param, grad, sq_g, sq_d, 0.95, 1e-6)
+        adadelta_update(param, grad, sq_g, sq_d, 0.95, 1e-6, np.zeros(1000, bool))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -152,21 +154,22 @@ def test_adadelta_row_form_step_is_bitwise_the_dense_step(dtype, start):
     gradient, bit for bit (signed zeros included), for the parameter and both
     moments after every step. "fresh" starts as training does, with zero
     moments and no live row; "warm" with non-zero moments and every row live;
-    "no_mask" passes no live flags, so every row is decayed; "dense_first"
+    "no_mask" with zero moments but every row flagged live, so every row is
+    decayed, as if no row were masked; "dense_first"
     starts fresh but takes its first step from a dense gradient, which makes
     every row live."""
     rng = np.random.default_rng(11)
     shape = (9, 6)
     param = rng.standard_normal(shape).astype(dtype)
-    if start in ("fresh", "dense_first"):
+    if start in ("fresh", "dense_first", "no_mask"):
         sq_g, sq_d = np.zeros(shape, dtype), np.zeros(shape, dtype)
     else:
         sq_g, sq_d = (np.abs(rng.standard_normal(shape)).astype(dtype) for _ in range(2))
-    live = None if start == "no_mask" else np.full(9, start == "warm")
+    live = np.full(9, start in ("warm", "no_mask"))
     want = [a.copy() for a in (param, sq_g, sq_d)]
     if start == "dense_first":
         first = rng.standard_normal(shape).astype(dtype)
-        adadelta_update(*want[:1], first, *want[1:], 0.95, 1e-6)
+        adadelta_update(*want[:1], first, *want[1:], 0.95, 1e-6, np.ones(9, bool))
         adadelta_update(param, first.copy(), sq_g, sq_d, 0.95, 1e-6, live)
         assert live.all()
     for step, rows in enumerate(ROW_STEPS):
@@ -175,7 +178,7 @@ def test_adadelta_row_form_step_is_bitwise_the_dense_step(dtype, start):
         values[rows == 5] = np.array([0.0, -0.0] * 3, dtype)
         dense = np.zeros(shape, dtype)
         dense[rows] = values
-        adadelta_update(*want[:1], dense, *want[1:], 0.95, 1e-6)
+        adadelta_update(*want[:1], dense, *want[1:], 0.95, 1e-6, np.ones(9, bool))
         adadelta_update(param, RowGrad(rows, values, shape), sq_g, sq_d, 0.95, 1e-6, live)
         for got, expect in zip((param, sq_g, sq_d), want):
             assert got.dtype == dtype and got.tobytes() == expect.tobytes(), (start, step)
@@ -617,7 +620,7 @@ def test_train_leaves_unreached_rows_of_E_and_P_untouched(monkeypatch):
     state = {}
     update = training.adadelta_update
 
-    def spy(param, grad, sq_grad, sq_delta, rho, eps, live=None):
+    def spy(param, grad, sq_grad, sq_delta, rho, eps, live):
         state[param.shape] = (param, sq_grad, sq_delta, live)
         update(param, grad, sq_grad, sq_delta, rho, eps, live)
 
