@@ -203,16 +203,18 @@ def test_embed_rows_gives_the_dense_scatter_rows_bitwise(dtype):
     assert table.grad_buffer().tobytes() == dense.tobytes()
 
 
-def test_count_product_gives_the_weight_a_row_gradient():
-    """Counts over some words times those words' rows of a weight, gathered by
-    embed_rows: the weight's gradient is row-form over exactly those words and
-    holds the row products counts[:, ids].T @ g of the |V|-wide counts, bit
-    for bit; a NaN in the output gradient reaches those rows only."""
+@pytest.mark.parametrize("vocab", [1 << 13, 8])
+def test_constant_operand_gives_the_weight_a_row_gradient(vocab):
+    """Constant counts over some words times those words' rows of a weight,
+    gathered by embed_rows: the weight's gradient is row-form over exactly
+    those words, however many rows the weight has, and holds the row products
+    counts[:, ids].T @ g of the |V|-wide counts, bit for bit; a NaN in the
+    output gradient reaches those rows only."""
     rng = np.random.default_rng(9)
-    full = np.zeros((4, 10))
+    full = np.zeros((4, vocab))
     full[[0, 1, 1, 3], [2, 2, 7, 5]] = [1.0, 2.0, 1.0, 3.0]
     ids = np.array([2, 5, 7])
-    weights = Variable(rng.standard_normal((10, 3)))
+    weights = Variable(rng.standard_normal((vocab, 3)))
     g = rng.standard_normal((4, 3))
     for _ in range(2):
         tape = Tape()
