@@ -176,7 +176,10 @@ def cmd_ngram(args) -> int:
     )
     vocab = build_vocabulary(train_raw, max_size)
     train_docs = encode_documents(train_raw, vocab)  # unfiltered: all sentences count
-    table = count_ngrams(train_docs, args.order, len(vocab))
+    try:
+        table = count_ngrams(train_docs, args.order, len(vocab))
+    except ValueError as e:  # the padded corpus: the ids are the vocabulary's own
+        raise ConfigError(f"--order {args.order}: {e}") from None
     eval_docs = _load_documents(args.eval, vocab)
     report = corpus_perplexity(table, eval_docs, n=0)
     export = open(args.export, "w", encoding="utf-8") if args.export else None  # before any output

@@ -204,7 +204,13 @@ def _none_seen(c) -> bool:
 def _padded(sentences: list[tuple[int, ...]], pad: int,
             vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
     """The sentences' token ids in one flat int64 array, each sentence after
-    ``pad`` BOS codes (``vocab_size``), and the positions of the tokens."""
+    ``pad`` BOS codes (``vocab_size``), and the positions of the tokens. A
+    padded size beyond numpy's index range is a ValueError, raised before
+    anything of that size is allocated."""
+    size = sum(map(len, sentences)) + pad * len(sentences)
+    if size > np.iinfo(np.intp).max // np.dtype(np.int64).itemsize:
+        raise ValueError(f"{len(sentences)} sentences after {pad} begin-of-sentence codes "
+                         f"each ({size} codes) are too large for an array")
     lengths = np.fromiter(map(len, sentences), np.int64, len(sentences))
     try:
         tokens = np.fromiter(chain.from_iterable(sentences), np.int64, int(lengths.sum()))

@@ -306,7 +306,9 @@ def embed_rows(tape: Tape | None, table: Variable, ids: np.ndarray) -> Variable:
     """Gather rows of table (V,d) at integer ids (N,) -> (N,d). The table gets
     a row-form gradient over the distinct ids: ``np.add.at`` adds each id's
     position gradients into its row in index order, as into a dense zero
-    table, so the rows hold that table's bits."""
+    table, so the rows hold that table's bits. Distinct ids (P's context
+    words) skip the scatter: each row is one position's gradient, assigned,
+    so a -0.0 keeps its sign where the zero table would have made it +0.0."""
     out = Variable(table.value[ids])
     if tape is not None:
         def backprop():
@@ -318,8 +320,12 @@ def embed_rows(tape: Tape | None, table: Variable, ids: np.ndarray) -> Variable:
             place[ids] = 1
             rows = np.flatnonzero(place)
             place[rows] = np.arange(len(rows))
-            values = np.zeros((len(rows),) + g.shape[1:], g.dtype)
-            np.add.at(values, place[ids], g)
+            if len(rows) == len(ids):
+                values = np.empty_like(g)
+                values[place[ids]] = g
+            else:
+                values = np.zeros((len(rows),) + g.shape[1:], g.dtype)
+                np.add.at(values, place[ids], g)
             table.add_row_grad(rows, values)
         tape.record(backprop)
     return out

@@ -497,6 +497,18 @@ def test_ngram_rejects_out_of_range_vocab_size(tmp_path, capsys, size):
     assert "--vocab-size" in captured.err
 
 
+def test_ngram_order_whose_padding_numpy_cannot_hold_is_config_error(tmp_path, capsys):
+    """--order 2**60 fits an int64 on its own, but the corpus padded with
+    order - 1 begin-of-sentence codes per sentence does not: exit 1 with a
+    config error, raised before the padded array is allocated."""
+    train, _ = write_corpora(tmp_path)
+    assert main(["ngram", "--order", str(2**60), "--train", str(train),
+                 "--eval", str(train)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: --order") and "too large for an array" in captured.err
+
+
 def test_ngram_missing_corpus(tmp_path):
     assert main(["ngram", "--order", "2", "--train", str(tmp_path / "nope.txt"),
                  "--eval", str(tmp_path / "nope.txt")]) == 2

@@ -31,6 +31,13 @@ def test_count_bigrams_example():
     assert table.grams(1) == {(A,): 1, (B,): 1, (EOS_ID,): 1}
 
 
+def test_count_rejects_a_padded_size_numpy_cannot_hold():
+    """Two sentences after 2**60 - 1 begin-of-sentence codes each exceed
+    numpy's index range in bytes: a ValueError before any allocation."""
+    with pytest.raises(ValueError, match="too large for an array"):
+        count_ngrams([doc([A, B], [C])], 2**60, vocab_size=5)
+
+
 def test_count_empty_corpus():
     table = count_ngrams([], 2, vocab_size=5)
     assert table.grams(1) == {} and table.grams(2) == {}
