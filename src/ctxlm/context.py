@@ -106,11 +106,11 @@ def annotate(tape: Tape | None, params: dict[str, Variable], bow_seq: np.ndarray
 
 
 def attend(tape: Tape | None, params: dict[str, Variable], keys: Variable,
-           h_query: Variable, mask: np.ndarray) -> Variable:
+           query: Variable, mask: np.ndarray) -> Variable:
     """Additive attention weights: score_k = v_a . tanh(W_a z_k + U_a h), softmax
-    over the unmasked positions -> alphas (n, K), for a query h_query (n, d_h)
-    of the n leading windows, whose mask rows (n, K) are ``mask``. ``keys``
-    (K, B, d_a) holds every W_a z_k, from :func:`project`."""
-    query = nm.matmul(tape, h_query, params["U_a"])
+    over the unmasked positions -> alphas (n, K), for the projected query
+    U_a h (n, d_a) of the n leading windows, whose mask rows (n, K) are
+    ``mask``. ``keys`` (K, B, d_a) holds every W_a z_k, from :func:`project`;
+    the decoder's recurrence projects the query."""
     scores = nm.attention_scores(tape, keys, query, params["v_a"])
     return nm.masked_softmax(tape, scores, mask)

@@ -16,12 +16,11 @@ batch, so step t owns the packed rows ``bounds[t]:bounds[t+1]`` and no
 padded position is ever embedded, projected or scored. Contexts are counted
 over the batch's R distinct context words (``WindowBatch.bow_ids``), so the
 BoW product reads R rows of P, not |V|. The engine steps
-through time only for the recurrence, which records the fused
-``numeric.lstm_cell`` on the n_t leading rows (plus
-``numeric.late_fusion_output`` for late fusion, and attention's weights and
-mix). Everything else is computed once per batch, the gradients of the
-weights every step applies (U and b, and late fusion's W_rc and b_r) included:
-``numeric.step_weight_grads`` forms each in one product. Per-window totals
+through time only in ``numeric.lstm_recurrence``, the decoder in every form:
+plain, early fusion's input term, late fusion's gate, and attention's
+per-step weights and mix, which it records between its steps. Everything
+else is computed once per batch, the gradients of the weights every step
+applies (U and b, and late fusion's W_rc and b_r) included. Per-window totals
 are segment sums of the packed NLLs, added in time order and returned in the
 caller's window order; the per-position NLLs come back in that order too,
 gathered once from the packed ones.
@@ -38,7 +37,6 @@ from . import rlm
 # bow_vector is re-exported only because bench/tracing.py wraps fusion.bow_vector
 from .corpus import ContextWindow, Vocabulary, bow_vector  # noqa: F401
 from .numeric import Tape, Variable
-from .rlm import LstmState
 
 
 @dataclass(frozen=True)
@@ -192,7 +190,6 @@ def batch_nll(windows: list[ContextWindow], params: dict[str, Variable], variant
     dtype = params["E"].dtype
     batch = make_batch(windows, vocab, variant, dtype)
     B, T = len(windows), len(batch.bounds) - 1
-    d_h = params["b_i"].shape[0]
 
     p = None          # context: a summary (B,D), or attention's annotations (K,B,D)
     annots = None
@@ -215,40 +212,16 @@ def batch_nll(windows: list[ContextWindow], params: dict[str, Variable], variant
 
     x = nm.embed_rows(tape, params["E"], batch.inputs)
     xproj = nm.matmul(tape, x, W)
-
-    # step t >= 1 reads the leading rows of step t-1's hidden state, step 0 the
-    # zero state; late fusion's gate multiplies every step's cell state by W_rc
-    hs, cs = [], []
-    counts = np.diff(batch.bounds)
-    nm.step_weight_grads(tape, U, b, xproj, slice(batch.bounds[1], None),
-                         lambda: np.concatenate([h.value[:n] for h, n in zip(hs, counts[1:])]))
-    if variant.fusion == "late":
-        # only the gradient of gate is used: its value is a zero view that takes
-        # no memory, and its gradient is dropped once W_rc's and b_r's are formed
-        gate = Variable(np.broadcast_to(np.zeros((), dtype), (len(batch.targets), d_h)))
-        if tape is not None:
-            tape.record(gate.zero_grad)  # replayed after the closure recorded next
-        nm.step_weight_grads(tape, params["W_rc"], params["b_r"], gate, slice(None),
-                             lambda: np.concatenate([c.value for c in cs]))
-    state = rlm.zero_state(B, d_h, dtype)
-    for t in range(T):
-        rows = slice(batch.bounds[t], batch.bounds[t + 1])
-        n = rows.stop - rows.start
-        step = feed
-        if annots is not None:  # this step's weights mix the projected annotations
-            query = nm.leading_rows(tape, state.h, n)
-            alphas = ctx.attend(tape, params, keys, query, batch.ctx_mask[:n])
-            step = tuple(nm.attention_mix(tape, alphas, f) for f in feed)
-        extra = step[0] if variant.fusion == "early" else None
-        o, c_new, h_new = nm.lstm_cell(tape, xproj, rows, state.h, state.c, U, b, extra)
-        if variant.fusion == "late":
-            h_new = nm.late_fusion_output(tape, o, c_new, *step, params["W_rc"], params["b_r"],
-                                          gate, rows)
-            cs.append(c_new)
-        hs.append(h_new)
-        state = LstmState(h_new, c_new)
-
-    hidden = nm.concat_rows(tape, hs)
+    bounds = batch.bounds.tolist()
+    steps = [slice(bounds[t], bounds[t + 1]) for t in range(T)]
+    late = (params["W_rc"], params["b_r"]) if variant.fusion == "late" else None
+    attend = None
+    if annots is not None:
+        def mix(tape, query):  # this step's weights mix the projected annotations
+            alphas = ctx.attend(tape, params, keys, query, batch.ctx_mask[:query.shape[0]])
+            return tuple(nm.attention_mix(tape, alphas, f) for f in feed)
+        attend = (params["U_a"], mix)
+    hidden, _ = nm.lstm_recurrence(tape, xproj, steps, U, b, feed, late, attend)
     logits = nm.add_bias(tape, nm.matmul(tape, hidden, params["W_out"]), params["b_out"])
     nll = nm.nll_rows(tape, logits, batch.targets)
     total = nm.segment_sum(tape, nll, batch.window, B)

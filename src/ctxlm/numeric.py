@@ -505,37 +505,143 @@ def lstm_cell(tape: Tape | None, xproj: Variable, rows: slice, h_prev: Variable,
     return o_out, c_out, h_out
 
 
-def late_fusion_output(tape: Tape | None, o: Variable, c: Variable, q: Variable,
-                       q_r: Variable, W_rc: Variable, b_r: Variable, gate: Variable,
-                       rows: slice) -> Variable:
-    """Late-fusion hidden state h = o * tanh(c + r*q), gated by
-    r = sigmoid(q_r + c @ W_rc + b_r) where q_r = q @ W_rp; o and c (n,d), and
-    q and q_r (B,d) with B >= n, of which the n leading rows are read. One
-    closure; it writes the gate's pre-activation gradient into rows ``rows``
-    of ``gate``'s gradient, a packed (N,d) buffer of the whole batch, and
-    forms no gradient of W_rc or b_r: the caller records
-    :func:`step_weight_grads` over ``gate`` for the whole recurrence."""
-    n = c.shape[0]
-    q_n = q.value[:n]
-    pre = q_r.value[:n] + c.value @ W_rc.value
-    pre += b_r.value
-    r = sigmoid(pre)
-    u = np.tanh(c.value + r * q_n)
-    out = Variable(o.value * u)
+def lstm_recurrence(tape: Tape | None, xproj: Variable, steps: list[slice], U: Variable,
+                    b: Variable, feed: tuple = (), late: tuple | None = None,
+                    attend: tuple | None = None, state: tuple | None = None):
+    """An LSTM run over a packed batch -> (H, C), the hidden and cell states of
+    every row, each (N,d).
+
+    ``xproj`` (N,4d) holds the input projection x @ W of every row, with gate
+    blocks in ``rlm.GATES`` order (i, o, f, c). Step s owns the rows
+    ``steps[s]`` and starts from the state of the previous step's leading
+    rows; rows past those (and every row of the first step, unless ``state``
+    gives (h0, c0) Variables to read the leading rows of) start from zero.
+    The pre-activations are h_prev @ U + xproj[rows] (+ the leading rows of
+    ``feed[0]``, early fusion's input term) + b, and c = f*c_prev + i*g.
+    With ``late`` = (W_rc, b_r), ``feed`` = (q, q_r) gates the output
+    instead: r = sigmoid(q_r + c @ W_rc + b_r) and h = o * tanh(c + r*q);
+    otherwise h = o * tanh(c). With ``attend`` = (U_a, mix), each step first
+    projects its query h_prev @ U_a and ``mix(tape, query)`` returns that
+    step's ``feed``, recorded on the tape between the steps.
+
+    Every step's activations, c, tanh(c) (late fusion's u) and h are written
+    into arrays allocated once, and the state each row starts from is copied
+    beside them. Each step records one closure; it writes its pre-activation
+    gradient into its rows of xproj's gradient (so xproj feeds nothing else).
+    U's and b's gradients (and W_rc's and b_r's) are formed once per batch,
+    in one product each, by a closure recorded before the first step.
+    """
+    N, d = xproj.shape[0], U.shape[0]
+    dtype = xproj.dtype
+    act = np.empty((N, 4 * d), dtype)
+    H, C, TC = np.empty((N, d), dtype), np.empty((N, d), dtype), np.empty((N, d), dtype)
+    Hp, Cp = np.zeros((N, d), dtype), np.zeros((N, d), dtype)  # the states rows start from
+    h_out, c_out = Variable(H), Variable(C)
+    R = dpre = Q = None
+    if late is not None:
+        W_rc, b_r = late
+        R = np.empty((N, d), dtype)
+        dpre = np.empty((N, d), dtype)  # the gate's pre-activation gradient, every row set
+    if attend is not None:
+        U_a, mix = attend
+        Q = np.empty((N, U_a.shape[1]), dtype)
+    # rows that read a state: all but the first step's, unless state gives it one
+    first = steps[0]
+    live = (slice(0, N) if state is not None else
+            slice(first.stop, N) if first.start == 0 else slice(0, first.start))
     if tape is not None:
-        def backprop():
-            g = out.grad
+        def weight_grads():
+            g = xproj.grad
             if g is None:
                 return
-            o.add_grad(g * u)
-            du = g * o.value * (1.0 - u * u)
-            q.add_grad_leading(du * r)
-            dpre = gate.grad_buffer()[rows]
-            np.multiply(du * q_n * r, 1.0 - r, out=dpre)
-            c.add_grad(du + dpre @ W_rc.value.T)
-            q_r.grad_buffer()[:n] += dpre  # not adopted: dpre is part of gate's gradient
-        tape.record(backprop)
-    return out
+            U.add_grad(Hp[live].T @ g[live])
+            b.add_grad(g.sum(axis=0))
+            if late is not None:
+                W_rc.add_grad(C.T @ dpre)
+                b_r.add_grad(dpre.sum(axis=0))
+        tape.record(weight_grads)
+
+    prev = None
+    for rows in steps:
+        n = rows.stop - rows.start
+        m = 0 if prev is None else min(n, prev.stop - prev.start)
+        if prev is not None:
+            Hp[rows.start:rows.start + m] = H[prev.start:prev.start + m]
+            Cp[rows.start:rows.start + m] = C[prev.start:prev.start + m]
+        elif state is not None:
+            Hp[rows], Cp[rows] = state[0].value[:n], state[1].value[:n]
+        step_feed = feed
+        if attend is not None:
+            query = Variable(np.matmul(Hp[rows], U_a.value, out=Q[rows]))
+            if tape is not None:
+                def query_backprop(rows=rows, prev=prev, query=query, n=n):
+                    g = query.grad
+                    if g is None:
+                        return
+                    U_a.add_grad(Hp[rows].T @ g)
+                    if prev is not None:
+                        h_out.grad_buffer()[prev.start:prev.start + n] += g @ U_a.value.T
+                tape.record(query_backprop)
+            step_feed = mix(tape, query)
+        z = act[rows]
+        np.matmul(Hp[rows], U.value, out=z)
+        z += xproj.value[rows]
+        if step_feed and late is None:
+            z += step_feed[0].value[:n]
+        z += b.value
+        z[:, :3 * d] = sigmoid(z[:, :3 * d])
+        np.tanh(z[:, 3 * d:], out=z[:, 3 * d:])
+        i, o, f, g = z[:, :d], z[:, d:2 * d], z[:, 2 * d:3 * d], z[:, 3 * d:]
+        c, u = C[rows], TC[rows]
+        np.multiply(f, Cp[rows], out=c)
+        c += i * g
+        if late is not None:
+            pre = step_feed[1].value[:n] + c @ W_rc.value
+            pre += b_r.value
+            R[rows] = sigmoid(pre)
+            np.tanh(c + R[rows] * step_feed[0].value[:n], out=u)
+        else:
+            np.tanh(c, out=u)
+        np.multiply(o, u, out=H[rows])
+        if tape is not None:
+            def backprop(rows=rows, prev=prev, m=m, step_feed=step_feed):
+                n = rows.stop - rows.start
+                a = act[rows]
+                i, o, f, g = a[:, :d], a[:, d:2 * d], a[:, 2 * d:3 * d], a[:, 3 * d:]
+                gh, u = h_out.grad_buffer()[rows], TC[rows]
+                dc = c_out.grad_buffer()[rows]  # the gradient carried from the next step
+                dz = xproj.grad_buffer()[rows]  # gradient w.r.t. the activations, then z
+                if late is not None:
+                    q, q_r = step_feed
+                    r = R[rows]
+                    dz[:, d:2 * d] = gh * u
+                    du = gh * o * (1.0 - u * u)
+                    q.add_grad_leading(du * r)
+                    dp = dpre[rows]
+                    np.multiply(du * q.value[:n] * r, 1.0 - r, out=dp)
+                    dc += du + dp @ W_rc.value.T
+                    q_r.grad_buffer()[:n] += dp
+                else:
+                    dz[:, d:2 * d] = gh * u
+                    dc += gh * o * (1.0 - u * u)
+                dz[:, :d] = dc * g
+                dz[:, 2 * d:3 * d] = dc * Cp[rows]
+                dz[:, 3 * d:] = dc * i
+                sig = a[:, :3 * d]
+                dz[:, :3 * d] *= sig * (1.0 - sig)
+                dz[:, 3 * d:] *= 1.0 - g * g
+                if prev is not None:
+                    dh = dz[:m] @ U.value.T
+                    h_out.grad_buffer()[prev.start:prev.start + m] += dh
+                    c_out.grad_buffer()[prev.start:prev.start + m] += dc[:m] * f[:m]
+                elif state is not None:
+                    state[0].add_grad_leading(dz @ U.value.T)
+                    state[1].add_grad_leading(dc * f)
+                if step_feed and late is None:
+                    step_feed[0].grad_buffer()[:n] += dz
+            tape.record(backprop)
+        prev = rows
+    return h_out, c_out
 
 
 def stack_first(tape: Tape | None, parts: list[Variable]) -> Variable:
@@ -548,38 +654,6 @@ def stack_first(tape: Tape | None, parts: list[Variable]) -> Variable:
                 return
             for k, p in enumerate(parts):
                 p.add_grad(g[k])
-        tape.record(backprop)
-    return out
-
-
-def concat_rows(tape: Tape | None, parts: list[Variable]) -> Variable:
-    """Concatenate parts (n_i, D) along their first axis -> (sum n_i, D)."""
-    out = Variable(np.concatenate([p.value for p in parts]))
-    if tape is not None:
-        def backprop():
-            g = out.grad
-            if g is None:
-                return
-            off = 0
-            for p in parts:
-                n = p.value.shape[0]
-                p.add_grad(g[off:off + n])
-                off += n
-        tape.record(backprop)
-    return out
-
-
-def leading_rows(tape: Tape | None, x: Variable, n: int) -> Variable:
-    """The first n rows of x; x itself when it has exactly n."""
-    if n == x.shape[0]:
-        return x
-    out = Variable(x.value[:n])
-    if tape is not None:
-        def backprop():
-            g = out.grad
-            if g is None:
-                return
-            x.add_grad_leading(g)
         tape.record(backprop)
     return out
 

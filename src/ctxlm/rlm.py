@@ -71,10 +71,9 @@ def lstm_step(x: Variable, state: LstmState, params: dict[str, Variable],
     """One LSTM cell update of the layer under ``prefix``."""
     W, U, b = gate_weights(tape, params, prefix)
     xproj = nm.matmul(tape, x, W)
-    rows = slice(0, x.shape[0])
-    nm.step_weight_grads(tape, U, b, xproj, rows, lambda: state.h.value[rows])
-    _, c_new, h_new = nm.lstm_cell(tape, xproj, rows, state.h, state.c, U, b)
-    return LstmState(h_new, c_new)
+    h, c = nm.lstm_recurrence(tape, xproj, [slice(0, x.shape[0])], U, b,
+                              state=(state.h, state.c))
+    return LstmState(h, c)
 
 
 lstm_gates = lstm_step

@@ -39,3 +39,72 @@ def format_log(log) -> str:
     """Canonical training log of EpochRecords (timing excluded: wall clock is
     not reproducible)."""
     return "".join(f"{r.epoch},{r.train_nll!r},{r.valid_nll!r}\n" for r in log)
+
+
+def spy_recurrences(mp):
+    """Patch ``numeric.lstm_recurrence`` on the pytest MonkeyPatch ``mp`` to
+    record every call -> the list of records. Each is a dict of the call's
+    arguments (``xproj``, ``steps``, ``U``, ``b``, ``feed``, ``late``,
+    ``state``), its outputs ``H`` and ``C``, and, with attention, every step's
+    ``queries`` and ``feeds`` (what the step's mix returned)."""
+    from ctxlm import numeric as nm
+
+    calls = []
+    original = nm.lstm_recurrence
+
+    def spy(tape, xproj, steps, U, b, feed=(), late=None, attend=None, state=None):
+        call = dict(xproj=xproj, steps=list(steps), U=U, b=b, feed=feed, late=late,
+                    state=state, queries=[], feeds=[])
+        if attend is not None:
+            U_a, mix = attend
+
+            def mix_spy(tape, query):
+                call["queries"].append(query)
+                call["feeds"].append(mix(tape, query))
+                return call["feeds"][-1]
+            attend = (U_a, mix_spy)
+        call["H"], call["C"] = out = original(tape, xproj, steps, U, b, feed, late, attend, state)
+        calls.append(call)
+        return out
+
+    mp.setattr(nm, "lstm_recurrence", spy)
+    return calls
+
+
+def recurrence_steps(call) -> list[dict]:
+    """Every step of a recorded recurrence (see ``spy_recurrences``), recomputed
+    from its inputs and the states it returned: ``h_prev`` and ``c_prev`` are
+    the previous step's returned rows (zero for a row without one; the call
+    has no ``state``), the pre-activations h_prev @ U + xproj[rows] + b have no
+    other input, and ``c`` = f * c_prev + i * g, in the recurrence's own
+    arithmetic. Each step's dict also holds its ``rows``, ``o`` and the
+    returned ``c_returned``; with late fusion also its ``q``, ``q_r``, gate
+    ``r`` and ``u`` = tanh(c + r * q)."""
+    from ctxlm import numeric as nm
+
+    H, C, U = call["H"].value, call["C"].value, call["U"].value
+    d = U.shape[0]
+    out, prev = [], None
+    for t, rows in enumerate(call["steps"]):
+        n = rows.stop - rows.start
+        h_prev, c_prev = np.zeros((n, d), H.dtype), np.zeros((n, d), H.dtype)
+        if prev is not None:
+            m = min(n, prev.stop - prev.start)
+            h_prev[:m], c_prev[:m] = H[prev][:m], C[prev][:m]
+        z = h_prev @ U
+        z += call["xproj"].value[rows]
+        z += call["b"].value
+        i, o, f = (nm.sigmoid(z[:, k * d:(k + 1) * d]) for k in range(3))
+        c = f * c_prev
+        c += i * np.tanh(z[:, 3 * d:])
+        step = dict(rows=rows, h_prev=h_prev, c_prev=c_prev, o=o, c=c, c_returned=C[rows])
+        if call["late"] is not None:
+            W_rc, b_r = call["late"]
+            q, q_r = (v.value[:n] for v in (call["feeds"][t] if call["feeds"] else call["feed"]))
+            pre = q_r + C[rows] @ W_rc.value
+            pre += b_r.value
+            r = nm.sigmoid(pre)
+            step.update(q=q, q_r=q_r, r=r, u=np.tanh(C[rows] + r * q))
+        out.append(step)
+        prev = rows
+    return out

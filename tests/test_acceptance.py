@@ -92,23 +92,18 @@ def test_ac1_gradient_correctness():
 # -- AC-2: reduction equivalences -------------------------------------------------
 
 
-def _decoder_cell_calls(windows, tag, params, vocab):
-    """The engine's decoder nm.lstm_cell calls on a batch: (extra, the leading
-    rows of c_prev the step reads, the c it returns), copied at the call."""
-    calls = []
-    lstm_cell = nm.lstm_cell
+def _decoder_cell_steps(windows, tag, params, vocab):
+    """The engine's decoder recurrence on a batch, step by step: each step's
+    cell recomputed from h_prev, xproj and b alone, beside the c it returned
+    (``support.recurrence_steps``)."""
     d_h = params["b_i"].shape[0]
-
-    def spy(tape, xproj, rows, h_prev, c_prev, U, b, extra=None):
-        o, c, h = lstm_cell(tape, xproj, rows, h_prev, c_prev, U, b, extra)
-        if U.shape == (d_h, 4 * d_h):  # the context LSTMs are d_ctx wide
-            calls.append((extra, c_prev.value[: c.shape[0]].copy(), c.value.copy()))
-        return o, c, h
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nm, "lstm_cell", spy)
+        calls = support.spy_recurrences(mp)
         fusion.batch_nll(windows, params, tag, vocab)
-    return calls
+    # the context LSTMs are d_ctx wide
+    decoder, = (c for c in calls if c["U"].shape == (d_h, 4 * d_h))
+    assert decoder["late"] is not None and decoder["state"] is None
+    return support.recurrence_steps(decoder)
 
 
 def test_ac2_reduction_equivalences():
@@ -159,15 +154,16 @@ def test_ac2_reduction_equivalences():
 
         if fusion.VARIANTS[tag].fusion != "late":
             continue
-        # late fusion never perturbs the cell update
-        calls = _decoder_cell_calls(batch, tag, params, vocab)
-        assert len(calls) == max(len(w.target.token_ids) for w in batch)
-        assert all(extra is None for extra, _, _ in calls), f"{tag}: context enters the cell"
-        assert not calls[0][1].any()
-        for (_, _, c_returned), (_, c_read, _) in zip(calls, calls[1:]):
-            assert np.array_equal(c_read, c_returned[: len(c_read)]), \
-                f"{tag}: the carried cell state is not the cell's own"
-        steps += len(calls)
+        # late fusion never perturbs the cell update: every step's c is, bitwise,
+        # f * c_prev + i * g from h_prev, xproj and b alone (no context input),
+        # with c_prev the rows of the c the cell returned at the step before
+        cells = _decoder_cell_steps(batch, tag, params, vocab)
+        assert len(cells) == max(len(w.target.token_ids) for w in batch)
+        assert not cells[0]["c_prev"].any()
+        for step in cells:
+            assert np.array_equal(step["c"], step["c_returned"]), \
+                f"{tag}: context enters the cell, or the carried cell state is not the cell's own"
+        steps += len(cells)
 
         # a closed gate: b_r = -1e3 makes r exactly 0
         saved = params["b_r"].value.copy()
@@ -252,8 +248,8 @@ def test_ac4_directional_larger_context_benefit():
 
 
 def test_ac5_attention_sanity():
-    """The engine's attention (keys by context.project, weights by
-    context.attend, the mix by numeric.attention_mix) on one batch of 1000
+    """The engine's attention (keys by context.project, the query h U_a, weights
+    by context.attend, the mix by numeric.attention_mix) on one batch of 1000
     windows with 1-5 live context positions each, left-padded to 5 with junk."""
     rng = np.random.default_rng(9)
     params = rlm.draw_parameters(ctx.attention_shapes(annot_dim=6, d_h=4, d_a=5),
@@ -262,7 +258,7 @@ def test_ac5_attention_sanity():
     def attend(annots, h, mask):
         annots = Variable(annots)
         keys = ctx.project(None, annots, params["W_a"])
-        alphas = ctx.attend(None, params, keys, Variable(h), mask)
+        alphas = ctx.attend(None, params, keys, Variable(h @ params["U_a"].value), mask)
         mixed = nm.attention_mix(None, alphas, annots)
         return mixed.value, alphas.value
 

@@ -53,10 +53,12 @@ def annotate(params, *contexts, tape=None):
 
 
 def attention(params, annots, h_query, mask, tape=None):
-    """Attention as the engine runs it: keys by ctx.project, weights by
-    ctx.attend, and the annotations mixed with those weights -> (mixed, alphas)."""
+    """Attention as the engine runs it: keys by ctx.project, the query h U_a
+    (the decoder's recurrence forms it), weights by ctx.attend, and the
+    annotations mixed with those weights -> (mixed, alphas)."""
     keys = ctx.project(tape, annots, params["W_a"])
-    alphas = ctx.attend(tape, params, keys, h_query, mask)
+    query = nm.matmul(tape, h_query, params["U_a"])
+    alphas = ctx.attend(tape, params, keys, query, mask)
     return nm.attention_mix(tape, alphas, annots), alphas
 
 

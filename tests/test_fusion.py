@@ -105,20 +105,13 @@ LF_TAGS = [t for t, v in sorted(fusion.VARIANTS.items()) if v.fusion == "late"]
 
 
 def _decoder_trace(windows, tag, params):
-    """Run the engine with spies on the decoder's nm.lstm_cell calls and on
-    the output affine -> (one dict per step: the cell's ``extra`` input, the
-    leading rows of ``c_prev`` it reads, and the ``o`` and ``c`` it returns,
-    all copied at the call; the packed hidden states that reach W_out)."""
-    steps, hidden = [], []
-    lstm_cell, matmul = nm.lstm_cell, nm.matmul
+    """Run the engine with spies on nm.lstm_recurrence and on the output affine
+    -> (the decoder's steps from ``support.recurrence_steps``: each one's cell
+    recomputed from h_prev, xproj and b alone, its ``o`` and the ``c`` it
+    returned; the packed hidden states that reach W_out)."""
+    hidden = []
+    matmul = nm.matmul
     d_h = params["b_i"].shape[0]
-
-    def cell_spy(tape, xproj, rows, h_prev, c_prev, U, b, extra=None):
-        out = lstm_cell(tape, xproj, rows, h_prev, c_prev, U, b, extra)
-        if U.shape == (d_h, 4 * d_h):  # the context LSTMs are d_ctx wide
-            steps.append(dict(extra=extra, c_prev=c_prev.value[: out[1].shape[0]].copy(),
-                              o=out[0].value.copy(), c=out[1].value.copy()))
-        return out
 
     def matmul_spy(tape, a, b):
         if b is params["W_out"]:
@@ -126,10 +119,12 @@ def _decoder_trace(windows, tag, params):
         return matmul(tape, a, b)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nm, "lstm_cell", cell_spy)
+        calls = support.spy_recurrences(mp)
         mp.setattr(nm, "matmul", matmul_spy)
         fusion.batch_nll(windows, params, tag, VOCAB)
-    return steps, hidden[0]
+    # the context LSTMs are d_ctx wide
+    decoder, = (c for c in calls if c["U"].shape == (d_h, 4 * d_h))
+    return support.recurrence_steps(decoder), hidden[0]
 
 
 def test_late_fusion_zero_context_equals_plain_step():
@@ -153,7 +148,7 @@ def test_late_fusion_saturated_gate_open():
     steps, hidden = _decoder_trace([WINDOW], "RLM-BoW-LF", params)
     q = bow_vector(WINDOW.context, VOCAB) @ params["P"].value @ params["W_p"].value
     assert np.any(np.abs(q) > 0.1)
-    expect = np.concatenate([s["o"] * np.tanh(s["c"] + q) for s in steps])
+    expect = np.concatenate([s["o"] * np.tanh(s["c_returned"] + q) for s in steps])
     assert np.max(np.abs(hidden - expect)) < 1e-12
 
 
@@ -169,41 +164,26 @@ def test_late_fusion_saturated_gate_closed():
         assert np.max(np.abs(diff)) < 1e-8, tag
 
 
-def test_late_fusion_gate_is_strictly_inside_unit_interval(monkeypatch):
-    """The gate r of every engine step, recomputed from the arguments of its
-    nm.late_fusion_output call, lies strictly inside (0, 1)."""
-    gates = []
-    late_fusion_output = nm.late_fusion_output
-
-    def spy(tape, o, c, q, q_r, W_rc, b_r, *packed):
-        n = c.shape[0]
-        gates.append(nm.sigmoid(q_r.value[:n] + c.value @ W_rc.value + b_r.value))
-        return late_fusion_output(tape, o, c, q, q_r, W_rc, b_r, *packed)
-
-    monkeypatch.setattr(nm, "late_fusion_output", spy)
+def test_late_fusion_gate_is_strictly_inside_unit_interval():
+    """The gate r of every engine step, recomputed from the inputs and the
+    states of its nm.lstm_recurrence call, lies strictly inside (0, 1)."""
     for tag in LF_TAGS:
-        gates.clear()
-        fusion.batch_nll(MIXED, make_params(tag, seed=7, scale=10.0), tag, VOCAB)
-        steps = max(len(w.target.token_ids) for w in MIXED)
-        assert len(gates) == steps, tag
-        r = np.concatenate(gates)
+        steps, _ = _decoder_trace(MIXED, tag, make_params(tag, seed=7, scale=10.0))
+        assert len(steps) == max(len(w.target.token_ids) for w in MIXED), tag
+        r = np.concatenate([s["r"] for s in steps])
         assert np.all(r > 0.0) and np.all(r < 1.0), tag
 
 
 def test_late_fusion_cell_untouched_by_context():
     """For every LF variant the decoder's cell gets no context input, and the
     cell state it reads at each step is, bitwise, the one it returned at the
-    step before: the context reaches the output only."""
+    step before: each step's c equals f * c_prev + i * g recomputed from
+    h_prev, xproj and b alone, with c_prev the cell's own. The context
+    reaches the output only."""
     for tag in LF_TAGS:
         steps, _ = _decoder_trace(MIXED, tag, make_params(tag, seed=7))
         assert len(steps) == max(len(w.target.token_ids) for w in MIXED), tag
-        assert all(s["extra"] is None for s in steps), tag
-        assert not steps[0]["c_prev"].any()
-        for prev, step in zip(steps, steps[1:]):
-            assert np.array_equal(step["c_prev"], prev["c"][: len(step["c_prev"])]), tag
-
-
-# -- one window's NLL ------------------------------------------------------------
+        assert all(np.array_equal(s["c"], s["c_returned"]) for s in steps), tag
 
 
 def test_rlm_variant_equals_baseline_exactly():
@@ -416,68 +396,61 @@ NO_CONTEXT = [ContextWindow(sent(3, 5, 2), ()), ContextWindow(sent(6, 2, 8, 3, 5
 
 
 def _per_step_weight_grads(windows, tag, params):
-    """Backpropagate sum(batch_nll) with spies that, after each step's backward,
-    add that step's own weight gradients into a reference: h_prev.T @ dz and
-    dz.sum(0) for every lstm_cell (dz read back from xproj's gradient), and
-    c.T @ dpre and dpre.sum(0) for every late_fusion_output (dpre from the gate
-    buffer's). -> {parameter name: reference gradient}."""
-    lstm_cell, late_fusion_output = nm.lstm_cell, nm.late_fusion_output
-    ref_U = {}  # by id of the concatenated U: [U, dU, db]
-    ref_rc = {"W_rc": 0.0, "b_r": 0.0}
-
-    def cell_spy(tape, xproj, rows, h_prev, c_prev, U, b, extra=None):
-        n = rows.stop - rows.start
-        entry = ref_U.setdefault(id(U), [U, 0.0, 0.0])
-
-        def after_backward():  # recorded first, so it runs after the cell's backward
-            dz = xproj.grad[rows]
-            entry[1] = entry[1] + h_prev.value[:n].T @ dz
-            entry[2] = entry[2] + dz.sum(axis=0)
-        tape.record(after_backward)
-        return lstm_cell(tape, xproj, rows, h_prev, c_prev, U, b, extra)
-
-    def late_spy(tape, o, c, q, q_r, W_rc, b_r, gate, rows):
-        def after_backward():
-            dpre = gate.grad[rows]
-            ref_rc["W_rc"] = ref_rc["W_rc"] + c.value.T @ dpre
-            ref_rc["b_r"] = ref_rc["b_r"] + dpre.sum(axis=0)
-        tape.record(after_backward)
-        return late_fusion_output(tape, o, c, q, q_r, W_rc, b_r, gate, rows)
-
+    """Backpropagate sum(batch_nll) with a spy on nm.lstm_recurrence, then add
+    up every step's own weight gradients into a reference: h_prev.T @ dz and
+    dz.sum(0) for the cell (dz read back from xproj's gradient), h_prev.T @
+    dq for attention's query (dq its gradient), and c.T @ dpre and
+    dpre.sum(0) for late fusion's gate, dpre recomputed from the hidden
+    state's gradient. -> {parameter name: reference gradient}."""
     tape = Tape()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nm, "lstm_cell", cell_spy)
-        mp.setattr(nm, "late_fusion_output", late_spy)
+        calls = support.spy_recurrences(mp)
         total, _ = fusion.batch_nll(windows, params, tag, VOCAB, tape)
     tape.backward(nm.sum_all(tape, total))
     ref = {}
-    for U, dU, db in ref_U.values():
+    for call in calls:
         # the layer whose per-gate U_* the concatenated U holds
+        U = call["U"]
         prefix = next(p for p in ("", ctx.CTX_FWD, ctx.CTX_REV)
                       if f"{p}U_i" in params and np.array_equal(
                           U.value, np.concatenate([params[f"{p}U_{g}"].value
                                                    for g in rlm.GATES], axis=1)))
+        dU, db, dU_a, dW_rc, db_r = 0.0, 0.0, 0.0, 0.0, 0.0
+        for t, step in enumerate(support.recurrence_steps(call)):
+            dz = call["xproj"].grad[step["rows"]]
+            dU = dU + step["h_prev"].T @ dz
+            db = db + dz.sum(axis=0)
+            if call["queries"]:
+                dU_a = dU_a + step["h_prev"].T @ call["queries"][t].grad
+            if call["late"] is not None:
+                g = call["H"].grad[step["rows"]]
+                r, u = step["r"], step["u"]
+                dpre = g * step["o"] * (1.0 - u * u) * step["q"] * r * (1.0 - r)
+                dW_rc = dW_rc + step["c_returned"].T @ dpre
+                db_r = db_r + dpre.sum(axis=0)
         d = U.shape[0]
         for k, g in enumerate(rlm.GATES):
             ref[f"{prefix}U_{g}"] = dU[..., k * d:(k + 1) * d]
             ref[f"{prefix}b_{g}"] = db[..., k * d:(k + 1) * d]
-    if "W_rc" in params:
-        ref.update(ref_rc)
+        if call["queries"]:
+            ref["U_a"] = dU_a
+        if call["late"] is not None:
+            ref.update(W_rc=dW_rc, b_r=db_r)
     return ref
 
 
 @pytest.mark.parametrize("tag", sorted(fusion.VARIANTS))
 def test_weight_gradients_equal_the_per_step_sum(tag):
-    """Every recurrent weight's gradient (U_* and b_* of the decoder and of
-    both context LSTMs, W_rc and b_r), formed once per batch, equals the sum
-    of every step's own h_prev.T @ dz (c.T @ dpre) and dz.sum(0) to 1e-12 of
-    its largest entry, in float64: on batches of mixed and tied lengths, one
+    """Every recurrent weight's gradient (U_* and b_* of the decoder, W_rc and
+    b_r, U_a), formed once per batch, equals the sum of every step's own
+    h_prev.T @ dz (c.T @ dpre, h_prev.T @ dq) and dz.sum(0) to 1e-12 of its
+    largest entry, in float64: on batches of mixed and tied lengths, one
     whose every target is one step long and every context one sentence (so
     dU is exactly 0), and one with no context at all."""
     for windows in (PADDED, TIED_ASCENDING, ONE_STEP, NO_CONTEXT):
         params = make_params(tag, seed=47, scale=10.0)
         ref = _per_step_weight_grads(windows, tag, params)
-        recurrent = [n for n in params if re.fullmatch(r"(cf_|cr_)?[Ub]_[iofc]|W_rc|b_r", n)]
+        recurrent = [n for n in params if re.fullmatch(r"[Ub]_[iofc]|W_rc|b_r|U_a", n)]
         for name in recurrent:
             got = params[name].grad_buffer()
             want = np.broadcast_to(ref.get(name, 0.0), got.shape)  # unused layer: 0

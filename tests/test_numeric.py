@@ -322,18 +322,6 @@ def test_segment_sum_adds_in_index_order_and_in_the_operand_dtype():
     assert out32.value.dtype == np.float32 and out32.value[0] == 1.0
 
 
-def test_grad_concat_rows_and_leading_rows():
-    _check_op(lambda t, v: nm.concat_rows(t, [v[0], v[1], v[2]]),
-              [RNG.standard_normal((3, 2)), RNG.standard_normal((1, 2)),
-               RNG.standard_normal((2, 2))])
-    weights = Variable(RNG.standard_normal((2, 3)))
-    x = _check_op(lambda t, v: nm.mul(t, nm.leading_rows(t, v[0], 2), weights),
-                  [RNG.standard_normal((4, 3))])[0]
-    assert np.all(x.grad[2:] == 0.0)
-    same = Variable(RNG.standard_normal((2, 3)))
-    assert nm.leading_rows(Tape(), same, 2) is same
-
-
 def _lstm_cell_combined(t, v, rows=slice(2, 4), with_extra=True):
     """A weighted sum of all three outputs of one cell, so every output's
     gradient path is exercised. v: xproj (N,4d), h_prev, c_prev, U, b, extra;
@@ -393,28 +381,59 @@ def test_lstm_cell_matches_per_gate_formula():
     assert np.max(np.abs(h_new.value - go * np.tanh(expect_c))) < 1e-14
 
 
-def _late_fusion_step(t, v):
-    """One late-fusion step on rows 1:3 of a packed 4-row gate buffer; v: o, c,
-    q, q_r, W_rc, b_r. W_rc and b_r get their gradients as in a recurrence of
-    this one step, from step_weight_grads."""
-    gate, rows = nm.zeros((4, 3), np.float64), slice(1, 3)
-    nm.step_weight_grads(t, v[4], v[5], gate, rows, lambda: v[1].value)
-    return nm.late_fusion_output(t, *v, gate, rows)
+# a packed batch of three rows: steps of 3, 2 and 1 rows (the decoder), of 1,
+# 2 and 3 (a forward context LSTM over left-padded contexts: rows join from
+# the zero state), and the latter's reverse pass, which starts at the end
+SHRINKING = [slice(0, 3), slice(3, 5), slice(5, 6)]
+GROWING = [slice(0, 1), slice(1, 3), slice(3, 6)]
+REVERSED = GROWING[::-1]
+
+
+def _recurrence(t, v, steps, kind="plain"):
+    """A weighted sum of both outputs of nm.lstm_recurrence, so that every
+    output's gradient path is exercised. v: xproj (6,12), U (3,12), b (12,),
+    then early fusion's extra (B,12), late fusion's q, q_r (B,3), W_rc (3,3)
+    and b_r (3,), or an initial state h0, c0 (3,3), by ``kind``."""
+    xproj, U, b, *rest = v
+    feed, late, state = (), None, None
+    if kind == "early":
+        feed = (rest[0],)
+    elif kind == "late":
+        feed, late = (rest[0], rest[1]), (rest[2], rest[3])
+    elif kind == "state":
+        state = (rest[0], rest[1])
+    H, C = nm.lstm_recurrence(t, xproj, steps, U, b, feed, late, state=state)
+    w = Variable(np.linspace(-1.0, 1.0, H.value.size).reshape(H.shape))
+    return nm.add(t, nm.mul(t, H, nm.scale(t, w, 2.0)), nm.mul(t, C, nm.scale(t, w, 3.0)))
+
+
+def _recurrence_inputs(rng, kind="plain", rows=3):
+    inputs = [rng.standard_normal((6, 12)), rng.standard_normal((3, 12)),
+              rng.standard_normal(12)]
+    if kind == "early":
+        inputs.append(rng.standard_normal((rows, 12)))
+    elif kind == "late":
+        inputs += [rng.standard_normal((rows, 3)), rng.standard_normal((rows, 3)),
+                   rng.standard_normal((3, 3)), rng.standard_normal(3)]
+    elif kind == "state":
+        inputs += [rng.standard_normal((rows, 3)), rng.standard_normal((rows, 3))]
+    return inputs
 
 
 def test_grad_late_fusion_output():
-    _check_op(_late_fusion_step,
-              [RNG.standard_normal((2, 3)), RNG.standard_normal((2, 3)),
-               RNG.standard_normal((2, 3)), RNG.standard_normal((2, 3)),
-               RNG.standard_normal((3, 3)), RNG.standard_normal(3)])
+    """Late fusion's gated output, h = o * tanh(c + r*q), in a three-step
+    recurrence: every input's gradient, W_rc's and b_r's (formed once per
+    batch) included."""
+    inputs = _recurrence_inputs(np.random.default_rng(31), "late")
+    _check_op(lambda t, v: _recurrence(t, v, SHRINKING, "late"), inputs)
 
 
 def test_grad_late_fusion_output_reads_leading_rows_of_wider_context():
-    q, q_r = _check_op(_late_fusion_step,
-                       [RNG.standard_normal((2, 3)), RNG.standard_normal((2, 3)),
-                        RNG.standard_normal((4, 3)), RNG.standard_normal((4, 3)),
-                        RNG.standard_normal((3, 3)), RNG.standard_normal(3)])[2:4]
-    assert np.all(q.grad[2:] == 0.0) and np.all(q_r.grad[2:] == 0.0)
+    """q and q_r hold 4 rows, the widest step 3: only the leading rows are
+    read and get gradient."""
+    inputs = _recurrence_inputs(np.random.default_rng(32), "late", rows=4)
+    q, q_r = _check_op(lambda t, v: _recurrence(t, v, SHRINKING, "late"), inputs)[3:5]
+    assert np.all(q.grad[3:] == 0.0) and np.all(q_r.grad[3:] == 0.0)
 
 
 def test_grad_attention_scores():
