@@ -4,11 +4,16 @@ bidirectional annotations with additive attention.
 These are the encoders the batch engine runs, over a batch of B windows in
 the engine's row order. Contexts arrive as counts over the batch's R
 distinct context words, never |V| wide, and P is read through those R rows
-alone. Context sentences are left-padded to K positions,
-position-major (K, B, ...), with a (B, K) 0/1 mask; the context LSTM carries
-its state unchanged over padded positions, so a window without context
-encodes to the zero vector and its attention weights are all zero.
-:func:`attend` returns one decoder step's weights only; the engine mixes
+alone. Context sentences are left-padded to K positions, with a (B, K) 0/1
+mask. The context LSTMs run through ``numeric.lstm_recurrence`` over the
+real (position, window) pairs only, packed position-major with the windows
+sorted by context count, most first: the windows running at a position are
+then its leading rows, a window joins from the zero state at its first
+sentence, and the reverse pass takes the positions backwards. Their states
+are placed into the decoder's row order once per batch, the summary as
+(B, d_ctx) and the annotations as (K, B, 2*d_ctx), zero at padded
+positions; so a window without context encodes to the zero vector and its
+attention weights are all zero. :func:`attend` returns one decoder step's weights only; the engine mixes
 the annotations' projections (from :func:`project`) with them, which equals
 projecting the mix. Its query may cover only the n <= B leading windows
 (the targets still running at a decoder step), which read their keys' rows.
@@ -19,7 +24,6 @@ import numpy as np
 from . import numeric as nm
 from . import rlm
 from .numeric import Tape, Variable
-from .rlm import LstmState
 
 CTX_FWD = "cf_"
 CTX_REV = "cr_"
@@ -60,49 +64,42 @@ def project_counts(tape: Tape | None, params: dict[str, Variable], counts: np.nd
     return nm.matmul(tape, Variable(counts), nm.embed_rows(tape, params["P"], ids))
 
 
+def _positions(batch) -> list[slice]:
+    """The packed context rows of each left-padded position, in order."""
+    starts = batch.ctx_bounds.tolist()
+    return [slice(a, b) for a, b in zip(starts, starts[1:])]
+
+
 def context_lstm(tape: Tape | None, params: dict[str, Variable], x: Variable,
-                 mask: np.ndarray, prefix: str, reverse: bool = False) -> list[Variable]:
-    """Masked context-LSTM pass over projected BoW rows x (K*B, d_ctx), position-major;
-    one (B, d_ctx) hidden state per position."""
-    B, K = mask.shape
+                 steps: list[slice], prefix: str) -> Variable:
+    """The context LSTM under ``prefix`` over projected BoW rows x (M, d_ctx),
+    one step per position in ``steps`` -> its hidden states (M, d_ctx)."""
     W, U, b = rlm.gate_weights(tape, params, prefix)
-    xproj = nm.matmul(tape, x, W)
-    states: list[Variable | None] = [None] * K
-    # position k reads the state after position k-1 (k+1 in reverse); the
-    # position the pass starts at reads the zero state
-    if reverse:
-        later, read = slice(0, (K - 1) * B), slice(1, K)
-    else:
-        later, read = slice(B, K * B), slice(0, K - 1)
-    nm.step_weight_grads(tape, U, b, xproj, later,
-                         lambda: np.concatenate([s.value for s in states[read]]))
-    state = rlm.zero_state(B, x.shape[1], x.dtype)
-    for k in (range(K - 1, -1, -1) if reverse else range(K)):
-        rows = slice(k * B, (k + 1) * B)
-        _, c_new, h_new = nm.lstm_cell(tape, xproj, rows, state.h, state.c, U, b)
-        m = mask[:, k : k + 1]
-        state = LstmState(nm.blend(tape, m, h_new, state.h), nm.blend(tape, m, c_new, state.c))
-        states[k] = state.h
-    return states
+    return nm.lstm_recurrence(tape, nm.matmul(tape, x, W), steps, U, b)[0]
 
 
-def seqbow_summary(tape: Tape | None, params: dict[str, Variable], bow_seq: np.ndarray,
-                   bow_ids: np.ndarray, mask: np.ndarray) -> Variable:
-    """The forward context LSTM's last hidden state (B, d_ctx) over per-sentence
-    counts (K, B, R) of the words ``bow_ids``."""
-    K, B, R = bow_seq.shape  # not reshape(-1, R), which fails when K and R are 0
-    x = project_counts(tape, params, bow_seq.reshape(K * B, R), bow_ids)
-    return context_lstm(tape, params, x, mask, CTX_FWD)[-1]
+def seqbow_summary(tape: Tape | None, params: dict[str, Variable], batch) -> Variable:
+    """The forward context LSTM's last hidden state (B, d_ctx), in the
+    decoder's row order, over a batch's per-sentence counts."""
+    steps = _positions(batch)
+    x = project_counts(tape, params, batch.bow_seq, batch.bow_ids)
+    last = steps[-1]  # every window with a context ends at the last position
+    B, K = batch.ctx_mask.shape
+    return nm.place_rows(tape, context_lstm(tape, params, x, steps, CTX_FWD), last,
+                         batch.ctx_slot[last] - (K - 1) * B, B)
 
 
-def annotate(tape: Tape | None, params: dict[str, Variable], bow_seq: np.ndarray,
-             bow_ids: np.ndarray, mask: np.ndarray) -> Variable:
-    """Forward and reverse context-LSTM states side by side: (K, B, 2*d_ctx)."""
-    K, B, R = bow_seq.shape
-    x = project_counts(tape, params, bow_seq.reshape(K * B, R), bow_ids)
-    fwd = context_lstm(tape, params, x, mask, CTX_FWD)
-    rev = context_lstm(tape, params, x, mask, CTX_REV, reverse=True)
-    return nm.concat_cols(tape, [nm.stack_first(tape, fwd), nm.stack_first(tape, rev)])
+def annotate(tape: Tape | None, params: dict[str, Variable], batch) -> Variable:
+    """Forward and reverse context-LSTM states side by side, placed at their
+    positions and windows: (K, B, 2*d_ctx), zero at padded positions."""
+    steps = _positions(batch)
+    x = project_counts(tape, params, batch.bow_seq, batch.bow_ids)
+    fwd = context_lstm(tape, params, x, steps, CTX_FWD)
+    rev = context_lstm(tape, params, x, steps[::-1], CTX_REV)
+    B, K = batch.ctx_mask.shape
+    both = nm.place_rows(tape, nm.concat_cols(tape, [fwd, rev]), slice(None), batch.ctx_slot,
+                         K * B)
+    return nm.reshape(tape, both, (K, B, -1))
 
 
 def attend(tape: Tape | None, params: dict[str, Variable], keys: Variable,

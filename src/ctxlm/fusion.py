@@ -115,8 +115,10 @@ class WindowBatch:
     token_order: np.ndarray       # (N,) int64: the positions by window (caller's order), then step
     bow_ids: np.ndarray | None    # (R,) int64: the batch's distinct context words, ascending
     bow_sum: np.ndarray | None    # (B,R) summed context counts of the words bow_ids
-    bow_seq: np.ndarray | None    # (K,B,R) per-sentence counts of bow_ids, left-padded
-    ctx_mask: np.ndarray | None   # (B,K) float: 1 at real context positions
+    bow_seq: np.ndarray | None    # (M,R) per-sentence counts of bow_ids, packed as ctx_bounds
+    ctx_mask: np.ndarray | None   # (B,K) float: 1 at real (left-padded) context positions
+    ctx_bounds: np.ndarray | None  # (K+1,) int64: position k owns rows ctx_bounds[k]:[k+1]
+    ctx_slot: np.ndarray | None   # (M,) int64: each row's position k and window b, as k*B + b
 
 
 def _count_rows(pairs: list, rows: int, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -155,21 +157,26 @@ def make_batch(windows: list[ContextWindow], vocab: Vocabulary, variant: Variant
     window = np.array(order)[np.broadcast_to(np.arange(B), (T, B))[real]]
     # time-major packing lists each window's positions in step order already
     token_order = np.argsort(window, kind="stable")
-    bow_ids = bow_sum = bow_seq = ctx_mask = None
+    bow_ids = bow_sum = bow_seq = ctx_mask = ctx_bounds = ctx_slot = None
     if variant.context == "bow":
         bow_sum, bow_ids = _count_rows([(b, s) for b, w in enumerate(ranked) for s in w.context],
                                        B, dtype)
     elif variant.context in ("seqbow", "att"):
-        K = max(len(w.context) for w in ranked)
-        offsets = [K - len(w.context) for w in ranked]
-        pairs = [((off + j) * B + b, s)
-                 for b, (w, off) in enumerate(zip(ranked, offsets))
-                 for j, s in enumerate(w.context)]
-        counts, bow_ids = _count_rows(pairs, K * B, dtype)
-        bow_seq = counts.reshape(K, B, len(bow_ids))
-        ctx_mask = (np.arange(K) >= np.array(offsets)[:, None]).astype(dtype)
+        sizes = np.array([len(w.context) for w in ranked])
+        K = int(sizes.max())
+        # the context LSTMs' rows: the windows by context count, most first (a
+        # stable sort), so those running at a left-padded position lead
+        rank = np.argsort(-sizes, kind="stable")
+        running = sizes[rank] >= K - np.arange(K)[:, None]  # (K,B): a prefix of the ranks
+        ctx_bounds = np.concatenate(([0], np.cumsum(running.sum(axis=1))))
+        starts = ctx_bounds.tolist()
+        pairs = [(starts[K - len(ranked[b].context) + j] + r, s)
+                 for r, b in enumerate(rank.tolist()) for j, s in enumerate(ranked[b].context)]
+        bow_seq, bow_ids = _count_rows(pairs, starts[-1], dtype)
+        ctx_slot = (np.arange(K)[:, None] * B + rank)[running]
+        ctx_mask = (np.arange(K) >= K - sizes[:, None]).astype(dtype)
     return WindowBatch(inputs[real], targets[real], bounds, window, token_order,
-                       bow_ids, bow_sum, bow_seq, ctx_mask)
+                       bow_ids, bow_sum, bow_seq, ctx_mask, ctx_bounds, ctx_slot)
 
 
 def batch_nll(windows: list[ContextWindow], params: dict[str, Variable], variant: Variant | str,
@@ -198,9 +205,9 @@ def batch_nll(windows: list[ContextWindow], params: dict[str, Variable], variant
     elif variant.context in ("seqbow", "att") and batch.bow_seq.shape[0] == 0:
         p = nm.zeros((B, context_dim(variant, params["P"].shape[1])), dtype)
     elif variant.context == "seqbow":
-        p = ctx.seqbow_summary(tape, params, batch.bow_seq, batch.bow_ids, batch.ctx_mask)
+        p = ctx.seqbow_summary(tape, params, batch)
     elif variant.context == "att":
-        p = annots = ctx.annotate(tape, params, batch.bow_seq, batch.bow_ids, batch.ctx_mask)
+        p = annots = ctx.annotate(tape, params, batch)
         keys = ctx.project(tape, annots, params["W_a"])
     feed = ()         # the decoder's context: (q W,) for early fusion, (q, q W_rp) for late
     if variant.fusion == "late":

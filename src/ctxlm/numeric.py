@@ -7,10 +7,8 @@ All arrays of one computation share a dtype: float64 for verification,
 float32 for faster training.
 
 Most primitives are single numpy operations. The exceptions are the hot
-spots of a recurrent model, fused so one timestep records one closure with
-a hand-written backward: :func:`lstm_cell` (all four gates from one
-precomputed input projection and one ``h_prev @ U`` product),
-:func:`late_fusion_output` (the gated context term of late fusion) and
+spots of a recurrent model, with hand-written backwards:
+:func:`lstm_recurrence`, the one LSTM definition, and
 :func:`attention_scores` (additive-attention scores for every context
 position at once).
 
@@ -21,22 +19,18 @@ those rows. It hands the table a :class:`RowGrad`, the sorted unique rows it
 reaches with one value row each, instead of a dense array that is zero
 almost everywhere. :meth:`Variable.grad_buffer` densifies it on demand.
 
-A weight that every step of a recurrence applies gets its gradient once per
-batch, not once per step: the steps only write their pre-activation
-gradients into the rows they own of one packed buffer (the cell into its
-input projection's gradient, late fusion into a gate buffer), and
-:func:`step_weight_grads`, recorded before the first step, forms the
-weight's and the bias's gradients from that buffer in one product each.
-
-Packed batches: the batch engine sorts its sequences longest first, so the
-sequences still running at a timestep are the leading rows of the batch.
-The fused primitives therefore accept state and context operands wider than
-the step (``h_prev``/``c_prev``/``extra`` of :func:`lstm_cell`, ``q``/``q_r`` of
-:func:`late_fusion_output`, the keys and annotations of attention): they
-read only the leading rows the step's other operands have, and add
-gradient back into those rows only. :func:`concat_rows` joins the ragged
-per-step outputs into one packed matrix, and :func:`segment_sum` adds
-packed rows up per sequence.
+Packed batches: the batch engine sorts its sequences so that the sequences
+running at a step are the leading rows of the batch (longest first for the
+decoder, most context sentences first for the context LSTMs), and packs
+only their real positions, step by step. :func:`lstm_recurrence` runs every
+step over preallocated packed arrays, reading the previous step's leading
+rows as its state, and forms the gradient of each weight that every step
+applies (U, late fusion's W_rc, attention's U_a) once per batch, in one
+product over the packed rows. The fused primitives accept context operands
+wider than a step (``feed`` of the recurrence, the keys and annotations of
+attention): they read only the leading rows the step has, and add gradient
+back into those rows only. :func:`segment_sum` adds packed rows up per
+sequence, and :func:`place_rows` places packed rows into another row order.
 """
 
 import numpy as np
@@ -421,90 +415,6 @@ def attention_scores(tape: Tape | None, keys: Variable, query: Variable,
     return out
 
 
-def step_weight_grads(tape: Tape | None, W: Variable, b: Variable, dz: Variable,
-                      rows: slice, inputs) -> None:
-    """Record the closure that forms, once per batch, the gradients of a weight
-    W (m,k) and bias b (k,) that every step of a recurrence applies to the
-    rows it owns of a packed batch: dW = inputs().T @ G[rows] and
-    db = G.sum(0), one product each, where G (N,k) is ``dz``'s gradient, into
-    which each step writes its rows' pre-activation gradient. ``inputs()``
-    returns what the steps owning ``rows`` multiplied by W, packed as those
-    rows; a row outside ``rows`` multiplied the zero state and adds nothing
-    to dW. Recorded before the recurrence's first step, the closure runs
-    after every step's backward; it calls ``inputs`` only then, and only when
-    ``rows`` is not empty."""
-    if tape is None:
-        return
-    def backprop():
-        g = dz.grad
-        if g is None:
-            return
-        g_rows = g[rows]
-        if len(g_rows):
-            W.add_grad(inputs().T @ g_rows)
-        b.add_grad(g.sum(axis=0))
-    tape.record(backprop)
-
-
-def lstm_cell(tape: Tape | None, xproj: Variable, rows: slice, h_prev: Variable,
-              c_prev: Variable, U: Variable, b: Variable, extra: Variable | None = None):
-    """One LSTM cell update with all four gates fused -> (o, c, h), each (n,d).
-
-    ``xproj`` (N,4d) holds the input projection x @ W of a whole packed
-    sequence batch, with gate blocks in ``rlm.GATES`` order (i, o, f, c); the
-    step reads its n rows ``xproj[rows]``. ``h_prev``, ``c_prev`` and ``extra``
-    may have more rows than n: the step reads, and sends gradient to, their n
-    leading rows. The pre-activations are
-    h_prev[:n] @ U + xproj[rows] (+ ``extra[:n]``, a further input term) + b;
-    then c = f*c_prev + i*g and h = o*tanh(c). One closure backpropagates every
-    output's gradient: it forms the pre-activation gradient dz once, then
-    dh_prev = dz @ U.T and dc_prev, and xproj[rows] (and extra) receive dz.
-    The cell forms no gradient of U or b: the caller records
-    :func:`step_weight_grads` over xproj for the whole recurrence.
-    """
-    x_t = xproj.value[rows]
-    n = x_t.shape[0]
-    h_in, c_in = h_prev.value[:n], c_prev.value[:n]
-    z = h_in @ U.value
-    z += x_t
-    if extra is not None:
-        z += extra.value[:n]
-    z += b.value
-    d = z.shape[1] // 4
-    act = np.empty_like(z)
-    act[:, :3 * d] = sigmoid(z[:, :3 * d])
-    act[:, 3 * d:] = np.tanh(z[:, 3 * d:])
-    i, o, f, g = act[:, :d], act[:, d:2 * d], act[:, 2 * d:3 * d], act[:, 3 * d:]
-    c = f * c_in + i * g
-    tc = np.tanh(c)
-    o_out, c_out, h_out = Variable(o), Variable(c), Variable(o * tc)
-    if tape is not None:
-        def backprop():
-            go, gc, gh = o_out.grad, c_out.grad, h_out.grad
-            if go is None and gc is None and gh is None:
-                return
-            dc = np.zeros_like(c) if gc is None else gc.copy()
-            dz = np.zeros_like(act)  # gradient w.r.t. the activations, then w.r.t. z
-            if gh is not None:
-                dz[:, d:2 * d] = gh * tc
-                dc += gh * o * (1.0 - tc * tc)
-            if go is not None:
-                dz[:, d:2 * d] += go
-            dz[:, :d] += dc * g
-            dz[:, 2 * d:3 * d] = dc * c_in
-            dz[:, 3 * d:] = dc * i
-            sig = act[:, :3 * d]
-            dz[:, :3 * d] *= sig * (1.0 - sig)
-            dz[:, 3 * d:] *= 1.0 - g * g
-            xproj.grad_buffer()[rows] += dz
-            h_prev.add_grad_leading(dz @ U.value.T)
-            c_prev.add_grad_leading(dc * f)
-            if extra is not None:  # last: it may adopt dz as its gradient
-                extra.add_grad_leading(dz)
-        tape.record(backprop)
-    return o_out, c_out, h_out
-
-
 def lstm_recurrence(tape: Tape | None, xproj: Variable, steps: list[slice], U: Variable,
                     b: Variable, feed: tuple = (), late: tuple | None = None,
                     attend: tuple | None = None, state: tuple | None = None):
@@ -544,7 +454,7 @@ def lstm_recurrence(tape: Tape | None, xproj: Variable, steps: list[slice], U: V
         dpre = np.empty((N, d), dtype)  # the gate's pre-activation gradient, every row set
     if attend is not None:
         U_a, mix = attend
-        Q = np.empty((N, U_a.shape[1]), dtype)
+        Q, dQ = np.empty((N, U_a.shape[1]), dtype), np.zeros((N, U_a.shape[1]), dtype)
     # rows that read a state: all but the first step's, unless state gives it one
     first = steps[0]
     live = (slice(0, N) if state is not None else
@@ -559,6 +469,8 @@ def lstm_recurrence(tape: Tape | None, xproj: Variable, steps: list[slice], U: V
             if late is not None:
                 W_rc.add_grad(C.T @ dpre)
                 b_r.add_grad(dpre.sum(axis=0))
+            if attend is not None:
+                U_a.add_grad(Hp[live].T @ dQ[live])
         tape.record(weight_grads)
 
     prev = None
@@ -578,7 +490,7 @@ def lstm_recurrence(tape: Tape | None, xproj: Variable, steps: list[slice], U: V
                     g = query.grad
                     if g is None:
                         return
-                    U_a.add_grad(Hp[rows].T @ g)
+                    dQ[rows] = g
                     if prev is not None:
                         h_out.grad_buffer()[prev.start:prev.start + n] += g @ U_a.value.T
                 tape.record(query_backprop)
@@ -644,6 +556,7 @@ def lstm_recurrence(tape: Tape | None, xproj: Variable, steps: list[slice], U: V
     return h_out, c_out
 
 
+# no engine use; kept because bench/tracing.py wraps numeric.stack_first by name
 def stack_first(tape: Tape | None, parts: list[Variable]) -> Variable:
     """Stack (B,D) parts into (K,B,D)."""
     out = Variable(np.stack([p.value for p in parts]))
@@ -675,6 +588,7 @@ def concat_cols(tape: Tape | None, parts: list[Variable]) -> Variable:
     return out
 
 
+# no engine use; kept because bench/tracing.py wraps numeric.blend by name
 def blend(tape: Tape | None, gate: np.ndarray, new: Variable, old: Variable) -> Variable:
     """gate*new + (1-gate)*old with a constant 0/1 gate column (B,1)."""
     out = Variable(gate * new.value + (1.0 - gate) * old.value)
@@ -697,6 +611,23 @@ def reshape(tape: Tape | None, x: Variable, shape) -> Variable:
             if g is None:
                 return
             x.add_grad(g.reshape(x.value.shape))
+        tape.record(backprop)
+    return out
+
+
+def place_rows(tape: Tape | None, x: Variable, rows: slice, dest: np.ndarray,
+               count: int) -> Variable:
+    """Rows ``rows`` of x (N, ...) placed at the distinct rows ``dest`` of an
+    otherwise zero (count, ...) array."""
+    out = np.zeros((count,) + x.shape[1:], x.dtype)
+    out[dest] = x.value[rows]
+    out = Variable(out)
+    if tape is not None:
+        def backprop():
+            g = out.grad
+            if g is None:
+                return
+            x.grad_buffer()[rows] += g[dest]
         tape.record(backprop)
     return out
 

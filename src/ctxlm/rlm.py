@@ -12,8 +12,8 @@ extra row used as the begin-of-sentence input for the first prediction.
 Gate weights are stored per gate (``W_i``, ``U_o``, ``b_f``, ...), which is
 the checkpoint layout. A computation concatenates them in ``GATES`` order
 once (:func:`gate_weights`), so one product serves all four gates and the
-gradients split back per gate; the cell itself is the fused
-``numeric.lstm_cell``.
+gradients split back per gate; every LSTM, the decoder and both context
+LSTMs, runs through ``numeric.lstm_recurrence``.
 """
 
 from dataclasses import dataclass
@@ -54,10 +54,6 @@ def draw_parameters(shapes: Shapes, rng, dtype) -> dict[str, Variable]:
     return {name: Variable(nm.uniform_init(rng, shape, dtype)) for name, shape in shapes.items()}
 
 
-def zero_state(batch: int, d_h: int, dtype) -> LstmState:
-    return LstmState(nm.zeros((batch, d_h), dtype), nm.zeros((batch, d_h), dtype))
-
-
 def gate_weights(tape: Tape | None, params: dict[str, Variable],
                  prefix: str) -> tuple[Variable, Variable, Variable]:
     """One layer's (W, U, b), each with its four gates side by side in GATES order."""
@@ -68,7 +64,8 @@ def gate_weights(tape: Tape | None, params: dict[str, Variable],
 # no engine use; kept because bench/tracing.py wraps rlm.lstm_step and rlm.lstm_gates by name
 def lstm_step(x: Variable, state: LstmState, params: dict[str, Variable],
               tape: Tape | None = None, prefix: str = "") -> LstmState:
-    """One LSTM cell update of the layer under ``prefix``."""
+    """One LSTM cell update of the layer under ``prefix``: a one-step
+    ``numeric.lstm_recurrence`` from ``state``."""
     W, U, b = gate_weights(tape, params, prefix)
     xproj = nm.matmul(tape, x, W)
     h, c = nm.lstm_recurrence(tape, xproj, [slice(0, x.shape[0])], U, b,

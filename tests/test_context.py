@@ -43,13 +43,12 @@ def encode_bow(params, *contexts):
 
 def encode_seqbow(params, *contexts):
     batch = batch_of(*contexts, tag="RLM-SeqBoW-LF")
-    return ctx.seqbow_summary(None, params, batch.bow_seq, batch.bow_ids, batch.ctx_mask)
+    return ctx.seqbow_summary(None, params, batch)
 
 
 def annotate(params, *contexts, tape=None):
     batch = batch_of(*contexts)
-    return (ctx.annotate(tape, params, batch.bow_seq, batch.bow_ids, batch.ctx_mask),
-            batch.ctx_mask)
+    return ctx.annotate(tape, params, batch), batch.ctx_mask
 
 
 def attention(params, annots, h_query, mask, tape=None):
@@ -117,8 +116,9 @@ def test_annotate_single_sentence_halves_match_one_step_lstm():
     annots, _ = annotate(params, (s,))
     d_ctx = params["P"].shape[1]
     x = Variable(bow_vector([s], VOCAB).reshape(1, -1) @ params["P"].value)
-    fwd = rlm.lstm_step(x, rlm.zero_state(1, d_ctx, np.float64), params, prefix=ctx.CTX_FWD)
-    rev = rlm.lstm_step(x, rlm.zero_state(1, d_ctx, np.float64), params, prefix=ctx.CTX_REV)
+    zero = rlm.LstmState(Variable(np.zeros((1, d_ctx))), Variable(np.zeros((1, d_ctx))))
+    fwd = rlm.lstm_step(x, zero, params, prefix=ctx.CTX_FWD)
+    rev = rlm.lstm_step(x, zero, params, prefix=ctx.CTX_REV)
     assert np.allclose(annots.value[0, 0, :d_ctx], fwd.h.value[0], atol=1e-15)
     assert np.allclose(annots.value[0, 0, d_ctx:], rev.h.value[0], atol=1e-15)
 

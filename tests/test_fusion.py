@@ -441,8 +441,8 @@ def _per_step_weight_grads(windows, tag, params):
 
 @pytest.mark.parametrize("tag", sorted(fusion.VARIANTS))
 def test_weight_gradients_equal_the_per_step_sum(tag):
-    """Every recurrent weight's gradient (U_* and b_* of the decoder, W_rc and
-    b_r, U_a), formed once per batch, equals the sum of every step's own
+    """Every recurrent weight's gradient (U_* and b_* of the decoder and of
+    both context LSTMs, W_rc and b_r, U_a), formed once per batch, equals the sum of every step's own
     h_prev.T @ dz (c.T @ dpre, h_prev.T @ dq) and dz.sum(0) to 1e-12 of its
     largest entry, in float64: on batches of mixed and tied lengths, one
     whose every target is one step long and every context one sentence (so
@@ -450,7 +450,7 @@ def test_weight_gradients_equal_the_per_step_sum(tag):
     for windows in (PADDED, TIED_ASCENDING, ONE_STEP, NO_CONTEXT):
         params = make_params(tag, seed=47, scale=10.0)
         ref = _per_step_weight_grads(windows, tag, params)
-        recurrent = [n for n in params if re.fullmatch(r"[Ub]_[iofc]|W_rc|b_r|U_a", n)]
+        recurrent = [n for n in params if re.fullmatch(r"(cf_|cr_)?[Ub]_[iofc]|W_rc|b_r|U_a", n)]
         for name in recurrent:
             got = params[name].grad_buffer()
             want = np.broadcast_to(ref.get(name, 0.0), got.shape)  # unused layer: 0
@@ -511,9 +511,10 @@ def test_make_batch_counts_equal_bow_vector(tag):
     """The batch counts over its context words only: bow_ids is sorted,
     unique and exactly the words the contexts hold. Scattered back into |V|
     columns, the counts equal corpus.bow_vector of each window's context,
-    bitwise, in the engine's row order (longest target first), with an empty
-    context and per-sentence rows left-padded to the longest one. A batch
-    whose contexts are all empty counts over no column at all."""
+    bitwise, in the engine's row order (longest target first); per-sentence
+    rows are packed over the real positions of contexts left-padded to the
+    longest one, for the context LSTMs. A batch whose contexts are all empty
+    counts over no column at all."""
     windows = [
         ContextWindow(sent(3, 5), (sent(4, 4, 6), sent(2,))),
         ContextWindow(sent(6, 2, 8, 3), ()),
@@ -537,23 +538,29 @@ def test_make_batch_counts_equal_bow_vector(tag):
             assert batch.bow_sum.dtype == dtype
             assert batch.bow_sum.shape == (4, 6) and np.array_equal(widen(batch.bow_sum), expect)
         else:
-            K = batch.bow_seq.shape[0]
-            assert batch.bow_seq.shape == (3, 4, 6) and batch.bow_seq.dtype == dtype
+            K = batch.ctx_mask.shape[1]
+            assert batch.bow_seq.shape == (6, 6) and batch.bow_seq.dtype == dtype
+            # the real (position, window) pairs, position-major, the windows by
+            # context count (3, 2, 1 in engine rows 1, 2, 3), most first
+            assert batch.ctx_bounds.tolist() == [0, 1, 3, 6]
+            assert batch.ctx_slot.tolist() == [1, 5, 6, 9, 10, 11]
             bow_seq = widen(batch.bow_seq)
+            for row, slot in enumerate(batch.ctx_slot.tolist()):
+                k, b = divmod(slot, 4)
+                context = windows[order[b]].context
+                assert np.array_equal(bow_seq[row],
+                                      bow_vector([context[k - K + len(context)]], VOCAB, dtype))
             for b, i in enumerate(order):
-                context = windows[i].context
-                pad = K - len(context)
-                assert batch.ctx_mask[b].tolist() == [0.0] * pad + [1.0] * len(context)
-                assert not bow_seq[:pad, b].any()
-                for j, s in enumerate(context):
-                    assert np.array_equal(bow_seq[pad + j, b], bow_vector([s], VOCAB, dtype))
+                pad = K - len(windows[i].context)
+                assert batch.ctx_mask[b].tolist() == [0.0] * pad + [1.0] * (K - pad)
         empty = fusion.make_batch([ContextWindow(sent(3), ()), ContextWindow(sent(5, 2), ())],
                                   VOCAB, variant, dtype)
         assert empty.bow_ids.shape == (0,)
         if empty.bow_sum is not None:
             assert empty.bow_sum.shape == (2, 0)
         else:
-            assert empty.bow_seq.shape == (0, 2, 0) and empty.ctx_mask.shape == (2, 0)
+            assert empty.bow_seq.shape == (0, 0) and empty.ctx_mask.shape == (2, 0)
+            assert empty.ctx_bounds.tolist() == [0] and empty.ctx_slot.shape == (0,)
 
 
 def test_make_batch_packs_real_positions_time_major():

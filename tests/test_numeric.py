@@ -322,65 +322,6 @@ def test_segment_sum_adds_in_index_order_and_in_the_operand_dtype():
     assert out32.value.dtype == np.float32 and out32.value[0] == 1.0
 
 
-def _lstm_cell_combined(t, v, rows=slice(2, 4), with_extra=True):
-    """A weighted sum of all three outputs of one cell, so every output's
-    gradient path is exercised. v: xproj (N,4d), h_prev, c_prev, U, b, extra;
-    the cell runs on the two rows ``rows`` of xproj. U and b get their
-    gradients as in a recurrence of this one step, from step_weight_grads."""
-    nm.step_weight_grads(t, v[3], v[4], v[0], rows, lambda: v[1].value[:2])
-    o, c, h = nm.lstm_cell(t, v[0], rows, v[1], v[2], v[3], v[4],
-                           v[5] if with_extra else None)
-    weights = [Variable(np.linspace(-1.0, 1.0, 6).reshape(2, 3) * k) for k in (2, 3, 4)]
-    terms = [nm.mul(t, out, w) for out, w in zip((o, c, h), weights)]
-    return nm.add(t, nm.add(t, terms[0], terms[1]), terms[2])
-
-
-def _cell_inputs(state_rows=2, rng=RNG):
-    return [rng.standard_normal((6, 12)), rng.standard_normal((state_rows, 3)),
-            rng.standard_normal((state_rows, 3)), rng.standard_normal((3, 12)),
-            rng.standard_normal(12), rng.standard_normal((2, 12))]
-
-
-def test_grad_lstm_cell():
-    _check_op(_lstm_cell_combined, _cell_inputs())
-
-
-def test_grad_lstm_cell_without_extra_input():
-    _check_op(lambda t, v: _lstm_cell_combined(t, v, rows=slice(0, 2), with_extra=False),
-              _cell_inputs())
-
-
-def test_grad_lstm_cell_reads_leading_rows_of_wider_state():
-    """A packed step: h_prev and c_prev hold 4 rows, the cell runs on 2. The
-    rows past the step get no gradient, nor do xproj rows outside the slice."""
-    inputs = _cell_inputs(state_rows=4, rng=np.random.default_rng(21))  # not the shared RNG:
-    xproj, h_prev, c_prev = _check_op(_lstm_cell_combined, inputs)[:3]  # order-independent
-    assert np.all(h_prev.grad[2:] == 0.0) and np.all(c_prev.grad[2:] == 0.0)
-    assert np.all(xproj.grad[:2] == 0.0) and np.all(xproj.grad[4:] == 0.0)
-
-
-def test_grad_lstm_cell_reads_leading_rows_of_wider_extra():
-    """Early fusion's context term: ``extra`` holds 4 rows, the cell runs on 2.
-    Only its 2 leading rows are read and get gradient."""
-    inputs = _cell_inputs()
-    inputs[5] = RNG.standard_normal((4, 12))
-    extra = _check_op(_lstm_cell_combined, inputs)[5]
-    assert np.any(extra.grad[:2] != 0.0) and np.all(extra.grad[2:] == 0.0)
-
-
-def test_lstm_cell_matches_per_gate_formula():
-    xproj, h, c, U, b, _ = _cell_inputs()
-    o, c_new, h_new = nm.lstm_cell(None, Variable(xproj), slice(4, 6), Variable(h),
-                                   Variable(c), Variable(U), Variable(b))
-    z = xproj[4:6] + h @ U + b
-    sig = lambda a: 1.0 / (1.0 + np.exp(-a))
-    gi, go, gf, gc = sig(z[:, 0:3]), sig(z[:, 3:6]), sig(z[:, 6:9]), np.tanh(z[:, 9:12])
-    expect_c = gf * c + gi * gc
-    assert np.max(np.abs(o.value - go)) < 1e-15
-    assert np.max(np.abs(c_new.value - expect_c)) < 1e-14
-    assert np.max(np.abs(h_new.value - go * np.tanh(expect_c))) < 1e-14
-
-
 # a packed batch of three rows: steps of 3, 2 and 1 rows (the decoder), of 1,
 # 2 and 3 (a forward context LSTM over left-padded contexts: rows join from
 # the zero state), and the latter's reverse pass, which starts at the end
@@ -418,6 +359,68 @@ def _recurrence_inputs(rng, kind="plain", rows=3):
     elif kind == "state":
         inputs += [rng.standard_normal((rows, 3)), rng.standard_normal((rows, 3))]
     return inputs
+
+
+def test_grad_lstm_cell():
+    """Early fusion's cell, its input term included, in a three-step
+    recurrence: every input's gradient, U's and b's (formed once per batch)
+    included."""
+    inputs = _recurrence_inputs(np.random.default_rng(33), "early")
+    _check_op(lambda t, v: _recurrence(t, v, SHRINKING, "early"), inputs)
+
+
+def test_grad_lstm_cell_without_extra_input():
+    _check_op(lambda t, v: _recurrence(t, v, SHRINKING),
+              _recurrence_inputs(np.random.default_rng(34)))
+
+
+def test_grad_lstm_cell_reads_leading_rows_of_wider_state():
+    """A recurrence from a given state (h0, c0) of 4 rows whose first step
+    runs 3: the rows past it get no gradient. The inputs come from the test's
+    own generator, so they do not depend on which tests ran before."""
+    inputs = _recurrence_inputs(np.random.default_rng(21), "state", rows=4)
+    h0, c0 = _check_op(lambda t, v: _recurrence(t, v, SHRINKING, "state"), inputs)[3:5]
+    assert np.any(h0.grad[:3] != 0.0) and np.any(c0.grad[:3] != 0.0)
+    assert np.all(h0.grad[3:] == 0.0) and np.all(c0.grad[3:] == 0.0)
+
+
+def test_grad_lstm_cell_reads_leading_rows_of_wider_extra():
+    """Early fusion's context term: ``extra`` holds 4 rows, the widest step
+    runs 3. Only its 3 leading rows are read and get gradient."""
+    inputs = _recurrence_inputs(np.random.default_rng(35), "early", rows=4)
+    extra = _check_op(lambda t, v: _recurrence(t, v, SHRINKING, "early"), inputs)[3]
+    assert np.any(extra.grad[:3] != 0.0) and np.all(extra.grad[3:] == 0.0)
+
+
+@pytest.mark.parametrize("steps", [GROWING, REVERSED], ids=["growing", "reversed"])
+def test_grad_lstm_recurrence_of_a_context_lstm(steps):
+    """The context LSTMs' step patterns: steps that grow, whose new rows join
+    from the zero state, and their reverse pass, whose first step holds the
+    last rows."""
+    _check_op(lambda t, v: _recurrence(t, v, steps),
+              _recurrence_inputs(np.random.default_rng(36)))
+
+
+def test_lstm_cell_matches_per_gate_formula():
+    """Every row of the recurrence, over each step pattern, against the
+    per-gate formula run one window at a time: a window's state passes from
+    step to step in the leading rows, and a window new at a step starts from
+    zero."""
+    xproj, U, b = _recurrence_inputs(np.random.default_rng(37))
+    sig = lambda a: 1.0 / (1.0 + np.exp(-a))
+    for steps in (SHRINKING, GROWING, REVERSED):
+        H, C = nm.lstm_recurrence(None, Variable(xproj), steps, Variable(U), Variable(b))
+        for window in range(3):
+            h, c = np.zeros(3), np.zeros(3)
+            for rows in steps:
+                if window >= rows.stop - rows.start:
+                    continue
+                z = xproj[rows.start + window] + h @ U + b
+                gi, go, gf, gc = sig(z[0:3]), sig(z[3:6]), sig(z[6:9]), np.tanh(z[9:12])
+                c = gf * c + gi * gc
+                h = go * np.tanh(c)
+                assert np.max(np.abs(C.value[rows.start + window] - c)) < 1e-14
+                assert np.max(np.abs(H.value[rows.start + window] - h)) < 1e-14
 
 
 def test_grad_late_fusion_output():

@@ -31,9 +31,13 @@ def row(*vals):
     return Variable(np.array([list(vals)], dtype=np.float64))
 
 
+def zero_state(d_h):
+    return LstmState(Variable(np.zeros((1, d_h))), Variable(np.zeros((1, d_h))))
+
+
 def test_lstm_step_zero_parameters():
     params = zero_params()
-    state = rlm.zero_state(1, 2, np.float64)
+    state = zero_state(2)
     out = lstm_step(row(1.0, -2.0, 0.5), state, params)
     assert np.all(out.h.value == 0.0)
     assert np.all(out.c.value == 0.0)
@@ -101,7 +105,7 @@ def test_lstm_step_gradients_match_finite_differences():
 
 def test_lstm_step_shape_mismatch():
     params = zero_params(d_emb=3, d_h=2)
-    state = rlm.zero_state(1, 2, np.float64)
+    state = zero_state(2)
     with pytest.raises(ValueError):
         lstm_step(row(1.0, 2.0), state, params)  # d_emb is 3
 
