@@ -437,9 +437,10 @@ def lstm_recurrence(tape: Tape | None, xproj: Variable, steps: list[slice], U: V
     Every step's activations, c, tanh(c) (late fusion's u) and h are written
     into arrays allocated once, and the state each row starts from is copied
     beside them. Each step records one closure; it writes its pre-activation
-    gradient into its rows of xproj's gradient (so xproj feeds nothing else).
-    U's and b's gradients (and W_rc's and b_r's) are formed once per batch,
-    in one product each, by a closure recorded before the first step.
+    gradient into its rows of xproj's gradient (so xproj feeds nothing else)
+    and multiplies by contiguous transposes of U (W_rc, U_a) made once. The
+    gradients of U and b (W_rc and b_r, U_a) are formed once per batch, in
+    one product each, by a closure recorded before the first step.
     """
     N, d = xproj.shape[0], U.shape[0]
     dtype = xproj.dtype
@@ -460,6 +461,14 @@ def lstm_recurrence(tape: Tape | None, xproj: Variable, steps: list[slice], U: V
     live = (slice(0, N) if state is not None else
             slice(first.stop, N) if first.start == 0 else slice(0, first.start))
     if tape is not None:
+        # each backward step multiplies by the transposed weights: contiguous
+        # copies made once are faster to multiply by than strided views
+        Ut = np.ascontiguousarray(U.value.T)
+        if late is not None:
+            W_rcT = np.ascontiguousarray(W_rc.value.T)
+        if attend is not None:
+            U_aT = np.ascontiguousarray(U_a.value.T)
+
         def weight_grads():
             g = xproj.grad
             if g is None:
@@ -492,7 +501,7 @@ def lstm_recurrence(tape: Tape | None, xproj: Variable, steps: list[slice], U: V
                         return
                     dQ[rows] = g
                     if prev is not None:
-                        h_out.grad_buffer()[prev.start:prev.start + n] += g @ U_a.value.T
+                        h_out.grad_buffer()[prev.start:prev.start + n] += g @ U_aT
                 tape.record(query_backprop)
             step_feed = mix(tape, query)
         z = act[rows]
@@ -523,18 +532,17 @@ def lstm_recurrence(tape: Tape | None, xproj: Variable, steps: list[slice], U: V
                 gh, u = h_out.grad_buffer()[rows], TC[rows]
                 dc = c_out.grad_buffer()[rows]  # the gradient carried from the next step
                 dz = xproj.grad_buffer()[rows]  # gradient w.r.t. the activations, then z
+                dz[:, d:2 * d] = gh * u
                 if late is not None:
                     q, q_r = step_feed
                     r = R[rows]
-                    dz[:, d:2 * d] = gh * u
                     du = gh * o * (1.0 - u * u)
                     q.add_grad_leading(du * r)
                     dp = dpre[rows]
                     np.multiply(du * q.value[:n] * r, 1.0 - r, out=dp)
-                    dc += du + dp @ W_rc.value.T
+                    dc += du + dp @ W_rcT
                     q_r.grad_buffer()[:n] += dp
                 else:
-                    dz[:, d:2 * d] = gh * u
                     dc += gh * o * (1.0 - u * u)
                 dz[:, :d] = dc * g
                 dz[:, 2 * d:3 * d] = dc * Cp[rows]
@@ -543,11 +551,10 @@ def lstm_recurrence(tape: Tape | None, xproj: Variable, steps: list[slice], U: V
                 dz[:, :3 * d] *= sig * (1.0 - sig)
                 dz[:, 3 * d:] *= 1.0 - g * g
                 if prev is not None:
-                    dh = dz[:m] @ U.value.T
-                    h_out.grad_buffer()[prev.start:prev.start + m] += dh
+                    h_out.grad_buffer()[prev.start:prev.start + m] += dz[:m] @ Ut
                     c_out.grad_buffer()[prev.start:prev.start + m] += dc[:m] * f[:m]
                 elif state is not None:
-                    state[0].add_grad_leading(dz @ U.value.T)
+                    state[0].add_grad_leading(dz @ Ut)
                     state[1].add_grad_leading(dc * f)
                 if step_feed and late is None:
                     step_feed[0].grad_buffer()[:n] += dz
