@@ -5,18 +5,17 @@ These are the encoders the batch engine runs, over a batch of B windows in
 the engine's row order. Contexts arrive as counts over the batch's R
 distinct context words, never |V| wide, and P is read through those R rows
 alone. Context sentences are left-padded to K positions, with a (B, K) 0/1
-mask. The context LSTMs run through ``numeric.lstm_recurrence`` over the
-real (position, window) pairs only, packed position-major with the windows
-sorted by context count, most first: the windows running at a position are
-then its leading rows, a window joins from the zero state at its first
-sentence, and the reverse pass takes the positions backwards. Their states
-are placed into the decoder's row order once per batch, the summary as
-(B, d_ctx) and the annotations as (K, B, 2*d_ctx), zero at padded
-positions; so a window without context encodes to the zero vector and its
-attention weights are all zero. :func:`attend` returns one decoder step's weights only; the engine mixes
-the annotations' projections (from :func:`project`) with them, which equals
-projecting the mix. Its query may cover only the n <= B leading windows
-(the targets still running at a decoder step), which read their keys' rows.
+mask. The context LSTMs run over the real (position, window) pairs only,
+packed position-major with the windows sorted by context count, most
+first: the windows running at a position are its leading rows, and a
+window joins from the zero state at its first sentence. Their states are
+placed into the decoder's row order once per batch, zero at padded
+positions, so a window without context encodes to the zero vector and its
+attention weights are all zero. :func:`attend` returns one decoder step's
+weights only; the engine mixes the annotations' projections (from
+:func:`project`) with them, which equals projecting the mix. Its query may
+cover only the n <= B leading windows (the targets still running at a
+decoder step), which read their keys' rows.
 """
 
 import numpy as np
@@ -64,38 +63,31 @@ def project_counts(tape: Tape | None, params: dict[str, Variable], counts: np.nd
     return nm.matmul(tape, Variable(counts), nm.embed_rows(tape, params["P"], ids))
 
 
-def _positions(batch) -> list[slice]:
-    """The packed context rows of each left-padded position, in order."""
-    starts = batch.ctx_bounds.tolist()
-    return [slice(a, b) for a, b in zip(starts, starts[1:])]
-
-
 def context_lstm(tape: Tape | None, params: dict[str, Variable], x: Variable,
-                 steps: list[slice], prefix: str) -> Variable:
+                 bounds: np.ndarray, prefix: str, reverse: bool = False) -> Variable:
     """The context LSTM under ``prefix`` over projected BoW rows x (M, d_ctx),
-    one step per position in ``steps`` -> its hidden states (M, d_ctx)."""
+    one step per position, position k owning the rows bounds[k]:bounds[k+1]
+    -> its hidden states (M, d_ctx)."""
     W, U, b = rlm.gate_weights(tape, params, prefix)
-    return nm.lstm_recurrence(tape, nm.matmul(tape, x, W), steps, U, b)[0]
+    return nm.lstm_recurrence(tape, nm.matmul(tape, x, W), bounds, U, b, reverse=reverse)[0]
 
 
 def seqbow_summary(tape: Tape | None, params: dict[str, Variable], batch) -> Variable:
     """The forward context LSTM's last hidden state (B, d_ctx), in the
     decoder's row order, over a batch's per-sentence counts."""
-    steps = _positions(batch)
     x = project_counts(tape, params, batch.bow_seq, batch.bow_ids)
-    last = steps[-1]  # every window with a context ends at the last position
+    last = slice(*batch.ctx_bounds[-2:])  # every window with a context ends there
     B, K = batch.ctx_mask.shape
-    return nm.place_rows(tape, context_lstm(tape, params, x, steps, CTX_FWD), last,
+    return nm.place_rows(tape, context_lstm(tape, params, x, batch.ctx_bounds, CTX_FWD), last,
                          batch.ctx_slot[last] - (K - 1) * B, B)
 
 
 def annotate(tape: Tape | None, params: dict[str, Variable], batch) -> Variable:
     """Forward and reverse context-LSTM states side by side, placed at their
     positions and windows: (K, B, 2*d_ctx), zero at padded positions."""
-    steps = _positions(batch)
     x = project_counts(tape, params, batch.bow_seq, batch.bow_ids)
-    fwd = context_lstm(tape, params, x, steps, CTX_FWD)
-    rev = context_lstm(tape, params, x, steps[::-1], CTX_REV)
+    fwd = context_lstm(tape, params, x, batch.ctx_bounds, CTX_FWD)
+    rev = context_lstm(tape, params, x, batch.ctx_bounds, CTX_REV, reverse=True)
     B, K = batch.ctx_mask.shape
     both = nm.place_rows(tape, nm.concat_cols(tape, [fwd, rev]), slice(None), batch.ctx_slot,
                          K * B)

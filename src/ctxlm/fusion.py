@@ -16,11 +16,13 @@ batch, so step t owns the packed rows ``bounds[t]:bounds[t+1]`` and no
 padded position is ever embedded, projected or scored. Contexts are counted
 over the batch's R distinct context words (``WindowBatch.bow_ids``), so the
 BoW product reads R rows of P, not |V|. The engine steps
-through time only in ``numeric.lstm_recurrence``, the decoder in every form:
-plain, early fusion's input term, late fusion's gate, and attention's
-per-step weights and mix, which it records between its steps. Everything
-else is computed once per batch, the gradients of the weights every step
-applies (U and b, and late fusion's W_rc and b_r) included. Per-window totals
+through time only in ``numeric.lstm_recurrence``: the decoder in every form
+(plain, early fusion's input term, late fusion's gate, and attention's
+per-step weights and mix, which it records between its steps) and both
+context LSTMs, whose rows ``make_batch`` packs over the real context
+sentences with the windows sorted by context count. Everything else is
+computed once per batch, the gradients of the weights every step applies
+(U and b, late fusion's W_rc and b_r, attention's U_a) included. Per-window totals
 are segment sums of the packed NLLs, added in time order and returned in the
 caller's window order; the per-position NLLs come back in that order too,
 gathered once from the packed ones.
@@ -196,7 +198,7 @@ def batch_nll(windows: list[ContextWindow], params: dict[str, Variable], variant
         variant = parse_variant(variant)
     dtype = params["E"].dtype
     batch = make_batch(windows, vocab, variant, dtype)
-    B, T = len(windows), len(batch.bounds) - 1
+    B = len(windows)
 
     p = None          # context: a summary (B,D), or attention's annotations (K,B,D)
     annots = None
@@ -219,8 +221,6 @@ def batch_nll(windows: list[ContextWindow], params: dict[str, Variable], variant
 
     x = nm.embed_rows(tape, params["E"], batch.inputs)
     xproj = nm.matmul(tape, x, W)
-    bounds = batch.bounds.tolist()
-    steps = [slice(bounds[t], bounds[t + 1]) for t in range(T)]
     late = (params["W_rc"], params["b_r"]) if variant.fusion == "late" else None
     attend = None
     if annots is not None:
@@ -228,7 +228,7 @@ def batch_nll(windows: list[ContextWindow], params: dict[str, Variable], variant
             alphas = ctx.attend(tape, params, keys, query, batch.ctx_mask[:query.shape[0]])
             return tuple(nm.attention_mix(tape, alphas, f) for f in feed)
         attend = (params["U_a"], mix)
-    hidden, _ = nm.lstm_recurrence(tape, xproj, steps, U, b, feed, late, attend)
+    hidden, _ = nm.lstm_recurrence(tape, xproj, batch.bounds, U, b, feed, late, attend)
     logits = nm.add_bias(tape, nm.matmul(tape, hidden, params["W_out"]), params["b_out"])
     nll = nm.nll_rows(tape, logits, batch.targets)
     total = nm.segment_sum(tape, nll, batch.window, B)

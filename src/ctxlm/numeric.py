@@ -19,18 +19,15 @@ those rows. It hands the table a :class:`RowGrad`, the sorted unique rows it
 reaches with one value row each, instead of a dense array that is zero
 almost everywhere. :meth:`Variable.grad_buffer` densifies it on demand.
 
-Packed batches: the batch engine sorts its sequences so that the sequences
-running at a step are the leading rows of the batch (longest first for the
-decoder, most context sentences first for the context LSTMs), and packs
-only their real positions, step by step. :func:`lstm_recurrence` runs every
-step over preallocated packed arrays, reading the previous step's leading
-rows as its state, and forms the gradient of each weight that every step
-applies (U, late fusion's W_rc, attention's U_a) once per batch, in one
-product over the packed rows. The fused primitives accept context operands
-wider than a step (``feed`` of the recurrence, the keys and annotations of
-attention): they read only the leading rows the step has, and add gradient
-back into those rows only. :func:`segment_sum` adds packed rows up per
-sequence, and :func:`place_rows` places packed rows into another row order.
+Packed batches: the batch engine sorts its sequences so that those running
+at a step are the leading rows (longest first for the decoder, most context
+sentences first for the context LSTMs) and packs their real positions step
+by step. :func:`lstm_recurrence` forms the gradient of each weight that
+every step applies once per batch, in one product over the packed rows.
+The fused primitives read only the leading rows of context operands wider
+than a step, and add gradient back into those rows only.
+:func:`segment_sum` adds packed rows up per sequence, and
+:func:`place_rows` puts them into another row order.
 """
 
 import numpy as np
@@ -167,8 +164,9 @@ class Tape:
 # ---------------------------------------------------------------------------
 
 
-def sigmoid(x):
-    """Logistic function, stable for large |x|; works on scalars and arrays."""
+def sigmoid(x, out=None):
+    """Logistic function, stable for large |x|; works on scalars and arrays.
+    ``out``, an array of x's shape, receives the result (it may be x)."""
     x = np.asarray(x)
     if x.dtype.kind != "f":
         x = x.astype(np.float64)
@@ -176,7 +174,7 @@ def sigmoid(x):
     # cannot overflow; np.maximum picks the numerator (1 or e <= 1) without the
     # data-dependent branch that makes np.where slow on mixed signs.
     e = np.exp(-np.abs(x))
-    out = np.maximum(e, x >= 0) / (1.0 + e)
+    out = np.divide(np.maximum(e, x >= 0), 1.0 + e, out=out)
     return out if out.shape else out[()]
 
 
@@ -301,8 +299,7 @@ def embed_rows(tape: Tape | None, table: Variable, ids: np.ndarray) -> Variable:
     a row-form gradient over the distinct ids: ``np.add.at`` adds each id's
     position gradients into its row in index order, as into a dense zero
     table, so the rows hold that table's bits. Distinct ids (P's context
-    words) skip the scatter: each row is one position's gradient, assigned,
-    so a -0.0 keeps its sign where the zero table would have made it +0.0."""
+    words) skip the scatter: each row is assigned, -0.0 keeping its sign."""
     out = Variable(table.value[ids])
     if tape is not None:
         def backprop():
@@ -415,54 +412,53 @@ def attention_scores(tape: Tape | None, keys: Variable, query: Variable,
     return out
 
 
-def lstm_recurrence(tape: Tape | None, xproj: Variable, steps: list[slice], U: Variable,
+def lstm_recurrence(tape: Tape | None, xproj: Variable, bounds: np.ndarray, U: Variable,
                     b: Variable, feed: tuple = (), late: tuple | None = None,
-                    attend: tuple | None = None, state: tuple | None = None):
+                    attend: tuple | None = None, state: tuple | None = None,
+                    reverse: bool = False):
     """An LSTM run over a packed batch -> (H, C), the hidden and cell states of
     every row, each (N,d).
 
-    ``xproj`` (N,4d) holds the input projection x @ W of every row, with gate
+    ``xproj`` (N,4d) holds the input projection x @ W of every row, gate
     blocks in ``rlm.GATES`` order (i, o, f, c). Step s owns the rows
-    ``steps[s]`` and starts from the state of the previous step's leading
-    rows; rows past those (and every row of the first step, unless ``state``
-    gives (h0, c0) Variables to read the leading rows of) start from zero.
-    The pre-activations are h_prev @ U + xproj[rows] (+ the leading rows of
-    ``feed[0]``, early fusion's input term) + b, and c = f*c_prev + i*g.
-    With ``late`` = (W_rc, b_r), ``feed`` = (q, q_r) gates the output
-    instead: r = sigmoid(q_r + c @ W_rc + b_r) and h = o * tanh(c + r*q);
-    otherwise h = o * tanh(c). With ``attend`` = (U_a, mix), each step first
-    projects its query h_prev @ U_a and ``mix(tape, query)`` returns that
-    step's ``feed``, recorded on the tape between the steps.
+    ``bounds[s]:bounds[s+1]`` (the steps run backwards if ``reverse``) and
+    starts from the previous step's leading rows; rows past those, and the
+    first step's rows, start from zero (or from the leading rows of
+    ``state``, (h0, c0) Variables). The pre-activations are
+    h_prev @ U + xproj[rows] (+ the leading rows of ``feed[0]``, early
+    fusion's input term) + b, and c = f*c_prev + i*g. With ``late`` =
+    (W_rc, b_r), ``feed`` = (q, q_r) gates the output instead:
+    r = sigmoid(q_r + c @ W_rc + b_r) and h = o * tanh(c + r*q); otherwise
+    h = o * tanh(c). With ``attend`` = (U_a, mix), each step's ``feed`` is
+    what ``mix(tape, query)`` records and returns for its query h_prev @ U_a.
 
-    Every step's activations, c, tanh(c) (late fusion's u) and h are written
-    into arrays allocated once, and the state each row starts from is copied
-    beside them. Each step records one closure; it writes its pre-activation
-    gradient into its rows of xproj's gradient (so xproj feeds nothing else)
-    and multiplies by contiguous transposes of U (W_rc, U_a) made once. The
-    gradients of U and b (W_rc and b_r, U_a) are formed once per batch, in
-    one product each, by a closure recorded before the first step.
+    Every step writes into arrays allocated once. Its one closure writes
+    its pre-activation gradient into its rows of xproj's gradient (so xproj
+    feeds nothing else); the weights' gradients are then formed once each.
     """
     N, d = xproj.shape[0], U.shape[0]
     dtype = xproj.dtype
-    act = np.empty((N, 4 * d), dtype)
-    H, C, TC = np.empty((N, d), dtype), np.empty((N, d), dtype), np.empty((N, d), dtype)
-    Hp, Cp = np.zeros((N, d), dtype), np.zeros((N, d), dtype)  # the states rows start from
+    starts = bounds.tolist()
+    steps = [slice(a, z) for a, z in zip(starts, starts[1:])][::-1 if reverse else 1]
+    # the backward reads every step's rows; without a tape one step's rows serve all
+    width = N if tape is not None else max(r.stop - r.start for r in steps)
+    act, TC = np.empty((width, 4 * d), dtype), np.empty((width, d), dtype)
+    Hp, Cp = np.zeros((width, d), dtype), np.zeros((width, d), dtype)  # the states rows start from
+    H, C = np.empty((N, d), dtype), np.empty((N, d), dtype)
     h_out, c_out = Variable(H), Variable(C)
-    R = dpre = Q = None
     if late is not None:
         W_rc, b_r = late
-        R = np.empty((N, d), dtype)
+        R = np.empty((width, d), dtype)
         dpre = np.empty((N, d), dtype)  # the gate's pre-activation gradient, every row set
     if attend is not None:
         U_a, mix = attend
-        Q, dQ = np.empty((N, U_a.shape[1]), dtype), np.zeros((N, U_a.shape[1]), dtype)
+        dQ = np.zeros((N, U_a.shape[1]), dtype)
     # rows that read a state: all but the first step's, unless state gives it one
     first = steps[0]
     live = (slice(0, N) if state is not None else
             slice(first.stop, N) if first.start == 0 else slice(0, first.start))
     if tape is not None:
-        # each backward step multiplies by the transposed weights: contiguous
-        # copies made once are faster to multiply by than strided views
+        # contiguous transposes: faster to multiply by than strided views
         Ut = np.ascontiguousarray(U.value.T)
         if late is not None:
             W_rcT = np.ascontiguousarray(W_rc.value.T)
@@ -485,15 +481,17 @@ def lstm_recurrence(tape: Tape | None, xproj: Variable, steps: list[slice], U: V
     prev = None
     for rows in steps:
         n = rows.stop - rows.start
+        w = rows if tape is not None else slice(0, n)  # the step's rows of act, TC, Hp, Cp, R
         m = 0 if prev is None else min(n, prev.stop - prev.start)
         if prev is not None:
-            Hp[rows.start:rows.start + m] = H[prev.start:prev.start + m]
-            Cp[rows.start:rows.start + m] = C[prev.start:prev.start + m]
+            Hp[w.start:w.start + m] = H[prev.start:prev.start + m]
+            Cp[w.start:w.start + m] = C[prev.start:prev.start + m]
+            Hp[w.start + m:w.stop] = Cp[w.start + m:w.stop] = 0.0  # rows joining this step
         elif state is not None:
-            Hp[rows], Cp[rows] = state[0].value[:n], state[1].value[:n]
+            Hp[w], Cp[w] = state[0].value[:n], state[1].value[:n]
         step_feed = feed
         if attend is not None:
-            query = Variable(np.matmul(Hp[rows], U_a.value, out=Q[rows]))
+            query = Variable(Hp[w] @ U_a.value)
             if tape is not None:
                 def query_backprop(rows=rows, prev=prev, query=query, n=n):
                     g = query.grad
@@ -504,23 +502,23 @@ def lstm_recurrence(tape: Tape | None, xproj: Variable, steps: list[slice], U: V
                         h_out.grad_buffer()[prev.start:prev.start + n] += g @ U_aT
                 tape.record(query_backprop)
             step_feed = mix(tape, query)
-        z = act[rows]
-        np.matmul(Hp[rows], U.value, out=z)
+        z = act[w]
+        np.matmul(Hp[w], U.value, out=z)
         z += xproj.value[rows]
         if step_feed and late is None:
             z += step_feed[0].value[:n]
         z += b.value
-        z[:, :3 * d] = sigmoid(z[:, :3 * d])
+        sigmoid(z[:, :3 * d], out=z[:, :3 * d])
         np.tanh(z[:, 3 * d:], out=z[:, 3 * d:])
         i, o, f, g = z[:, :d], z[:, d:2 * d], z[:, 2 * d:3 * d], z[:, 3 * d:]
-        c, u = C[rows], TC[rows]
-        np.multiply(f, Cp[rows], out=c)
+        c, u = C[rows], TC[w]
+        np.multiply(f, Cp[w], out=c)
         c += i * g
         if late is not None:
             pre = step_feed[1].value[:n] + c @ W_rc.value
             pre += b_r.value
-            R[rows] = sigmoid(pre)
-            np.tanh(c + R[rows] * step_feed[0].value[:n], out=u)
+            sigmoid(pre, out=R[w])
+            np.tanh(c + R[w] * step_feed[0].value[:n], out=u)
         else:
             np.tanh(c, out=u)
         np.multiply(o, u, out=H[rows])
@@ -531,8 +529,10 @@ def lstm_recurrence(tape: Tape | None, xproj: Variable, steps: list[slice], U: V
                 i, o, f, g = a[:, :d], a[:, d:2 * d], a[:, 2 * d:3 * d], a[:, 3 * d:]
                 gh, u = h_out.grad_buffer()[rows], TC[rows]
                 dc = c_out.grad_buffer()[rows]  # the gradient carried from the next step
-                dz = xproj.grad_buffer()[rows]  # gradient w.r.t. the activations, then z
-                dz[:, d:2 * d] = gh * u
+                if xproj.grad is None:  # every step sets all of its rows
+                    xproj.grad = np.empty_like(xproj.value)
+                dz = xproj.grad[rows]  # gradient w.r.t. the activations, then z
+                np.multiply(gh, u, out=dz[:, d:2 * d])
                 if late is not None:
                     q, q_r = step_feed
                     r = R[rows]
@@ -544,9 +544,9 @@ def lstm_recurrence(tape: Tape | None, xproj: Variable, steps: list[slice], U: V
                     q_r.grad_buffer()[:n] += dp
                 else:
                     dc += gh * o * (1.0 - u * u)
-                dz[:, :d] = dc * g
-                dz[:, 2 * d:3 * d] = dc * Cp[rows]
-                dz[:, 3 * d:] = dc * i
+                np.multiply(dc, g, out=dz[:, :d])
+                np.multiply(dc, Cp[rows], out=dz[:, 2 * d:3 * d])
+                np.multiply(dc, i, out=dz[:, 3 * d:])
                 sig = a[:, :3 * d]
                 dz[:, :3 * d] *= sig * (1.0 - sig)
                 dz[:, 3 * d:] *= 1.0 - g * g

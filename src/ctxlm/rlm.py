@@ -18,6 +18,8 @@ LSTMs, runs through ``numeric.lstm_recurrence``.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import numeric as nm
 from .numeric import Tape, Variable
 
@@ -68,7 +70,7 @@ def lstm_step(x: Variable, state: LstmState, params: dict[str, Variable],
     ``numeric.lstm_recurrence`` from ``state``."""
     W, U, b = gate_weights(tape, params, prefix)
     xproj = nm.matmul(tape, x, W)
-    h, c = nm.lstm_recurrence(tape, xproj, [slice(0, x.shape[0])], U, b,
+    h, c = nm.lstm_recurrence(tape, xproj, np.array([0, x.shape[0]]), U, b,
                               state=(state.h, state.c))
     return LstmState(h, c)
 

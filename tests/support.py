@@ -44,7 +44,7 @@ def format_log(log) -> str:
 def spy_recurrences(mp):
     """Patch ``numeric.lstm_recurrence`` on the pytest MonkeyPatch ``mp`` to
     record every call -> the list of records. Each is a dict of the call's
-    arguments (``xproj``, ``steps``, ``U``, ``b``, ``feed``, ``late``,
+    arguments (``xproj``, its ``steps`` as row slices in step order, ``U``, ``b``, ``feed``, ``late``,
     ``state``), its outputs ``H`` and ``C``, and, with attention, every step's
     ``queries`` and ``feeds`` (what the step's mix returned)."""
     from ctxlm import numeric as nm
@@ -52,9 +52,11 @@ def spy_recurrences(mp):
     calls = []
     original = nm.lstm_recurrence
 
-    def spy(tape, xproj, steps, U, b, feed=(), late=None, attend=None, state=None):
-        call = dict(xproj=xproj, steps=list(steps), U=U, b=b, feed=feed, late=late,
-                    state=state, queries=[], feeds=[])
+    def spy(tape, xproj, bounds, U, b, feed=(), late=None, attend=None, state=None,
+            reverse=False):
+        steps = [slice(a, z) for a, z in zip(bounds[:-1], bounds[1:])]
+        call = dict(xproj=xproj, steps=steps[::-1] if reverse else steps, U=U, b=b,
+                    feed=feed, late=late, state=state, queries=[], feeds=[])
         if attend is not None:
             U_a, mix = attend
 
@@ -63,7 +65,8 @@ def spy_recurrences(mp):
                 call["feeds"].append(mix(tape, query))
                 return call["feeds"][-1]
             attend = (U_a, mix_spy)
-        call["H"], call["C"] = out = original(tape, xproj, steps, U, b, feed, late, attend, state)
+        call["H"], call["C"] = out = original(tape, xproj, bounds, U, b, feed, late, attend,
+                                              state, reverse)
         calls.append(call)
         return out
 

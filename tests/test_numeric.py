@@ -322,12 +322,12 @@ def test_segment_sum_adds_in_index_order_and_in_the_operand_dtype():
     assert out32.value.dtype == np.float32 and out32.value[0] == 1.0
 
 
-# a packed batch of three rows: steps of 3, 2 and 1 rows (the decoder), of 1,
-# 2 and 3 (a forward context LSTM over left-padded contexts: rows join from
-# the zero state), and the latter's reverse pass, which starts at the end
-SHRINKING = [slice(0, 3), slice(3, 5), slice(5, 6)]
-GROWING = [slice(0, 1), slice(1, 3), slice(3, 6)]
-REVERSED = GROWING[::-1]
+# (bounds, reverse) of a packed batch of three rows: steps of 3, 2 and 1 rows
+# (the decoder), of 1, 2 and 3 (a forward context LSTM over left-padded
+# contexts: rows join from the zero state), and the latter's reverse pass
+SHRINKING = (np.array([0, 3, 5, 6]), False)
+GROWING = (np.array([0, 1, 3, 6]), False)
+REVERSED = (GROWING[0], True)
 
 
 def _recurrence(t, v, steps, kind="plain"):
@@ -343,7 +343,8 @@ def _recurrence(t, v, steps, kind="plain"):
         feed, late = (rest[0], rest[1]), (rest[2], rest[3])
     elif kind == "state":
         state = (rest[0], rest[1])
-    H, C = nm.lstm_recurrence(t, xproj, steps, U, b, feed, late, state=state)
+    bounds, reverse = steps
+    H, C = nm.lstm_recurrence(t, xproj, bounds, U, b, feed, late, state=state, reverse=reverse)
     w = Variable(np.linspace(-1.0, 1.0, H.value.size).reshape(H.shape))
     return nm.add(t, nm.mul(t, H, nm.scale(t, w, 2.0)), nm.mul(t, C, nm.scale(t, w, 3.0)))
 
@@ -408,11 +409,13 @@ def test_lstm_cell_matches_per_gate_formula():
     zero."""
     xproj, U, b = _recurrence_inputs(np.random.default_rng(37))
     sig = lambda a: 1.0 / (1.0 + np.exp(-a))
-    for steps in (SHRINKING, GROWING, REVERSED):
-        H, C = nm.lstm_recurrence(None, Variable(xproj), steps, Variable(U), Variable(b))
+    for bounds, reverse in (SHRINKING, GROWING, REVERSED):
+        H, C = nm.lstm_recurrence(None, Variable(xproj), bounds, Variable(U), Variable(b),
+                                  reverse=reverse)
+        steps = [slice(a, z) for a, z in zip(bounds[:-1], bounds[1:])]
         for window in range(3):
             h, c = np.zeros(3), np.zeros(3)
-            for rows in steps:
+            for rows in (steps[::-1] if reverse else steps):
                 if window >= rows.stop - rows.start:
                     continue
                 z = xproj[rows.start + window] + h @ U + b
