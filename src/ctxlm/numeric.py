@@ -440,15 +440,13 @@ def lstm_recurrence(tape: Tape | None, xproj: Variable, bounds: np.ndarray, U: V
     dtype = xproj.dtype
     starts = bounds.tolist()
     steps = [slice(a, z) for a, z in zip(starts, starts[1:])][::-1 if reverse else 1]
-    # the backward reads every step's rows; without a tape one step's rows serve all
-    width = N if tape is not None else max(r.stop - r.start for r in steps)
-    act, TC = np.empty((width, 4 * d), dtype), np.empty((width, d), dtype)
-    Hp, Cp = np.zeros((width, d), dtype), np.zeros((width, d), dtype)  # the states rows start from
+    act, TC = np.empty((N, 4 * d), dtype), np.empty((N, d), dtype)
+    Hp, Cp = np.zeros((N, d), dtype), np.zeros((N, d), dtype)  # the states rows start from
     H, C = np.empty((N, d), dtype), np.empty((N, d), dtype)
     h_out, c_out = Variable(H), Variable(C)
     if late is not None:
         W_rc, b_r = late
-        R = np.empty((width, d), dtype)
+        R = np.empty((N, d), dtype)
         dpre = np.empty((N, d), dtype)  # the gate's pre-activation gradient, every row set
     if attend is not None:
         U_a, mix = attend
@@ -481,29 +479,29 @@ def lstm_recurrence(tape: Tape | None, xproj: Variable, bounds: np.ndarray, U: V
     prev = None
     for rows in steps:
         n = rows.stop - rows.start
-        w = rows if tape is not None else slice(0, n)  # the step's rows of act, TC, Hp, Cp, R
         m = 0 if prev is None else min(n, prev.stop - prev.start)
         if prev is not None:
-            Hp[w.start:w.start + m] = H[prev.start:prev.start + m]
-            Cp[w.start:w.start + m] = C[prev.start:prev.start + m]
-            Hp[w.start + m:w.stop] = Cp[w.start + m:w.stop] = 0.0  # rows joining this step
+            Hp[rows.start:rows.start + m] = H[prev.start:prev.start + m]
+            Cp[rows.start:rows.start + m] = C[prev.start:prev.start + m]
         elif state is not None:
-            Hp[w], Cp[w] = state[0].value[:n], state[1].value[:n]
+            Hp[rows], Cp[rows] = state[0].value[:n], state[1].value[:n]
         step_feed = feed
         if attend is not None:
-            query = Variable(Hp[w] @ U_a.value)
+            query = Variable(Hp[rows] @ U_a.value)
             if tape is not None:
-                def query_backprop(rows=rows, prev=prev, query=query, n=n):
+                def query_backprop(rows=rows, prev=prev, query=query, m=m):
                     g = query.grad
                     if g is None:
                         return
                     dQ[rows] = g
-                    if prev is not None:
-                        h_out.grad_buffer()[prev.start:prev.start + n] += g @ U_aT
+                    if prev is not None:  # only the first m rows read the previous step
+                        h_out.grad_buffer()[prev.start:prev.start + m] += g[:m] @ U_aT
+                    elif state is not None:
+                        state[0].add_grad_leading(g @ U_aT)
                 tape.record(query_backprop)
             step_feed = mix(tape, query)
-        z = act[w]
-        np.matmul(Hp[w], U.value, out=z)
+        z = act[rows]
+        np.matmul(Hp[rows], U.value, out=z)
         z += xproj.value[rows]
         if step_feed and late is None:
             z += step_feed[0].value[:n]
@@ -511,14 +509,14 @@ def lstm_recurrence(tape: Tape | None, xproj: Variable, bounds: np.ndarray, U: V
         sigmoid(z[:, :3 * d], out=z[:, :3 * d])
         np.tanh(z[:, 3 * d:], out=z[:, 3 * d:])
         i, o, f, g = z[:, :d], z[:, d:2 * d], z[:, 2 * d:3 * d], z[:, 3 * d:]
-        c, u = C[rows], TC[w]
-        np.multiply(f, Cp[w], out=c)
+        c, u = C[rows], TC[rows]
+        np.multiply(f, Cp[rows], out=c)
         c += i * g
         if late is not None:
             pre = step_feed[1].value[:n] + c @ W_rc.value
             pre += b_r.value
-            sigmoid(pre, out=R[w])
-            np.tanh(c + R[w] * step_feed[0].value[:n], out=u)
+            sigmoid(pre, out=R[rows])
+            np.tanh(c + R[rows] * step_feed[0].value[:n], out=u)
         else:
             np.tanh(c, out=u)
         np.multiply(o, u, out=H[rows])

@@ -334,17 +334,23 @@ def _recurrence(t, v, steps, kind="plain"):
     """A weighted sum of both outputs of nm.lstm_recurrence, so that every
     output's gradient path is exercised. v: xproj (6,12), U (3,12), b (12,),
     then early fusion's extra (B,12), late fusion's q, q_r (B,3), W_rc (3,3)
-    and b_r (3,), or an initial state h0, c0 (3,3), by ``kind``."""
+    and b_r (3,), an initial state h0, c0 (3,3), or attention's U_a (3,12)
+    whose per-step query q gives the input term tanh(q), by ``kind``
+    ("attend-state" adds h0, c0 after U_a)."""
     xproj, U, b, *rest = v
-    feed, late, state = (), None, None
+    feed, late, attend, state = (), None, None, None
     if kind == "early":
         feed = (rest[0],)
     elif kind == "late":
         feed, late = (rest[0], rest[1]), (rest[2], rest[3])
     elif kind == "state":
         state = (rest[0], rest[1])
+    elif kind.startswith("attend"):
+        attend = (rest[0], lambda tape, query: (nm.tanh_v(tape, query),))
+        if kind == "attend-state":
+            state = (rest[1], rest[2])
     bounds, reverse = steps
-    H, C = nm.lstm_recurrence(t, xproj, bounds, U, b, feed, late, state=state, reverse=reverse)
+    H, C = nm.lstm_recurrence(t, xproj, bounds, U, b, feed, late, attend, state, reverse)
     w = Variable(np.linspace(-1.0, 1.0, H.value.size).reshape(H.shape))
     return nm.add(t, nm.mul(t, H, nm.scale(t, w, 2.0)), nm.mul(t, C, nm.scale(t, w, 3.0)))
 
@@ -357,7 +363,9 @@ def _recurrence_inputs(rng, kind="plain", rows=3):
     elif kind == "late":
         inputs += [rng.standard_normal((rows, 3)), rng.standard_normal((rows, 3)),
                    rng.standard_normal((3, 3)), rng.standard_normal(3)]
-    elif kind == "state":
+    elif kind.startswith("attend"):
+        inputs.append(rng.standard_normal((3, 12)))
+    if kind.endswith("state"):
         inputs += [rng.standard_normal((rows, 3)), rng.standard_normal((rows, 3))]
     return inputs
 
@@ -400,6 +408,17 @@ def test_grad_lstm_recurrence_of_a_context_lstm(steps):
     last rows."""
     _check_op(lambda t, v: _recurrence(t, v, steps),
               _recurrence_inputs(np.random.default_rng(36)))
+
+
+@pytest.mark.parametrize("steps", [SHRINKING, GROWING, REVERSED],
+                         ids=["shrinking", "growing", "reversed"])
+@pytest.mark.parametrize("kind", ["attend", "attend-state"])
+def test_grad_lstm_recurrence_with_a_per_step_query(steps, kind):
+    """Attention's per-step query h_prev @ U_a, over each step pattern and
+    from the zero or a given state: the query's gradient reaches the rows of
+    the previous step, or of the state, that it read."""
+    _check_op(lambda t, v: _recurrence(t, v, steps, kind),
+              _recurrence_inputs(np.random.default_rng(38), kind))
 
 
 def test_lstm_cell_matches_per_gate_formula():
