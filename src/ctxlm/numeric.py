@@ -440,17 +440,24 @@ def lstm_recurrence(tape: Tape | None, xproj: Variable, bounds: np.ndarray, U: V
     dtype = xproj.dtype
     starts = bounds.tolist()
     steps = [slice(a, z) for a, z in zip(starts, starts[1:])][::-1 if reverse else 1]
-    act, TC = np.empty((N, 4 * d), dtype), np.empty((N, d), dtype)
-    Hp, Cp = np.zeros((N, d), dtype), np.zeros((N, d), dtype)  # the states rows start from
+    # The scratch is one allocation: as seven arrays, glibc gave it back to the
+    # OS after each untaped call and faulted it in again at the next. dQ
+    # (attention's query gradient) and Hp, Cp (the states rows start from)
+    # start at zero; R and dpre are late fusion's gate and its pre-activation
+    # gradient, every row set.
+    widths = [0 if attend is None else attend[0].shape[1], d, d, 4 * d, d]
+    widths += [d, d] if late is not None else []
+    block = np.empty(N * sum(widths), dtype)
+    block[:N * sum(widths[:3])] = 0.0
+    dQ, Hp, Cp, act, TC, *gate = (part.reshape(N, w) for part, w in
+                                  zip(np.split(block, N * np.cumsum(widths)[:-1]), widths))
     H, C = np.empty((N, d), dtype), np.empty((N, d), dtype)
     h_out, c_out = Variable(H), Variable(C)
     if late is not None:
         W_rc, b_r = late
-        R = np.empty((N, d), dtype)
-        dpre = np.empty((N, d), dtype)  # the gate's pre-activation gradient, every row set
+        R, dpre = gate
     if attend is not None:
         U_a, mix = attend
-        dQ = np.zeros((N, U_a.shape[1]), dtype)
     # rows that read a state: all but the first step's, unless state gives it one
     first = steps[0]
     live = (slice(0, N) if state is not None else
