@@ -324,10 +324,13 @@ def test_segment_sum_adds_in_index_order_and_in_the_operand_dtype():
 
 # (bounds, reverse) of a packed batch of three rows: steps of 3, 2 and 1 rows
 # (the decoder), of 1, 2 and 3 (a forward context LSTM over left-padded
-# contexts: rows join from the zero state), and the latter's reverse pass
+# contexts: rows join from the zero state), and the latter's reverse pass;
+# last, steps that grow while running backwards through the rows, where a
+# step's rows follow those of the step before it
 SHRINKING = (np.array([0, 3, 5, 6]), False)
 GROWING = (np.array([0, 1, 3, 6]), False)
 REVERSED = (GROWING[0], True)
+REVERSED_GROWING = (SHRINKING[0], True)
 
 
 def _recurrence(t, v, steps, kind="plain"):
@@ -410,8 +413,8 @@ def test_grad_lstm_recurrence_of_a_context_lstm(steps):
               _recurrence_inputs(np.random.default_rng(36)))
 
 
-@pytest.mark.parametrize("steps", [SHRINKING, GROWING, REVERSED],
-                         ids=["shrinking", "growing", "reversed"])
+@pytest.mark.parametrize("steps", [SHRINKING, GROWING, REVERSED, REVERSED_GROWING],
+                         ids=["shrinking", "growing", "reversed", "reversed-growing"])
 @pytest.mark.parametrize("kind", ["attend", "attend-state"])
 def test_grad_lstm_recurrence_with_a_per_step_query(steps, kind):
     """Attention's per-step query h_prev @ U_a, over each step pattern and
