@@ -440,8 +440,8 @@ def lstm_recurrence(tape: Tape | None, xproj: Variable, bounds: np.ndarray, U: V
     dtype = xproj.dtype
     starts = bounds.tolist()
     steps = [slice(a, z) for a, z in zip(starts, starts[1:])][::-1 if reverse else 1]
-    # The scratch is one allocation: as seven arrays, glibc gave it back to the
-    # OS after each untaped call and faulted it in again at the next. dQ
+    # The scratch is one allocation: as separate arrays, glibc returns it to
+    # the OS after each untaped call and faults it in again at the next. dQ
     # (attention's query gradient) and Hp, Cp (the states rows start from)
     # start at zero; R and dpre are late fusion's gate and its pre-activation
     # gradient, every row set.
