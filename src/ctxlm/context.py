@@ -63,22 +63,13 @@ def project_counts(tape: Tape | None, params: dict[str, Variable], counts: np.nd
     return nm.matmul(tape, Variable(counts), nm.embed_rows(tape, params["P"], ids))
 
 
-def context_lstm(tape: Tape | None, params: dict[str, Variable], x: Variable,
-                 bounds: np.ndarray, prefix: str, reverse: bool = False) -> Variable:
-    """The context LSTM under ``prefix`` over projected BoW rows x (M, d_ctx),
-    one step per position, position k owning the rows bounds[k]:bounds[k+1]
-    -> its hidden states (M, d_ctx)."""
-    W, U, b = rlm.gate_weights(tape, params, prefix)
-    return nm.lstm_recurrence(tape, nm.matmul(tape, x, W), bounds, U, b, reverse=reverse)[0]
-
-
 def seqbow_summary(tape: Tape | None, params: dict[str, Variable], batch) -> Variable:
     """The forward context LSTM's last hidden state (B, d_ctx), in the
     decoder's row order, over a batch's per-sentence counts."""
     x = project_counts(tape, params, batch.bow_seq, batch.bow_ids)
     last = slice(*batch.ctx_bounds[-2:])  # every window with a context ends there
     B, K = batch.ctx_mask.shape
-    return nm.place_rows(tape, context_lstm(tape, params, x, batch.ctx_bounds, CTX_FWD), last,
+    return nm.place_rows(tape, rlm.lstm_step(tape, params, x, batch.ctx_bounds, CTX_FWD), last,
                          batch.ctx_slot[last] - (K - 1) * B, B)
 
 
@@ -86,8 +77,8 @@ def annotate(tape: Tape | None, params: dict[str, Variable], batch) -> Variable:
     """Forward and reverse context-LSTM states side by side, placed at their
     positions and windows: (K, B, 2*d_ctx), zero at padded positions."""
     x = project_counts(tape, params, batch.bow_seq, batch.bow_ids)
-    fwd = context_lstm(tape, params, x, batch.ctx_bounds, CTX_FWD)
-    rev = context_lstm(tape, params, x, batch.ctx_bounds, CTX_REV, reverse=True)
+    fwd = rlm.lstm_step(tape, params, x, batch.ctx_bounds, CTX_FWD)
+    rev = rlm.lstm_step(tape, params, x, batch.ctx_bounds, CTX_REV, reverse=True)
     B, K = batch.ctx_mask.shape
     both = nm.place_rows(tape, nm.concat_cols(tape, [fwd, rev]), slice(None), batch.ctx_slot,
                          K * B)

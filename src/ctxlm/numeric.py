@@ -414,8 +414,7 @@ def attention_scores(tape: Tape | None, keys: Variable, query: Variable,
 
 def lstm_recurrence(tape: Tape | None, xproj: Variable, bounds: np.ndarray, U: Variable,
                     b: Variable, feed: tuple = (), late: tuple | None = None,
-                    attend: tuple | None = None, state: tuple | None = None,
-                    reverse: bool = False):
+                    attend: tuple | None = None, reverse: bool = False):
     """An LSTM run over a packed batch -> (H, C), the hidden and cell states of
     every row, each (N,d).
 
@@ -423,8 +422,7 @@ def lstm_recurrence(tape: Tape | None, xproj: Variable, bounds: np.ndarray, U: V
     blocks in ``rlm.GATES`` order (i, o, f, c). Step s owns the rows
     ``bounds[s]:bounds[s+1]`` (the steps run backwards if ``reverse``) and
     starts from the previous step's leading rows; rows past those, and the
-    first step's rows, start from zero (or from the leading rows of
-    ``state``, (h0, c0) Variables). The pre-activations are
+    first step's rows, start from zero. The pre-activations are
     h_prev @ U + xproj[rows] (+ the leading rows of ``feed[0]``, early
     fusion's input term) + b, and c = f*c_prev + i*g. With ``late`` =
     (W_rc, b_r), ``feed`` = (q, q_r) gates the output instead:
@@ -458,10 +456,9 @@ def lstm_recurrence(tape: Tape | None, xproj: Variable, bounds: np.ndarray, U: V
         R, dpre = gate
     if attend is not None:
         U_a, mix = attend
-    # rows that read a state: all but the first step's, unless state gives it one
+    # rows that read a state: all but the first step's
     first = steps[0]
-    live = (slice(0, N) if state is not None else
-            slice(first.stop, N) if first.start == 0 else slice(0, first.start))
+    live = slice(first.stop, N) if first.start == 0 else slice(0, first.start)
     if tape is not None:
         # contiguous transposes: faster to multiply by than strided views
         Ut = np.ascontiguousarray(U.value.T)
@@ -490,8 +487,6 @@ def lstm_recurrence(tape: Tape | None, xproj: Variable, bounds: np.ndarray, U: V
         if prev is not None:
             Hp[rows.start:rows.start + m] = H[prev.start:prev.start + m]
             Cp[rows.start:rows.start + m] = C[prev.start:prev.start + m]
-        elif state is not None:
-            Hp[rows], Cp[rows] = state[0].value[:n], state[1].value[:n]
         step_feed = feed
         if attend is not None:
             query = Variable(Hp[rows] @ U_a.value)
@@ -503,8 +498,6 @@ def lstm_recurrence(tape: Tape | None, xproj: Variable, bounds: np.ndarray, U: V
                     dQ[rows] = g
                     if prev is not None:  # only the first m rows read the previous step
                         h_out.grad_buffer()[prev.start:prev.start + m] += g[:m] @ U_aT
-                    elif state is not None:
-                        state[0].add_grad_leading(g @ U_aT)
                 tape.record(query_backprop)
             step_feed = mix(tape, query)
         z = act[rows]
@@ -558,9 +551,6 @@ def lstm_recurrence(tape: Tape | None, xproj: Variable, bounds: np.ndarray, U: V
                 if prev is not None:
                     h_out.grad_buffer()[prev.start:prev.start + m] += dz[:m] @ Ut
                     c_out.grad_buffer()[prev.start:prev.start + m] += dc[:m] * f[:m]
-                elif state is not None:
-                    state[0].add_grad_leading(dz @ Ut)
-                    state[1].add_grad_leading(dc * f)
                 if step_feed and late is None:
                     step_feed[0].grad_buffer()[:n] += dz
             tape.record(backprop)

@@ -13,10 +13,9 @@ Gate weights are stored per gate (``W_i``, ``U_o``, ``b_f``, ...), which is
 the checkpoint layout. A computation concatenates them in ``GATES`` order
 once (:func:`gate_weights`), so one product serves all four gates and the
 gradients split back per gate; every LSTM, the decoder and both context
-LSTMs, runs through ``numeric.lstm_recurrence``.
+LSTMs, runs through ``numeric.lstm_recurrence``, the context LSTMs as the
+layer :func:`lstm_step`.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,13 +23,6 @@ from . import numeric as nm
 from .numeric import Tape, Variable
 
 GATES = ("i", "o", "f", "c")
-
-
-@dataclass
-class LstmState:
-    h: Variable
-    c: Variable
-
 
 Shapes = dict[str, tuple[int, ...]]
 
@@ -63,16 +55,17 @@ def gate_weights(tape: Tape | None, params: dict[str, Variable],
                  for kind in ("W", "U", "b"))
 
 
-# no engine use; kept because bench/tracing.py wraps rlm.lstm_step and rlm.lstm_gates by name
-def lstm_step(x: Variable, state: LstmState, params: dict[str, Variable],
-              tape: Tape | None = None, prefix: str = "") -> LstmState:
-    """One LSTM cell update of the layer under ``prefix``: a one-step
-    ``numeric.lstm_recurrence`` from ``state``."""
+def lstm_step(tape: Tape | None, params: dict[str, Variable], x: Variable,
+              bounds: np.ndarray, prefix: str, reverse: bool = False) -> Variable:
+    """The LSTM layer under ``prefix`` over packed input rows x (N, d_in), from
+    the zero state, one step per position, position k owning the rows
+    bounds[k]:bounds[k+1] (run last to first if ``reverse``) -> its hidden
+    states (N, d_h). The context LSTMs run through it; the decoder calls
+    ``numeric.lstm_recurrence`` itself, as early fusion's input term is
+    multiplied by its W too."""
     W, U, b = gate_weights(tape, params, prefix)
-    xproj = nm.matmul(tape, x, W)
-    h, c = nm.lstm_recurrence(tape, xproj, np.array([0, x.shape[0]]), U, b,
-                              state=(state.h, state.c))
-    return LstmState(h, c)
+    return nm.lstm_recurrence(tape, nm.matmul(tape, x, W), bounds, U, b, reverse=reverse)[0]
 
 
+# bench/tracing.py wraps both names
 lstm_gates = lstm_step

@@ -44,19 +44,18 @@ def format_log(log) -> str:
 def spy_recurrences(mp):
     """Patch ``numeric.lstm_recurrence`` on the pytest MonkeyPatch ``mp`` to
     record every call -> the list of records. Each is a dict of the call's
-    arguments (``xproj``, its ``steps`` as row slices in step order, ``U``, ``b``, ``feed``, ``late``,
-    ``state``), its outputs ``H`` and ``C``, and, with attention, every step's
+    arguments (``xproj``, its ``steps`` as row slices in step order, ``U``, ``b``, ``feed``,
+    ``late``), its outputs ``H`` and ``C``, and, with attention, every step's
     ``queries`` and ``feeds`` (what the step's mix returned)."""
     from ctxlm import numeric as nm
 
     calls = []
     original = nm.lstm_recurrence
 
-    def spy(tape, xproj, bounds, U, b, feed=(), late=None, attend=None, state=None,
-            reverse=False):
+    def spy(tape, xproj, bounds, U, b, feed=(), late=None, attend=None, reverse=False):
         steps = [slice(a, z) for a, z in zip(bounds[:-1], bounds[1:])]
         call = dict(xproj=xproj, steps=steps[::-1] if reverse else steps, U=U, b=b,
-                    feed=feed, late=late, state=state, queries=[], feeds=[])
+                    feed=feed, late=late, queries=[], feeds=[])
         if attend is not None:
             U_a, mix = attend
 
@@ -66,7 +65,7 @@ def spy_recurrences(mp):
                 return call["feeds"][-1]
             attend = (U_a, mix_spy)
         call["H"], call["C"] = out = original(tape, xproj, bounds, U, b, feed, late, attend,
-                                              state, reverse)
+                                              reverse)
         calls.append(call)
         return out
 
@@ -77,8 +76,8 @@ def spy_recurrences(mp):
 def recurrence_steps(call) -> list[dict]:
     """Every step of a recorded recurrence (see ``spy_recurrences``), recomputed
     from its inputs and the states it returned: ``h_prev`` and ``c_prev`` are
-    the previous step's returned rows (zero for a row without one; the call
-    has no ``state``), the pre-activations h_prev @ U + xproj[rows] + b have no
+    the previous step's returned rows (zero for a row without one), the
+    pre-activations h_prev @ U + xproj[rows] + b have no
     other input, and ``c`` = f * c_prev + i * g, in the recurrence's own
     arithmetic. Each step's dict also holds its ``rows``, ``o`` and the
     returned ``c_returned``; with late fusion also its ``q``, ``q_r``, gate

@@ -111,16 +111,21 @@ def test_annotate_empty_context_is_zero():
 
 
 def test_annotate_single_sentence_halves_match_one_step_lstm():
+    """Each half is one LSTM step from the zero state, by the per-gate
+    formula: c = i * g and h = o * tanh(c)."""
     params = att_params()
     s = sent(2, 4, 4)
     annots, _ = annotate(params, (s,))
     d_ctx = params["P"].shape[1]
-    x = Variable(bow_vector([s], VOCAB).reshape(1, -1) @ params["P"].value)
-    zero = rlm.LstmState(Variable(np.zeros((1, d_ctx))), Variable(np.zeros((1, d_ctx))))
-    fwd = rlm.lstm_step(x, zero, params, prefix=ctx.CTX_FWD)
-    rev = rlm.lstm_step(x, zero, params, prefix=ctx.CTX_REV)
-    assert np.allclose(annots.value[0, 0, :d_ctx], fwd.h.value[0], atol=1e-15)
-    assert np.allclose(annots.value[0, 0, d_ctx:], rev.h.value[0], atol=1e-15)
+    x = bow_vector([s], VOCAB) @ params["P"].value
+
+    def one_step(prefix):
+        z = {g: x @ params[f"{prefix}W_{g}"].value + params[f"{prefix}b_{g}"].value
+             for g in rlm.GATES}
+        return nm.sigmoid(z["o"]) * np.tanh(nm.sigmoid(z["i"]) * np.tanh(z["c"]))
+
+    assert np.allclose(annots.value[0, 0, :d_ctx], one_step(ctx.CTX_FWD), rtol=0, atol=1e-15)
+    assert np.allclose(annots.value[0, 0, d_ctx:], one_step(ctx.CTX_REV), rtol=0, atol=1e-15)
 
 
 def test_annotate_zero_weights_give_zero():

@@ -506,6 +506,29 @@ def test_wide_products_see_only_real_positions(tag, monkeypatch):
         assert [rows for rows, b in operands if b is params.get(name)] == [ctx_rows] * used
 
 
+@pytest.mark.parametrize("tag", sorted(fusion.VARIANTS))
+def test_context_lstms_run_as_rlm_lstm_step(tag, monkeypatch):
+    """Each context LSTM is one call of the layer ``rlm.lstm_step`` per batch,
+    taped or not: none without a context LSTM, the forward one for SeqBoW,
+    forward and reverse for attention."""
+    prefixes = []
+    lstm_step = rlm.lstm_step
+
+    def spy(tape, params, x, bounds, prefix, reverse=False):
+        prefixes.append((prefix, reverse))
+        return lstm_step(tape, params, x, bounds, prefix, reverse)
+
+    monkeypatch.setattr(rlm, "lstm_step", spy)
+    params = make_params(tag, seed=44)
+    context = fusion.parse_variant(tag).context
+    expect = {"seqbow": [(ctx.CTX_FWD, False)],
+              "att": [(ctx.CTX_FWD, False), (ctx.CTX_REV, True)]}.get(context, [])
+    for tape in (Tape(), None):
+        prefixes.clear()
+        fusion.batch_nll(MIXED, params, tag, VOCAB, tape)
+        assert prefixes == expect
+
+
 @pytest.mark.parametrize("tag", ["RLM-BoW-LF", "RLM-SeqBoW-ATT-EF"])
 def test_make_batch_counts_equal_bow_vector(tag):
     """The batch counts over its context words only: bow_ids is sorted,

@@ -337,23 +337,18 @@ def _recurrence(t, v, steps, kind="plain"):
     """A weighted sum of both outputs of nm.lstm_recurrence, so that every
     output's gradient path is exercised. v: xproj (6,12), U (3,12), b (12,),
     then early fusion's extra (B,12), late fusion's q, q_r (B,3), W_rc (3,3)
-    and b_r (3,), an initial state h0, c0 (3,3), or attention's U_a (3,12)
-    whose per-step query q gives the input term tanh(q), by ``kind``
-    ("attend-state" adds h0, c0 after U_a)."""
+    and b_r (3,), or attention's U_a (3,12) whose per-step query q gives the
+    input term tanh(q), by ``kind``."""
     xproj, U, b, *rest = v
-    feed, late, attend, state = (), None, None, None
+    feed, late, attend = (), None, None
     if kind == "early":
         feed = (rest[0],)
     elif kind == "late":
         feed, late = (rest[0], rest[1]), (rest[2], rest[3])
-    elif kind == "state":
-        state = (rest[0], rest[1])
-    elif kind.startswith("attend"):
+    elif kind == "attend":
         attend = (rest[0], lambda tape, query: (nm.tanh_v(tape, query),))
-        if kind == "attend-state":
-            state = (rest[1], rest[2])
     bounds, reverse = steps
-    H, C = nm.lstm_recurrence(t, xproj, bounds, U, b, feed, late, attend, state, reverse)
+    H, C = nm.lstm_recurrence(t, xproj, bounds, U, b, feed, late, attend, reverse)
     w = Variable(np.linspace(-1.0, 1.0, H.value.size).reshape(H.shape))
     return nm.add(t, nm.mul(t, H, nm.scale(t, w, 2.0)), nm.mul(t, C, nm.scale(t, w, 3.0)))
 
@@ -366,10 +361,8 @@ def _recurrence_inputs(rng, kind="plain", rows=3):
     elif kind == "late":
         inputs += [rng.standard_normal((rows, 3)), rng.standard_normal((rows, 3)),
                    rng.standard_normal((3, 3)), rng.standard_normal(3)]
-    elif kind.startswith("attend"):
+    elif kind == "attend":
         inputs.append(rng.standard_normal((3, 12)))
-    if kind.endswith("state"):
-        inputs += [rng.standard_normal((rows, 3)), rng.standard_normal((rows, 3))]
     return inputs
 
 
@@ -384,16 +377,6 @@ def test_grad_lstm_cell():
 def test_grad_lstm_cell_without_extra_input():
     _check_op(lambda t, v: _recurrence(t, v, SHRINKING),
               _recurrence_inputs(np.random.default_rng(34)))
-
-
-def test_grad_lstm_cell_reads_leading_rows_of_wider_state():
-    """A recurrence from a given state (h0, c0) of 4 rows whose first step
-    runs 3: the rows past it get no gradient. The inputs come from the test's
-    own generator, so they do not depend on which tests ran before."""
-    inputs = _recurrence_inputs(np.random.default_rng(21), "state", rows=4)
-    h0, c0 = _check_op(lambda t, v: _recurrence(t, v, SHRINKING, "state"), inputs)[3:5]
-    assert np.any(h0.grad[:3] != 0.0) and np.any(c0.grad[:3] != 0.0)
-    assert np.all(h0.grad[3:] == 0.0) and np.all(c0.grad[3:] == 0.0)
 
 
 def test_grad_lstm_cell_reads_leading_rows_of_wider_extra():
@@ -415,11 +398,10 @@ def test_grad_lstm_recurrence_of_a_context_lstm(steps):
 
 @pytest.mark.parametrize("steps", [SHRINKING, GROWING, REVERSED, REVERSED_GROWING],
                          ids=["shrinking", "growing", "reversed", "reversed-growing"])
-@pytest.mark.parametrize("kind", ["attend", "attend-state"])
+@pytest.mark.parametrize("kind", ["attend"])
 def test_grad_lstm_recurrence_with_a_per_step_query(steps, kind):
-    """Attention's per-step query h_prev @ U_a, over each step pattern and
-    from the zero or a given state: the query's gradient reaches the rows of
-    the previous step, or of the state, that it read."""
+    """Attention's per-step query h_prev @ U_a, over each step pattern: the
+    query's gradient reaches the rows of the previous step that it read."""
     _check_op(lambda t, v: _recurrence(t, v, steps, kind),
               _recurrence_inputs(np.random.default_rng(38), kind))
 

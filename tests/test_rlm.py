@@ -7,7 +7,7 @@ import support
 from ctxlm import fusion, numeric as nm, rlm
 from ctxlm.corpus import ContextWindow, Sentence, Vocabulary
 from ctxlm.numeric import Tape, Variable
-from ctxlm.rlm import LstmState, lstm_step
+from ctxlm.rlm import lstm_step
 
 
 def init_rlm_parameters(vocab_size, d_emb, d_h, rng, dtype):
@@ -27,62 +27,66 @@ def rand_params(vocab_size=6, d_emb=3, d_h=4, seed=3):
     return init_rlm_parameters(vocab_size, d_emb, d_h, rng, np.float64)
 
 
-def row(*vals):
-    return Variable(np.array([list(vals)], dtype=np.float64))
-
-
-def zero_state(d_h):
-    return LstmState(Variable(np.zeros((1, d_h))), Variable(np.zeros((1, d_h))))
+def one_row(x):
+    """A single input row run as one step."""
+    return Variable(np.array([x], dtype=np.float64)), np.array([0, 1])
 
 
 def test_lstm_step_zero_parameters():
     params = zero_params()
-    state = zero_state(2)
-    out = lstm_step(row(1.0, -2.0, 0.5), state, params)
-    assert np.all(out.h.value == 0.0)
-    assert np.all(out.c.value == 0.0)
+    out = lstm_step(None, params, *one_row([1.0, -2.0, 0.5]), "")
+    assert out.shape == (1, 2) and np.all(out.value == 0.0)
 
 
 def test_lstm_step_scalar_hand_formula():
+    """Two steps of one row from the zero state, so the second reads the
+    first's h through U and its c through the forget gate."""
     params = zero_params(d_emb=1, d_h=1)
     w = {"W_i": 0.5, "U_i": -0.3, "b_i": 0.1, "W_o": 0.2, "U_o": 0.4, "b_o": -0.2,
          "W_f": -0.7, "U_f": 0.6, "b_f": 0.3, "W_c": 1.1, "U_c": -0.9, "b_c": 0.05}
     for name, val in w.items():
         params[name].value[...] = val
-    x, h0, c0 = 0.7, -0.2, 0.4
-    state = LstmState(row(h0), row(c0))
-    out = lstm_step(row(x), state, params)
+    xs = (0.7, -1.3)
+    out = lstm_step(None, params, Variable(np.array([[x] for x in xs])), np.array([0, 1, 2]), "")
 
     sig = lambda z: 1.0 / (1.0 + math.exp(-z))
-    i = sig(w["W_i"] * x + w["U_i"] * h0 + w["b_i"])
-    o = sig(w["W_o"] * x + w["U_o"] * h0 + w["b_o"])
-    f = sig(w["W_f"] * x + w["U_f"] * h0 + w["b_f"])
-    c1 = f * c0 + i * math.tanh(w["W_c"] * x + w["U_c"] * h0 + w["b_c"])
-    h1 = o * math.tanh(c1)
-    assert out.c.value[0, 0] == pytest.approx(c1, abs=1e-12)
-    assert out.h.value[0, 0] == pytest.approx(h1, abs=1e-12)
+    h, c = 0.0, 0.0
+    for t, x in enumerate(xs):
+        i = sig(w["W_i"] * x + w["U_i"] * h + w["b_i"])
+        o = sig(w["W_o"] * x + w["U_o"] * h + w["b_o"])
+        f = sig(w["W_f"] * x + w["U_f"] * h + w["b_f"])
+        c = f * c + i * math.tanh(w["W_c"] * x + w["U_c"] * h + w["b_c"])
+        h = o * math.tanh(c)
+        assert out.value[t, 0] == pytest.approx(h, abs=1e-12)
 
 
 def test_lstm_step_saturated_gates_retain_memory():
-    params = rand_params(d_emb=3, d_h=4)
-    params["b_f"].value[...] = 20.0
-    params["b_i"].value[...] = -20.0
-    c0 = np.array([[0.3, -0.8, 0.1, 0.5]])
-    state = LstmState(Variable(np.zeros((1, 4))), Variable(c0.copy()))
-    out = lstm_step(row(0.2, -0.1, 0.4), state, params)
-    assert np.max(np.abs(out.c.value - c0)) < 1e-8
+    """The first step's input opens the input gate and closes the forget gate,
+    the second's does the reverse, and the output gate is open: the second
+    step keeps the first step's cell, so both give the same h."""
+    params = rand_params(d_emb=2, d_h=4)
+    for g in "ifo":
+        params[f"U_{g}"].value[...] = 0.0
+        params[f"b_{g}"].value[...] = 0.0
+    params["W_i"].value[...] = [[40.0], [-40.0]]
+    params["W_f"].value[...] = [[-40.0], [40.0]]
+    params["W_o"].value[...] = 0.0
+    params["b_o"].value[...] = 40.0
+    x = Variable(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    h = lstm_step(None, params, x, np.array([0, 1, 2]), "").value
+    assert np.min(np.abs(h[0])) > 1e-3
+    assert np.max(np.abs(h[1] - h[0])) < 1e-8
 
 
 def test_lstm_step_gradients_match_finite_differences():
-    """A taped step from a nonzero state gives every gate weight, U and b
-    included, its gradient of sum(h) + sum(c)."""
+    """A taped layer of three steps (2, 2 and 1 rows) from the zero state gives
+    every gate weight, U and b included, its gradient of sum(H)."""
     params = rand_params(d_emb=3, d_h=4)
-    rng = np.random.Generator(np.random.PCG64(8))
-    x, h0, c0 = (rng.standard_normal((2, d)) for d in (3, 4, 4))
+    x = np.random.Generator(np.random.PCG64(8)).standard_normal((5, 3))
+    bounds = np.array([0, 2, 4, 5])
 
     def objective(tape):
-        out = lstm_step(Variable(x), LstmState(Variable(h0), Variable(c0)), params, tape)
-        return nm.sum_all(tape, nm.add(tape, out.h, out.c))
+        return nm.sum_all(tape, lstm_step(tape, params, Variable(x), bounds, ""))
 
     tape = Tape()
     tape.backward(objective(tape))
@@ -105,9 +109,8 @@ def test_lstm_step_gradients_match_finite_differences():
 
 def test_lstm_step_shape_mismatch():
     params = zero_params(d_emb=3, d_h=2)
-    state = zero_state(2)
     with pytest.raises(ValueError):
-        lstm_step(row(1.0, 2.0), state, params)  # d_emb is 3
+        lstm_step(None, params, *one_row([1.0, 2.0]), "")  # d_emb is 3
 
 
 def vocab_of(size):
