@@ -263,20 +263,9 @@ def _live_runs(live: np.ndarray) -> list[list[int]]:
     return edges.reshape(-1, 2).tolist()
 
 
-def _block_rows(shape) -> int:
-    """Rows (leading-axis entries) in one block of about ADADELTA_BLOCK elements."""
-    return max(1, ADADELTA_BLOCK // max(math.prod(shape[1:]), 1))
-
-
 def _adadelta_dense(param, grad, sq_grad, sq_delta, rho, eps) -> None:
-    rows = param.shape[0] if param.ndim else 1
-    step = _block_rows(param.shape)
-    if step >= rows:
-        scratch = np.empty((2,) + param.shape, param.dtype)
-        # [i, ...] keeps a 0-d parameter's scratch an array, not a scalar
-        _adadelta_block(param, grad, sq_grad, sq_delta, rho, eps,
-                        scratch[0, ...], scratch[1, ...])
-        return
+    rows = len(param)
+    step = max(1, min(rows, ADADELTA_BLOCK // math.prod(param.shape[1:])))
     scratch = np.empty((2, step) + param.shape[1:], param.dtype)
     for r in range(0, rows, step):
         block = slice(r, r + step)
@@ -309,13 +298,15 @@ def clip_gradients(grads: dict[str, np.ndarray | nm.RowGrad], max_norm: float) -
     """Scale all gradients in place so their global L2 norm is at most max_norm.
     Non-positive max_norm disables clipping. Returns the pre-clip norm, which is
     NaN or inf (and the gradients are left unscaled) when any gradient is
-    non-finite or the sum of squares overflows. The squared norms of the
-    arrays are added from left to right. A row-form gradient gives its dense
-    array's squared norm, bit for bit, and only its values are scaled."""
+    non-finite or the sum of squares overflows. Each gradient's rows
+    (leading-axis entries) are squared and summed row by row, and those sums,
+    gradient after gradient, are added from left to right in float64. A
+    row-form gradient's values are read as a dense array is: the rows it
+    lacks would only add exact zeros, so it gives its dense array's norm bit
+    for bit, and only its values are scaled."""
     with np.errstate(over="ignore"):
         norm = math.sqrt(nm.fold_sum(
-            _row_sum_of_squares(g) if type(g) is nm.RowGrad else _sum_of_squares(g)
-            for g in grads.values()))
+            np.concatenate([_row_sums_of_squares(g) for g in grads.values()]).tolist()))
     if 0.0 < max_norm < norm < math.inf:
         factor = max_norm / norm
         for g in grads.values():
@@ -324,43 +315,11 @@ def clip_gradients(grads: dict[str, np.ndarray | nm.RowGrad], max_norm: float) -
     return norm
 
 
-def _sum_of_squares(g: np.ndarray) -> float:
-    """Sum of g's squared entries, through blocks of whole rows (leading-axis
-    slices) of about ADADELTA_BLOCK elements and one block-sized scratch
-    buffer, as ``adadelta_update`` works, so no gradient-sized temporary
-    exists; g may be a strided view. The block sums are added left to right."""
-    rows = g.shape[0] if g.ndim else 1
-    step = _block_rows(g.shape)
-    if step >= rows:
-        return float(np.square(g).sum())
-    scratch = np.empty((step,) + g.shape[1:], g.dtype)
-    total = 0.0
-    for r in range(0, rows, step):
-        block = g[r : r + step]
-        square = scratch[: len(block)]
-        np.multiply(block, block, out=square)
-        total += float(square.sum())
-    return total
-
-
-def _row_sum_of_squares(g: nm.RowGrad) -> float:
-    """``_sum_of_squares`` of g's dense array, bit for bit, from g's rows alone:
-    each block that holds some of them is squared into the scratch block with
-    its other rows zero and summed as there, so the sum groups the same terms;
-    a block without one would add an exact 0."""
-    rows = g.shape[0]
-    step = min(rows, _block_rows(g.shape))
-    scratch = np.empty((step,) + g.shape[1:], g.values.dtype)
-    blocks = g.rows // step
-    firsts = np.flatnonzero(np.diff(blocks, prepend=-1)).tolist()
-    total = 0.0
-    for lo, hi in zip(firsts, firsts[1:] + [len(blocks)]):
-        start = int(blocks[lo]) * step
-        square = scratch[: min(step, rows - start)]
-        square.fill(0)
-        square[g.rows[lo:hi] - start] = np.square(g.values[lo:hi])
-        total += float(square.sum())
-    return total
+def _row_sums_of_squares(g: np.ndarray | nm.RowGrad) -> np.ndarray:
+    """Per-row sums of g's squared entries, in float64; g may be a strided view."""
+    values = g.values if type(g) is nm.RowGrad else g
+    flat = values.reshape(len(values), math.prod(g.shape[1:]))
+    return np.einsum("ij,ij->i", flat, flat).astype(np.float64)
 
 
 def gradient_batch(windows: list[ContextWindow], params: dict[str, Variable],
