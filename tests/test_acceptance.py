@@ -102,7 +102,8 @@ def _decoder_cell_steps(windows, tag, params, vocab):
         fusion.batch_nll(windows, params, tag, vocab)
     # the context LSTMs are d_ctx wide
     decoder, = (c for c in calls if c["U"].shape == (d_h, 4 * d_h))
-    assert decoder["late"] is not None and decoder["state"] is None
+    # lstm_recurrence takes no initial state: every row starts from zero
+    assert decoder["late"] is not None
     return support.recurrence_steps(decoder)
 
 
