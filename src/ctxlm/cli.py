@@ -53,6 +53,8 @@ class SynthSpec:
                 raise ConfigError(f"synth {key} must be positive")
         if self.len_min > self.len_max:
             raise ConfigError("synth len_min must not exceed len_max")
+        if self.seed < 0:
+            raise ConfigError("synth seed must be non-negative")
         check_array_size("synth topic distributions", (self.topics, self.vocab), np.float64)
         check_array_size("synth sentence", (self.len_max,), np.int64)
         if not (math.isfinite(self.sharpness) and self.sharpness > 0):

@@ -4,7 +4,8 @@ Perplexity is exp(total NLL / predicted tokens) with end-of-sentence events
 counted. Tag analysis groups per-token NLLs by externally supplied tags
 (one tag per content token, none for EOS); per-tag perplexity is the
 geometric convention exp(mean NLL), with an arithmetic alternative one flag
-away. Evaluation is read-only over the model: one pass of the batch engine
+away. A perplexity beyond the float range reads inf. Evaluation is
+read-only over the model: one pass of the batch engine
 over the corpus gives both the per-sentence totals and the per-token NLLs,
 the latter as one array in corpus order, each sentence's EOS last.
 """
@@ -20,6 +21,14 @@ from .ngram import NGramTable, sentence_log_probabilities
 from .numeric import Variable, fold_sum
 
 TAG_MERGES = {"NN": "Noun", "NNS": "Noun", "VB": "Verb", "VBZ": "Verb"}
+
+
+def exp_or_inf(x: float) -> float:
+    """exp(x), or inf where it overflows the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 class TagAlignmentError(ValueError):
@@ -52,7 +61,7 @@ class EvalReport:
 
     @property
     def perplexity(self) -> float:
-        return math.exp(self.mean_nll)
+        return exp_or_inf(self.mean_nll)
 
     def csv(self) -> str:
         return ("tag,count,mean_nll,perplexity\n"
@@ -67,7 +76,7 @@ class TagRow:
 
     @property
     def perplexity(self) -> float:
-        return math.exp(self.mean_nll)
+        return exp_or_inf(self.mean_nll)
 
 
 @dataclass
@@ -82,7 +91,7 @@ class TagReport:
         for r in self.rows:
             out.append(f"{r.tag},{r.count},{r.mean_nll:.6f},{r.perplexity:.6f}")
         mean = self.tagged_total_nll / self.tagged_tokens
-        out.append(f"ALL,{self.tagged_tokens},{mean:.6f},{math.exp(mean):.6f}")
+        out.append(f"ALL,{self.tagged_tokens},{mean:.6f},{exp_or_inf(mean):.6f}")
         return "\n".join(out) + "\n"
 
 
@@ -200,7 +209,8 @@ def _tag_report(per_token: np.ndarray, annotations: list[list[list[str]]],
             tag = TAG_MERGES.get(tag, tag)
             counts[tag] = counts.get(tag, 0) + 1
             nll_sum[tag] = nll_sum.get(tag, 0.0) + value
-            ppl_sum[tag] = ppl_sum.get(tag, 0.0) + math.exp(value)
+            if average == "arithmetic":
+                ppl_sum[tag] = ppl_sum.get(tag, 0.0) + exp_or_inf(value)
             total_nll += value
             total_count += 1
         pos += len(tags) + 1  # the sentence's EOS

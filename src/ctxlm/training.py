@@ -97,8 +97,9 @@ class TrainConfig:
             self.d_emb = self.d_h
         if self.d_ctx == 0:
             self.d_ctx = self.d_h
-        if self.n < 0:
-            raise ConfigError("n must be non-negative")
+        for key in ("n", "seed"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be non-negative")
         for key in ("d_h", "d_emb", "d_ctx", "max_len", "batch_size", "max_epochs", "patience"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be positive")

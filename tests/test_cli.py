@@ -6,7 +6,7 @@ import pytest
 
 from ctxlm import evaluation, fusion, training
 from ctxlm.cli import SynthSpec, generate_synthetic, main
-from ctxlm.corpus import Vocabulary, encode_documents, load_corpus
+from ctxlm.corpus import Vocabulary, build_vocabulary, encode_documents, load_corpus
 
 
 TRAIN_TEXT = """a b c
@@ -90,6 +90,19 @@ def test_synth_rejects_non_finite_or_non_positive_sharpness(tmp_path, capsys, va
     captured = capsys.readouterr()
     assert code == 1 and "sharpness" in captured.err
     assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "synth"])
+def test_negative_seed_is_config_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["train", "--config", str(write_config(tmp_path, seed=-1)), "--out", str(out)]
+    else:
+        argv = ["synth", "--out-dir", str(out), "--docs", "2", "--seed", "-1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "seed must be non-negative" in err
+    assert not out.exists()
 
 
 def test_synth_validation():
@@ -361,6 +374,38 @@ def test_pos_ppl_alias_requires_tags(tmp_path, capsys):
     assert main(["pos-ppl", "--checkpoint", str(ckpt), "--corpus", str(corpus),
                  "--tags", str(tags)]) == 0
     assert capsys.readouterr().out.count("tag,count,mean_nll,perplexity") == 2
+
+
+def test_eval_and_pos_ppl_report_inf_beyond_the_float_range(tmp_path, capsys):
+    """An f64 RLM on a synthetic corpus whose W_out is scaled by 1e6: its mean
+    NLL runs to thousands of nats, whose exp overflows a float. Every
+    perplexity reads inf, and both commands exit 0."""
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--out-dir", str(corpus), "--topics", "2", "--vocab", "30",
+                 "--docs", "20", "--valid-docs", "2", "--test-docs", "4", "--sentences",
+                 "4", "--len-min", "3", "--len-max", "6", "--seed", "1"]) == 0
+    with open(corpus / "train.txt", encoding="utf-8") as fh:
+        vocab = build_vocabulary(load_corpus(fh), 40)
+    config = training.TrainConfig(variant="RLM", n=2, d_h=8, vocab_size=40)
+    ckpt = training._initial_checkpoint(config, fusion.parse_variant("RLM"), vocab)
+    ckpt.arrays["W_out"] *= 1e6
+    path = tmp_path / "big.ckpt"
+    training.save_checkpoint(ckpt, path)
+    test = corpus / "test.txt"
+    tags = tmp_path / "test.tags"
+    tags.write_text("".join(" ".join("NN" if i % 2 else "VB" for i in range(len(ln.split())))
+                            + "\n" for ln in test.read_text(encoding="utf-8").splitlines()),
+                    encoding="utf-8")
+    capsys.readouterr()
+    argv = ["--checkpoint", str(path), "--corpus", str(test)]
+    assert main(["eval"] + argv) == 0
+    for average in ("geometric", "arithmetic"):
+        assert main(["pos-ppl"] + argv + ["--tags", str(tags), "--average", average]) == 0
+    rows = [ln for ln in capsys.readouterr().out.splitlines() if ln and not ln.startswith("tag")]
+    assert len(rows) == 1 + 2 * 4
+    for row in rows:
+        mean_nll, ppl = row.split(",")[2:]
+        assert float(mean_nll) > 1000.0 and ppl == "inf"
 
 
 def test_eval_warns_on_high_unk_rate(tmp_path, capsys):
