@@ -285,11 +285,6 @@ def sentence_log_probabilities(sentences: list[Sentence], table: NGramTable) -> 
     return [fold_sum(islice(logs, len(ids))) for ids in token_ids]
 
 
-def sentence_log_probability(sentence: Sentence, table: NGramTable) -> float:
-    """Natural-log probability of a sentence (EOS included) with begin padding."""
-    return sentence_log_probabilities([sentence], table)[0]
-
-
 def write_arpa(table: NGramTable, vocab, stream) -> None:
     """Conventional text export: per line log10 prob, tab, tokens, tab, log10 backoff."""
     V = table.vocab_size

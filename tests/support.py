@@ -1,5 +1,6 @@
-"""Helpers that only the tests use: gradient checking, parameter counting and
-a canonical training log. The package never calls them."""
+"""Helpers that only the tests use: gradient checking, parameter counting, a
+sentence's n-gram log-probability and a canonical training log. The package
+never calls them."""
 
 import numpy as np
 
@@ -33,6 +34,14 @@ def finite_difference_gradient(f, theta: np.ndarray, eps: float = 1e-5) -> np.nd
 def parameter_count(params) -> int:
     """Number of scalars in a name->Variable parameter dict."""
     return sum(p.value.size for p in params.values())
+
+
+def sentence_log_probability(sentence, table) -> float:
+    """Natural-log probability of a sentence (EOS included) with begin padding,
+    under an n-gram table."""
+    from ctxlm.ngram import sentence_log_probabilities
+
+    return sentence_log_probabilities([sentence], table)[0]
 
 
 def format_log(log) -> str:

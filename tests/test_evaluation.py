@@ -10,7 +10,8 @@ from ctxlm.corpus import CorpusError, Document, Sentence, Vocabulary
 from ctxlm.evaluation import (EvalReport, Model, TagAlignmentError, TagReport,
                               check_alignment, corpus_perplexity,
                               load_tag_annotations, perplexity_by_tag)
-from ctxlm.ngram import count_ngrams, sentence_log_probability
+from ctxlm.ngram import count_ngrams
+from support import sentence_log_probability
 
 V = 8
 VOCAB = Vocabulary(["<unk>", "</s>"] + list("abcdef"))

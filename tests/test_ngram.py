@@ -14,7 +14,8 @@ from ctxlm.corpus import (Document, EOS_ID, Sentence, build_vocabulary, encode_d
                           load_corpus_file)
 from ctxlm.evaluation import corpus_perplexity
 from ctxlm.ngram import (BOS, NGramTable, count_ngrams, estimate_discounts,
-                         sentence_log_probabilities, sentence_log_probability, write_arpa)
+                         sentence_log_probabilities, write_arpa)
+from support import sentence_log_probability
 
 
 def doc(*sentences):
