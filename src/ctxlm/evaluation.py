@@ -23,7 +23,7 @@ from .numeric import Variable, fold_sum
 TAG_MERGES = {"NN": "Noun", "NNS": "Noun", "VB": "Verb", "VBZ": "Verb"}
 
 
-def exp_or_inf(x: float) -> float:
+def _exp_or_inf(x: float) -> float:
     """exp(x), or inf where it overflows the float range."""
     try:
         return math.exp(x)
@@ -61,7 +61,7 @@ class EvalReport:
 
     @property
     def perplexity(self) -> float:
-        return exp_or_inf(self.mean_nll)
+        return _exp_or_inf(self.mean_nll)
 
     def csv(self) -> str:
         return ("tag,count,mean_nll,perplexity\n"
@@ -76,7 +76,7 @@ class TagRow:
 
     @property
     def perplexity(self) -> float:
-        return exp_or_inf(self.mean_nll)
+        return _exp_or_inf(self.mean_nll)
 
 
 @dataclass
@@ -91,7 +91,7 @@ class TagReport:
         for r in self.rows:
             out.append(f"{r.tag},{r.count},{r.mean_nll:.6f},{r.perplexity:.6f}")
         mean = self.tagged_total_nll / self.tagged_tokens
-        out.append(f"ALL,{self.tagged_tokens},{mean:.6f},{exp_or_inf(mean):.6f}")
+        out.append(f"ALL,{self.tagged_tokens},{mean:.6f},{_exp_or_inf(mean):.6f}")
         return "\n".join(out) + "\n"
 
 
@@ -210,7 +210,7 @@ def _tag_report(per_token: np.ndarray, annotations: list[list[list[str]]],
             counts[tag] = counts.get(tag, 0) + 1
             nll_sum[tag] = nll_sum.get(tag, 0.0) + value
             if average == "arithmetic":
-                ppl_sum[tag] = ppl_sum.get(tag, 0.0) + exp_or_inf(value)
+                ppl_sum[tag] = ppl_sum.get(tag, 0.0) + _exp_or_inf(value)
             total_nll += value
             total_count += 1
         pos += len(tags) + 1  # the sentence's EOS
