@@ -73,10 +73,7 @@ class TagRow:
     tag: str
     count: int
     mean_nll: float
-
-    @property
-    def perplexity(self) -> float:
-        return _exp_or_inf(self.mean_nll)
+    perplexity: float  # exp(mean_nll), or the mean per-token perplexity
 
 
 @dataclass
@@ -217,9 +214,7 @@ def _tag_report(per_token: np.ndarray, annotations: list[list[list[str]]],
     ranked = sorted(counts, key=lambda t: (-counts[t], t))[:top_k]
     rows = []
     for tag in ranked:
-        if average == "geometric":
-            mean = nll_sum[tag] / counts[tag]
-        else:
-            mean = math.log(ppl_sum[tag] / counts[tag])  # store as log of mean per-word ppl
-        rows.append(TagRow(tag, counts[tag], mean))
+        mean = nll_sum[tag] / counts[tag]
+        ppl = _exp_or_inf(mean) if average == "geometric" else ppl_sum[tag] / counts[tag]
+        rows.append(TagRow(tag, counts[tag], mean, ppl))
     return TagReport(rows, total_count, total_nll, average)

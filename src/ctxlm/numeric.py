@@ -28,7 +28,13 @@ The fused primitives read only the leading rows of context operands wider
 than a step, and add gradient back into those rows only.
 :func:`segment_sum` adds packed rows up per sequence, and
 :func:`place_rows` puts them into another row order.
+
+Allocation: importing this module keeps freed arrays in glibc's heap
+(:func:`keep_freed_arrays`), so each batch reuses the memory the last one
+freed instead of faulting it in again.
 """
+
+import ctypes
 
 import numpy as np
 
@@ -36,6 +42,32 @@ DTYPES = {"f32": np.float32, "f64": np.float64}
 
 INIT_SCALE = 0.08  # uniform init range for all trainable parameters
 INIT_BLOCK = 1 << 14  # float64 draws per block of uniform_init
+
+
+# glibc's mallopt parameters (malloc.h), and the size below which freed
+# memory stays in the heap
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+HEAP_KEEP_BYTES = 1 << 30
+
+
+def keep_freed_arrays() -> bool:
+    """Ask libc to serve every allocation below HEAP_KEEP_BYTES from its heap
+    and to trim the heap only when more than that is free at its top, so
+    that the large arrays one batch frees (the logits, the input projection,
+    the recurrence's scratch, the gradients) are reused by the next without
+    being mapped and faulted in again. Process-wide: the heap keeps its
+    high-water mark. True if libc took both settings; False, doing nothing,
+    where libc has no ``mallopt``."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    taken = [mallopt(param, HEAP_KEEP_BYTES) for param in (M_MMAP_THRESHOLD, M_TRIM_THRESHOLD)]
+    return taken == [1, 1]
+
+
+FREED_ARRAYS_KEPT = keep_freed_arrays()
 
 
 def dtype_of(precision: str) -> np.dtype:
@@ -438,24 +470,17 @@ def lstm_recurrence(tape: Tape | None, xproj: Variable, bounds: np.ndarray, U: V
     dtype = xproj.dtype
     starts = bounds.tolist()
     steps = [slice(a, z) for a, z in zip(starts, starts[1:])][::-1 if reverse else 1]
-    # The scratch is one allocation: as separate arrays, glibc returns it to
-    # the OS after each untaped call and faults it in again at the next. dQ
-    # (attention's query gradient) and Hp, Cp (the states rows start from)
-    # start at zero; R and dpre are late fusion's gate and its pre-activation
-    # gradient, every row set.
-    widths = [0 if attend is None else attend[0].shape[1], d, d, 4 * d, d]
-    widths += [d, d] if late is not None else []
-    block = np.empty(N * sum(widths), dtype)
-    block[:N * sum(widths[:3])] = 0.0
-    dQ, Hp, Cp, act, TC, *gate = (part.reshape(N, w) for part, w in
-                                  zip(np.split(block, N * np.cumsum(widths)[:-1]), widths))
+    act, TC = np.empty((N, 4 * d), dtype), np.empty((N, d), dtype)
+    Hp, Cp = np.zeros((N, d), dtype), np.zeros((N, d), dtype)  # the states rows start from
     H, C = np.empty((N, d), dtype), np.empty((N, d), dtype)
     h_out, c_out = Variable(H), Variable(C)
     if late is not None:
         W_rc, b_r = late
-        R, dpre = gate
+        R = np.empty((N, d), dtype)
+        dpre = np.empty((N, d), dtype)  # the gate's pre-activation gradient, every row set
     if attend is not None:
         U_a, mix = attend
+        dQ = np.zeros((N, U_a.shape[1]), dtype)  # the query gradient
     # rows that read a state: all but the first step's
     first = steps[0]
     live = slice(first.stop, N) if first.start == 0 else slice(0, first.start)

@@ -206,7 +206,8 @@ class AdadeltaState:
 
     @classmethod
     def for_params(cls, params: dict[str, Variable]) -> "AdadeltaState":
-        # np.zeros maps zero pages lazily; zeros_like would write every page now
+        # np.zeros is calloc: it writes the zeros into reused heap memory now,
+        # and only memory fresh from the OS arrives as lazily mapped zero pages
         return cls(
             {k: np.zeros(v.value.shape, v.value.dtype) for k, v in params.items()},
             {k: np.zeros(v.value.shape, v.value.dtype) for k, v in params.items()},

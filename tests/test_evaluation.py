@@ -248,6 +248,24 @@ def test_arithmetic_average_is_mean_of_per_word_perplexities():
     assert report.rows[0].perplexity == pytest.approx((2.0 + 8.0) / 2, rel=1e-12)
 
 
+def test_averages_share_mean_nll_and_differ_in_perplexity():
+    model = random_model(seed=7)
+    for p in model.params.values():
+        p.value *= 10.0  # per-token NLLs far apart, so the two averages differ
+    rng = np.random.default_rng(3)
+    docs = docs_from([[tuple(rng.integers(2, V, size=rng.integers(2, 6))) for _ in range(4)]
+                      for _ in range(2)])
+    tags = [[["NN" if t % 2 else "DT" for t in s.content_ids] for s in d.sentences]
+            for d in docs]
+    geo = perplexity_by_tag(model, docs, tags, n=2, average="geometric")
+    ari = perplexity_by_tag(model, docs, tags, n=2, average="arithmetic")
+    assert [(r.tag, r.count) for r in ari.rows] == [(r.tag, r.count) for r in geo.rows]
+    for a, g in zip(ari.rows, geo.rows):
+        assert a.mean_nll == g.mean_nll
+        assert g.perplexity == math.exp(g.mean_nll)
+        assert a.perplexity > g.perplexity  # AM > GM over unequal per-token perplexities
+
+
 def test_alignment_errors_name_indices():
     model = zero_model()
     docs = docs_from([[(2, 3), (4,)]])

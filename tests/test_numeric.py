@@ -1,4 +1,8 @@
+import ctypes
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -483,3 +487,40 @@ def test_adopted_gradients_are_never_shared_between_inputs():
     tape = Tape()
     tape.backward(nm.sum_all(tape, nm.add(tape, x, x)))
     assert np.all(x.grad == 2.0)
+
+
+# In a fresh interpreter: one warm-up cycle, then the minor faults of each of
+# five cycles that allocate, fill and free a 40 MB float32 array, above
+# glibc's largest dynamic mmap threshold (32 MB).
+FAULT_SCRIPT = """
+import resource
+import numpy as np
+import ctxlm.numeric
+
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+np.ones(10_000_000, np.float32)
+counts = []
+for _ in range(5):
+    before = faults()
+    np.ones(10_000_000, np.float32)
+    counts.append(faults() - before)
+print(max(counts))
+"""
+
+
+def test_freed_arrays_are_reused_without_page_faults():
+    if getattr(ctypes.CDLL(None), "mallopt", None) is None:
+        pytest.skip("libc has no mallopt")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nm.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", FAULT_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert int(run.stdout) < 50
+
+
+def test_allocator_policy_is_skipped_without_mallopt(monkeypatch):
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    assert nm.keep_freed_arrays() is False
