@@ -4,7 +4,9 @@ Values are plain numpy arrays wrapped in :class:`Variable`. Every primitive
 takes the tape as its first argument; passing ``tape=None`` runs the forward
 computation only (no gradient bookkeeping), which is what evaluation uses.
 All arrays of one computation share a dtype: float64 for verification,
-float32 for faster training.
+float32 for faster training. Every output a primitive records must reach
+the loss: backward closures read their output's gradient unchecked, so
+``Tape.backward`` raises on an output that received none.
 
 Most primitives are single numpy operations. The exceptions are the hot
 spots of a recurrent model, with hand-written backwards:
@@ -171,7 +173,7 @@ class Tape:
 
     Each recorded entry is a closure that propagates the output gradient to
     the inputs. ``backward`` replays the closures in exact reverse order of
-    the forward pass.
+    the forward pass, and raises where an output received no gradient.
     """
 
     def __init__(self):
@@ -248,8 +250,6 @@ def matmul(tape: Tape | None, a: Variable, b: Variable) -> Variable:
     if tape is not None:
         def backprop():
             g = out.grad
-            if g is None:
-                return
             a.add_grad(g @ b.value.T)
             b.add_grad(a.value.T @ g)
         tape.record(backprop)
@@ -262,8 +262,6 @@ def add(tape: Tape | None, a: Variable, b: Variable) -> Variable:
     if tape is not None:
         def backprop():
             g = out.grad
-            if g is None:
-                return
             a.add_grad(g)
             b.grad_buffer()[...] += g
         tape.record(backprop)
@@ -277,8 +275,6 @@ def mul(tape: Tape | None, a: Variable, b: Variable) -> Variable:
     if tape is not None:
         def backprop():
             g = out.grad
-            if g is None:
-                return
             a.add_grad(g * b.value)
             b.add_grad(g * a.value)
         tape.record(backprop)
@@ -292,8 +288,6 @@ def add_bias(tape: Tape | None, x: Variable, b: Variable) -> Variable:
     if tape is not None:
         def backprop():
             g = out.grad
-            if g is None:
-                return
             x.add_grad(g)
             b.add_grad(g.reshape((-1,) + b.value.shape).sum(axis=0))
         tape.record(backprop)
@@ -306,8 +300,6 @@ def sigmoid_v(tape: Tape | None, x: Variable) -> Variable:
     if tape is not None:
         def backprop():
             g = out.grad
-            if g is None:
-                return
             x.add_grad(g * out.value * (1.0 - out.value))
         tape.record(backprop)
     return out
@@ -319,8 +311,6 @@ def tanh_v(tape: Tape | None, x: Variable) -> Variable:
     if tape is not None:
         def backprop():
             g = out.grad
-            if g is None:
-                return
             x.add_grad(g * (1.0 - out.value * out.value))
         tape.record(backprop)
     return out
@@ -336,8 +326,6 @@ def embed_rows(tape: Tape | None, table: Variable, ids: np.ndarray) -> Variable:
     if tape is not None:
         def backprop():
             g = out.grad
-            if g is None:
-                return
             # each table row's place among the distinct ids, without a sort
             place = np.zeros(len(table.value), np.intp)
             place[ids] = 1
@@ -370,8 +358,6 @@ def nll_rows(tape: Tape | None, logits: Variable, targets: np.ndarray) -> Variab
     if tape is not None:
         def backprop():
             g = out.grad
-            if g is None:
-                return
             soft = z - zmax
             soft -= lse[:, None]
             np.exp(soft, out=soft)
@@ -398,8 +384,6 @@ def masked_softmax(tape: Tape | None, scores: Variable, mask: np.ndarray) -> Var
     if tape is not None:
         def backprop():
             g = out.grad
-            if g is None:
-                return
             p = out.value
             inner = (g * p).sum(axis=1, keepdims=True)
             scores.add_grad(p * (g - inner))
@@ -415,8 +399,6 @@ def attention_mix(tape: Tape | None, alphas: Variable, annotations: Variable) ->
     if tape is not None:
         def backprop():
             g = out.grad
-            if g is None:
-                return
             alphas.add_grad(np.einsum("bd,kbd->bk", g, annots))
             annotations.add_grad_leading(np.einsum("bk,bd->kbd", alphas.value, g), axis=1)
         tape.record(backprop)
@@ -433,8 +415,6 @@ def attention_scores(tape: Tape | None, keys: Variable, query: Variable,
     if tape is not None:
         def backprop():
             g = out.grad
-            if g is None:
-                return
             gt = g.T
             de = gt[:, :, None] * v.value * (1.0 - e * e)
             keys.add_grad_leading(de, axis=1)
@@ -494,8 +474,6 @@ def lstm_recurrence(tape: Tape | None, xproj: Variable, bounds: np.ndarray, U: V
 
         def weight_grads():
             g = xproj.grad
-            if g is None:
-                return
             U.add_grad(Hp[live].T @ g[live])
             b.add_grad(g.sum(axis=0))
             if late is not None:
@@ -518,9 +496,7 @@ def lstm_recurrence(tape: Tape | None, xproj: Variable, bounds: np.ndarray, U: V
             if tape is not None:
                 def query_backprop(rows=rows, prev=prev, query=query, m=m):
                     g = query.grad
-                    if g is None:
-                        return
-                    dQ[rows] = g
+                    np.copyto(dQ[rows], g)  # raises on None, where assignment writes NaN
                     if prev is not None:  # only the first m rows read the previous step
                         h_out.grad_buffer()[prev.start:prev.start + m] += g[:m] @ U_aT
                 tape.record(query_backprop)
@@ -590,8 +566,6 @@ def stack_first(tape: Tape | None, parts: list[Variable]) -> Variable:
     if tape is not None:
         def backprop():
             g = out.grad
-            if g is None:
-                return
             for k, p in enumerate(parts):
                 p.add_grad(g[k])
         tape.record(backprop)
@@ -605,8 +579,6 @@ def concat_cols(tape: Tape | None, parts: list[Variable]) -> Variable:
         widths = [p.value.shape[-1] for p in parts]
         def backprop():
             g = out.grad
-            if g is None:
-                return
             off = 0
             for p, w in zip(parts, widths):
                 p.add_grad(g[..., off:off + w])
@@ -622,8 +594,6 @@ def blend(tape: Tape | None, gate: np.ndarray, new: Variable, old: Variable) -> 
     if tape is not None:
         def backprop():
             g = out.grad
-            if g is None:
-                return
             new.add_grad(g * gate)
             old.add_grad(g * (1.0 - gate))
         tape.record(backprop)
@@ -635,8 +605,6 @@ def reshape(tape: Tape | None, x: Variable, shape) -> Variable:
     if tape is not None:
         def backprop():
             g = out.grad
-            if g is None:
-                return
             x.add_grad(g.reshape(x.value.shape))
         tape.record(backprop)
     return out
@@ -652,8 +620,6 @@ def place_rows(tape: Tape | None, x: Variable, rows: slice, dest: np.ndarray,
     if tape is not None:
         def backprop():
             g = out.grad
-            if g is None:
-                return
             x.grad_buffer()[rows] += g[dest]
         tape.record(backprop)
     return out
@@ -665,8 +631,6 @@ def sum_all(tape: Tape | None, x: Variable) -> Variable:
     if tape is not None:
         def backprop():
             g = out.grad
-            if g is None:
-                return
             x.grad_buffer()[...] += g
         tape.record(backprop)
     return out
@@ -681,8 +645,6 @@ def segment_sum(tape: Tape | None, x: Variable, segment: np.ndarray, count: int)
     if tape is not None:
         def backprop():
             g = out.grad
-            if g is None:
-                return
             x.add_grad(g[segment])
         tape.record(backprop)
     return out
@@ -693,8 +655,6 @@ def scale(tape: Tape | None, x: Variable, s: float) -> Variable:
     if tape is not None:
         def backprop():
             g = out.grad
-            if g is None:
-                return
             x.add_grad(g * s)
         tape.record(backprop)
     return out

@@ -114,6 +114,15 @@ def test_tape_backward_requires_scalar():
         Tape().backward(Variable(np.zeros(3)))
 
 
+def test_tape_backward_raises_on_an_output_off_the_loss():
+    tape = Tape()
+    x, w = Variable(np.ones((2, 3))), Variable(np.ones((3, 4)))
+    nm.matmul(tape, x, w)  # recorded, but never reaches the loss
+    loss = nm.sum_all(tape, x)
+    with pytest.raises((TypeError, ValueError)):  # numpy's error for None @ array
+        tape.backward(loss)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("shape", [(), (0,), (7,), (3, nm.INIT_BLOCK // 2 + 5)])
 def test_uniform_init_is_the_uniform_draw_cast_bitwise(shape, dtype):
