@@ -81,14 +81,14 @@ class TagReport:
     rows: list[TagRow]            # the reported (top-k) tags
     tagged_tokens: int            # all tagged tokens, reported or not
     tagged_total_nll: float
-    average: str = "geometric"
+    tagged_perplexity: float      # of all tagged tokens, averaged as the rows are
 
     def csv(self) -> str:
         out = ["tag,count,mean_nll,perplexity"]
         for r in self.rows:
             out.append(f"{r.tag},{r.count},{r.mean_nll:.6f},{r.perplexity:.6f}")
         mean = self.tagged_total_nll / self.tagged_tokens
-        out.append(f"ALL,{self.tagged_tokens},{mean:.6f},{_exp_or_inf(mean):.6f}")
+        out.append(f"ALL,{self.tagged_tokens},{mean:.6f},{self.tagged_perplexity:.6f}")
         return "\n".join(out) + "\n"
 
 
@@ -166,7 +166,7 @@ def perplexity_by_tag(model: Model, documents: list[Document],
                       annotations: list[list[list[str]]], n: int, top_k: int = 10,
                       average: str = "geometric", batch_size: int = 64) -> TagReport:
     """Group per-token NLLs by POS tag; NN/NNS merge into Noun, VB/VBZ into Verb."""
-    _check_tag_request(documents, annotations, average)
+    _check_tag_request(documents, annotations, top_k, average)
     _, per_token = _window_nlls(model, documents, n, batch_size)
     return _tag_report(per_token, annotations, top_k, average)
 
@@ -177,14 +177,16 @@ def perplexity_with_tags(model: Model, documents: list[Document],
                          batch_size: int = 64) -> tuple[EvalReport, TagReport]:
     """``corpus_perplexity`` and ``perplexity_by_tag`` of a sentence model from
     one forward pass over the corpus."""
-    _check_tag_request(documents, annotations, average)
+    _check_tag_request(documents, annotations, top_k, average)
     nlls, per_token = _window_nlls(model, documents, n, batch_size)
     return (_corpus_report(documents, nlls),
             _tag_report(per_token, annotations, top_k, average))
 
 
 def _check_tag_request(documents: list[Document], annotations: list[list[list[str]]],
-                       average: str) -> None:
+                       top_k: int, average: str) -> None:
+    if top_k < 0:
+        raise ValueError(f"top_k must be at least 0, got {top_k}")
     if average not in ("geometric", "arithmetic"):
         raise ValueError(f"unknown averaging mode {average!r}")
     check_alignment(documents, annotations)
@@ -198,7 +200,7 @@ def _tag_report(per_token: np.ndarray, annotations: list[list[list[str]]],
     nll_sum: dict[str, float] = {}
     ppl_sum: dict[str, float] = {}
     counts: dict[str, int] = {}
-    total_nll = 0.0
+    total_nll = total_ppl = 0.0
     total_count = 0
     pos = 0
     for tags in (tags for doc in annotations for tags in doc):
@@ -207,14 +209,19 @@ def _tag_report(per_token: np.ndarray, annotations: list[list[list[str]]],
             counts[tag] = counts.get(tag, 0) + 1
             nll_sum[tag] = nll_sum.get(tag, 0.0) + value
             if average == "arithmetic":
-                ppl_sum[tag] = ppl_sum.get(tag, 0.0) + _exp_or_inf(value)
+                ppl = _exp_or_inf(value)
+                ppl_sum[tag] = ppl_sum.get(tag, 0.0) + ppl
+                total_ppl += ppl
             total_nll += value
             total_count += 1
         pos += len(tags) + 1  # the sentence's EOS
+
+    def perplexity(count: int, nll: float, ppl: float) -> float:
+        return _exp_or_inf(nll / count) if average == "geometric" else ppl / count
+
     ranked = sorted(counts, key=lambda t: (-counts[t], t))[:top_k]
-    rows = []
-    for tag in ranked:
-        mean = nll_sum[tag] / counts[tag]
-        ppl = _exp_or_inf(mean) if average == "geometric" else ppl_sum[tag] / counts[tag]
-        rows.append(TagRow(tag, counts[tag], mean, ppl))
-    return TagReport(rows, total_count, total_nll, average)
+    rows = [TagRow(tag, counts[tag], nll_sum[tag] / counts[tag],
+                   perplexity(counts[tag], nll_sum[tag], ppl_sum.get(tag, 0.0)))
+            for tag in ranked]
+    return TagReport(rows, total_count, total_nll,
+                     perplexity(total_count, total_nll, total_ppl))

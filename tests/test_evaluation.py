@@ -9,7 +9,8 @@ from ctxlm import evaluation, fusion
 from ctxlm.corpus import CorpusError, Document, Sentence, Vocabulary
 from ctxlm.evaluation import (EvalReport, Model, TagAlignmentError, TagReport,
                               check_alignment, corpus_perplexity,
-                              load_tag_annotations, perplexity_by_tag)
+                              load_tag_annotations, perplexity_by_tag,
+                              perplexity_with_tags)
 from ctxlm.ngram import count_ngrams
 from support import sentence_log_probability
 
@@ -236,16 +237,39 @@ def test_arithmetic_average_alternative():
         perplexity_by_tag(model, docs, tags, n=0, average="median")
 
 
-def test_arithmetic_average_is_mean_of_per_word_perplexities():
+def two_level_model():
+    """A model that gives word 2 probability 1/2 and word 3 probability 1/8
+    everywhere: per-token perplexities 2 and 8."""
     model = zero_model()
     probs = np.full(V, 1 / 16)
     probs[2] = 1 / 2
     probs[3] = 1 / 8
     model.params["b_out"].value[...] = np.log(probs)
+    return model
+
+
+def test_arithmetic_average_is_mean_of_per_word_perplexities():
     docs = docs_from([[(2, 3)]])
     tags = [[["A", "A"]]]
-    report = perplexity_by_tag(model, docs, tags, n=0, average="arithmetic")
+    report = perplexity_by_tag(two_level_model(), docs, tags, n=0, average="arithmetic")
     assert report.rows[0].perplexity == pytest.approx((2.0 + 8.0) / 2, rel=1e-12)
+
+
+def test_arithmetic_all_row_is_the_mean_per_token_perplexity():
+    docs = docs_from([[(2, 3)]])
+    report = perplexity_by_tag(two_level_model(), docs, [[["A", "B"]]], n=0,
+                               average="arithmetic")
+    assert [r.perplexity for r in report.rows] == pytest.approx([2.0, 8.0], rel=1e-12)
+    # the mean of exp(NLL) over both tagged tokens; exp(mean NLL) would be 4
+    assert report.tagged_perplexity == pytest.approx((2.0 + 8.0) / 2, rel=1e-12)
+    assert report.csv().splitlines()[-1] == f"ALL,2,{math.log(4.0):.6f},5.000000"
+
+
+@pytest.mark.parametrize("analysis", [perplexity_by_tag, perplexity_with_tags])
+def test_negative_top_k_rejected(analysis):
+    docs = docs_from([[(2, 3)]])
+    with pytest.raises(ValueError, match="top_k"):
+        analysis(zero_model(), docs, [[["NN", "VB"]]], n=0, top_k=-1)
 
 
 def test_averages_share_mean_nll_and_differ_in_perplexity():
@@ -299,7 +323,8 @@ def test_report_csv_shapes():
     lines = report.csv().strip().split("\n")
     assert lines[0] == "tag,count,mean_nll,perplexity"
     assert lines[1].startswith("ALL,10,")
-    tag_report = TagReport([], tagged_tokens=4, tagged_total_nll=4 * math.log(2.0))
+    tag_report = TagReport([], tagged_tokens=4, tagged_total_nll=4 * math.log(2.0),
+                           tagged_perplexity=2.0)
     body = tag_report.csv().strip().split("\n")
     assert body[-1].startswith("ALL,4,")
     assert float(body[-1].split(",")[-1]) == pytest.approx(2.0, abs=1e-6)
