@@ -5,8 +5,8 @@ takes the tape as its first argument; passing ``tape=None`` runs the forward
 computation only (no gradient bookkeeping), which is what evaluation uses.
 All arrays of one computation share a dtype: float64 for verification,
 float32 for faster training. Every output a primitive records must reach
-the loss: backward closures read their output's gradient unchecked, so
-``Tape.backward`` raises on an output that received none.
+the loss: :func:`_record` makes ``Tape.backward`` raise :class:`TapeError`,
+naming the primitive and its tape entry, on one that received no gradient.
 
 Most primitives are single numpy operations. The exceptions are the hot
 spots of a recurrent model, with hand-written backwards:
@@ -168,12 +168,16 @@ class Variable:
         return f"Variable({self.value.shape}{label})"
 
 
+class TapeError(RuntimeError):
+    """A recorded output that received no gradient: it does not reach the loss."""
+
+
 class Tape:
     """Ordered record of primitive operations for reverse-mode differentiation.
 
-    Each recorded entry is a closure that propagates the output gradient to
-    the inputs. ``backward`` replays the closures in exact reverse order of
-    the forward pass, and raises where an output received no gradient.
+    Each recorded entry is a zero-argument closure that propagates an output's
+    gradient to the inputs. ``backward`` replays the closures in exact reverse
+    order of the forward pass. Primitives record theirs through :func:`_record`.
     """
 
     def __init__(self):
@@ -191,6 +195,19 @@ class Tape:
         loss.grad_buffer()[...] = 1.0
         for fn in reversed(self._backprops):
             fn()
+
+
+def _record(tape: Tape, out: Variable, backprop) -> None:
+    """Record ``backprop(g)`` to run on ``out``'s gradient g; if ``out`` got none,
+    the recorded closure raises TapeError instead, naming its tape entry and
+    the primitive that defined ``backprop``."""
+    def run(entry=len(tape)):
+        if out.grad is None:
+            primitive = backprop.__qualname__.split(".")[0]
+            raise TapeError(f"tape entry {entry} ({primitive}): its output {out!r} received "
+                            "no gradient, so it does not reach the loss")
+        backprop(out.grad)
+    tape.record(run)
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +265,10 @@ def matmul(tape: Tape | None, a: Variable, b: Variable) -> Variable:
     """a (m,k) @ b (k,n) -> (m,n)."""
     out = Variable(a.value @ b.value)
     if tape is not None:
-        def backprop():
-            g = out.grad
+        def backprop(g):
             a.add_grad(g @ b.value.T)
             b.add_grad(a.value.T @ g)
-        tape.record(backprop)
+        _record(tape, out, backprop)
     return out
 
 
@@ -260,11 +276,10 @@ def matmul(tape: Tape | None, a: Variable, b: Variable) -> Variable:
 def add(tape: Tape | None, a: Variable, b: Variable) -> Variable:
     out = Variable(a.value + b.value)
     if tape is not None:
-        def backprop():
-            g = out.grad
+        def backprop(g):
             a.add_grad(g)
             b.grad_buffer()[...] += g
-        tape.record(backprop)
+        _record(tape, out, backprop)
     return out
 
 
@@ -273,11 +288,10 @@ def mul(tape: Tape | None, a: Variable, b: Variable) -> Variable:
     """Elementwise product of same-shape arrays."""
     out = Variable(a.value * b.value)
     if tape is not None:
-        def backprop():
-            g = out.grad
+        def backprop(g):
             a.add_grad(g * b.value)
             b.add_grad(g * a.value)
-        tape.record(backprop)
+        _record(tape, out, backprop)
     return out
 
 
@@ -286,11 +300,10 @@ def add_bias(tape: Tape | None, x: Variable, b: Variable) -> Variable:
     (T,B,d) + (B,d) for one per-row vector added at every timestep."""
     out = Variable(x.value + b.value)
     if tape is not None:
-        def backprop():
-            g = out.grad
+        def backprop(g):
             x.add_grad(g)
             b.add_grad(g.reshape((-1,) + b.value.shape).sum(axis=0))
-        tape.record(backprop)
+        _record(tape, out, backprop)
     return out
 
 
@@ -298,10 +311,9 @@ def add_bias(tape: Tape | None, x: Variable, b: Variable) -> Variable:
 def sigmoid_v(tape: Tape | None, x: Variable) -> Variable:
     out = Variable(sigmoid(x.value))
     if tape is not None:
-        def backprop():
-            g = out.grad
+        def backprop(g):
             x.add_grad(g * out.value * (1.0 - out.value))
-        tape.record(backprop)
+        _record(tape, out, backprop)
     return out
 
 
@@ -309,10 +321,9 @@ def sigmoid_v(tape: Tape | None, x: Variable) -> Variable:
 def tanh_v(tape: Tape | None, x: Variable) -> Variable:
     out = Variable(np.tanh(x.value))
     if tape is not None:
-        def backprop():
-            g = out.grad
+        def backprop(g):
             x.add_grad(g * (1.0 - out.value * out.value))
-        tape.record(backprop)
+        _record(tape, out, backprop)
     return out
 
 
@@ -324,8 +335,7 @@ def embed_rows(tape: Tape | None, table: Variable, ids: np.ndarray) -> Variable:
     words) skip the scatter: each row is assigned, -0.0 keeping its sign."""
     out = Variable(table.value[ids])
     if tape is not None:
-        def backprop():
-            g = out.grad
+        def backprop(g):
             # each table row's place among the distinct ids, without a sort
             place = np.zeros(len(table.value), np.intp)
             place[ids] = 1
@@ -338,7 +348,7 @@ def embed_rows(tape: Tape | None, table: Variable, ids: np.ndarray) -> Variable:
                 values = np.zeros((len(rows),) + g.shape[1:], g.dtype)
                 np.add.at(values, place[ids], g)
             table.add_row_grad(rows, values)
-        tape.record(backprop)
+        _record(tape, out, backprop)
     return out
 
 
@@ -356,15 +366,14 @@ def nll_rows(tape: Tape | None, logits: Variable, targets: np.ndarray) -> Variab
     del work  # only zmax and lse are kept: backward rebuilds the softmax from z
     out = Variable(lse - picked)
     if tape is not None:
-        def backprop():
-            g = out.grad
+        def backprop(g):
             soft = z - zmax
             soft -= lse[:, None]
             np.exp(soft, out=soft)
             soft[rows, targets] -= 1.0
             soft *= g[:, None]
             logits.add_grad(soft)
-        tape.record(backprop)
+        _record(tape, out, backprop)
     return out
 
 
@@ -382,12 +391,11 @@ def masked_softmax(tape: Tape | None, scores: Variable, mask: np.ndarray) -> Var
     denom[denom == 0.0] = 1.0
     out = Variable(e / denom)
     if tape is not None:
-        def backprop():
-            g = out.grad
+        def backprop(g):
             p = out.value
             inner = (g * p).sum(axis=1, keepdims=True)
             scores.add_grad(p * (g - inner))
-        tape.record(backprop)
+        _record(tape, out, backprop)
     return out
 
 
@@ -397,11 +405,10 @@ def attention_mix(tape: Tape | None, alphas: Variable, annotations: Variable) ->
     annots = annotations.value[:, :alphas.shape[0]]
     out = Variable(np.einsum("bk,kbd->bd", alphas.value, annots))
     if tape is not None:
-        def backprop():
-            g = out.grad
+        def backprop(g):
             alphas.add_grad(np.einsum("bd,kbd->bk", g, annots))
             annotations.add_grad_leading(np.einsum("bk,bd->kbd", alphas.value, g), axis=1)
-        tape.record(backprop)
+        _record(tape, out, backprop)
     return out
 
 
@@ -413,22 +420,21 @@ def attention_scores(tape: Tape | None, keys: Variable, query: Variable,
     e = np.tanh(keys.value[:, :query.shape[0]] + query.value)
     out = Variable((e @ v.value).T)
     if tape is not None:
-        def backprop():
-            g = out.grad
+        def backprop(g):
             gt = g.T
             de = gt[:, :, None] * v.value * (1.0 - e * e)
             keys.add_grad_leading(de, axis=1)
             query.add_grad(de.sum(axis=0))
             v.add_grad(gt.reshape(-1) @ e.reshape(-1, e.shape[-1]))
-        tape.record(backprop)
+        _record(tape, out, backprop)
     return out
 
 
 def lstm_recurrence(tape: Tape | None, xproj: Variable, bounds: np.ndarray, U: Variable,
                     b: Variable, feed: tuple = (), late: tuple | None = None,
                     attend: tuple | None = None, reverse: bool = False):
-    """An LSTM run over a packed batch -> (H, C), the hidden and cell states of
-    every row, each (N,d).
+    """An LSTM run over a packed batch -> (H, C): every row's hidden states, a
+    (N,d) Variable, and cell states, a (N,d) array that no gradient reaches.
 
     ``xproj`` (N,4d) holds the input projection x @ W of every row, gate
     blocks in ``rlm.GATES`` order (i, o, f, c). Step s owns the rows
@@ -453,7 +459,7 @@ def lstm_recurrence(tape: Tape | None, xproj: Variable, bounds: np.ndarray, U: V
     act, TC = np.empty((N, 4 * d), dtype), np.empty((N, d), dtype)
     Hp, Cp = np.zeros((N, d), dtype), np.zeros((N, d), dtype)  # the states rows start from
     H, C = np.empty((N, d), dtype), np.empty((N, d), dtype)
-    h_out, c_out = Variable(H), Variable(C)
+    h_out = Variable(H)
     if late is not None:
         W_rc, b_r = late
         R = np.empty((N, d), dtype)
@@ -465,6 +471,7 @@ def lstm_recurrence(tape: Tape | None, xproj: Variable, bounds: np.ndarray, U: V
     first = steps[0]
     live = slice(first.stop, N) if first.start == 0 else slice(0, first.start)
     if tape is not None:
+        dC = np.zeros((N, d), dtype)  # the cell gradient each step carries back
         # contiguous transposes: faster to multiply by than strided views
         Ut = np.ascontiguousarray(U.value.T)
         if late is not None:
@@ -494,12 +501,12 @@ def lstm_recurrence(tape: Tape | None, xproj: Variable, bounds: np.ndarray, U: V
         if attend is not None:
             query = Variable(Hp[rows] @ U_a.value)
             if tape is not None:
-                def query_backprop(rows=rows, prev=prev, query=query, m=m):
-                    g = query.grad
-                    np.copyto(dQ[rows], g)  # raises on None, where assignment writes NaN
+                def query_backprop(g, rows=rows, prev=prev, m=m):
+                    dQ[rows] = g
                     if prev is not None:  # only the first m rows read the previous step
-                        h_out.grad_buffer()[prev.start:prev.start + m] += g[:m] @ U_aT
-                tape.record(query_backprop)
+                        # H's gradient: this step's closure, run just before, found it
+                        h_out.grad[prev.start:prev.start + m] += g[:m] @ U_aT
+                _record(tape, query, query_backprop)
             step_feed = mix(tape, query)
         z = act[rows]
         np.matmul(Hp[rows], U.value, out=z)
@@ -522,12 +529,12 @@ def lstm_recurrence(tape: Tape | None, xproj: Variable, bounds: np.ndarray, U: V
             np.tanh(c, out=u)
         np.multiply(o, u, out=H[rows])
         if tape is not None:
-            def backprop(rows=rows, prev=prev, m=m, step_feed=step_feed):
+            def backprop(gH, rows=rows, prev=prev, m=m, step_feed=step_feed):
                 n = rows.stop - rows.start
                 a = act[rows]
                 i, o, f, g = a[:, :d], a[:, d:2 * d], a[:, 2 * d:3 * d], a[:, 3 * d:]
-                gh, u = h_out.grad_buffer()[rows], TC[rows]
-                dc = c_out.grad_buffer()[rows]  # the gradient carried from the next step
+                gh, u = gH[rows], TC[rows]
+                dc = dC[rows]  # the gradient carried from the next step
                 if xproj.grad is None:  # every step sets all of its rows
                     xproj.grad = np.empty_like(xproj.value)
                 dz = xproj.grad[rows]  # gradient w.r.t. the activations, then z
@@ -550,13 +557,13 @@ def lstm_recurrence(tape: Tape | None, xproj: Variable, bounds: np.ndarray, U: V
                 dz[:, :3 * d] *= sig * (1.0 - sig)
                 dz[:, 3 * d:] *= 1.0 - g * g
                 if prev is not None:
-                    h_out.grad_buffer()[prev.start:prev.start + m] += dz[:m] @ Ut
-                    c_out.grad_buffer()[prev.start:prev.start + m] += dc[:m] * f[:m]
+                    gH[prev.start:prev.start + m] += dz[:m] @ Ut
+                    dC[prev.start:prev.start + m] += dc[:m] * f[:m]
                 if step_feed and late is None:
                     step_feed[0].grad_buffer()[:n] += dz
-            tape.record(backprop)
+            _record(tape, h_out, backprop)
         prev = rows
-    return h_out, c_out
+    return h_out, C
 
 
 # no engine use; kept because bench/tracing.py wraps numeric.stack_first by name
@@ -564,11 +571,10 @@ def stack_first(tape: Tape | None, parts: list[Variable]) -> Variable:
     """Stack (B,D) parts into (K,B,D)."""
     out = Variable(np.stack([p.value for p in parts]))
     if tape is not None:
-        def backprop():
-            g = out.grad
+        def backprop(g):
             for k, p in enumerate(parts):
                 p.add_grad(g[k])
-        tape.record(backprop)
+        _record(tape, out, backprop)
     return out
 
 
@@ -577,13 +583,12 @@ def concat_cols(tape: Tape | None, parts: list[Variable]) -> Variable:
     out = Variable(np.concatenate([p.value for p in parts], axis=-1))
     if tape is not None:
         widths = [p.value.shape[-1] for p in parts]
-        def backprop():
-            g = out.grad
+        def backprop(g):
             off = 0
             for p, w in zip(parts, widths):
                 p.add_grad(g[..., off:off + w])
                 off += w
-        tape.record(backprop)
+        _record(tape, out, backprop)
     return out
 
 
@@ -592,21 +597,19 @@ def blend(tape: Tape | None, gate: np.ndarray, new: Variable, old: Variable) -> 
     """gate*new + (1-gate)*old with a constant 0/1 gate column (B,1)."""
     out = Variable(gate * new.value + (1.0 - gate) * old.value)
     if tape is not None:
-        def backprop():
-            g = out.grad
+        def backprop(g):
             new.add_grad(g * gate)
             old.add_grad(g * (1.0 - gate))
-        tape.record(backprop)
+        _record(tape, out, backprop)
     return out
 
 
 def reshape(tape: Tape | None, x: Variable, shape) -> Variable:
     out = Variable(x.value.reshape(shape))
     if tape is not None:
-        def backprop():
-            g = out.grad
+        def backprop(g):
             x.add_grad(g.reshape(x.value.shape))
-        tape.record(backprop)
+        _record(tape, out, backprop)
     return out
 
 
@@ -618,10 +621,9 @@ def place_rows(tape: Tape | None, x: Variable, rows: slice, dest: np.ndarray,
     out[dest] = x.value[rows]
     out = Variable(out)
     if tape is not None:
-        def backprop():
-            g = out.grad
+        def backprop(g):
             x.grad_buffer()[rows] += g[dest]
-        tape.record(backprop)
+        _record(tape, out, backprop)
     return out
 
 
@@ -629,10 +631,9 @@ def sum_all(tape: Tape | None, x: Variable) -> Variable:
     """Sum of all elements."""
     out = Variable(np.asarray(x.value.sum()))
     if tape is not None:
-        def backprop():
-            g = out.grad
+        def backprop(g):
             x.grad_buffer()[...] += g
-        tape.record(backprop)
+        _record(tape, out, backprop)
     return out
 
 
@@ -643,20 +644,18 @@ def segment_sum(tape: Tape | None, x: Variable, segment: np.ndarray, count: int)
     np.add.at(total, segment, x.value)
     out = Variable(total)
     if tape is not None:
-        def backprop():
-            g = out.grad
+        def backprop(g):
             x.add_grad(g[segment])
-        tape.record(backprop)
+        _record(tape, out, backprop)
     return out
 
 
 def scale(tape: Tape | None, x: Variable, s: float) -> Variable:
     out = Variable(x.value * s)
     if tape is not None:
-        def backprop():
-            g = out.grad
+        def backprop(g):
             x.add_grad(g * s)
-        tape.record(backprop)
+        _record(tape, out, backprop)
     return out
 
 

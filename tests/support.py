@@ -54,8 +54,8 @@ def spy_recurrences(mp):
     """Patch ``numeric.lstm_recurrence`` on the pytest MonkeyPatch ``mp`` to
     record every call -> the list of records. Each is a dict of the call's
     arguments (``xproj``, its ``steps`` as row slices in step order, ``U``, ``b``, ``feed``,
-    ``late``), its outputs ``H`` and ``C``, and, with attention, every step's
-    ``queries`` and ``feeds`` (what the step's mix returned)."""
+    ``late``), its outputs ``H`` and ``C`` (the cell states, an array), and, with
+    attention, every step's ``queries`` and ``feeds`` (what the step's mix returned)."""
     from ctxlm import numeric as nm
 
     calls = []
@@ -93,7 +93,7 @@ def recurrence_steps(call) -> list[dict]:
     ``r`` and ``u`` = tanh(c + r * q)."""
     from ctxlm import numeric as nm
 
-    H, C, U = call["H"].value, call["C"].value, call["U"].value
+    H, C, U = call["H"].value, call["C"], call["U"].value
     d = U.shape[0]
     out, prev = [], None
     for t, rows in enumerate(call["steps"]):

@@ -141,6 +141,27 @@ def test_sizes_numpy_cannot_hold_are_config_errors(tmp_path, capsys, command, op
     assert not out.exists()
 
 
+def test_parameter_memory_cannot_hold_is_a_config_error(tmp_path, capsys, monkeypatch):
+    """A parameter within numpy's index range but beyond memory (numpy raises
+    MemoryError) exits 1 with one line naming it; the allocation is made to
+    fail, never requested for real."""
+    from ctxlm import numeric
+
+    uniform_init = numeric.uniform_init
+
+    def failing(rng, shape, dtype):
+        if shape == (2, 3):  # W_p's shape, and no other parameter's
+            raise MemoryError("Unable to allocate")
+        return uniform_init(rng, shape, dtype)
+
+    monkeypatch.setattr(numeric, "uniform_init", failing)
+    out = tmp_path / "m.ckpt"
+    assert main(["train", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[1:] == ["config error: parameter W_p of shape (2, 3) does not fit in memory"]
+    assert not out.exists()
+
+
 # -- train ------------------------------------------------------------------------
 
 

@@ -110,6 +110,9 @@ def test_engine_matches_oracle_partners_and_finite_differences(tag, case):
     assert np.max(np.abs(total.value - [sum(w) for w in want])) <= ORACLE_TOLERANCE
     alone = [fusion.batch_nll([w], params, tag, vocab)[0].value[0] for w in windows]
     assert np.max(np.abs(total.value - alone)) <= PARTNER_TOLERANCE
+    untaped_total, untaped_nll = fusion.batch_nll(windows, params, tag, vocab)
+    assert untaped_total.value.tobytes() == total.value.tobytes()
+    assert untaped_nll.tobytes() == token_nll.tobytes()
 
     tape.backward(nm.sum_all(tape, total))
     grads = {name: p.grad_buffer().ravel() for name, p in params.items()}

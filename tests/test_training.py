@@ -902,3 +902,20 @@ def test_adadelta_state_factory():
     opt = AdadeltaState.for_params(params)
     assert set(opt.sq_grad) == set(params)
     assert all(np.all(v == 0) for v in opt.sq_grad.values())
+
+
+def test_adadelta_state_memory_cannot_hold_is_a_config_error(monkeypatch):
+    """A MemoryError while the moments are allocated names the parameter; the
+    allocation is made to fail, never requested for real."""
+    params = {"W": nm.Variable(np.ones((2, 3))), "b": nm.Variable(np.ones(3))}
+    zeros = np.zeros
+
+    def failing(shape, dtype=float):
+        if shape == (2, 3):
+            raise MemoryError("Unable to allocate")
+        return zeros(shape, dtype)
+
+    monkeypatch.setattr(np, "zeros", failing)
+    with pytest.raises(ConfigError, match=r"^the Adadelta state of parameter W of shape "
+                                          r"\(2, 3\) does not fit in memory$"):
+        AdadeltaState.for_params(params)
