@@ -44,8 +44,15 @@ def rlm_shapes(vocab_size: int, d_emb: int, d_h: int) -> Shapes:
 
 
 def draw_parameters(shapes: Shapes, rng, dtype) -> dict[str, Variable]:
-    """One uniform draw per parameter, in the table's order."""
-    return {name: Variable(nm.uniform_init(rng, shape, dtype)) for name, shape in shapes.items()}
+    """One uniform draw per parameter, in the table's order; a MemoryError
+    names the parameter and its shape."""
+    params = {}
+    for name, shape in shapes.items():
+        try:
+            params[name] = Variable(nm.uniform_init(rng, shape, dtype))
+        except MemoryError:
+            raise MemoryError(f"parameter {name} of shape {shape}") from None
+    return params
 
 
 def gate_weights(tape: Tape | None, params: dict[str, Variable],

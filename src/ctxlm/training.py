@@ -37,7 +37,6 @@ import os
 import secrets
 import struct
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -63,17 +62,6 @@ def check_array_size(what: str, shape: tuple, dtype) -> None:
     ``dtype``: its size in bytes must fit a signed index."""
     if math.prod(shape) * np.dtype(dtype).itemsize > np.iinfo(np.intp).max:
         raise ConfigError(f"{what} of shape {shape} is too large for an array")
-
-
-@contextmanager
-def _memory_for(what: str, shape: tuple):
-    """Turn a MemoryError in the block into a ConfigError naming ``what`` and
-    ``shape``: check_array_size passes every shape numpy can index, not only
-    those that memory can hold."""
-    try:
-        yield
-    except MemoryError:
-        raise ConfigError(f"{what} of shape {shape} does not fit in memory") from None
 
 
 class CheckpointError(ValueError):
@@ -219,8 +207,13 @@ class AdadeltaState:
     @classmethod
     def for_params(cls, params: dict[str, Variable]) -> "AdadeltaState":
         def zeros(name, shape, dtype):
-            with _memory_for(f"the Adadelta state of parameter {name}", params[name].shape):
+            # check_array_size passes every shape numpy can index, not only
+            # those that memory can hold
+            try:
                 return np.zeros(shape, dtype)
+            except MemoryError:
+                raise ConfigError(f"the Adadelta state of parameter {name} of shape "
+                                  f"{params[name].shape} does not fit in memory") from None
 
         # np.zeros is calloc: it writes the zeros into reused heap memory now,
         # and only memory fresh from the OS arrives as lazily mapped zero pages
@@ -565,15 +558,15 @@ def _snapshot(config: TrainConfig, params: dict[str, Variable], vocab: Vocabular
 
 def _initial_state(config: TrainConfig, variant, vocab: Vocabulary
                    ) -> tuple[dict[str, Variable], np.random.Generator]:
-    """Parameters and the generator, as seeded: ``fusion.init_parameters``'s
-    draws, one parameter at a time, so that one memory cannot hold is named."""
+    """Parameters and the generator, as seeded."""
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    shapes = fusion.parameter_shapes(variant, len(vocab), config.d_emb, config.d_h,
-                                     config.d_ctx, config.d_a)
-    params = {}
-    for name, shape in shapes.items():
-        with _memory_for(f"parameter {name}", shape):
-            params[name] = Variable(nm.uniform_init(rng, shape, config.dtype))
+    try:
+        params = fusion.init_parameters(
+            variant, len(vocab), config.d_emb, config.d_h, config.d_ctx, config.d_a, rng,
+            config.dtype
+        )
+    except MemoryError as e:  # check_array_size passes shapes memory cannot hold
+        raise ConfigError(f"{e} does not fit in memory") from None
     return params, rng
 
 
