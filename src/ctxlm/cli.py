@@ -106,12 +106,8 @@ def cmd_train(args) -> int:
     # the checkpoint is written after the last epoch: refuse a target that cannot take it now
     if not os.path.isdir(os.path.dirname(args.out) or ".") or os.path.isdir(args.out):
         raise CorpusError(f"--out {args.out}: not a file in an existing directory")
-    try:
-        train_raw = _load_documents(config.train_path)
-        valid_raw = _load_documents(config.valid_path)
-    except OSError as e:
-        log(f"error: {e}")
-        return EXIT_DATA
+    train_raw = _load_documents(config.train_path)
+    valid_raw = _load_documents(config.valid_path)
     vocab = build_vocabulary(train_raw, config.vocab_size)
     train_docs = encode_documents(train_raw, vocab)
     valid_docs = encode_documents(valid_raw, vocab)

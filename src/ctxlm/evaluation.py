@@ -8,6 +8,9 @@ away. A perplexity beyond the float range reads inf. Evaluation is
 read-only over the model: one pass of the batch engine
 over the corpus gives both the per-sentence totals and the per-token NLLs,
 the latter as one array in corpus order, each sentence's EOS last.
+`window_nlls` is that pass over any list of context windows, and the only
+loop that scores windows without a tape: training's validation NLL is its
+per-window totals added left to right in float64, as a corpus's total is.
 """
 
 import math
@@ -16,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fusion
-from .corpus import Document, UNK_ID, Vocabulary, corpus_windows, load_corpus
+from .corpus import (ContextWindow, Document, UNK_ID, Vocabulary, corpus_windows,
+                     load_corpus)
 from .ngram import NGramTable, sentence_log_probabilities
 from .numeric import Variable, fold_sum
 
@@ -101,13 +105,13 @@ def _unk_rate(documents: list[Document]) -> float:
     return unk / total if total else 0.0
 
 
-def _window_nlls(model: Model, documents: list[Document], n: int,
-                 batch_size: int) -> tuple[list[float], np.ndarray]:
-    """Per-window NLL of every sentence, and all their per-token NLLs (EOS
-    included) concatenated, both in document order."""
+def window_nlls(model: Model, windows: list[ContextWindow],
+                batch_size: int) -> tuple[list[float], np.ndarray]:
+    """Per-window NLL of every window, and all their per-token NLLs (EOS
+    included) concatenated, both in the windows' order: the one loop that
+    scores windows without a tape, for evaluation and validation alike."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
-    windows = corpus_windows(documents, n)
     if not windows:
         raise ValueError("empty corpus")
     per_window: list[float] = []
@@ -127,14 +131,14 @@ def corpus_perplexity(model, documents: list[Document], n: int,
         raise ValueError("empty corpus")
     if isinstance(model, NGramTable):
         sentences = [s for d in documents for s in d.sentences]
-        tokens = sum(len(s.token_ids) for s in sentences)
-        total = -fold_sum(sentence_log_probabilities(sentences, model))
-        return EvalReport(tokens, total, _unk_rate(documents))
-    nlls, _ = _window_nlls(model, documents, n, batch_size)
+        return _corpus_report(documents,
+                              [-lp for lp in sentence_log_probabilities(sentences, model)])
+    nlls, _ = window_nlls(model, corpus_windows(documents, n), batch_size)
     return _corpus_report(documents, nlls)
 
 
 def _corpus_report(documents: list[Document], nlls: list[float]) -> EvalReport:
+    """The report over ``documents`` given each sentence's NLL, in corpus order."""
     tokens = sum(len(s.token_ids) for d in documents for s in d.sentences)
     return EvalReport(tokens, fold_sum(nlls), _unk_rate(documents))
 
@@ -167,7 +171,7 @@ def perplexity_by_tag(model: Model, documents: list[Document],
                       average: str = "geometric", batch_size: int = 64) -> TagReport:
     """Group per-token NLLs by POS tag; NN/NNS merge into Noun, VB/VBZ into Verb."""
     _check_tag_request(documents, annotations, top_k, average)
-    _, per_token = _window_nlls(model, documents, n, batch_size)
+    _, per_token = window_nlls(model, corpus_windows(documents, n), batch_size)
     return _tag_report(per_token, annotations, top_k, average)
 
 
@@ -178,7 +182,7 @@ def perplexity_with_tags(model: Model, documents: list[Document],
     """``corpus_perplexity`` and ``perplexity_by_tag`` of a sentence model from
     one forward pass over the corpus."""
     _check_tag_request(documents, annotations, top_k, average)
-    nlls, per_token = _window_nlls(model, documents, n, batch_size)
+    nlls, per_token = window_nlls(model, corpus_windows(documents, n), batch_size)
     return (_corpus_report(documents, nlls),
             _tag_report(per_token, annotations, top_k, average))
 

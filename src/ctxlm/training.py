@@ -3,7 +3,10 @@
 The objective is the mean per-sentence NLL over context windows (perplexity
 evaluation divides by tokens instead; both conventions are explicit in the
 code). Minibatches group windows of similar target length, and the engine
-packs each batch so it computes only real positions.
+packs each batch so it computes only real positions. An epoch's validation
+NLL is the mean per-window NLL over the length-filtered validation windows,
+scored by evaluation's loop (`evaluation.window_nlls`) and summed left to
+right in float64; `train` keeps the epoch with the lowest one.
 Everything is driven by one seeded generator, so a fixed seed in 64-bit mode
 reproduces the whole trajectory bit for bit.
 
@@ -41,7 +44,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import fusion
+from . import evaluation, fusion
 from . import numeric as nm
 from .corpus import (ContextWindow, CorpusError, Document, Vocabulary, corpus_windows,
                      filter_by_length)
@@ -352,14 +355,14 @@ def gradient_batch(windows: list[ContextWindow], params: dict[str, Variable],
     return float(loss.value), grads
 
 
-# validation goes through this name because bench/tracing.py times it
+# validation goes through this name because bench/tracing.py times it and
+# tests replace it
 def mean_window_nll(windows: list[ContextWindow], params: dict[str, Variable],
                     variant, vocab: Vocabulary, batch_size: int) -> float:
-    total = 0.0
-    for i in range(0, len(windows), batch_size):
-        nll, _ = fusion.batch_nll(windows[i : i + batch_size], params, variant, vocab)
-        total += float(nll.value.sum())
-    return total / len(windows)
+    """Mean per-window NLL: evaluation's totals, added left to right in float64."""
+    nlls, _ = evaluation.window_nlls(evaluation.Model(params, variant, vocab), windows,
+                                     batch_size)
+    return nm.fold_sum(nlls) / len(windows)
 
 
 # ---------------------------------------------------------------------------
@@ -524,30 +527,6 @@ class TrainResult:
     diverged: bool = False
 
 
-class EarlyStopper:
-    """Stop once the validation NLL has failed to improve for more than
-    `patience` consecutive epochs."""
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best = math.inf
-        self.best_epoch = 0
-        self.stale = 0
-
-    def update(self, epoch: int, value: float) -> bool:
-        if value < self.best:
-            self.best = value
-            self.best_epoch = epoch
-            self.stale = 0
-            return True
-        self.stale += 1
-        return False
-
-    @property
-    def should_stop(self) -> bool:
-        return self.stale > self.patience
-
-
 def _snapshot(config: TrainConfig, params: dict[str, Variable], vocab: Vocabulary,
               epoch: int, best: float, rng: np.random.Generator, copy: bool) -> Checkpoint:
     """The model as a checkpoint; without ``copy`` it holds the live arrays,
@@ -588,6 +567,9 @@ def _length_bucketed_batches(windows: list[ContextWindow], rng: np.random.Genera
 def train(config: TrainConfig, train_docs: list[Document], valid_docs: list[Document],
           vocab: Vocabulary, progress=None) -> TrainResult:
     """Fit the configured variant; returns the best checkpoint by validation NLL.
+    An epoch improves only on a strictly lower validation NLL than the best
+    one's, and training stops once more than ``config.patience`` epochs in a
+    row have not.
 
     On numeric divergence the last good checkpoint is returned with
     ``diverged`` set instead of raising.
@@ -603,8 +585,8 @@ def train(config: TrainConfig, train_docs: list[Document], valid_docs: list[Docu
     if not valid_windows:
         raise CorpusError("no validation windows after length filtering")
 
-    stopper = EarlyStopper(config.patience)
     best: Checkpoint | None = None    # None: the epoch-0 state, rebuilt on demand
+    stale = 0                         # epochs since the best one
     log: list[EpochRecord] = []
 
     def diverged() -> TrainResult:
@@ -638,10 +620,13 @@ def train(config: TrainConfig, train_docs: list[Document], valid_docs: list[Docu
             progress(record)
         if not math.isfinite(valid_nll):
             return diverged()
-        if stopper.update(epoch, valid_nll):
+        if best is None or valid_nll < best.best_valid_nll:
             # the last epoch's arrays never move again, so they need no copy
             best = _snapshot(config, params, vocab, epoch, valid_nll, rng,
                              copy=epoch < config.max_epochs)
-        if stopper.should_stop:
-            break
+            stale = 0
+        else:
+            stale += 1
+            if stale > config.patience:
+                break
     return TrainResult(best, log, diverged=False)

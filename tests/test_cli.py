@@ -219,9 +219,15 @@ def test_train_config_with_invalid_utf8_is_config_error(tmp_path, capsys):
     assert "invalid UTF-8" in capsys.readouterr().err
 
 
-def test_train_missing_corpus_is_data_error(tmp_path):
-    cfg = write_config(tmp_path, train_path=str(tmp_path / "missing.txt"))
+@pytest.mark.parametrize("corpus", ["missing", "directory"])
+def test_train_missing_corpus_is_data_error(tmp_path, capsys, corpus):
+    """A training corpus that is missing or is a directory exits 2 with one
+    error line, reported once."""
+    path = tmp_path / "missing.txt" if corpus == "missing" else tmp_path
+    cfg = write_config(tmp_path, train_path=str(path))
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 def test_train_empty_training_set_is_data_error(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 import oracle
 from ctxlm import evaluation, fusion
-from ctxlm.corpus import CorpusError, Document, Sentence, Vocabulary
+from ctxlm.corpus import CorpusError, Document, Sentence, Vocabulary, corpus_windows
 from ctxlm.evaluation import (EvalReport, Model, TagAlignmentError, TagReport,
                               check_alignment, corpus_perplexity,
                               load_tag_annotations, perplexity_by_tag,
@@ -124,7 +124,7 @@ def test_single_tag_equals_content_token_perplexity():
     assert row.tag == "X"
     assert row.count == sum(s.length for d in DOCS for s in d.sentences)
     # matches exp(mean NLL) over exactly the content-token positions
-    _, per_token = evaluation._window_nlls(model, DOCS, 1, 64)
+    _, per_token = evaluation.window_nlls(model, corpus_windows(DOCS, 1), 64)
     eos = np.cumsum([len(s.token_ids) for d in DOCS for s in d.sentences]) - 1
     content = np.delete(per_token, eos)
     assert row.mean_nll == pytest.approx(content.mean(), abs=1e-12)

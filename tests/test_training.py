@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 import support
-from ctxlm import fusion, training
+from ctxlm import evaluation, fusion, training
 from ctxlm import numeric as nm
-from ctxlm.corpus import CorpusError, Document, Sentence, Vocabulary
+from ctxlm.corpus import (CorpusError, Document, Sentence, Vocabulary, corpus_windows,
+                          filter_by_length)
 from ctxlm.numeric import RowGrad
-from ctxlm.training import (AdadeltaState, CheckpointError, ConfigError, EarlyStopper,
+from ctxlm.training import (AdadeltaState, CheckpointError, ConfigError,
                             TrainConfig, adadelta_update, clip_gradients,
                             config_from_mapping, format_config,
                             gradient_batch, load_checkpoint, parse_config_text,
@@ -286,38 +287,10 @@ def test_clip_gradients_nonfinite_norm_leaves_gradients_unscaled(bad):
     assert np.array_equal(grads["a"], [3.0, 4.0])
 
 
-# -- early stopping -------------------------------------------------------------
-
-
-def test_early_stopper_scenario():
-    # improves through epoch 2, worsens from epoch 3, patience 2:
-    # runs epoch 5, then stops, keeping the epoch-2 model
-    stopper = EarlyStopper(patience=2)
-    history = {1: 3.0, 2: 2.0, 3: 4.0, 4: 5.0, 5: 6.0}
-    stopped_at = None
-    for epoch, value in history.items():
-        stopper.update(epoch, value)
-        if stopper.should_stop:
-            stopped_at = epoch
-            break
-    assert stopped_at == 5
-    assert stopper.best_epoch == 2
-
-
-def test_early_stopper_requires_strict_improvement():
-    stopper = EarlyStopper(patience=1)
-    assert stopper.update(1, 2.0)
-    assert not stopper.update(2, 2.0)
-    assert not stopper.should_stop
-    assert not stopper.update(3, 2.0)
-    assert stopper.should_stop
-
-
 # -- gradient batches ------------------------------------------------------------
 
 
 def _windows():
-    from ctxlm.corpus import corpus_windows
     return corpus_windows(TRAIN_DOCS, 1)
 
 
@@ -439,6 +412,37 @@ def test_train_returns_best_checkpoint_and_stops_early():
     assert len(result.log) == 5  # epoch 5 runs, then training halts
     assert result.checkpoint.epoch == 2
     assert result.checkpoint.best_valid_nll == 2.0
+
+
+@pytest.mark.parametrize("patience", [1, 2, 3])
+def test_train_stops_after_patience_epochs_without_strict_improvement(monkeypatch, patience):
+    # an equal validation NLL is no improvement: epoch 1 stays the best, and
+    # the epoch that makes patience + 1 without one is the last
+    monkeypatch.setattr(training, "mean_window_nll",
+                        lambda windows, params, variant, vocab, batch_size: 2.0)
+    result = train(tiny_config(max_epochs=10, patience=patience), TRAIN_DOCS, VALID_DOCS,
+                   VOCAB)
+    assert [r.epoch for r in result.log] == list(range(1, patience + 3))
+    assert result.checkpoint.epoch == 1
+    assert result.checkpoint.best_valid_nll == 2.0
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_validation_nll_is_the_evaluation_loop_mean(precision):
+    """The logged validation NLL is evaluation's per-window NLLs of the length-
+    filtered validation windows under the kept parameters, added left to right
+    in float64: not a float32 or a pairwise sum of each batch, which give
+    other bits on these windows in both precisions."""
+    rng = np.random.default_rng(1)
+    valid = docs_from([[rng.integers(2, 6, rng.integers(1, 5)).tolist() for _ in range(6)]
+                       for _ in range(4)] + [[(2, 3, 4, 5, 2, 3, 4, 5, 2, 3, 4)]])
+    cfg = tiny_config(precision=precision, max_epochs=1, batch_size=16)
+    result = train(cfg, TRAIN_DOCS, valid, VOCAB)
+    windows = corpus_windows(filter_by_length(valid, cfg.max_len), cfg.n)
+    assert len(windows) == 24  # batches of 16 and 8; the 11-word sentence is filtered out
+    nlls, _ = evaluation.window_nlls(evaluation.Model.from_checkpoint(result.checkpoint),
+                                     windows, cfg.batch_size)
+    assert result.log[0].valid_nll == nm.fold_sum(nlls) / len(windows)
 
 
 def test_train_divergence_returns_last_good_checkpoint(monkeypatch):
