@@ -61,20 +61,45 @@ class SynthSpec:
             raise ConfigError("synth sharpness must be finite and positive")
 
 
+# Generator.choice's tolerance on the sum of p
+_DISTRIBUTION_TOLERANCE = math.sqrt(np.finfo(np.float64).eps)
+
+
+def _cumulative(topic: int, p: np.ndarray) -> np.ndarray:
+    """``p``'s cumulative distribution as ``Generator.choice(p=p)`` builds it,
+    after the check ``choice`` makes that ``p`` is a distribution."""
+    cdf = p.cumsum()
+    if (p < 0).any() or not abs(cdf[-1] - 1.0) <= _DISTRIBUTION_TOLERANCE:
+        raise ConfigError(f"synth topic {topic} is not a probability distribution")
+    cdf /= cdf[-1]
+    return cdf
+
+
 def generate_synthetic(spec: SynthSpec) -> dict[str, str]:
-    """Split name -> corpus file text; splits are disjoint by document."""
+    """Split name -> corpus file text; splits are disjoint by document. Each
+    sentence draws the ids ``rng.choice(vocab, length, p=topic)`` would, from
+    its topic's cumulative distribution built once."""
     rng = np.random.default_rng(spec.seed)
-    # higher sharpness concentrates each topic on fewer tokens
-    dists = rng.dirichlet(np.full(spec.vocab, 1.0 / spec.sharpness), size=spec.topics)
-    words = np.array([f"t{i}" for i in range(spec.vocab)])
+    try:
+        # higher sharpness concentrates each topic on fewer tokens
+        dists = rng.dirichlet(np.full(spec.vocab, 1.0 / spec.sharpness), size=spec.topics)
+        cdfs = [_cumulative(topic, p) for topic, p in enumerate(dists)]
+        words = [f"t{i}" for i in range(spec.vocab)]
+    except MemoryError:
+        raise ConfigError(f"synth topic distributions of shape ({spec.topics}, {spec.vocab}) "
+                          "do not fit in memory") from None
 
     def make_doc() -> str:
-        topic = int(rng.integers(spec.topics))
+        cdf = cdfs[int(rng.integers(spec.topics))]
         lines = []
         for _ in range(spec.sentences):
             length = int(rng.integers(spec.len_min, spec.len_max + 1))
-            ids = rng.choice(spec.vocab, size=length, p=dists[topic])
-            lines.append(" ".join(words[ids]))
+            try:
+                ids = cdf.searchsorted(rng.random(length), side="right")
+                lines.append(" ".join([words[i] for i in ids.tolist()]))
+            except MemoryError:
+                raise ConfigError(f"synth sentence of {length} tokens "
+                                  "does not fit in memory") from None
         return "\n".join(lines)
 
     out = {}
@@ -192,8 +217,9 @@ def cmd_ngram(args) -> int:
 def cmd_synth(args) -> int:
     spec = SynthSpec(args.topics, args.vocab, args.docs, args.valid_docs, args.test_docs,
                      args.sentences, args.len_min, args.len_max, args.sharpness, args.seed)
+    texts = generate_synthetic(spec)  # before the directory: a failed run leaves nothing
     os.makedirs(args.out_dir, exist_ok=True)
-    for split, text in generate_synthetic(spec).items():
+    for split, text in texts.items():
         path = os.path.join(args.out_dir, f"{split}.txt")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

@@ -2,7 +2,8 @@
 
 Corpus files are UTF-8 with one pre-tokenized sentence per line (tokens
 whitespace-separated) and a blank line between documents. A file with no
-blank lines is a single document.
+blank lines is a single document. A leading byte-order mark is not part of
+the text.
 """
 
 from collections import Counter
@@ -96,6 +97,8 @@ def load_corpus(stream) -> list[RawDocument]:
             data = data.decode("utf-8")
         except UnicodeDecodeError as e:
             raise CorpusError(f"invalid UTF-8 at byte {e.start}") from e
+    # dropped after decoding, so an invalid byte's offset counts from the file's start
+    data = data.removeprefix("\ufeff")
     docs: list[RawDocument] = []
     current: RawDocument = []
     for line in data.split("\n"):

@@ -1,6 +1,6 @@
 """Helpers that only the tests use: gradient checking, parameter counting, a
-sentence's n-gram log-probability and a canonical training log. The package
-never calls them."""
+sentence's n-gram log-probability, a canonical training log and the reference
+synthetic corpus generator. The package never calls them."""
 
 import numpy as np
 
@@ -42,6 +42,27 @@ def sentence_log_probability(sentence, table) -> float:
     from ctxlm.ngram import sentence_log_probabilities
 
     return sentence_log_probabilities([sentence], table)[0]
+
+
+def choice_synthetic(spec) -> dict[str, str]:
+    """``cli.generate_synthetic`` drawn the plain way, through ``rng.choice(p=...)``
+    per sentence, as earlier versions drew it: the reference that pins its draws."""
+    rng = np.random.default_rng(spec.seed)
+    dists = rng.dirichlet(np.full(spec.vocab, 1.0 / spec.sharpness), size=spec.topics)
+    words = np.array([f"t{i}" for i in range(spec.vocab)])
+
+    def make_doc() -> str:
+        topic = int(rng.integers(spec.topics))
+        lines = []
+        for _ in range(spec.sentences):
+            length = int(rng.integers(spec.len_min, spec.len_max + 1))
+            ids = rng.choice(spec.vocab, size=length, p=dists[topic])
+            lines.append(" ".join(words[ids]))
+        return "\n".join(lines)
+
+    return {split: "\n\n".join(make_doc() for _ in range(count)) + "\n"
+            for split, count in (("train", spec.train_docs), ("valid", spec.valid_docs),
+                                 ("test", spec.test_docs))}
 
 
 def format_log(log) -> str:

@@ -2,11 +2,13 @@ import math
 import re
 import struct
 
+import numpy as np
 import pytest
 
-from ctxlm import evaluation, fusion, training
+from ctxlm import cli, evaluation, fusion, training
 from ctxlm.cli import SynthSpec, generate_synthetic, main
 from ctxlm.corpus import Vocabulary, build_vocabulary, encode_documents, load_corpus
+from support import choice_synthetic
 
 
 TRAIN_TEXT = """a b c
@@ -81,6 +83,76 @@ def test_synth_sharpness_limit_concentrates_topics():
     for block in text.strip().split("\n\n"):
         types = {t for line in block.splitlines() for t in line.split()}
         assert len(types) <= 2  # near-one-hot topics make documents near-single-token
+
+
+SMALL_SYNTH = dict(topics=3, vocab=40, train_docs=12, valid_docs=3, test_docs=4,
+                   sentences=5, len_min=1, len_max=9, sharpness=5.0)
+SYNTH_EDGES = {
+    "several-topics": {},
+    "one-topic": dict(topics=1),
+    "one-word": dict(vocab=1),
+    "fixed-length": dict(len_min=6, len_max=6),
+    "flat-topics": dict(sharpness=1e-3),
+    "one-hot-topics": dict(sharpness=1e6),  # rows full of zero-probability words
+}
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**40 + 1])
+@pytest.mark.parametrize("edge", list(SYNTH_EDGES))
+def test_synth_draws_what_rng_choice_draws(edge, seed):
+    """The generator's cumulative distributions, built once per topic, draw
+    the corpus that ``rng.choice(p=...)`` per sentence drew, byte for byte."""
+    spec = SynthSpec(**{**SMALL_SYNTH, **SYNTH_EDGES[edge], "seed": seed})
+    assert generate_synthetic(spec) == choice_synthetic(spec)
+
+
+def test_synth_draws_the_ac4_corpus_rng_choice_draws():
+    spec = SynthSpec(topics=5, vocab=200, train_docs=2000, valid_docs=200,
+                     test_docs=200, sentences=10, len_min=8, len_max=12,
+                     sharpness=20.0, seed=101)
+    assert generate_synthetic(spec) == choice_synthetic(spec)
+
+
+@pytest.mark.parametrize("row", [[0.5, -0.1, 0.6], [0.5, math.nan, 0.5], [0.0, 0.0, 0.0],
+                                 [0.5, math.inf, 0.0], [0.3, 0.3, 0.3]])
+def test_synth_topic_that_is_not_a_distribution_is_refused(row):
+    """Each topic is checked once, as ``rng.choice`` checks ``p`` on every call,
+    so no draw can index past the vocabulary."""
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).choice(3, p=row)
+    with pytest.raises(training.ConfigError, match="topic 2 is not a probability distribution"):
+        cli._cumulative(2, np.array(row))
+
+
+@pytest.mark.parametrize("method, message", [
+    ("dirichlet", "synth topic distributions of shape (2, 30) do not fit in memory"),
+    ("random", "synth sentence of 4 tokens does not fit in memory"),
+])
+def test_synth_memory_cannot_hold_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                     method, message):
+    """Sizes within numpy's index range but beyond memory (numpy raises
+    MemoryError) exit 1 with one line naming what did not fit, and leave no
+    output directory; the allocation is made to fail, never requested for real."""
+    default_rng = np.random.default_rng
+
+    class Refusing:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def __getattr__(self, name):
+            if name != method:
+                return getattr(self.rng, name)
+
+            def refuse(*args, **kwargs):
+                raise MemoryError("Unable to allocate")
+            return refuse
+
+    monkeypatch.setattr(np.random, "default_rng", Refusing)
+    out = tmp_path / "out"
+    assert main(["synth", "--out-dir", str(out), "--topics", "2", "--vocab", "30",
+                 "--docs", "2", "--len-min", "4", "--len-max", "4"]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-2"])
@@ -348,6 +420,22 @@ def test_pos_ppl_runs_the_forward_pass_once(tmp_path, capsys, monkeypatch):
     expect = (evaluation.corpus_perplexity(model, docs, 1, batch_size=4).csv() + "\n" +
               evaluation.perplexity_by_tag(model, docs, annotations, 1, batch_size=4).csv())
     assert out == expect
+
+
+def test_byte_order_marks_leave_the_reports_unchanged(tmp_path, capsys):
+    """A corpus and a tag file saved with a UTF-8 byte-order mark give the
+    reports that the same files without one give."""
+    ckpt = fresh_checkpoint(tmp_path, variant="RLM-BoW-LF")
+    outputs = []
+    for mark in ("", "\ufeff"):
+        corpus = tmp_path / f"eval{len(mark)}.txt"
+        corpus.write_text(mark + "a b\nc\n\nd a c\n", encoding="utf-8")
+        tags = tmp_path / f"tags{len(mark)}.txt"
+        tags.write_text(mark + "NN VBZ\nDT\n\nNN JJ NN\n", encoding="utf-8")
+        assert main(["pos-ppl", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+                     "--tags", str(tags)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1] == outputs[0]
 
 
 def test_eval_tags_with_invalid_utf8_is_data_error(tmp_path, capsys):

@@ -40,6 +40,20 @@ def test_load_invalid_utf8_reports_offset():
         load_corpus(io.BytesIO(b"ab \xff cd"))
 
 
+def test_load_drops_a_leading_byte_order_mark():
+    text = "the cat\nsat\n\non mats\n"
+    plain = raw(text)
+    assert plain[0][0][0] == "the"
+    assert load_corpus(io.BytesIO(("\ufeff" + text).encode("utf-8"))) == plain
+    assert raw("\ufeff" + text) == plain
+
+
+def test_load_invalid_utf8_after_a_byte_order_mark_counts_the_mark():
+    """The offset counts from the file's first byte, the mark's three included."""
+    with pytest.raises(CorpusError, match="byte 6"):
+        load_corpus(io.BytesIO("\ufeff".encode("utf-8") + b"ab \xff cd"))
+
+
 def test_build_vocabulary_frequency_order():
     docs = raw("a a b\n")
     v = build_vocabulary(docs, 3)
