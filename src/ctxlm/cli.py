@@ -15,7 +15,7 @@ import numpy as np
 
 from .corpus import (CorpusError, build_vocabulary, encode_documents, load_corpus_file)
 from .evaluation import (Model, TagAlignmentError, corpus_perplexity, load_tag_annotations,
-                         perplexity_with_tags)
+                         perplexity_by_tag)
 from .ngram import count_ngrams, write_arpa
 from .training import (Checkpoint, ConfigError, check_array_size, config_from_mapping,
                        load_checkpoint, parse_config_text, save_checkpoint, train)
@@ -124,6 +124,8 @@ def cmd_train(args) -> int:
             text = fh.read()
     except UnicodeDecodeError as e:
         raise ConfigError(f"{args.config}: invalid UTF-8 at byte {e.start}") from e
+    # dropped after decoding, so an invalid byte's offset counts from the file's start
+    text = text.removeprefix("\ufeff")
     config = config_from_mapping(parse_config_text(text))
     for key in ("train_path", "valid_path"):
         if not getattr(config, key):
@@ -172,17 +174,18 @@ def cmd_eval(args) -> int:
     if args.tags:
         with open(args.tags, "rb") as fh:
             annotations = load_tag_annotations(fh)
-        # perplexity_with_tags checks the tags' alignment before any output
-        report, tag_report = perplexity_with_tags(model, docs, annotations, n,
-                                                  top_k=args.top_k, average=args.average,
-                                                  batch_size=args.batch_size)
+        # perplexity_by_tag checks the tags' alignment before any output
+        tag_report = perplexity_by_tag(model, docs, annotations, n, top_k=args.top_k,
+                                       average=args.average, batch_size=args.batch_size)
+        report = tag_report.overall
     else:
+        tag_report = None
         report = corpus_perplexity(model, docs, n, batch_size=args.batch_size)
     if report.unk_rate > 0.5:
         log(f"warning: {report.unk_rate:.1%} of tokens are unknown; "
             "vocabulary and corpus may not match")
     sys.stdout.write(report.csv())
-    if args.tags:
+    if tag_report is not None:
         sys.stdout.write("\n" + tag_report.csv())
     return EXIT_OK
 
@@ -199,12 +202,15 @@ def cmd_ngram(args) -> int:
     )
     vocab = build_vocabulary(train_raw, max_size)
     train_docs = encode_documents(train_raw, vocab)  # unfiltered: all sentences count
-    try:
-        table = count_ngrams(train_docs, args.order, len(vocab))
-    except ValueError as e:  # the padded corpus: the ids are the vocabulary's own
-        raise ConfigError(f"--order {args.order}: {e}") from None
     eval_docs = _load_documents(args.eval, vocab)
-    report = corpus_perplexity(table, eval_docs, n=0)
+    try:  # both corpora are padded with order - 1 begin-of-sentence codes per sentence
+        table = count_ngrams(train_docs, args.order, len(vocab))
+        report = corpus_perplexity(table, eval_docs, n=0)
+    except ValueError as e:  # the padded corpora: the ids are the vocabulary's own
+        raise ConfigError(f"--order {args.order}: {e}") from None
+    except MemoryError:
+        raise ConfigError(f"--order {args.order}: the corpora padded for this order "
+                          "do not fit in memory") from None
     export = open(args.export, "w", encoding="utf-8") if args.export else None  # before any output
     sys.stdout.write(report.csv())
     if export:

@@ -86,6 +86,7 @@ class TagReport:
     tagged_tokens: int            # all tagged tokens, reported or not
     tagged_total_nll: float
     tagged_perplexity: float      # of all tagged tokens, averaged as the rows are
+    overall: EvalReport           # the whole corpus, EOS included, from the same pass
 
     def csv(self) -> str:
         out = ["tag,count,mean_nll,perplexity"]
@@ -169,35 +170,20 @@ def check_alignment(documents: list[Document], annotations: list[list[list[str]]
 def perplexity_by_tag(model: Model, documents: list[Document],
                       annotations: list[list[list[str]]], n: int, top_k: int = 10,
                       average: str = "geometric", batch_size: int = 64) -> TagReport:
-    """Group per-token NLLs by POS tag; NN/NNS merge into Noun, VB/VBZ into Verb."""
-    _check_tag_request(documents, annotations, top_k, average)
-    _, per_token = window_nlls(model, corpus_windows(documents, n), batch_size)
-    return _tag_report(per_token, annotations, top_k, average)
-
-
-def perplexity_with_tags(model: Model, documents: list[Document],
-                         annotations: list[list[list[str]]], n: int, top_k: int = 10,
-                         average: str = "geometric",
-                         batch_size: int = 64) -> tuple[EvalReport, TagReport]:
-    """``corpus_perplexity`` and ``perplexity_by_tag`` of a sentence model from
-    one forward pass over the corpus."""
-    _check_tag_request(documents, annotations, top_k, average)
-    nlls, per_token = window_nlls(model, corpus_windows(documents, n), batch_size)
-    return (_corpus_report(documents, nlls),
-            _tag_report(per_token, annotations, top_k, average))
-
-
-def _check_tag_request(documents: list[Document], annotations: list[list[list[str]]],
-                       top_k: int, average: str) -> None:
+    """Group per-token NLLs by POS tag; NN/NNS merge into Noun, VB/VBZ into
+    Verb. The report carries ``corpus_perplexity``'s report too, from the same
+    forward pass over the corpus."""
     if top_k < 0:
         raise ValueError(f"top_k must be at least 0, got {top_k}")
     if average not in ("geometric", "arithmetic"):
         raise ValueError(f"unknown averaging mode {average!r}")
     check_alignment(documents, annotations)
+    nlls, per_token = window_nlls(model, corpus_windows(documents, n), batch_size)
+    return _tag_report(per_token, annotations, top_k, average, _corpus_report(documents, nlls))
 
 
 def _tag_report(per_token: np.ndarray, annotations: list[list[list[str]]],
-                top_k: int, average: str) -> TagReport:
+                top_k: int, average: str, overall: EvalReport) -> TagReport:
     """Walk the corpus-order per-token NLLs sentence by sentence, one tag per
     content token, skipping each sentence's trailing EOS."""
     nlls = per_token.tolist()
@@ -228,4 +214,4 @@ def _tag_report(per_token: np.ndarray, annotations: list[list[list[str]]],
                    perplexity(counts[tag], nll_sum[tag], ppl_sum.get(tag, 0.0)))
             for tag in ranked]
     return TagReport(rows, total_count, total_nll,
-                     perplexity(total_count, total_nll, total_ppl))
+                     perplexity(total_count, total_nll, total_ppl), overall)

@@ -1,31 +1,43 @@
-"""Conditioning the sentence LSTM on preceding-sentence context.
+"""The model: a sentence LSTM conditioned on preceding-sentence context.
 
 Every variant projects its context once per batch, q = p W_p. Early fusion
 feeds q W into the cell's input term (q added to the word input, as W is
 linear). Late fusion leaves the cell untouched and gates q into the output:
-r = sigmoid(q W_rp + c W_rc + b_r), h = o * tanh(c + r * q). Attention's p
-holds one annotation per context sentence; each step mixes their
-projections with weights queried by the previous hidden state.
+r = sigmoid(q W_rp + c W_rc + b_r), h = o * tanh(c + r * q). The context p
+is a bag of words projected by P (BoW), the last state of a context LSTM
+over the sentences' projected bags (SeqBoW), or one annotation per context
+sentence, a forward and a reverse context LSTM's states side by side; each
+decoder step then mixes the annotations' projections with additive-attention
+weights queried by the previous hidden state, which equals projecting the mix.
+:func:`parameter_shapes` is the one table of every parameter, in draw order.
 
 One engine, ``batch_nll``, evaluates every variant for training, corpus
-evaluation and tests alike; a single window is a batch of one. It works on a
-packed batch: the windows are sorted by target length, longest first (a
-stable sort), and only the N real target positions are kept, time-major.
-The windows still running at step t are then the n_t leading rows of the
-batch, so step t owns the packed rows ``bounds[t]:bounds[t+1]`` and no
-padded position is ever embedded, projected or scored. Contexts are counted
-over the batch's R distinct context words (``WindowBatch.bow_ids``), so the
-BoW product reads R rows of P, not |V|. The engine steps
-through time only in ``numeric.lstm_recurrence``: the decoder in every form
-(plain, early fusion's input term, late fusion's gate, and attention's
-per-step weights and mix, which it records between its steps) and both
-context LSTMs, whose rows ``make_batch`` packs over the real context
-sentences with the windows sorted by context count. Everything else is
+evaluation and tests alike; a single window is a batch of one. In its packed
+batch the windows are sorted by target length, longest first (a stable
+sort), and only the N real target positions are kept, time-major: step t
+owns the rows ``bounds[t]:bounds[t+1]``, those of the n_t windows still
+running, which lead, and no padded position is embedded or scored. Contexts
+are counted over the batch's R distinct context words
+(``WindowBatch.bow_ids``), so P is read through R rows, never |V|. Context
+sentences are left-padded to K positions, with a (B, K) 0/1 mask. The
+context LSTMs run over the real (position, window) pairs only, packed
+position-major with the windows sorted by context count, most first (a
+stable sort): the windows running at a position are its leading rows, a
+window joins from the zero state at its first sentence, and every window
+with a context ends at the last position. Their states are placed into the
+decoder's row order once per batch, zero at padded positions, so a window
+without context encodes to the zero vector and gets all-zero attention
+weights. A decoder step's attention query covers its n <= B leading windows.
+
+The engine steps through time only in ``numeric.lstm_recurrence``: the
+decoder in every form (plain, early fusion's input term, late fusion's
+gate, and attention's per-step weights and mix, which it records between
+its steps) and both context LSTMs, as ``rlm.lstm_step``. Everything else is
 computed once per batch, the gradients of the weights every step applies
-(U and b, late fusion's W_rc and b_r, attention's U_a) included. Per-window totals
-are segment sums of the packed NLLs, added in time order and returned in the
-caller's window order; the per-position NLLs come back in that order too,
-gathered once from the packed ones.
+(U and b, late fusion's W_rc and b_r, attention's U_a) included. Per-window
+totals are segment sums of the packed NLLs, added in time order and
+returned in the caller's window order; the per-position NLLs come back in
+that order too, gathered once from the packed ones.
 """
 
 from dataclasses import dataclass
@@ -33,12 +45,14 @@ from itertools import chain
 
 import numpy as np
 
-from . import context as ctx
 from . import numeric as nm
 from . import rlm
 # bow_vector is re-exported only because bench/tracing.py wraps fusion.bow_vector
 from .corpus import ContextWindow, Vocabulary, bow_vector  # noqa: F401
 from .numeric import Tape, Variable
+
+CTX_FWD = "cf_"
+CTX_REV = "cr_"
 
 
 @dataclass(frozen=True)
@@ -69,25 +83,24 @@ def parse_variant(tag: str) -> Variant:
         raise ValueError(f"unknown variant {tag!r}; expected one of {sorted(VARIANTS)}")
 
 
-def context_dim(variant: Variant, d_ctx: int) -> int:
-    return 2 * d_ctx if variant.context == "att" else d_ctx
-
-
 def parameter_shapes(variant: Variant, vocab_size: int, d_emb: int, d_h: int,
                      d_ctx: int, d_a: int) -> rlm.Shapes:
     """Name -> shape of every trainable parameter of one model variant, in the
     order ``init_parameters`` draws them; checkpoints are checked against it."""
-    shapes = rlm.rlm_shapes(vocab_size, d_emb, d_h)
+    # E's extra row is the begin-of-sentence input
+    shapes = {"E": (vocab_size + 1, d_emb), **rlm.lstm_shapes("", d_emb, d_h),
+              "W_out": (d_h, vocab_size), "b_out": (vocab_size,)}
     if variant.context is None:
         return shapes
-    if variant.context == "bow":
-        shapes.update(ctx.bow_shapes(vocab_size, d_ctx))
-    else:
-        shapes.update(ctx.seqbow_shapes(vocab_size, d_ctx, variant.context == "att"))
+    shapes["P"] = (vocab_size, d_ctx)
+    if variant.context != "bow":
+        shapes.update(rlm.lstm_shapes(CTX_FWD, d_ctx, d_ctx))
+    d_p = d_ctx       # the width of the context p
     if variant.context == "att":
-        shapes.update(ctx.attention_shapes(2 * d_ctx, d_h, d_a))
-    d_target = d_emb if variant.fusion == "early" else d_h
-    shapes["W_p"] = (context_dim(variant, d_ctx), d_target)
+        shapes.update(rlm.lstm_shapes(CTX_REV, d_ctx, d_ctx))
+        d_p = 2 * d_ctx
+        shapes.update(W_a=(d_p, d_a), U_a=(d_h, d_a), v_a=(d_a,))
+    shapes["W_p"] = (d_p, d_emb if variant.fusion == "early" else d_h)
     if variant.fusion == "late":
         shapes.update(W_rp=(d_h, d_h), W_rc=(d_h, d_h), b_r=(d_h,))
     return shapes
@@ -181,6 +194,63 @@ def make_batch(windows: list[ContextWindow], vocab: Vocabulary, variant: Variant
                        bow_ids, bow_sum, bow_seq, ctx_mask, ctx_bounds, ctx_slot)
 
 
+# ---------------------------------------------------------------------------
+# context encoders
+# ---------------------------------------------------------------------------
+
+
+def project(tape: Tape | None, x: Variable, weight: Variable) -> Variable:
+    """A context summary (B, D) or annotations (K, B, D) times weight (D, E) ->
+    (B, E) or (K, B, E), one product either way."""
+    if x.value.ndim == 2:
+        return nm.matmul(tape, x, weight)
+    K, B, D = x.shape
+    flat = nm.reshape(tape, x, (K * B, D))
+    return nm.reshape(tape, nm.matmul(tape, flat, weight), (K, B, -1))
+
+
+def project_counts(tape: Tape | None, params: dict[str, Variable], counts: np.ndarray,
+                   ids: np.ndarray) -> Variable:
+    """Count rows (N, R) over the sorted distinct words ``ids`` (R,) projected
+    by P -> (N, d_ctx): p = P s, one product with the R rows of P that ``ids``
+    gathers. For BoW, one row per window holding all its context words. P's
+    gradient is row-form over ``ids``, from ``numeric.embed_rows``; the counts'
+    own (N, R) gradient is formed and dropped."""
+    return nm.matmul(tape, Variable(counts), nm.embed_rows(tape, params["P"], ids))
+
+
+def seqbow_summary(tape: Tape | None, params: dict[str, Variable], batch: WindowBatch) -> Variable:
+    """The forward context LSTM's last hidden state (B, d_ctx), in the
+    decoder's row order, over a batch's per-sentence counts."""
+    x = project_counts(tape, params, batch.bow_seq, batch.bow_ids)
+    last = slice(*batch.ctx_bounds[-2:])  # the last position's rows
+    B, K = batch.ctx_mask.shape
+    return nm.place_rows(tape, rlm.lstm_step(tape, params, x, batch.ctx_bounds, CTX_FWD), last,
+                         batch.ctx_slot[last] - (K - 1) * B, B)
+
+
+def annotate(tape: Tape | None, params: dict[str, Variable], batch: WindowBatch) -> Variable:
+    """Forward and reverse context-LSTM states side by side, placed at their
+    positions and windows: (K, B, 2*d_ctx), zero at padded positions."""
+    x = project_counts(tape, params, batch.bow_seq, batch.bow_ids)
+    fwd = rlm.lstm_step(tape, params, x, batch.ctx_bounds, CTX_FWD)
+    rev = rlm.lstm_step(tape, params, x, batch.ctx_bounds, CTX_REV, reverse=True)
+    B, K = batch.ctx_mask.shape
+    both = nm.place_rows(tape, nm.concat_cols(tape, [fwd, rev]), slice(None), batch.ctx_slot,
+                         K * B)
+    return nm.reshape(tape, both, (K, B, -1))
+
+
+def attend(tape: Tape | None, params: dict[str, Variable], keys: Variable,
+           query: Variable, mask: np.ndarray) -> Variable:
+    """Additive attention weights: score_k = v_a . tanh(W_a z_k + U_a h), softmax
+    over the unmasked positions -> alphas (n, K), for the query U_a h (n, d_a)
+    the decoder's recurrence projects, with mask rows (n, K). ``keys``
+    (K, B, d_a) holds every W_a z_k, from :func:`project`."""
+    scores = nm.attention_scores(tape, keys, query, params["v_a"])
+    return nm.masked_softmax(tape, scores, mask)
+
+
 def batch_nll(windows: list[ContextWindow], params: dict[str, Variable], variant: Variant | str,
               vocab: Vocabulary, tape: Tape | None = None) -> tuple[Variable, np.ndarray]:
     """NLL of a batch of windows -> (total, token_nll). ``total`` is the (B,)
@@ -203,32 +273,32 @@ def batch_nll(windows: list[ContextWindow], params: dict[str, Variable], variant
     p = None          # context: a summary (B,D), or attention's annotations (K,B,D)
     annots = None
     if variant.context == "bow":
-        p = ctx.project_counts(tape, params, batch.bow_sum, batch.bow_ids)
+        p = project_counts(tape, params, batch.bow_sum, batch.bow_ids)
     elif variant.context in ("seqbow", "att") and batch.bow_seq.shape[0] == 0:
-        p = nm.zeros((B, context_dim(variant, params["P"].shape[1])), dtype)
+        p = nm.zeros((B, params["W_p"].shape[0]), dtype)
     elif variant.context == "seqbow":
-        p = ctx.seqbow_summary(tape, params, batch)
+        p = seqbow_summary(tape, params, batch)
     elif variant.context == "att":
-        p = annots = ctx.annotate(tape, params, batch)
-        keys = ctx.project(tape, annots, params["W_a"])
+        p = annots = annotate(tape, params, batch)
+        keys = project(tape, annots, params["W_a"])
     feed = ()         # the decoder's context: (q W,) for early fusion, (q, q W_rp) for late
     if variant.fusion == "late":
-        q = ctx.project(tape, p, params["W_p"])
-        feed = (q, ctx.project(tape, q, params["W_rp"]))
+        q = project(tape, p, params["W_p"])
+        feed = (q, project(tape, q, params["W_rp"]))
     W, U, b = rlm.gate_weights(tape, params, "")
     if variant.fusion == "early":
-        feed = (ctx.project(tape, ctx.project(tape, p, params["W_p"]), W),)
+        feed = (project(tape, project(tape, p, params["W_p"]), W),)
 
     x = nm.embed_rows(tape, params["E"], batch.inputs)
     xproj = nm.matmul(tape, x, W)
     late = (params["W_rc"], params["b_r"]) if variant.fusion == "late" else None
-    attend = None
+    attention = None
     if annots is not None:
         def mix(tape, query):  # this step's weights mix the projected annotations
-            alphas = ctx.attend(tape, params, keys, query, batch.ctx_mask[:query.shape[0]])
+            alphas = attend(tape, params, keys, query, batch.ctx_mask[:query.shape[0]])
             return tuple(nm.attention_mix(tape, alphas, f) for f in feed)
-        attend = (params["U_a"], mix)
-    hidden, _ = nm.lstm_recurrence(tape, xproj, batch.bounds, U, b, feed, late, attend)
+        attention = (params["U_a"], mix)
+    hidden, _ = nm.lstm_recurrence(tape, xproj, batch.bounds, U, b, feed, late, attention)
     logits = nm.add_bias(tape, nm.matmul(tape, hidden, params["W_out"]), params["b_out"])
     nll = nm.nll_rows(tape, logits, batch.targets)
     total = nm.segment_sum(tape, nll, batch.window, B)

@@ -296,8 +296,8 @@ def mul(tape: Tape | None, a: Variable, b: Variable) -> Variable:
 
 
 def add_bias(tape: Tape | None, x: Variable, b: Variable) -> Variable:
-    """x (..., *b.shape) + b, broadcast over the leading axes: (B,d) + (d,), or
-    (T,B,d) + (B,d) for one per-row vector added at every timestep."""
+    """x (..., *b.shape) + b, broadcast over the leading axes; the engine adds
+    the output bias to every packed position's logits, (N,|V|) + (|V|,)."""
     out = Variable(x.value + b.value)
     if tape is not None:
         def backprop(g):

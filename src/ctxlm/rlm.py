@@ -1,20 +1,19 @@
-"""Sentence-level LSTM language model: embeddings, one LSTM layer, softmax output.
+"""Sentence-level LSTM layers: the gate-weight layout and one packed layer.
 
-This module holds the model's parameter shapes and its gate-weight layout;
-the sentence NLL of every variant, this unconditioned one included, is
-computed by the batch engine, ``fusion.batch_nll``. Parameters live in an
-ordered name->Variable dict, drawn by :func:`draw_parameters` in the order
-of a name->shape table; the same table checks a checkpoint's arrays. Weight storage is
-row-batch friendly: an input-to-hidden map is stored as (d_in, d_h) so a
-batch (B, d_in) multiplies it directly. The embedding table carries one
-extra row used as the begin-of-sentence input for the first prediction.
+The sentence NLL of every variant, the unconditioned one included, is
+computed by the batch engine, ``fusion.batch_nll``, and every parameter's
+name and shape is in one table, ``fusion.parameter_shapes``. Parameters
+live in an ordered name->Variable dict, drawn by :func:`draw_parameters` in
+the order of such a table. Weight storage is row-batch friendly: an
+input-to-hidden map is stored as (d_in, d_h) so a batch (B, d_in)
+multiplies it directly.
 
 Gate weights are stored per gate (``W_i``, ``U_o``, ``b_f``, ...), which is
-the checkpoint layout. A computation concatenates them in ``GATES`` order
-once (:func:`gate_weights`), so one product serves all four gates and the
-gradients split back per gate; every LSTM, the decoder and both context
-LSTMs, runs through ``numeric.lstm_recurrence``, the context LSTMs as the
-layer :func:`lstm_step`.
+the checkpoint layout (:func:`lstm_shapes`). A computation concatenates them
+in ``GATES`` order once (:func:`gate_weights`), so one product serves all
+four gates and the gradients split back per gate; every LSTM, the decoder
+and both context LSTMs, runs through ``numeric.lstm_recurrence``, the
+context LSTMs as the layer :func:`lstm_step`.
 """
 
 import numpy as np
@@ -35,12 +34,6 @@ def lstm_shapes(prefix: str, d_in: int, d_h: int) -> Shapes:
         shapes[f"{prefix}U_{g}"] = (d_h, d_h)
         shapes[f"{prefix}b_{g}"] = (d_h,)
     return shapes
-
-
-def rlm_shapes(vocab_size: int, d_emb: int, d_h: int) -> Shapes:
-    """Embedding (+1 row for begin-of-sentence), LSTM gates, output affine."""
-    return {"E": (vocab_size + 1, d_emb), **lstm_shapes("", d_emb, d_h),
-            "W_out": (d_h, vocab_size), "b_out": (vocab_size,)}
 
 
 def draw_parameters(shapes: Shapes, rng, dtype) -> dict[str, Variable]:

@@ -15,7 +15,6 @@ import pytest
 
 import oracle
 import support
-from ctxlm import context as ctx
 from ctxlm import fusion, numeric as nm, rlm
 from ctxlm.cli import SynthSpec, generate_synthetic
 from ctxlm.corpus import (ContextWindow, Document, Sentence, Vocabulary,
@@ -249,17 +248,17 @@ def test_ac4_directional_larger_context_benefit():
 
 
 def test_ac5_attention_sanity():
-    """The engine's attention (keys by context.project, the query h U_a, weights
-    by context.attend, the mix by numeric.attention_mix) on one batch of 1000
+    """The engine's attention (keys by fusion.project, the query h U_a, weights
+    by fusion.attend, the mix by numeric.attention_mix) on one batch of 1000
     windows with 1-5 live context positions each, left-padded to 5 with junk."""
     rng = np.random.default_rng(9)
-    params = rlm.draw_parameters(ctx.attention_shapes(annot_dim=6, d_h=4, d_a=5),
+    params = rlm.draw_parameters({"W_a": (6, 5), "U_a": (4, 5), "v_a": (5,)},
                                  np.random.Generator(np.random.PCG64(3)), np.float64)
 
     def attend(annots, h, mask):
         annots = Variable(annots)
-        keys = ctx.project(None, annots, params["W_a"])
-        alphas = ctx.attend(None, params, keys, Variable(h @ params["U_a"].value), mask)
+        keys = fusion.project(None, annots, params["W_a"])
+        alphas = fusion.attend(None, params, keys, Variable(h @ params["U_a"].value), mask)
         mixed = nm.attention_mix(None, alphas, annots)
         return mixed.value, alphas.value
 

@@ -291,6 +291,24 @@ def test_train_config_with_invalid_utf8_is_config_error(tmp_path, capsys):
     assert "invalid UTF-8" in capsys.readouterr().err
 
 
+def test_train_config_with_byte_order_mark(tmp_path, capsys):
+    """A config saved with a UTF-8 byte-order mark trains the checkpoint it
+    trains without one, byte for byte; an invalid byte after the mark is
+    reported at its offset from the file's start."""
+    cfg = write_config(tmp_path)
+    marked = tmp_path / "marked.cfg"
+    marked.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+    plain_out, marked_out = tmp_path / "plain.ckpt", tmp_path / "marked.ckpt"
+    assert main(["train", "--config", str(cfg), "--out", str(plain_out)]) == 0
+    assert main(["train", "--config", str(marked), "--out", str(marked_out)]) == 0
+    assert marked_out.read_bytes() == plain_out.read_bytes()
+    capsys.readouterr()
+    marked.write_bytes(b"\xef\xbb\xbf# \xff\n" + cfg.read_bytes())
+    assert main(["train", "--config", str(marked), "--out", str(tmp_path / "m.ckpt")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {marked}: invalid UTF-8 at byte 5"]
+
+
 @pytest.mark.parametrize("corpus", ["missing", "directory"])
 def test_train_missing_corpus_is_data_error(tmp_path, capsys, corpus):
     """A training corpus that is missing or is a directory exits 2 with one
@@ -667,6 +685,33 @@ def test_ngram_order_whose_padding_numpy_cannot_hold_is_config_error(tmp_path, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("config error: --order") and "too large for an array" in captured.err
+
+
+@pytest.mark.parametrize("order, refused", [(2**40, 1), (3, 2)])
+def test_ngram_order_whose_padding_memory_cannot_hold_is_config_error(tmp_path, capsys,
+                                                                       monkeypatch, order,
+                                                                       refused):
+    """An order whose padded training corpus (--order 2**40 passes the
+    index-range checks on a small corpus) or padded evaluation corpus does
+    not fit in memory (numpy raises MemoryError) exits 1 with one config
+    error line naming --order. The ``refused``-th padded array is made to
+    fail, so nothing huge is requested."""
+    train, _ = write_corpora(tmp_path)
+    full, calls = np.full, []
+
+    def refusing(*args, **kwargs):
+        calls.append(args[0])
+        if len(calls) == refused:
+            raise MemoryError("Unable to allocate")
+        return full(*args, **kwargs)
+
+    monkeypatch.setattr(np, "full", refusing)
+    assert main(["ngram", "--order", str(order), "--train", str(train),
+                 "--eval", str(train)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"config error: --order {order}: the corpora padded "
+                                         "for this order do not fit in memory"]
 
 
 def test_ngram_missing_corpus(tmp_path):

@@ -1,6 +1,5 @@
 import numpy as np
 
-from ctxlm import context as ctx
 from ctxlm import fusion, rlm
 from ctxlm import numeric as nm
 from ctxlm.corpus import ContextWindow, Sentence, Vocabulary, bow_vector
@@ -22,42 +21,47 @@ def batch_of(*contexts, tag="RLM-SeqBoW-ATT-LF"):
 
 def bow_params(d_ctx=3, seed=1):
     rng = np.random.Generator(np.random.PCG64(seed))
-    return rlm.draw_parameters(ctx.bow_shapes(V, d_ctx), rng, np.float64)
+    return rlm.draw_parameters({"P": (V, d_ctx)}, rng, np.float64)
 
 
 def seq_params(d_ctx=3, seed=1, bidirectional=False):
     rng = np.random.Generator(np.random.PCG64(seed))
-    return rlm.draw_parameters(ctx.seqbow_shapes(V, d_ctx, bidirectional), rng, np.float64)
+    shapes = {"P": (V, d_ctx), **rlm.lstm_shapes(fusion.CTX_FWD, d_ctx, d_ctx)}
+    if bidirectional:
+        shapes.update(rlm.lstm_shapes(fusion.CTX_REV, d_ctx, d_ctx))
+    return rlm.draw_parameters(shapes, rng, np.float64)
 
 
 def att_params(d_ctx=3, d_a=3, d_h=4, seed=1):
     rng = np.random.Generator(np.random.PCG64(seed))
-    shapes = {**ctx.seqbow_shapes(V, d_ctx, True), **ctx.attention_shapes(2 * d_ctx, d_h, d_a)}
+    shapes = {"P": (V, d_ctx), **rlm.lstm_shapes(fusion.CTX_FWD, d_ctx, d_ctx),
+              **rlm.lstm_shapes(fusion.CTX_REV, d_ctx, d_ctx),
+              "W_a": (2 * d_ctx, d_a), "U_a": (d_h, d_a), "v_a": (d_a,)}
     return rlm.draw_parameters(shapes, rng, np.float64)
 
 
 def encode_bow(params, *contexts):
     batch = batch_of(*contexts, tag="RLM-BoW-LF")
-    return ctx.project_counts(None, params, batch.bow_sum, batch.bow_ids)
+    return fusion.project_counts(None, params, batch.bow_sum, batch.bow_ids)
 
 
 def encode_seqbow(params, *contexts):
     batch = batch_of(*contexts, tag="RLM-SeqBoW-LF")
-    return ctx.seqbow_summary(None, params, batch)
+    return fusion.seqbow_summary(None, params, batch)
 
 
 def annotate(params, *contexts, tape=None):
     batch = batch_of(*contexts)
-    return ctx.annotate(tape, params, batch), batch.ctx_mask
+    return fusion.annotate(tape, params, batch), batch.ctx_mask
 
 
 def attention(params, annots, h_query, mask, tape=None):
-    """Attention as the engine runs it: keys by ctx.project, the query h U_a
-    (the decoder's recurrence forms it), weights by ctx.attend, and the
+    """Attention as the engine runs it: keys by fusion.project, the query h U_a
+    (the decoder's recurrence forms it), weights by fusion.attend, and the
     annotations mixed with those weights -> (mixed, alphas)."""
-    keys = ctx.project(tape, annots, params["W_a"])
+    keys = fusion.project(tape, annots, params["W_a"])
     query = nm.matmul(tape, h_query, params["U_a"])
-    alphas = ctx.attend(tape, params, keys, query, mask)
+    alphas = fusion.attend(tape, params, keys, query, mask)
     return nm.attention_mix(tape, alphas, annots), alphas
 
 
@@ -124,8 +128,8 @@ def test_annotate_single_sentence_halves_match_one_step_lstm():
              for g in rlm.GATES}
         return nm.sigmoid(z["o"]) * np.tanh(nm.sigmoid(z["i"]) * np.tanh(z["c"]))
 
-    assert np.allclose(annots.value[0, 0, :d_ctx], one_step(ctx.CTX_FWD), rtol=0, atol=1e-15)
-    assert np.allclose(annots.value[0, 0, d_ctx:], one_step(ctx.CTX_REV), rtol=0, atol=1e-15)
+    assert np.allclose(annots.value[0, 0, :d_ctx], one_step(fusion.CTX_FWD), rtol=0, atol=1e-15)
+    assert np.allclose(annots.value[0, 0, d_ctx:], one_step(fusion.CTX_REV), rtol=0, atol=1e-15)
 
 
 def test_annotate_zero_weights_give_zero():

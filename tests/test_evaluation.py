@@ -9,8 +9,7 @@ from ctxlm import evaluation, fusion
 from ctxlm.corpus import CorpusError, Document, Sentence, Vocabulary, corpus_windows
 from ctxlm.evaluation import (EvalReport, Model, TagAlignmentError, TagReport,
                               check_alignment, corpus_perplexity,
-                              load_tag_annotations, perplexity_by_tag,
-                              perplexity_with_tags)
+                              load_tag_annotations, perplexity_by_tag)
 from ctxlm.ngram import count_ngrams
 from support import sentence_log_probability
 
@@ -111,8 +110,6 @@ def test_empty_corpus_fails_clearly_in_every_sentence_model_evaluation():
         corpus_perplexity(model, [], n=1)
     with pytest.raises(ValueError, match="^empty corpus$"):
         perplexity_by_tag(model, [], [], n=1)
-    with pytest.raises(ValueError, match="^empty corpus$"):
-        evaluation.perplexity_with_tags(model, [], [], n=1)
 
 
 def test_single_tag_equals_content_token_perplexity():
@@ -265,11 +262,17 @@ def test_arithmetic_all_row_is_the_mean_per_token_perplexity():
     assert report.csv().splitlines()[-1] == f"ALL,2,{math.log(4.0):.6f},5.000000"
 
 
-@pytest.mark.parametrize("analysis", [perplexity_by_tag, perplexity_with_tags])
-def test_negative_top_k_rejected(analysis):
+def test_negative_top_k_rejected():
     docs = docs_from([[(2, 3)]])
     with pytest.raises(ValueError, match="top_k"):
-        analysis(zero_model(), docs, [[["NN", "VB"]]], n=0, top_k=-1)
+        perplexity_by_tag(zero_model(), docs, [[["NN", "VB"]]], n=0, top_k=-1)
+
+
+def test_tag_report_carries_the_corpus_report():
+    """The tag report's overall report is ``corpus_perplexity``'s, bit for bit."""
+    model = random_model()
+    tags = [[["X"] * s.length for s in d.sentences] for d in DOCS]
+    assert perplexity_by_tag(model, DOCS, tags, n=1).overall == corpus_perplexity(model, DOCS, n=1)
 
 
 def test_averages_share_mean_nll_and_differ_in_perplexity():
@@ -324,7 +327,7 @@ def test_report_csv_shapes():
     assert lines[0] == "tag,count,mean_nll,perplexity"
     assert lines[1].startswith("ALL,10,")
     tag_report = TagReport([], tagged_tokens=4, tagged_total_nll=4 * math.log(2.0),
-                           tagged_perplexity=2.0)
+                           tagged_perplexity=2.0, overall=report)
     body = tag_report.csv().strip().split("\n")
     assert body[-1].startswith("ALL,4,")
     assert float(body[-1].split(",")[-1]) == pytest.approx(2.0, abs=1e-6)

@@ -5,7 +5,7 @@ import pytest
 
 import oracle
 import support
-from ctxlm import context as ctx, fusion, numeric as nm, rlm
+from ctxlm import fusion, numeric as nm, rlm
 from ctxlm.corpus import ContextWindow, Sentence, Vocabulary, bow_vector
 from ctxlm.numeric import Tape
 
@@ -53,6 +53,51 @@ def test_variant_tags_are_canonical():
         "RLM", "RLM-BoW-EF", "RLM-BoW-LF", "RLM-SeqBoW-ATT-EF", "RLM-SeqBoW-ATT-LF",
         "RLM-SeqBoW-EF", "RLM-SeqBoW-LF",
     ]
+
+
+# the checkpoint layout at |V|=9, d_emb=5, d_h=4, d_ctx=3, d_a=2, spelled out
+LAYOUT_DECODER = [
+    ("E", (10, 5)),
+    ("W_i", (5, 4)), ("U_i", (4, 4)), ("b_i", (4,)),
+    ("W_o", (5, 4)), ("U_o", (4, 4)), ("b_o", (4,)),
+    ("W_f", (5, 4)), ("U_f", (4, 4)), ("b_f", (4,)),
+    ("W_c", (5, 4)), ("U_c", (4, 4)), ("b_c", (4,)),
+    ("W_out", (4, 9)), ("b_out", (9,)),
+]
+LAYOUT_FORWARD = [
+    ("cf_W_i", (3, 3)), ("cf_U_i", (3, 3)), ("cf_b_i", (3,)),
+    ("cf_W_o", (3, 3)), ("cf_U_o", (3, 3)), ("cf_b_o", (3,)),
+    ("cf_W_f", (3, 3)), ("cf_U_f", (3, 3)), ("cf_b_f", (3,)),
+    ("cf_W_c", (3, 3)), ("cf_U_c", (3, 3)), ("cf_b_c", (3,)),
+]
+LAYOUT_REVERSE = [
+    ("cr_W_i", (3, 3)), ("cr_U_i", (3, 3)), ("cr_b_i", (3,)),
+    ("cr_W_o", (3, 3)), ("cr_U_o", (3, 3)), ("cr_b_o", (3,)),
+    ("cr_W_f", (3, 3)), ("cr_U_f", (3, 3)), ("cr_b_f", (3,)),
+    ("cr_W_c", (3, 3)), ("cr_U_c", (3, 3)), ("cr_b_c", (3,)),
+]
+LAYOUT_ATTENTION = [("W_a", (6, 2)), ("U_a", (4, 2)), ("v_a", (2,))]
+LAYOUT_GATE = [("W_rp", (4, 4)), ("W_rc", (4, 4)), ("b_r", (4,))]
+LAYOUTS = {
+    "RLM": LAYOUT_DECODER,
+    "RLM-BoW-EF": LAYOUT_DECODER + [("P", (9, 3)), ("W_p", (3, 5))],
+    "RLM-BoW-LF": LAYOUT_DECODER + [("P", (9, 3)), ("W_p", (3, 4))] + LAYOUT_GATE,
+    "RLM-SeqBoW-EF": LAYOUT_DECODER + [("P", (9, 3))] + LAYOUT_FORWARD + [("W_p", (3, 5))],
+    "RLM-SeqBoW-LF": (LAYOUT_DECODER + [("P", (9, 3))] + LAYOUT_FORWARD + [("W_p", (3, 4))]
+                      + LAYOUT_GATE),
+    "RLM-SeqBoW-ATT-EF": (LAYOUT_DECODER + [("P", (9, 3))] + LAYOUT_FORWARD + LAYOUT_REVERSE
+                          + LAYOUT_ATTENTION + [("W_p", (6, 5))]),
+    "RLM-SeqBoW-ATT-LF": (LAYOUT_DECODER + [("P", (9, 3))] + LAYOUT_FORWARD + LAYOUT_REVERSE
+                          + LAYOUT_ATTENTION + [("W_p", (6, 4))] + LAYOUT_GATE),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(fusion.VARIANTS))
+def test_parameter_table_is_the_checkpoint_layout(tag):
+    """Every parameter's name and shape, in draw order: seeded models draw
+    their weights in this order, so a reorder changes every one of them."""
+    table = fusion.parameter_shapes(fusion.parse_variant(tag), 9, 5, 4, 3, 2)
+    assert list(table.items()) == LAYOUTS[tag]
 
 
 # -- early fusion --------------------------------------------------------------
@@ -411,7 +456,7 @@ def _per_step_weight_grads(windows, tag, params):
     for call in calls:
         # the layer whose per-gate U_* the concatenated U holds
         U = call["U"]
-        prefix = next(p for p in ("", ctx.CTX_FWD, ctx.CTX_REV)
+        prefix = next(p for p in ("", fusion.CTX_FWD, fusion.CTX_REV)
                       if f"{p}U_i" in params and np.array_equal(
                           U.value, np.concatenate([params[f"{p}U_{g}"].value
                                                    for g in rlm.GATES], axis=1)))
@@ -521,8 +566,8 @@ def test_context_lstms_run_as_rlm_lstm_step(tag, monkeypatch):
     monkeypatch.setattr(rlm, "lstm_step", spy)
     params = make_params(tag, seed=44)
     context = fusion.parse_variant(tag).context
-    expect = {"seqbow": [(ctx.CTX_FWD, False)],
-              "att": [(ctx.CTX_FWD, False), (ctx.CTX_REV, True)]}.get(context, [])
+    expect = {"seqbow": [(fusion.CTX_FWD, False)],
+              "att": [(fusion.CTX_FWD, False), (fusion.CTX_REV, True)]}.get(context, [])
     for tape in (Tape(), None):
         prefixes.clear()
         fusion.batch_nll(MIXED, params, tag, VOCAB, tape)

@@ -11,7 +11,8 @@ from ctxlm.rlm import lstm_step
 
 
 def init_rlm_parameters(vocab_size, d_emb, d_h, rng, dtype):
-    return rlm.draw_parameters(rlm.rlm_shapes(vocab_size, d_emb, d_h), rng, dtype)
+    return fusion.init_parameters(fusion.VARIANTS["RLM"], vocab_size, d_emb, d_h, d_h, d_h,
+                                  rng, dtype)
 
 
 def zero_params(vocab_size=4, d_emb=3, d_h=2):
