@@ -164,7 +164,12 @@ def _load_checkpoint_model(path) -> tuple[Model, Checkpoint]:
 def cmd_eval(args) -> int:
     if args.batch_size < 1:
         raise ConfigError("--batch-size must be at least 1")
-    if args.top_k < 0:
+    if not args.tags:
+        for flag, value in (("--top-k", args.top_k), ("--average", args.average)):
+            if value is not None:
+                raise ConfigError(f"{flag} needs --tags")
+    top_k = 10 if args.top_k is None else args.top_k
+    if top_k < 0:
         raise ConfigError("--top-k must not be negative")
     if args.n is not None and args.n < 0:
         raise ConfigError("--n must not be negative")
@@ -175,8 +180,9 @@ def cmd_eval(args) -> int:
         with open(args.tags, "rb") as fh:
             annotations = load_tag_annotations(fh)
         # perplexity_by_tag checks the tags' alignment before any output
-        tag_report = perplexity_by_tag(model, docs, annotations, n, top_k=args.top_k,
-                                       average=args.average, batch_size=args.batch_size)
+        tag_report = perplexity_by_tag(model, docs, annotations, n, top_k=top_k,
+                                       average=args.average or "geometric",
+                                       batch_size=args.batch_size)
         report = tag_report.overall
     else:
         tag_report = None
@@ -252,9 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=None,
                        help="context size override (default: from checkpoint)")
         p.add_argument("--batch-size", type=int, default=64)
-        p.add_argument("--top-k", type=int, default=10)
-        p.add_argument("--average", choices=("geometric", "arithmetic"),
-                       default="geometric")
+        # both default to None, so eval can tell a flag given without --tags;
+        # they resolve to 10 and geometric
+        p.add_argument("--top-k", type=int, default=None)
+        p.add_argument("--average", choices=("geometric", "arithmetic"), default=None)
         p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ngram", help="Kneser-Ney n-gram baseline")

@@ -22,11 +22,12 @@ class CorpusError(ValueError):
 
 
 class Vocabulary:
-    """Token <-> contiguous id map with reserved unknown and end-of-sentence ids."""
+    """Token <-> contiguous id map with reserved unknown and end-of-sentence ids;
+    the token list starts with those two."""
 
     def __init__(self, tokens: list[str]):
         if tokens[:2] != [UNK_TOKEN, EOS_TOKEN]:
-            tokens = [UNK_TOKEN, EOS_TOKEN] + [t for t in tokens if t not in (UNK_TOKEN, EOS_TOKEN)]
+            raise CorpusError(f"vocabulary must start with {UNK_TOKEN} {EOS_TOKEN}")
         self.tokens = list(tokens)
         self._ids = {tok: i for i, tok in enumerate(self.tokens)}
         if len(self._ids) != len(self.tokens):

@@ -3,12 +3,13 @@
 Every variant projects its context once per batch, q = p W_p. Early fusion
 feeds q W into the cell's input term (q added to the word input, as W is
 linear). Late fusion leaves the cell untouched and gates q into the output:
-r = sigmoid(q W_rp + c W_rc + b_r), h = o * tanh(c + r * q). The context p
-is a bag of words projected by P (BoW), the last state of a context LSTM
-over the sentences' projected bags (SeqBoW), or one annotation per context
-sentence, a forward and a reverse context LSTM's states side by side; each
-decoder step then mixes the annotations' projections with additive-attention
-weights queried by the previous hidden state, which equals projecting the mix.
+r = sigmoid(q W_rp + c W_rc + b_r), h = o * tanh(c + r * q). One encoder,
+:func:`encode_context`, makes the context p: a bag of words projected by P
+(BoW), the last state of a context LSTM over the sentences' projected bags
+(SeqBoW), or one annotation per context sentence, a forward and a reverse
+context LSTM's states side by side; each decoder step then mixes the
+annotations' projections with additive-attention weights queried by the
+previous hidden state, which equals projecting the mix.
 :func:`parameter_shapes` is the one table of every parameter, in draw order.
 
 One engine, ``batch_nll``, evaluates every variant for training, corpus
@@ -195,8 +196,37 @@ def make_batch(windows: list[ContextWindow], vocab: Vocabulary, variant: Variant
 
 
 # ---------------------------------------------------------------------------
-# context encoders
+# the context encoder
 # ---------------------------------------------------------------------------
+
+
+def encode_context(tape: Tape | None, params: dict[str, Variable], variant: Variant,
+                   batch: WindowBatch) -> Variable:
+    """The context p of a batch's windows, in the decoder's row order: BoW's
+    P s (B, d_ctx); SeqBoW's forward context LSTM's state at the last
+    position, where every context ends (B, d_ctx); attention's annotations,
+    the forward and reverse context LSTMs' states side by side at their
+    positions and windows (K, B, 2*d_ctx), zero at padded positions. Count
+    rows over the sorted distinct words ``bow_ids`` (R,), one per window for
+    BoW and one per context sentence for the LSTMs, are projected by the R
+    rows of P that ``bow_ids`` gathers, so P's gradient is row-form. With no
+    context sentence in a SeqBoW or attention batch, p is zero (B, W_p rows)."""
+    counts = batch.bow_sum if variant.context == "bow" else batch.bow_seq
+    if len(counts) == 0:
+        W_p = params["W_p"]
+        return nm.zeros((len(batch.ctx_mask), W_p.shape[0]), W_p.dtype)
+    x = nm.matmul(tape, Variable(counts), nm.embed_rows(tape, params["P"], batch.bow_ids))
+    if variant.context == "bow":
+        return x
+    B, K = batch.ctx_mask.shape
+    fwd = rlm.lstm_step(tape, params, x, batch.ctx_bounds, CTX_FWD)
+    if variant.context == "seqbow":
+        last = slice(*batch.ctx_bounds[-2:])  # the last position's rows
+        return nm.place_rows(tape, fwd, last, batch.ctx_slot[last] - (K - 1) * B, B)
+    rev = rlm.lstm_step(tape, params, x, batch.ctx_bounds, CTX_REV, reverse=True)
+    both = nm.place_rows(tape, nm.concat_cols(tape, [fwd, rev]), slice(None), batch.ctx_slot,
+                         K * B)
+    return nm.reshape(tape, both, (K, B, -1))
 
 
 def project(tape: Tape | None, x: Variable, weight: Variable) -> Variable:
@@ -207,38 +237,6 @@ def project(tape: Tape | None, x: Variable, weight: Variable) -> Variable:
     K, B, D = x.shape
     flat = nm.reshape(tape, x, (K * B, D))
     return nm.reshape(tape, nm.matmul(tape, flat, weight), (K, B, -1))
-
-
-def project_counts(tape: Tape | None, params: dict[str, Variable], counts: np.ndarray,
-                   ids: np.ndarray) -> Variable:
-    """Count rows (N, R) over the sorted distinct words ``ids`` (R,) projected
-    by P -> (N, d_ctx): p = P s, one product with the R rows of P that ``ids``
-    gathers. For BoW, one row per window holding all its context words. P's
-    gradient is row-form over ``ids``, from ``numeric.embed_rows``; the counts'
-    own (N, R) gradient is formed and dropped."""
-    return nm.matmul(tape, Variable(counts), nm.embed_rows(tape, params["P"], ids))
-
-
-def seqbow_summary(tape: Tape | None, params: dict[str, Variable], batch: WindowBatch) -> Variable:
-    """The forward context LSTM's last hidden state (B, d_ctx), in the
-    decoder's row order, over a batch's per-sentence counts."""
-    x = project_counts(tape, params, batch.bow_seq, batch.bow_ids)
-    last = slice(*batch.ctx_bounds[-2:])  # the last position's rows
-    B, K = batch.ctx_mask.shape
-    return nm.place_rows(tape, rlm.lstm_step(tape, params, x, batch.ctx_bounds, CTX_FWD), last,
-                         batch.ctx_slot[last] - (K - 1) * B, B)
-
-
-def annotate(tape: Tape | None, params: dict[str, Variable], batch: WindowBatch) -> Variable:
-    """Forward and reverse context-LSTM states side by side, placed at their
-    positions and windows: (K, B, 2*d_ctx), zero at padded positions."""
-    x = project_counts(tape, params, batch.bow_seq, batch.bow_ids)
-    fwd = rlm.lstm_step(tape, params, x, batch.ctx_bounds, CTX_FWD)
-    rev = rlm.lstm_step(tape, params, x, batch.ctx_bounds, CTX_REV, reverse=True)
-    B, K = batch.ctx_mask.shape
-    both = nm.place_rows(tape, nm.concat_cols(tape, [fwd, rev]), slice(None), batch.ctx_slot,
-                         K * B)
-    return nm.reshape(tape, both, (K, B, -1))
 
 
 def attend(tape: Tape | None, params: dict[str, Variable], keys: Variable,
@@ -270,34 +268,24 @@ def batch_nll(windows: list[ContextWindow], params: dict[str, Variable], variant
     batch = make_batch(windows, vocab, variant, dtype)
     B = len(windows)
 
-    p = None          # context: a summary (B,D), or attention's annotations (K,B,D)
-    annots = None
-    if variant.context == "bow":
-        p = project_counts(tape, params, batch.bow_sum, batch.bow_ids)
-    elif variant.context in ("seqbow", "att") and batch.bow_seq.shape[0] == 0:
-        p = nm.zeros((B, params["W_p"].shape[0]), dtype)
-    elif variant.context == "seqbow":
-        p = seqbow_summary(tape, params, batch)
-    elif variant.context == "att":
-        p = annots = annotate(tape, params, batch)
-        keys = project(tape, annots, params["W_a"])
-    feed = ()         # the decoder's context: (q W,) for early fusion, (q, q W_rp) for late
-    if variant.fusion == "late":
-        q = project(tape, p, params["W_p"])
-        feed = (q, project(tape, q, params["W_rp"]))
     W, U, b = rlm.gate_weights(tape, params, "")
-    if variant.fusion == "early":
-        feed = (project(tape, project(tape, p, params["W_p"]), W),)
+    late = (params["W_rc"], params["b_r"]) if variant.fusion == "late" else None
+    feed = ()         # the decoder's context: (q W,) for early fusion, (q, q W_rp) for late
+    attention = None
+    if variant.context is not None:
+        p = encode_context(tape, params, variant, batch)
+        q = project(tape, p, params["W_p"])
+        feed = (q, project(tape, q, params["W_rp"])) if late else (project(tape, q, W),)
+        if p.value.ndim == 3:
+            keys = project(tape, p, params["W_a"])
+
+            def mix(tape, query):  # this step's weights mix the projected annotations
+                alphas = attend(tape, params, keys, query, batch.ctx_mask[:query.shape[0]])
+                return tuple(nm.attention_mix(tape, alphas, f) for f in feed)
+            attention = (params["U_a"], mix)
 
     x = nm.embed_rows(tape, params["E"], batch.inputs)
     xproj = nm.matmul(tape, x, W)
-    late = (params["W_rc"], params["b_r"]) if variant.fusion == "late" else None
-    attention = None
-    if annots is not None:
-        def mix(tape, query):  # this step's weights mix the projected annotations
-            alphas = attend(tape, params, keys, query, batch.ctx_mask[:query.shape[0]])
-            return tuple(nm.attention_mix(tape, alphas, f) for f in feed)
-        attention = (params["U_a"], mix)
     hidden, _ = nm.lstm_recurrence(tape, xproj, batch.bounds, U, b, feed, late, attention)
     logits = nm.add_bias(tape, nm.matmul(tape, hidden, params["W_out"]), params["b_out"])
     nll = nm.nll_rows(tape, logits, batch.targets)

@@ -461,6 +461,8 @@ def load_checkpoint(path) -> Checkpoint:
         for _ in range(count):
             (name_len,) = unpack("<H")
             name = str(take(name_len), "utf-8")
+            if name in arrays:
+                raise CheckpointError(f"array {name} appears twice")
             code, rank = unpack("<BB")
             dims = unpack(f"<{rank}Q")
             dtype = CODE_DTYPES.get(code)

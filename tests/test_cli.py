@@ -485,6 +485,20 @@ def test_eval_rejects_out_of_range_flags(tmp_path, capsys, flags):
         assert flags[0] in captured.err
 
 
+@pytest.mark.parametrize("flags", [["--average", "arithmetic"], ["--average", "geometric"],
+                                   ["--top-k", "3"]])
+def test_eval_tag_report_flags_need_tags(tmp_path, capsys, flags):
+    """``--top-k`` and ``--average`` shape only the tag report: without
+    ``--tags`` they are a config error, raised before the checkpoint is read."""
+    corpus = tmp_path / "eval.txt"
+    corpus.write_text("a b\n", encoding="utf-8")
+    assert main(["eval", "--checkpoint", str(tmp_path / "absent.ckpt"), "--corpus", str(corpus)]
+                + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flags[0]} needs --tags" in captured.err
+
+
 def test_eval_top_k_zero_keeps_only_the_all_row(tmp_path, capsys):
     ckpt = fresh_checkpoint(tmp_path)
     corpus = tmp_path / "eval.txt"
@@ -595,6 +609,42 @@ def test_eval_checkpoint_with_unknown_precision_or_no_epoch_is_data_error(tmp_pa
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert message in captured.err
+
+
+def test_eval_checkpoint_holding_an_array_twice_is_data_error(tmp_path, capsys):
+    """A copy of an array record spliced in after it, with the array count
+    bumped: the second record would silently replace the first."""
+    blob = fresh_checkpoint(tmp_path, variant="RLM-SeqBoW-ATT-LF").read_bytes()
+    (count,) = struct.unpack_from("<I", blob, 10)
+    (name_len,) = struct.unpack_from("<H", blob, 14)
+    code, rank = blob[16 + name_len : 18 + name_len]
+    dims = struct.unpack_from(f"<{rank}Q", blob, 18 + name_len)
+    end = 18 + name_len + 8 * rank + math.prod(dims) * training.CODE_DTYPES[code].itemsize
+    record = blob[14:end]
+    data = blob[:10] + struct.pack("<I", count + 1) + record + blob[14:]
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("a b\n", encoding="utf-8")
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(data)
+    code = main(["eval", "--checkpoint", str(bad), "--corpus", str(corpus)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"array {blob[16 : 16 + name_len].decode()} appears twice" in captured.err
+
+
+def test_eval_checkpoint_whose_vocabulary_is_out_of_order_is_data_error(tmp_path, capsys):
+    """A trailer listing ``<unk> a </s> ...``: the vocabulary is refused, not
+    reordered into one the file does not list."""
+    blob = fresh_checkpoint(tmp_path).read_bytes()
+    assert b"\nvocab = <unk> </s> a " in blob
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob.replace(b"\nvocab = <unk> </s> a ", b"\nvocab = <unk> a </s> "))
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("a b\n", encoding="utf-8")
+    code = main(["eval", "--checkpoint", str(bad), "--corpus", str(corpus)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "must start with" in captured.err
 
 
 def test_eval_checkpoint_with_wrong_parameters_is_data_error(tmp_path, capsys):

@@ -40,19 +40,22 @@ def att_params(d_ctx=3, d_a=3, d_h=4, seed=1):
     return rlm.draw_parameters(shapes, rng, np.float64)
 
 
+def encode(params, contexts, tag, tape=None):
+    batch = batch_of(*contexts, tag=tag)
+    return fusion.encode_context(tape, params, fusion.parse_variant(tag), batch), batch
+
+
 def encode_bow(params, *contexts):
-    batch = batch_of(*contexts, tag="RLM-BoW-LF")
-    return fusion.project_counts(None, params, batch.bow_sum, batch.bow_ids)
+    return encode(params, contexts, "RLM-BoW-LF")[0]
 
 
 def encode_seqbow(params, *contexts):
-    batch = batch_of(*contexts, tag="RLM-SeqBoW-LF")
-    return fusion.seqbow_summary(None, params, batch)
+    return encode(params, contexts, "RLM-SeqBoW-LF")[0]
 
 
 def annotate(params, *contexts, tape=None):
-    batch = batch_of(*contexts)
-    return fusion.annotate(tape, params, batch), batch.ctx_mask
+    annots, batch = encode(params, contexts, "RLM-SeqBoW-ATT-LF", tape)
+    return annots, batch.ctx_mask
 
 
 def attention(params, annots, h_query, mask, tape=None):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ctxlm import corpus
-from ctxlm.corpus import (CorpusError, Document, Sentence, bow_vector,
+from ctxlm.corpus import (CorpusError, Document, Sentence, Vocabulary, bow_vector,
                           build_vocabulary, context_windows, encode_documents,
                           filter_by_length, load_corpus)
 
@@ -80,6 +80,12 @@ def test_reserved_literals_not_duplicated():
     assert v.tokens.count("<unk>") == 1
     assert v.tokens.count("</s>") == 1
     assert v.encode("<unk>") == corpus.UNK_ID
+
+
+def test_vocabulary_must_start_with_the_reserved_tokens():
+    for tokens in (["a", "<unk>", "</s>"], ["<unk>", "a", "</s>"], ["</s>", "<unk>", "a"], []):
+        with pytest.raises(CorpusError, match="must start with"):
+            Vocabulary(tokens)
 
 
 def test_vocabulary_round_trip_and_unk():
