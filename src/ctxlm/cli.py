@@ -124,6 +124,8 @@ def cmd_train(args) -> int:
             text = fh.read()
     except UnicodeDecodeError as e:
         raise ConfigError(f"{args.config}: invalid UTF-8 at byte {e.start}") from e
+    except OSError as e:
+        raise ConfigError(f"{args.config}: {e.strerror or e}") from e
     # dropped after decoding, so an invalid byte's offset counts from the file's start
     text = text.removeprefix("\ufeff")
     config = config_from_mapping(parse_config_text(text))
@@ -295,10 +297,6 @@ def main(argv=None) -> int:
     except ConfigError as e:
         log(f"config error: {e}")
         return EXIT_CONFIG
-    except FileNotFoundError as e:
-        code = EXIT_CONFIG if args.command == "train" and e.filename == getattr(args, "config", None) else EXIT_DATA
-        log(f"error: {e}")
-        return code
     except (CorpusError, TagAlignmentError, OSError) as e:
         log(f"error: {e}")
         return EXIT_DATA

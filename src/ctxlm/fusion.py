@@ -214,7 +214,7 @@ def encode_context(tape: Tape | None, params: dict[str, Variable], variant: Vari
     counts = batch.bow_sum if variant.context == "bow" else batch.bow_seq
     if len(counts) == 0:
         W_p = params["W_p"]
-        return nm.zeros((len(batch.ctx_mask), W_p.shape[0]), W_p.dtype)
+        return Variable(np.zeros((len(batch.ctx_mask), W_p.shape[0]), W_p.dtype))
     x = nm.matmul(tape, Variable(counts), nm.embed_rows(tape, params["P"], batch.bow_ids))
     if variant.context == "bow":
         return x

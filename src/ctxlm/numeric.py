@@ -272,29 +272,6 @@ def matmul(tape: Tape | None, a: Variable, b: Variable) -> Variable:
     return out
 
 
-# no engine use; kept because bench/tracing.py wraps numeric.add by name
-def add(tape: Tape | None, a: Variable, b: Variable) -> Variable:
-    out = Variable(a.value + b.value)
-    if tape is not None:
-        def backprop(g):
-            a.add_grad(g)
-            b.grad_buffer()[...] += g
-        _record(tape, out, backprop)
-    return out
-
-
-# no engine use; kept because bench/tracing.py wraps numeric.mul by name
-def mul(tape: Tape | None, a: Variable, b: Variable) -> Variable:
-    """Elementwise product of same-shape arrays."""
-    out = Variable(a.value * b.value)
-    if tape is not None:
-        def backprop(g):
-            a.add_grad(g * b.value)
-            b.add_grad(g * a.value)
-        _record(tape, out, backprop)
-    return out
-
-
 def add_bias(tape: Tape | None, x: Variable, b: Variable) -> Variable:
     """x (..., *b.shape) + b, broadcast over the leading axes; the engine adds
     the output bias to every packed position's logits, (N,|V|) + (|V|,)."""
@@ -303,26 +280,6 @@ def add_bias(tape: Tape | None, x: Variable, b: Variable) -> Variable:
         def backprop(g):
             x.add_grad(g)
             b.add_grad(g.reshape((-1,) + b.value.shape).sum(axis=0))
-        _record(tape, out, backprop)
-    return out
-
-
-# no engine use; kept because bench/tracing.py wraps numeric.sigmoid_v by name
-def sigmoid_v(tape: Tape | None, x: Variable) -> Variable:
-    out = Variable(sigmoid(x.value))
-    if tape is not None:
-        def backprop(g):
-            x.add_grad(g * out.value * (1.0 - out.value))
-        _record(tape, out, backprop)
-    return out
-
-
-# no engine use; kept because bench/tracing.py wraps numeric.tanh_v by name
-def tanh_v(tape: Tape | None, x: Variable) -> Variable:
-    out = Variable(np.tanh(x.value))
-    if tape is not None:
-        def backprop(g):
-            x.add_grad(g * (1.0 - out.value * out.value))
         _record(tape, out, backprop)
     return out
 
@@ -566,18 +523,6 @@ def lstm_recurrence(tape: Tape | None, xproj: Variable, bounds: np.ndarray, U: V
     return h_out, C
 
 
-# no engine use; kept because bench/tracing.py wraps numeric.stack_first by name
-def stack_first(tape: Tape | None, parts: list[Variable]) -> Variable:
-    """Stack (B,D) parts into (K,B,D)."""
-    out = Variable(np.stack([p.value for p in parts]))
-    if tape is not None:
-        def backprop(g):
-            for k, p in enumerate(parts):
-                p.add_grad(g[k])
-        _record(tape, out, backprop)
-    return out
-
-
 def concat_cols(tape: Tape | None, parts: list[Variable]) -> Variable:
     """Concatenate parts along their last axis: (..., d_i) -> (..., sum d_i)."""
     out = Variable(np.concatenate([p.value for p in parts], axis=-1))
@@ -588,18 +533,6 @@ def concat_cols(tape: Tape | None, parts: list[Variable]) -> Variable:
             for p, w in zip(parts, widths):
                 p.add_grad(g[..., off:off + w])
                 off += w
-        _record(tape, out, backprop)
-    return out
-
-
-# no engine use; kept because bench/tracing.py wraps numeric.blend by name
-def blend(tape: Tape | None, gate: np.ndarray, new: Variable, old: Variable) -> Variable:
-    """gate*new + (1-gate)*old with a constant 0/1 gate column (B,1)."""
-    out = Variable(gate * new.value + (1.0 - gate) * old.value)
-    if tape is not None:
-        def backprop(g):
-            new.add_grad(g * gate)
-            old.add_grad(g * (1.0 - gate))
         _record(tape, out, backprop)
     return out
 
@@ -659,5 +592,6 @@ def scale(tape: Tape | None, x: Variable, s: float) -> Variable:
     return out
 
 
-def zeros(shape, dtype) -> Variable:
-    return Variable(np.zeros(shape, dtype=dtype))
+# no program path calls these names; bench/tracing.py wraps them all the same,
+# so they stay bound until its next change (ROADMAP item 3) drops them
+add = mul = sigmoid_v = tanh_v = stack_first = blend = None

@@ -31,6 +31,44 @@ def finite_difference_gradient(f, theta: np.ndarray, eps: float = 1e-5) -> np.nd
     return grad
 
 
+def weighted_sum(tape, x, w):
+    """sum(x * w), a (1, 1) Variable, for a Variable x and a constant array w
+    of x's size: a fixed weighting that gives every element of x its own
+    gradient, taped from ``reshape`` and ``matmul`` alone."""
+    from ctxlm import numeric as nm
+
+    row = nm.reshape(tape, x, (1, x.value.size))
+    return nm.matmul(tape, row, nm.Variable(np.reshape(w, (-1, 1))))
+
+
+def parameter_gradients(loss, params, names=None) -> dict:
+    """Each parameter's tape gradient of ``loss`` beside its central difference:
+    ``{name: (tape gradient, difference)}``, both flat, for every name in
+    ``names`` (default: all of ``params``). ``loss(tape)`` builds a scalar
+    Variable from ``params``; ``tape`` is None for the difference quotients.
+    Every parameter's value is restored and its gradient cleared after."""
+    from ctxlm.numeric import Tape
+
+    tape = Tape()
+    tape.backward(loss(tape))
+    out = {}
+    for name in params if names is None else names:
+        p = params[name]
+        got, saved = p.grad_buffer().copy().ravel(), p.value
+
+        def f(theta):
+            p.value = theta.reshape(saved.shape)
+            return float(loss(None).value)
+
+        try:
+            out[name] = got, finite_difference_gradient(f, saved.ravel().copy())
+        finally:
+            p.value = saved
+    for p in params.values():
+        p.zero_grad()
+    return out
+
+
 def parameter_count(params) -> int:
     """Number of scalars in a name->Variable parameter dict."""
     return sum(p.value.size for p in params.values())

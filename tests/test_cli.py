@@ -1,6 +1,9 @@
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -256,6 +259,46 @@ def test_train_happy_path_and_determinism(tmp_path, capsys):
         int(epoch), float(train_nll), float(valid_nll)
 
 
+# max |a - b| / max |a| over the arrays of the model below, trained at 1 and
+# at 2 OpenBLAS threads: measured 3.6e-16 to 5.5e-16 for synth seeds 1-7 and
+# 0 for seed 8 (OpenBLAS 0.3.31, 2 vCPUs); the bound leaves a factor of about
+# 2,000 for other CPUs' kernels
+BLAS_THREADS_RTOL = 1e-12
+
+
+def test_f64_training_is_bit_reproducible_at_one_blas_thread_count(tmp_path):
+    """f64 training with one seed writes the same checkpoint, byte for byte,
+    at one BLAS thread count. At another, BLAS splits its products otherwise
+    and rounds them otherwise, so every array may differ, but only by
+    rounding. Each run is a child process: OpenBLAS reads its thread count
+    once, when it loads."""
+    synth = ["synth", "--topics", "3", "--vocab", "200", "--docs", "60", "--valid-docs", "4",
+             "--test-docs", "1", "--sentences", "4", "--len-min", "4", "--len-max", "8",
+             "--seed", "2", "--out-dir", str(tmp_path / "corpus")]
+    assert main(synth) == 0
+    # d = 64 and batch 32: products large enough for OpenBLAS to split them
+    cfg = write_config(tmp_path, n=2, d_h=64, d_emb=64, d_ctx=64, vocab_size=200,
+                       batch_size=32, train_path=tmp_path / "corpus" / "train.txt",
+                       valid_path=tmp_path / "corpus" / "valid.txt")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+    def train_in_child(out, threads):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-m", "ctxlm.cli", "train", "--config", str(cfg),
+                              "--out", str(tmp_path / out)],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr[-2000:]
+        return tmp_path / out
+
+    one, again, two = (train_in_child(out, threads) for out, threads in
+                       (("one.ckpt", "1"), ("again.ckpt", "1"), ("two.ckpt", "2")))
+    assert one.read_bytes() == again.read_bytes()
+    a, b = training.load_checkpoint(one), training.load_checkpoint(two)
+    assert list(a.arrays) == list(b.arrays) and a.epoch == b.epoch
+    for name, value in a.arrays.items():
+        assert np.max(np.abs(value - b.arrays[name])) <= BLAS_THREADS_RTOL * np.max(np.abs(value)), name
+
+
 @pytest.mark.parametrize("key", ["eps", "clip_norm"])
 def test_train_non_finite_eps_or_clip_norm_is_config_error(tmp_path, capsys, key):
     cfg = write_config(tmp_path, **{key: "nan"})
@@ -282,6 +325,13 @@ def test_train_unknown_key_rejected(tmp_path, capsys):
 def test_train_missing_config_file(tmp_path, capsys):
     assert main(["train", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path / "m.ckpt")]) == 1
+
+
+def test_train_config_that_is_a_directory_is_config_error(tmp_path, capsys):
+    """Any error reading the config, not only a missing file, exits 1 and
+    names the path; a directory used to exit 2."""
+    assert main(["train", "--config", str(tmp_path), "--out", str(tmp_path / "m.ckpt")]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"config error: {tmp_path}: Is a directory"]
 
 
 def test_train_config_with_invalid_utf8_is_config_error(tmp_path, capsys):

@@ -275,24 +275,11 @@ def test_context_gradient_is_connected(tag):
 def test_gradients_match_finite_differences(tag):
     params = make_params(tag, seed=13, scale=3.0)
     window = ContextWindow(sent(3, 5), (sent(4, 6), sent(2,)))
-    tape = Tape()
-    tape.backward(_nll(window, tag, params, tape))
-    for name, p in params.items():
-        got = p.grad_buffer().copy().ravel()
-        shape = p.value.shape
-
-        def f(theta, p=p):
-            saved = p.value
-            p.value = theta.reshape(shape)
-            out = float(_nll(window, tag, params).value)
-            p.value = saved
-            return out
-
-        fd = support.finite_difference_gradient(f, p.value.ravel().copy())
+    pairs = support.parameter_gradients(lambda tape: _nll(window, tag, params, tape), params)
+    for name, (got, fd) in pairs.items():
         resolvable = (np.abs(got) + np.abs(fd)) >= 1e-5
         assert support.relative_error(got[resolvable], fd[resolvable]).max(initial=0.0) < 1e-4, name
         assert np.max(np.abs(got[~resolvable] - fd[~resolvable]), initial=0.0) < 1e-8, name
-        p.zero_grad()
 
 
 # -- batched engine --------------------------------------------------------------
@@ -405,25 +392,13 @@ def test_batch_engine_gradients_match_finite_differences(tag):
     would pass unseen."""
     params = make_params(tag, seed=31, scale=10.0)
     for windows in (PADDED, TIED_ASCENDING):
-        tape = Tape()
-        total, _ = fusion.batch_nll(windows, params, tag, VOCAB, tape)
-        tape.backward(nm.sum_all(tape, total))
-        for name, p in params.items():
-            got = p.grad_buffer().copy().ravel()
-            shape = p.value.shape
+        def loss(tape):
+            return nm.sum_all(tape, fusion.batch_nll(windows, params, tag, VOCAB, tape)[0])
 
-            def f(theta, p=p):
-                saved = p.value
-                p.value = theta.reshape(shape)
-                out = float(fusion.batch_nll(windows, params, tag, VOCAB)[0].value.sum())
-                p.value = saved
-                return out
-
-            fd = support.finite_difference_gradient(f, p.value.ravel().copy())
+        for name, (got, fd) in support.parameter_gradients(loss, params).items():
             resolvable = (np.abs(got) + np.abs(fd)) >= 1e-5
             assert support.relative_error(got[resolvable], fd[resolvable]).max(initial=0.0) <= 1e-4, name
             assert np.max(np.abs(got[~resolvable] - fd[~resolvable]), initial=0.0) <= 1e-8, name
-            p.zero_grad()
 
 
 def _eos_only():

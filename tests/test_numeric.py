@@ -130,19 +130,13 @@ def _ones(*shape):
 # every primitive that records one closure, called with small inputs
 RECORDING_PRIMITIVES = {
     "matmul": lambda t: nm.matmul(t, _ones(2, 3), _ones(3, 4)),
-    "add": lambda t: nm.add(t, _ones(2, 3), _ones(2, 3)),
-    "mul": lambda t: nm.mul(t, _ones(2, 3), _ones(2, 3)),
     "add_bias": lambda t: nm.add_bias(t, _ones(2, 3), _ones(3)),
-    "sigmoid_v": lambda t: nm.sigmoid_v(t, _ones(2, 3)),
-    "tanh_v": lambda t: nm.tanh_v(t, _ones(2, 3)),
     "embed_rows": lambda t: nm.embed_rows(t, _ones(4, 3), np.array([0, 2, 2])),
     "nll_rows": lambda t: nm.nll_rows(t, _ones(2, 3), np.array([0, 2])),
     "masked_softmax": lambda t: nm.masked_softmax(t, _ones(2, 3), np.ones((2, 3))),
     "attention_mix": lambda t: nm.attention_mix(t, _ones(2, 3), _ones(3, 2, 4)),
     "attention_scores": lambda t: nm.attention_scores(t, _ones(3, 2, 4), _ones(2, 4), _ones(4)),
-    "stack_first": lambda t: nm.stack_first(t, [_ones(2, 3), _ones(2, 3)]),
     "concat_cols": lambda t: nm.concat_cols(t, [_ones(2, 3), _ones(2, 1)]),
-    "blend": lambda t: nm.blend(t, np.array([[1.0], [0.0]]), _ones(2, 3), _ones(2, 3)),
     "reshape": lambda t: nm.reshape(t, _ones(2, 3), (3, 2)),
     "place_rows": lambda t: nm.place_rows(t, _ones(4, 3), slice(1, 3), np.array([2, 0]), 3),
     "sum_all": lambda t: nm.sum_all(t, _ones(2, 3)),
@@ -227,21 +221,9 @@ def test_grad_matmul():
               [RNG.standard_normal((3, 4)), RNG.standard_normal((4, 2))])
 
 
-def test_grad_add_mul():
-    a, b = RNG.standard_normal((3, 3)), RNG.standard_normal((3, 3))
-    _check_op(lambda t, v: nm.add(t, v[0], v[1]), [a, b])
-    _check_op(lambda t, v: nm.mul(t, v[0], v[1]), [a, b])
-
-
 def test_grad_add_bias():
     _check_op(lambda t, v: nm.add_bias(t, v[0], v[1]),
               [RNG.standard_normal((4, 3)), RNG.standard_normal(3)])
-
-
-def test_grad_sigmoid_tanh():
-    x = RNG.standard_normal((2, 5))
-    _check_op(lambda t, v: nm.sigmoid_v(t, v[0]), [x])
-    _check_op(lambda t, v: nm.tanh_v(t, v[0]), [x])
 
 
 def test_grad_embed_rows():
@@ -327,7 +309,7 @@ def test_grad_masked_softmax():
 
     def build(t, v):
         sm = nm.masked_softmax(t, v[0], mask)
-        return nm.mul(t, sm, Variable(np.array([[0.3, -1.2, 9.9], [0.7, 0.1, -0.4]])))
+        return support.weighted_sum(t, sm, np.array([[0.3, -1.2, 9.9], [0.7, 0.1, -0.4]]))
 
     _check_op(build, [RNG.standard_normal((2, 3))])
 
@@ -346,14 +328,9 @@ def test_grad_attention_mix():
               [RNG.standard_normal((2, 3)), RNG.standard_normal((3, 2, 4))])
 
 
-def test_grad_concat_stack_blend_reshape_scale():
+def test_grad_concat_reshape_scale():
     a, b = RNG.standard_normal((2, 3)), RNG.standard_normal((2, 2))
     _check_op(lambda t, v: nm.concat_cols(t, [v[0], v[1]]), [a, b])
-    _check_op(lambda t, v: nm.stack_first(t, [v[0], v[1]]),
-              [RNG.standard_normal((2, 3)), RNG.standard_normal((2, 3))])
-    gate = np.array([[1.0], [0.0]])
-    _check_op(lambda t, v: nm.blend(t, gate, v[0], v[1]),
-              [RNG.standard_normal((2, 3)), RNG.standard_normal((2, 3))])
     _check_op(lambda t, v: nm.reshape(t, v[0], (6,)), [RNG.standard_normal((2, 3))])
     _check_op(lambda t, v: nm.scale(t, v[0], -1.7), [RNG.standard_normal((2, 3))])
 
@@ -380,9 +357,9 @@ def test_grad_concat_last_axis_and_segment_sum():
               [RNG.standard_normal(3), RNG.standard_normal(2)])
     _check_op(lambda t, v: nm.concat_cols(t, [v[0], v[1]]),
               [RNG.standard_normal((2, 3, 2)), RNG.standard_normal((2, 3, 1))])
-    weights = Variable(RNG.standard_normal(3))
+    weights = RNG.standard_normal(3)
     segment = np.array([2, 0, 2, 1, 2, 0])
-    _check_op(lambda t, v: nm.mul(t, nm.segment_sum(t, v[0], segment, 3), weights),
+    _check_op(lambda t, v: support.weighted_sum(t, nm.segment_sum(t, v[0], segment, 3), weights),
               [RNG.standard_normal(6)])
 
 
@@ -412,7 +389,7 @@ def _recurrence(t, v, steps, kind="plain"):
     reaches the cell states through every step. v: xproj (6,12), U (3,12), b (12,),
     then early fusion's extra (B,12), late fusion's q, q_r (B,3), W_rc (3,3)
     and b_r (3,), or attention's U_a (3,12) whose per-step query q gives the
-    input term tanh(q), by ``kind``."""
+    input term softmax(q), by ``kind``."""
     xproj, U, b, *rest = v
     feed, late, attend = (), None, None
     if kind == "early":
@@ -420,11 +397,11 @@ def _recurrence(t, v, steps, kind="plain"):
     elif kind == "late":
         feed, late = (rest[0], rest[1]), (rest[2], rest[3])
     elif kind == "attend":
-        attend = (rest[0], lambda tape, query: (nm.tanh_v(tape, query),))
+        attend = (rest[0], lambda tape, query:
+                  (nm.masked_softmax(tape, query, np.ones(query.shape)),))
     bounds, reverse = steps
     H, _ = nm.lstm_recurrence(t, xproj, bounds, U, b, feed, late, attend, reverse)
-    w = Variable(np.linspace(-1.0, 1.0, H.value.size).reshape(H.shape))
-    return nm.mul(t, H, nm.scale(t, w, 2.0))
+    return support.weighted_sum(t, H, np.linspace(-2.0, 2.0, H.value.size))
 
 
 def _recurrence_inputs(rng, kind="plain", rows=3):
@@ -521,15 +498,16 @@ def test_grad_late_fusion_output_reads_leading_rows_of_wider_context():
 
 
 def test_grad_attention_scores():
-    _check_op(lambda t, v: nm.mul(t, nm.attention_scores(t, v[0], v[1], v[2]),
-                                  Variable(np.array([[0.5, -2.0, 1.0, 3.0]] * 2))),
+    _check_op(lambda t, v: support.weighted_sum(t, nm.attention_scores(t, v[0], v[1], v[2]),
+                                                np.array([[0.5, -2.0, 1.0, 3.0]] * 2)),
               [RNG.standard_normal((4, 2, 3)), RNG.standard_normal((2, 3)),
                RNG.standard_normal(3)])
 
 
 def test_grad_attention_reads_leading_rows_of_wider_keys_and_annotations():
-    weights = Variable(np.array([[0.5, -2.0, 1.0, 3.0]] * 2))
-    keys = _check_op(lambda t, v: nm.mul(t, nm.attention_scores(t, v[0], v[1], v[2]), weights),
+    weights = np.array([[0.5, -2.0, 1.0, 3.0]] * 2)
+    keys = _check_op(lambda t, v: support.weighted_sum(t, nm.attention_scores(t, v[0], v[1], v[2]),
+                                                       weights),
                      [RNG.standard_normal((4, 5, 3)), RNG.standard_normal((2, 3)),
                       RNG.standard_normal(3)])[0]
     assert np.all(keys.grad[:, 2:] == 0.0)
@@ -549,13 +527,13 @@ def test_attention_scores_match_per_position_formula():
 def test_adopted_gradients_are_never_shared_between_inputs():
     a, b = Variable(RNG.standard_normal((2, 3))), Variable(RNG.standard_normal((2, 3)))
     tape = Tape()
-    tape.backward(nm.sum_all(tape, nm.add(tape, a, b)))
+    tape.backward(nm.sum_all(tape, nm.concat_cols(tape, [a, b])))
     assert a.grad is not b.grad
     a.grad += 1.0
     assert np.all(b.grad == 1.0)
     x = Variable(RNG.standard_normal((2, 3)))
     tape = Tape()
-    tape.backward(nm.sum_all(tape, nm.add(tape, x, x)))
+    tape.backward(nm.sum_all(tape, nm.concat_cols(tape, [x, x])))
     assert np.all(x.grad == 2.0)
 
 

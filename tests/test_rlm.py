@@ -6,7 +6,7 @@ import pytest
 import support
 from ctxlm import fusion, numeric as nm, rlm
 from ctxlm.corpus import ContextWindow, Sentence, Vocabulary
-from ctxlm.numeric import Tape, Variable
+from ctxlm.numeric import Variable
 from ctxlm.rlm import lstm_step
 
 
@@ -89,21 +89,8 @@ def test_lstm_step_gradients_match_finite_differences():
     def objective(tape):
         return nm.sum_all(tape, lstm_step(tape, params, Variable(x), bounds, ""))
 
-    tape = Tape()
-    tape.backward(objective(tape))
-    for name, p in params.items():
-        if name[0] not in "WUb" or name in ("W_out", "b_out"):
-            continue
-        got = p.grad_buffer().copy().ravel()
-
-        def f(theta, p=p):
-            saved = p.value
-            p.value = theta.reshape(saved.shape)
-            out = float(objective(None).value)
-            p.value = saved
-            return out
-
-        fd = support.finite_difference_gradient(f, p.value.ravel().copy())
+    gates = [name for name in params if name[0] in "WUb" and name not in ("W_out", "b_out")]
+    for name, (got, fd) in support.parameter_gradients(objective, params, gates).items():
         assert np.any(got != 0.0), name
         assert support.relative_error(got, fd).max() < 1e-6, name
 
@@ -150,25 +137,11 @@ def test_sentence_nll_nonnegative_and_distributions_normalized():
 def test_sentence_nll_gradients_match_finite_differences():
     params = rand_params(vocab_size=5, d_emb=2, d_h=3)
     s = Sentence((2, 3, 1))
-    tape = Tape()
-    nll, _ = sentence_nll(s, params, tape)
-    tape.backward(nll)
-    for name, p in params.items():
-        got = p.grad_buffer().copy().ravel()
-        shape = p.value.shape
-
-        def f(theta, p=p):
-            saved = p.value
-            p.value = theta.reshape(shape)
-            out = float(sentence_nll(s, params)[0].value)
-            p.value = saved
-            return out
-
-        fd = support.finite_difference_gradient(f, p.value.ravel().copy())
+    pairs = support.parameter_gradients(lambda tape: sentence_nll(s, params, tape)[0], params)
+    for name, (got, fd) in pairs.items():
         mask = (np.abs(got) + np.abs(fd)) >= 1e-5
         assert support.relative_error(got[mask], fd[mask]).max(initial=0.0) < 1e-4, name
         assert np.max(np.abs(got[~mask] - fd[~mask]), initial=0.0) < 1e-8, name
-        p.zero_grad()
 
 
 def test_parameter_count():
