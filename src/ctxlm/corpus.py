@@ -1,4 +1,4 @@
-"""Corpus ingestion: vocabulary, documents, context windows, bag-of-words vectors.
+"""Corpus ingestion: vocabulary, documents, context windows.
 
 Corpus files are UTF-8 with one pre-tokenized sentence per line (tokens
 whitespace-separated) and a blank line between documents. A file with no
@@ -8,8 +8,6 @@ the text.
 
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
 
 UNK_ID = 0
 EOS_ID = 1
@@ -153,15 +151,6 @@ def filter_by_length(documents: list[Document], max_len: int) -> list[Document]:
         mask = tuple(s.length <= max_len for s in doc.sentences)
         out.append(Document(doc.sentences, None if all(mask) else mask))
     return out
-
-
-def bow_vector(sentences, vocab: Vocabulary, dtype=np.float64) -> np.ndarray:
-    """Token-frequency vector over the vocabulary, EOS excluded."""
-    v = np.zeros(len(vocab), dtype=dtype)
-    for sent in sentences:
-        for tid in sent.content_ids:
-            v[tid] += 1.0
-    return v
 
 
 def context_windows(document: Document, n: int) -> list[ContextWindow]:

@@ -9,7 +9,7 @@ probability strictly positive.
 
 The table stores each order as sorted int64 key arrays with value arrays
 beside them, the layout of KenLM (Heafield, "KenLM: Faster and Smaller
-Language Model Queries", WMT 2011); see ``NGramTable``. ``count_ngrams``
+Language Model Queries", WMT 2011); see ``NGramTable``, whose constructor
 builds every array once with numpy. One vectorised scorer answers every
 query, whether a whole corpus, an export listing or a single ``probability``
 call. It interpolates bottom-up: the top-down recursion
@@ -67,39 +67,27 @@ class NGramTable:
 
     Each key and value array except ``counts`` ends in a sentinel: a lookup
     that misses reads index -1, whose numerator 0, total inf and weight 1
-    leave p as it is, and whose keys match nothing. ``add_sentence`` only
-    buffers; ``_freeze`` builds every array once, after which the table
-    takes no more sentences.
+    leave p as it is, and whose keys match nothing. The constructor builds
+    every array once from ``sentences``, token-id tuples that end in EOS.
     """
 
-    def __init__(self, order: int, vocab_size: int):
+    # no program path calls this name; bench/tracing.py wraps it all the same,
+    # so it stays bound until its next change (ROADMAP item 3) drops it
+    add_sentence = None
+
+    def __init__(self, sentences: list[tuple[int, ...]], order: int, vocab_size: int):
         if order < 1:
             raise ValueError("order must be at least 1")
         if vocab_size < 2:
             raise ValueError("vocab_size must cover the reserved ids")
         self.order = order
         self.vocab_size = vocab_size
-        self._sentences: list[tuple[int, ...]] | None = []  # None once frozen
-        # built by _freeze; empty while counting
-        self.counts: dict[int, np.ndarray] = {}
-        self.discounts: dict[int, OrderDiscounts] = {}
-        self._root = -1  # id of the empty context: 0 once any token is counted
-        self._contexts: dict[int, np.ndarray] = {}
-        self._totals: dict[int, np.ndarray] = {}
-        self._weights: dict[int, np.ndarray] = {}
-        self._grams: dict[int, np.ndarray] = {}
-        self._numerators: dict[int, np.ndarray] = {}
-
-    def add_sentence(self, sentence: Sentence) -> None:
-        if self._sentences is None:
-            raise RuntimeError("table already counted")
-        self._sentences.append(sentence.token_ids)
-
-    def _freeze(self) -> None:
-        n, W = self.order, self.vocab_size + 1
-        codes, at = _padded(self._sentences, n - 1, self.vocab_size)
-        self._sentences = None
+        n, W = order, vocab_size + 1
+        codes, at = _padded(sentences, n - 1, vocab_size)
         words = codes[at]
+        self.counts: dict[int, np.ndarray] = {}
+        self._contexts: dict[int, np.ndarray] = {}
+        self._grams: dict[int, np.ndarray] = {}
         context = np.zeros(len(at), np.int64)  # id of each position's context so far
         gram_of = []  # per order, the gram id of each position
         for k in range(1, n + 1):
@@ -116,8 +104,11 @@ class NGramTable:
             suffix = np.empty(len(self.counts[k + 1]), np.int64)
             suffix[gram_of[k]] = gram_of[k - 1]
             self.counts[k] = np.bincount(suffix, minlength=len(self.counts[k]))
-        self._root = 0 if len(at) else -1
+        self._root = 0 if len(at) else -1  # id of the empty context, -1 with no tokens
         self.discounts = estimate_discounts(self)
+        self._totals: dict[int, np.ndarray] = {}
+        self._weights: dict[int, np.ndarray] = {}
+        self._numerators: dict[int, np.ndarray] = {}
         for k in range(1, n + 1):
             c = self.counts[k]
             owner = self._grams[k][:-1] // W  # context id of each gram, ascending
@@ -131,10 +122,6 @@ class NGramTable:
             discount = np.array([0.0, d.d1, d.d2, d.d3plus])
             self._numerators[k] = np.append(np.maximum(c - discount[np.minimum(c, 3)], 0.0), 0.0)
 
-    def _check_counted(self) -> None:
-        if self._sentences is not None:
-            raise RuntimeError("n-gram table was never counted; build it with count_ngrams")
-
     def count_of_counts(self, order: int) -> tuple[int, int, int, int]:
         """n1..n4 over the counts this order's estimate uses."""
         tally = np.bincount(np.minimum(self.counts[order], 5), minlength=6)
@@ -142,7 +129,6 @@ class NGramTable:
 
     def grams(self, k: int) -> dict[tuple[int, ...], int]:
         """The order-k grams, with BOS as ``BOS``, and the counts order k's estimate uses."""
-        self._check_counted()
         W = self.vocab_size + 1
         keys = self._grams[k][:-1]
         rows = np.empty((len(keys), k), np.int64)
@@ -169,7 +155,6 @@ class NGramTable:
         over rows (``context`` as for ``_context_ids``). An order whose context
         is unseen reads the sentinels, which leave p as it is; once no row has
         a seen context, no higher order has one either."""
-        self._check_counted()
         W = self.vocab_size + 1
         p = 1.0 / self.vocab_size
         for k, c in enumerate(self._context_ids(context), 1):
@@ -226,12 +211,7 @@ def _padded(sentences: list[tuple[int, ...]], pad: int,
 
 
 def count_ngrams(documents: list[Document], order: int, vocab_size: int) -> NGramTable:
-    table = NGramTable(order, vocab_size)
-    for doc in documents:
-        for sent in doc.sentences:
-            table.add_sentence(sent)
-    table._freeze()
-    return table
+    return NGramTable([s.token_ids for d in documents for s in d.sentences], order, vocab_size)
 
 
 def estimate_discounts(table: NGramTable) -> dict[int, OrderDiscounts]:

@@ -69,7 +69,7 @@ def keep_freed_arrays() -> bool:
     return taken == [1, 1]
 
 
-FREED_ARRAYS_KEPT = keep_freed_arrays()
+keep_freed_arrays()
 
 
 def dtype_of(precision: str) -> np.dtype:

@@ -68,9 +68,10 @@ def check_array_size(what: str, shape: tuple, dtype) -> None:
 
 
 class CheckpointError(ValueError):
-    """A checkpoint file that is truncated, carries bytes after its end, holds
-    an array of unknown precision, lacks a trailer key, or holds other
-    parameters than its configuration describes."""
+    """A checkpoint file that lacks the magic bytes, has an unsupported
+    version, is truncated, carries bytes after its end, holds an array of
+    unknown precision, lacks a trailer key, or holds other parameters than its
+    configuration describes."""
 
 
 @dataclass
@@ -92,7 +93,6 @@ class TrainConfig:
     clip_norm: float = 5.0
     train_path: str = ""
     valid_path: str = ""
-    test_path: str = ""
 
     def __post_init__(self):
         variant = fusion.parse_variant(self.variant)
@@ -433,11 +433,12 @@ def load_checkpoint(path) -> Checkpoint:
     against the bytes left in the file before anything is allocated, and each
     array is read straight into its own buffer, so no copy of the file is held.
     The model arrays must have exactly the names, shapes and precision of the
-    parameters of the stored configuration and vocabulary."""
+    parameters of the stored configuration and vocabulary. Every fault of the
+    file, a bad magic and an unsupported version included, is a CheckpointError."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
-            raise ConfigError("not a checkpoint file (bad magic)")
+            raise CheckpointError("not a checkpoint file (bad magic)")
         off = len(CHECKPOINT_MAGIC)
 
         def claim(n: int) -> None:
@@ -456,7 +457,7 @@ def load_checkpoint(path) -> Checkpoint:
 
         version, count = unpack("<II")
         if version != CHECKPOINT_VERSION:
-            raise ConfigError(f"unsupported checkpoint version {version}")
+            raise CheckpointError(f"unsupported checkpoint version {version}")
         arrays: dict[str, np.ndarray] = {}
         for _ in range(count):
             (name_len,) = unpack("<H")
@@ -486,6 +487,8 @@ def load_checkpoint(path) -> Checkpoint:
     best = float(raw.pop("best_valid_nll"))
     rng_state = raw.pop("rng_state")
     vocab_tokens = raw.pop("vocab").split(" ")
+    # earlier versions had a test_path key, which checkpoints may still hold
+    raw.pop("test_path", None)
     config = config_from_mapping(raw)
     _check_parameters(arrays, config, len(Vocabulary(vocab_tokens)))
     return Checkpoint(config, arrays, vocab_tokens, epoch, best, rng_state)

@@ -47,7 +47,8 @@ def _hidden_states(p, prefix, xs):
     return out
 
 
-def _counts(sentences, vocab_size):
+def counts(sentences, vocab_size):
+    """Word counts of token-id sentences, EOS (each one's last id) not counted."""
     s = np.zeros(vocab_size)
     for sentence in sentences:
         for token in sentence[:-1]:
@@ -68,13 +69,13 @@ def token_nlls(params, tag: str, target, context) -> list[float]:
     fixed = None    # projected context p W_p, the same at every step
     annots = []     # attention: one z_k per context sentence
     if kind == "bow":
-        fixed = (_counts(context, vocab_size) @ p["P"]) @ p["W_p"]
+        fixed = (counts(context, vocab_size) @ p["P"]) @ p["W_p"]
     elif kind == "seqbow":
-        xs = [_counts([s], vocab_size) @ p["P"] for s in context]
+        xs = [counts([s], vocab_size) @ p["P"] for s in context]
         last = _hidden_states(p, "cf_", xs)[-1] if xs else np.zeros(p["P"].shape[1])
         fixed = last @ p["W_p"]
     elif kind == "att":
-        xs = [_counts([s], vocab_size) @ p["P"] for s in context]
+        xs = [counts([s], vocab_size) @ p["P"] for s in context]
         fwd = _hidden_states(p, "cf_", xs)
         rev = _hidden_states(p, "cr_", xs[::-1])[::-1]
         annots = [np.concatenate([f, r]) for f, r in zip(fwd, rev)]

@@ -322,6 +322,16 @@ def test_train_unknown_key_rejected(tmp_path, capsys):
     assert "momentum" in capsys.readouterr().err
 
 
+def test_train_config_naming_a_test_path_is_rejected(tmp_path, capsys):
+    """Training reads no test corpus, so a test_path key is unknown rather
+    than silently ignored."""
+    cfg = write_config(tmp_path, test_path=str(tmp_path / "valid.txt"))
+    out = tmp_path / "m.ckpt"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "unknown config key 'test_path'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_missing_config_file(tmp_path, capsys):
     assert main(["train", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path / "m.ckpt")]) == 1
@@ -695,6 +705,24 @@ def test_eval_checkpoint_whose_vocabulary_is_out_of_order_is_data_error(tmp_path
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "must start with" in captured.err
+
+
+def test_eval_checkpoint_whose_trailer_holds_a_test_path_evaluates(tmp_path, capsys):
+    """Checkpoints of earlier versions may list a test_path in their trailer:
+    the key is dropped on load and the report is the one without it."""
+    path = fresh_checkpoint(tmp_path)
+    blob = path.read_bytes()
+    text_at = blob.rindex(b"variant = ")  # the trailer's first line
+    text = b"test_path = corpus/test.txt\n" + blob[text_at:]
+    earlier = tmp_path / "earlier.ckpt"
+    earlier.write_bytes(blob[: text_at - 4] + struct.pack("<I", len(text)) + text)
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("a b\nc\n", encoding="utf-8")
+    reports = []
+    for ckpt in (path, earlier):
+        assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
 
 
 def test_eval_checkpoint_with_wrong_parameters_is_data_error(tmp_path, capsys):

@@ -1,8 +1,9 @@
 import numpy as np
 
+import oracle
 from ctxlm import fusion, rlm
 from ctxlm import numeric as nm
-from ctxlm.corpus import ContextWindow, Sentence, Vocabulary, bow_vector
+from ctxlm.corpus import ContextWindow, Sentence, Vocabulary
 from ctxlm.numeric import Tape, Variable
 
 V = 8
@@ -124,7 +125,7 @@ def test_annotate_single_sentence_halves_match_one_step_lstm():
     s = sent(2, 4, 4)
     annots, _ = annotate(params, (s,))
     d_ctx = params["P"].shape[1]
-    x = bow_vector([s], VOCAB) @ params["P"].value
+    x = oracle.counts([s.token_ids], len(VOCAB)) @ params["P"].value
 
     def one_step(prefix):
         z = {g: x @ params[f"{prefix}W_{g}"].value + params[f"{prefix}b_{g}"].value

@@ -1,11 +1,10 @@
 import io
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from ctxlm import corpus
-from ctxlm.corpus import (CorpusError, Document, Sentence, Vocabulary, bow_vector,
+from ctxlm.corpus import (CorpusError, Document, Sentence, Vocabulary,
                           build_vocabulary, context_windows, encode_documents,
                           filter_by_length, load_corpus)
 
@@ -132,41 +131,6 @@ def test_filter_by_length_identity_when_all_short():
     docs = filter_by_length([_doc([3, 4])], 50)
     assert docs[0].target_mask is None
     assert len(context_windows(docs[0], 1)) == 2
-
-
-def test_bow_vector_counts():
-    v = build_vocabulary(raw("a a b c\n"), 5)
-    docs = encode_documents(raw("a a b\n"), v)
-    counts = bow_vector(docs[0].sentences, v)
-    assert counts[v.encode("a")] == 2
-    assert counts[v.encode("b")] == 1
-    assert counts[corpus.EOS_ID] == 0
-    assert counts.sum() == 3
-
-
-def test_bow_vector_empty():
-    v = build_vocabulary(raw("a\n"), 3)
-    assert np.all(bow_vector([], v) == 0)
-
-
-def test_bow_vector_enumerated():
-    v = build_vocabulary(raw("a b c\n"), 5)
-    docs = encode_documents(raw("a b\nb c\n"), v)
-    counts = bow_vector(docs[0].sentences, v)
-    assert counts[v.encode("a")] == 1
-    assert counts[v.encode("b")] == 2
-    assert counts[v.encode("c")] == 1
-
-
-@given(st.lists(st.lists(st.sampled_from("abcd"), min_size=1, max_size=5),
-                min_size=2, max_size=6))
-def test_bow_additivity(sents):
-    v = build_vocabulary([[list("abcd")]], 6)
-    doc = encode_documents([sents], v)[0]
-    half = len(doc.sentences) // 2
-    a, b = doc.sentences[:half], doc.sentences[half:]
-    combined = bow_vector(doc.sentences, v)
-    assert np.array_equal(combined, bow_vector(a, v) + bow_vector(b, v))
 
 
 def test_context_windows_shapes():

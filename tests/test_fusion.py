@@ -6,7 +6,7 @@ import pytest
 import oracle
 import support
 from ctxlm import fusion, numeric as nm, rlm
-from ctxlm.corpus import ContextWindow, Sentence, Vocabulary, bow_vector
+from ctxlm.corpus import ContextWindow, Sentence, Vocabulary
 from ctxlm.numeric import Tape
 
 V = 14
@@ -28,6 +28,11 @@ def make_params(tag, seed=5, scale=1.0):
         for p in params.values():
             p.value *= scale
     return params
+
+
+def context_counts(sentences, dtype=np.float64):
+    """The oracle's bag-of-words counts of ``Sentence`` objects, in ``dtype``."""
+    return oracle.counts([s.token_ids for s in sentences], V).astype(dtype)
 
 
 def copy_core(src, dst):
@@ -137,7 +142,7 @@ def test_early_fusion_input_matches_sum_of_terms():
     """With a fixed context vector p, early fusion is the unconditioned model
     whose every embedding row is shifted by p W_p."""
     params, baseline = _bow_ef_and_baseline(seed=1)
-    p = bow_vector(WINDOW.context, VOCAB) @ params["P"].value
+    p = context_counts(WINDOW.context) @ params["P"].value
     baseline["E"].value = params["E"].value + p @ params["W_p"].value
     fused = _token_nlls(WINDOW, "RLM-BoW-EF", params)
     shifted = _token_nlls(WINDOW, "RLM", baseline)
@@ -191,7 +196,7 @@ def test_late_fusion_saturated_gate_open():
     params["W_rc"].value[...] = 0.0
     params["b_r"].value[...] = 1e3
     steps, hidden = _decoder_trace([WINDOW], "RLM-BoW-LF", params)
-    q = bow_vector(WINDOW.context, VOCAB) @ params["P"].value @ params["W_p"].value
+    q = context_counts(WINDOW.context) @ params["P"].value @ params["W_p"].value
     assert np.any(np.abs(q) > 0.1)
     expect = np.concatenate([s["o"] * np.tanh(s["c_returned"] + q) for s in steps])
     assert np.max(np.abs(hidden - expect)) < 1e-12
@@ -555,7 +560,7 @@ def test_context_lstms_run_as_rlm_lstm_step(tag, monkeypatch):
 def test_make_batch_counts_equal_bow_vector(tag):
     """The batch counts over its context words only: bow_ids is sorted,
     unique and exactly the words the contexts hold. Scattered back into |V|
-    columns, the counts equal corpus.bow_vector of each window's context,
+    columns, the counts equal the oracle's counts of each window's context,
     bitwise, in the engine's row order (longest target first); per-sentence
     rows are packed over the real positions of contexts left-padded to the
     longest one, for the context LSTMs. A batch whose contexts are all empty
@@ -579,7 +584,7 @@ def test_make_batch_counts_equal_bow_vector(tag):
         order = batch.window[: batch.bounds[1]].tolist()  # step 0 holds every row
         assert order == [1, 3, 0, 2]
         if batch.bow_sum is not None:
-            expect = np.stack([bow_vector(windows[i].context, VOCAB, dtype) for i in order])
+            expect = np.stack([context_counts(windows[i].context, dtype) for i in order])
             assert batch.bow_sum.dtype == dtype
             assert batch.bow_sum.shape == (4, 6) and np.array_equal(widen(batch.bow_sum), expect)
         else:
@@ -594,7 +599,7 @@ def test_make_batch_counts_equal_bow_vector(tag):
                 k, b = divmod(slot, 4)
                 context = windows[order[b]].context
                 assert np.array_equal(bow_seq[row],
-                                      bow_vector([context[k - K + len(context)]], VOCAB, dtype))
+                                      context_counts([context[k - K + len(context)]], dtype))
             for b, i in enumerate(order):
                 pad = K - len(windows[i].context)
                 assert batch.ctx_mask[b].tolist() == [0.0] * pad + [1.0] * (K - pad)

@@ -67,12 +67,8 @@ def test_count_rejects_order_zero():
         count_ngrams([doc([A])], 0, vocab_size=3)
 
 
-def test_add_sentence_buffers_and_freeze_builds_every_order():
-    table = NGramTable(3, vocab_size=5)
-    table.add_sentence(Sentence((A, B, EOS_ID)))
-    table.add_sentence(Sentence((A, EOS_ID)))
-    assert table.counts == {} and table.discounts == {}
-    table._freeze()
+def test_constructor_builds_every_order():
+    table = NGramTable([(A, B, EOS_ID), (A, EOS_ID)], 3, vocab_size=5)
     assert table.grams(3) == {(BOS, BOS, A): 2, (BOS, A, B): 1, (A, B, EOS_ID): 1,
                               (BOS, A, EOS_ID): 1}
     # lower orders hold continuation counts: distinct left extensions
@@ -93,10 +89,8 @@ def test_context_prefix_exists_at_lower_order():
 def test_discount_formulas_frozen():
     # raw counts with n1=n2=n3=n4=1 at the (single) top order: 2 once, 3 twice,
     # 4 three times and EOS once per sentence
-    table = NGramTable(1, vocab_size=8)
-    for sent in ((2, 3, EOS_ID), (3, 4, EOS_ID), (4, EOS_ID), (4, EOS_ID)):
-        table.add_sentence(Sentence(sent))
-    table._freeze()
+    table = NGramTable([(2, 3, EOS_ID), (3, 4, EOS_ID), (4, EOS_ID), (4, EOS_ID)], 1,
+                       vocab_size=8)
     assert table.count_of_counts(1) == (1, 1, 1, 1)
     d = estimate_discounts(table)[1]
     assert d.d1 == pytest.approx(Fraction(1, 3), abs=1e-15)
@@ -399,25 +393,6 @@ def test_arpa_lists_every_bos_prefix_with_a_backoff():
         assert len(cols) == 3
         assert float(cols[0]) == -99.0   # placeholder: BOS is never predicted
         assert float(cols[2]) <= 0.0   # weights never exceed 1
-
-
-def test_add_sentence_after_counting_raises():
-    table = _ab_ac_table()
-    with pytest.raises(RuntimeError):
-        table.add_sentence(Sentence((A, EOS_ID)))
-
-
-def test_uncounted_table_refuses_queries_clearly():
-    table = NGramTable(2, vocab_size=5)
-    table.add_sentence(Sentence((A, EOS_ID)))
-    with pytest.raises(RuntimeError, match="never counted"):
-        table.probability(A)
-
-
-def test_uncounted_table_refuses_export_clearly():
-    table = NGramTable(2, vocab_size=5)
-    with pytest.raises(RuntimeError, match="never counted"):
-        write_arpa(table, ToyVocab(), io.StringIO())
 
 
 @st.composite

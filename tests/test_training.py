@@ -772,8 +772,7 @@ def test_checkpoint_rejects_every_truncation_and_trailing_bytes(tmp_path):
     cut_path = tmp_path / "cut.ckpt"
     for cut in range(len(blob)):
         cut_path.write_bytes(blob[:cut])
-        expect = CheckpointError if cut >= len(training.CHECKPOINT_MAGIC) else ConfigError
-        with pytest.raises(expect):
+        with pytest.raises(CheckpointError):
             load_checkpoint(cut_path)
     cut_path.write_bytes(blob + b"\x00")
     with pytest.raises(CheckpointError, match="after the checkpoint's end"):
@@ -827,7 +826,7 @@ def test_checkpoint_parameters_must_fit_the_config(tmp_path):
     blob = bytearray(path.read_bytes())
     struct.pack_into("<I", blob, len(training.CHECKPOINT_MAGIC), 1)
     path.write_bytes(bytes(blob))
-    with pytest.raises(ConfigError, match="unsupported checkpoint version 1"):
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
         load_checkpoint(path)
 
 
@@ -843,7 +842,7 @@ def test_parameter_shapes_are_what_init_parameters_draws():
 def test_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"NOTLM1" + b"\x00" * 32)
-    with pytest.raises(ConfigError, match="magic"):
+    with pytest.raises(CheckpointError, match="magic"):
         load_checkpoint(path)
 
 
