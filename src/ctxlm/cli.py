@@ -201,7 +201,7 @@ def cmd_eval(args) -> int:
 def cmd_ngram(args) -> int:
     if args.order < 1:
         raise ConfigError("order must be at least 1")
-    check_array_size("--order's begin-of-sentence padding", (args.order - 1,), np.int64)
+    check_array_size("--order's gram ids of one token", (args.order,), np.int64)
     if args.vocab_size < 0 or args.vocab_size == 1:
         raise ConfigError("--vocab-size must be 0 or at least 2")
     train_raw = _load_documents(args.train)
@@ -211,14 +211,14 @@ def cmd_ngram(args) -> int:
     vocab = build_vocabulary(train_raw, max_size)
     train_docs = encode_documents(train_raw, vocab)  # unfiltered: all sentences count
     eval_docs = _load_documents(args.eval, vocab)
-    try:  # both corpora are padded with order - 1 begin-of-sentence codes per sentence
+    try:  # the table holds one gram id per order and training token while it counts
         table = count_ngrams(train_docs, args.order, len(vocab))
         report = corpus_perplexity(table, eval_docs, n=0)
-    except ValueError as e:  # the padded corpora: the ids are the vocabulary's own
+    except ValueError as e:  # the table's size: the ids are the vocabulary's own
         raise ConfigError(f"--order {args.order}: {e}") from None
     except MemoryError:
-        raise ConfigError(f"--order {args.order}: the corpora padded for this order "
-                          "do not fit in memory") from None
+        raise ConfigError(f"--order {args.order}: the n-gram table for this order "
+                          "does not fit in memory") from None
     export = open(args.export, "w", encoding="utf-8") if args.export else None  # before any output
     sys.stdout.write(report.csv())
     if export:

@@ -102,7 +102,7 @@ def _unk_rate(documents: list[Document]) -> float:
     for doc in documents:
         for sent in doc.sentences:
             total += sent.length
-            unk += sum(1 for t in sent.content_ids if t == UNK_ID)
+            unk += sent.content_ids.count(UNK_ID)
     return unk / total if total else 0.0
 
 

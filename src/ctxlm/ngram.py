@@ -7,12 +7,15 @@ every lower order uses continuation counts (number of distinct left contexts);
 the base distribution is uniform over the vocabulary, which keeps every
 probability strictly positive.
 
-The table stores each order as sorted int64 key arrays with value arrays
-beside them, the layout of KenLM (Heafield, "KenLM: Faster and Smaller
+The table stores each order as one sorted int64 key array with value arrays
+beside it, the layout of KenLM (Heafield, "KenLM: Faster and Smaller
 Language Model Queries", WMT 2011); see ``NGramTable``, whose constructor
-builds every array once with numpy. One vectorised scorer answers every
-query, whether a whole corpus, an export listing or a single ``probability``
-call. It interpolates bottom-up: the top-down recursion
+builds every array once with numpy. A gram's id is its rank among its
+order's keys, and a context's id is the id of the gram it spells: as in
+KenLM's carried state, a word's context is the gram that ends just before
+it, so scoring a corpus makes one lookup per order. Every query, whether a
+whole corpus, an export listing or a single ``probability`` call, goes
+through one interpolation. It works bottom-up: the top-down recursion
 p_k = max(c - D, 0) / total + weight * p_(k-1) evaluates its lower orders
 first anyway, so starting from the uniform base and going up the orders
 performs the same float operations in the same order, elementwise.
@@ -34,8 +37,8 @@ BOS = -1  # context-only padding id, never in the vocabulary and never predicted
 
 FALLBACK_DISCOUNT = 0.5  # used when count-of-counts give no usable discount
 
-# The code of a context id that is neither a word nor BOS: every key built
-# from it is negative, so it matches no gram and no context.
+# The code of a context token that is neither a word nor BOS: every key built
+# from it is negative, so it matches no gram.
 _INVALID = -(1 << 62)
 _END = np.iinfo(np.int64).max  # sentinel closing every sorted key array
 
@@ -51,23 +54,26 @@ class NGramTable:
     """N-gram statistics as per-order sorted arrays.
 
     Internally BOS is the code V (the vocabulary size), so W = V + 1 codes
-    make one digit of a key. Every seen context of j tokens has an id: its
-    rank among the sorted keys ``suffix_id * W + first_token``, where
-    ``suffix_id`` is the id of the context without its first token and the
-    empty context has id 0. A query thus lengthens its context one token to
-    the left per order, with one lookup each. At order k:
+    make one digit of a key. The gram t_1..t_k has the key
+    ``id(t_1..t_(k-1)) * W + t_k`` at order k, and its id is the rank of
+    that key in ``_keys[k]``; the empty gram has id 0. The first n_k keys are
+    the grams seen in training. BOS^k, the context of every sentence's first
+    word at order k + 1, follows them with id n_k (so BOS^0, the empty gram,
+    fits with n_0 = 0). A context of k - 1 tokens is the order-(k-1) gram it
+    spells, so at order k:
 
-    - ``_contexts[k]`` (k >= 2) holds the keys of the seen (k-1)-token
-      contexts; ``_totals[k]`` and ``_weights[k]`` hold each one's count total
-      and interpolation weight ``(d1*n1 + d2*n2 + d3+*n3+) / total``;
-    - ``_grams[k]`` holds the keys ``context_id * W + word`` of the k-grams,
-      ``counts[k]`` the count order k's estimate uses (occurrence counts at
-      the top order, continuation counts below: the number of distinct left
-      extensions) and ``_numerators[k]`` each ``max(c - D(c), 0)``.
+    - ``counts[k]`` holds the count order k's estimate uses for each seen
+      gram (occurrence counts at the top order, continuation counts below:
+      the number of distinct left extensions) and ``_numerators[k]`` each
+      ``max(c - D(c), 0)``;
+    - ``_totals[k]`` and ``_weights[k]``, indexed by order-(k-1) ids, hold
+      each context's count total and interpolation weight
+      ``(d1*n1 + d2*n2 + d3+*n3+) / total``. A gram never followed by a word
+      (one ending in EOS) is no context: total inf and weight 1, as unseen.
 
     Each key and value array except ``counts`` ends in a sentinel: a lookup
     that misses reads index -1, whose numerator 0, total inf and weight 1
-    leave p as it is, and whose keys match nothing. The constructor builds
+    leave p as it is, and whose key matches nothing. The constructor builds
     every array once from ``sentences``, token-id tuples that end in EOS.
     """
 
@@ -82,45 +88,50 @@ class NGramTable:
             raise ValueError("vocab_size must cover the reserved ids")
         self.order = order
         self.vocab_size = vocab_size
-        n, W = order, vocab_size + 1
-        codes, at = _padded(sentences, n - 1, vocab_size)
-        words = codes[at]
+        n, V, W = order, vocab_size, vocab_size + 1
+        words, first = _flat(sentences, vocab_size)
+        if n * len(words) > np.iinfo(np.intp).max // np.dtype(np.int64).itemsize:
+            raise ValueError(f"{n} orders of {len(words)} gram ids each are too large "
+                             "for an array")
         self.counts: dict[int, np.ndarray] = {}
-        self._contexts: dict[int, np.ndarray] = {}
-        self._grams: dict[int, np.ndarray] = {}
-        context = np.zeros(len(at), np.int64)  # id of each position's context so far
-        gram_of = []  # per order, the gram id of each position
+        self._keys: dict[int, np.ndarray] = {}
+        gram_of = np.empty((n, len(words)), np.int64)  # row k - 1: each word's order-k gram
+        context = np.zeros(len(words), np.int64)  # BOS^0, the empty gram, before every word
+        bos = 0  # id of BOS^(k-1)
         for k in range(1, n + 1):
-            if k > 1:
-                keys, context = np.unique(context * W + codes[at - (k - 1)], return_inverse=True)
-                self._contexts[k] = np.append(keys, _END)
-            keys, gram, self.counts[k] = np.unique(context * W + words, return_inverse=True,
-                                                   return_counts=True)
-            self._grams[k] = np.append(keys, _END)
-            gram_of.append(gram)
+            keys, gram_of[k - 1], self.counts[k] = np.unique(
+                context * W + words, return_inverse=True, return_counts=True)
+            self._keys[k] = np.append(keys, [bos * W + V, _END])
+            bos = len(keys)
+            if k < n:
+                context = _after(gram_of[k - 1], first, bos)
         # below the top order, continuation counts replace the occurrence counts:
         # each distinct (k+1)-gram adds one to the count of its suffix
         for k in range(n - 1, 0, -1):
             suffix = np.empty(len(self.counts[k + 1]), np.int64)
             suffix[gram_of[k]] = gram_of[k - 1]
             self.counts[k] = np.bincount(suffix, minlength=len(self.counts[k]))
-        self._root = 0 if len(at) else -1  # id of the empty context, -1 with no tokens
         self.discounts = estimate_discounts(self)
         self._totals: dict[int, np.ndarray] = {}
         self._weights: dict[int, np.ndarray] = {}
         self._numerators: dict[int, np.ndarray] = {}
         for k in range(1, n + 1):
             c = self.counts[k]
-            owner = self._grams[k][:-1] // W  # context id of each gram, ascending
-            size = len(self._contexts[k]) - 1 if k > 1 else self._root + 1
+            owner = self._keys[k][:len(c)] // W  # context id of each gram, ascending
+            # one slot per order-(k-1) id, BOS^(k-1) included, and the sentinel
+            size = (len(self.counts[k - 1]) if k > 1 else 0) + 2
             total = np.bincount(owner, weights=c, minlength=size)
             n1, n2, n3 = (np.bincount(owner[sel], minlength=size)
                           for sel in (c == 1, c == 2, c >= 3))
             d = self.discounts[k]
-            self._totals[k] = np.append(total, np.inf)
-            self._weights[k] = np.append((d.d1 * n1 + d.d2 * n2 + d.d3plus * n3) / total, 1.0)
+            seen = total > 0  # false for grams never followed by a word, and the sentinel
+            self._totals[k] = np.where(seen, total, np.inf)
+            self._weights[k] = np.where(
+                seen, (d.d1 * n1 + d.d2 * n2 + d.d3plus * n3) / self._totals[k], 1.0)
             discount = np.array([0.0, d.d1, d.d2, d.d3plus])
-            self._numerators[k] = np.append(np.maximum(c - discount[np.minimum(c, 3)], 0.0), 0.0)
+            # BOS^k is never predicted and the sentinel never found: numerators 0
+            self._numerators[k] = np.append(np.maximum(c - discount[np.minimum(c, 3)], 0.0),
+                                            [0.0, 0.0])
 
     def count_of_counts(self, order: int) -> tuple[int, int, int, int]:
         """n1..n4 over the counts this order's estimate uses."""
@@ -130,37 +141,34 @@ class NGramTable:
     def grams(self, k: int) -> dict[tuple[int, ...], int]:
         """The order-k grams, with BOS as ``BOS``, and the counts order k's estimate uses."""
         W = self.vocab_size + 1
-        keys = self._grams[k][:-1]
+        keys = self._keys[k][:len(self.counts[k])]
         rows = np.empty((len(keys), k), np.int64)
-        rows[:, -1], ids = keys % W, keys // W
-        for j in range(k - 1):  # a context key is suffix_id * W + first_token
-            keys = self._contexts[k - j][ids]
-            rows[:, j], ids = keys % W, keys // W
+        for j in range(k - 1, 0, -1):  # a key is prefix_id * W + last_token
+            rows[:, j] = keys % W
+            keys = self._keys[j][keys // W]
+        rows[:, 0] = keys
         rows[rows == self.vocab_size] = BOS
         return dict(zip(map(tuple, rows.tolist()), self.counts[k].tolist()))
 
-    def _context_ids(self, context):
-        """Ids of ever longer suffixes of the context: the empty context (order
-        1's), then one token more per order, -1 once unseen. ``context`` lists
-        token codes nearest last, each an int or an int64 array (one per row)."""
+    def _walk(self, words, first, top):
+        """Per order from 1 to ``top``, every word's (context ids, gram ids):
+        ``words`` is a flat code array of sentences that start at the indices
+        ``first``. One lookup per order: each word's order-k gram ids,
+        shifted one place right, are the next order's contexts."""
         W = self.vocab_size + 1
-        c = self._root
-        yield c
-        for j in range(1, min(len(context), self.order - 1) + 1):
-            c = _find(self._contexts[j + 1], c * W + context[-j])
-            yield c
+        context = np.zeros(len(words), np.int64)
+        for k in range(1, top + 1):
+            gram = _find(self._keys[k], context * W + words)
+            yield context, gram
+            if k < top:
+                context = _after(gram, first, len(self.counts[k]))
 
-    def _score(self, words, context):
-        """The one scorer: probability of each word after its context, elementwise
-        over rows (``context`` as for ``_context_ids``). An order whose context
-        is unseen reads the sentinels, which leave p as it is; once no row has
-        a seen context, no higher order has one either."""
-        W = self.vocab_size + 1
+    def _interpolate(self, ids):
+        """The one scorer: probability of each word from the (context ids, gram
+        ids) of every order, from 1 up. An unseen context reads total inf and
+        weight 1, which leave p as it is."""
         p = 1.0 / self.vocab_size
-        for k, c in enumerate(self._context_ids(context), 1):
-            if k > 1 and _none_seen(c):
-                break
-            g = _find(self._grams[k], c * W + words)
+        for k, (c, g) in enumerate(ids, 1):
             p = self._numerators[k][g] / self._totals[k][c] + self._weights[k][c] * p
         return p
 
@@ -170,8 +178,11 @@ class NGramTable:
         V = self.vocab_size
         if not 0 <= word < V:
             raise ValueError(f"word id {word} outside vocabulary of size {V}")
-        codes = [t if 0 <= t < V else V if t == BOS else _INVALID for t in context]
-        return float(self._score(word, codes))
+        context = context[max(0, len(context) - self.order + 1):]
+        codes = [t if 0 <= t < V else V if t == BOS else _INVALID for t in context] + [word]
+        # as one sentence, read at its len(codes) lowest orders: the word's
+        # grams there never reach before the context's first token
+        return float(self._interpolate(self._walk(np.array(codes, np.int64), 0, len(codes)))[-1])
 
 
 def _find(keys: np.ndarray, key):
@@ -180,34 +191,27 @@ def _find(keys: np.ndarray, key):
     return (i + 1) * (keys[i] == key) - 1
 
 
-def _none_seen(c) -> bool:
-    """Whether no row's context was seen: ``c`` is one id or an array of them.
-    A numpy reduction on one id would cost more than the rest of its lookup."""
-    return c.max(initial=-1) < 0 if isinstance(c, np.ndarray) else c < 0
+def _after(grams: np.ndarray, first: np.ndarray, bos: int) -> np.ndarray:
+    """The gram that ends just before each word: the one ending at the word
+    before it, or ``bos``, the id of BOS^k, at each sentence's first word."""
+    out = np.empty_like(grams)
+    out[1:] = grams[:-1]
+    out[first] = bos
+    return out
 
 
-def _padded(sentences: list[tuple[int, ...]], pad: int,
-            vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The sentences' token ids in one flat int64 array, each sentence after
-    ``pad`` BOS codes (``vocab_size``), and the positions of the tokens. A
-    padded size beyond numpy's index range is a ValueError, raised before
-    anything of that size is allocated."""
-    size = sum(map(len, sentences)) + pad * len(sentences)
-    if size > np.iinfo(np.intp).max // np.dtype(np.int64).itemsize:
-        raise ValueError(f"{len(sentences)} sentences after {pad} begin-of-sentence codes "
-                         f"each ({size} codes) are too large for an array")
+def _flat(sentences: list[tuple[int, ...]], vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sentences' token ids in one flat int64 array, and the index of each
+    sentence's first token."""
     lengths = np.fromiter(map(len, sentences), np.int64, len(sentences))
     try:
-        tokens = np.fromiter(chain.from_iterable(sentences), np.int64, int(lengths.sum()))
+        words = np.fromiter(chain.from_iterable(sentences), np.int64, int(lengths.sum()))
     except OverflowError:
         raise ValueError(f"token id outside vocabulary of size {vocab_size}") from None
-    bad = (tokens < 0) | (tokens >= vocab_size)
+    bad = (words < 0) | (words >= vocab_size)
     if bad.any():
-        raise ValueError(f"token id {tokens[bad][0]} outside vocabulary of size {vocab_size}")
-    at = np.arange(len(tokens)) + pad * np.repeat(np.arange(1, len(sentences) + 1), lengths)
-    codes = np.full(len(tokens) + pad * len(sentences), vocab_size, np.int64)
-    codes[at] = tokens
-    return codes, at
+        raise ValueError(f"token id {words[bad][0]} outside vocabulary of size {vocab_size}")
+    return words, np.cumsum(lengths) - lengths
 
 
 def count_ngrams(documents: list[Document], order: int, vocab_size: int) -> NGramTable:
@@ -257,10 +261,8 @@ def sentence_log_probabilities(sentences: list[Sentence], table: NGramTable) -> 
     Every token is scored in one pass; each sentence adds its tokens'
     ``math.log`` left to right, so the result does not depend on how the
     corpus is split into calls."""
-    pad = table.order - 1
     token_ids = [s.token_ids for s in sentences]
-    codes, at = _padded(token_ids, pad, table.vocab_size)
-    probs = table._score(codes[at], [codes[at - d] for d in range(pad, 0, -1)])
+    probs = table._interpolate(table._walk(*_flat(token_ids, table.vocab_size), table.order))
     logs = map(math.log, probs.tolist())
     return [fold_sum(islice(logs, len(ids))) for ids in token_ids]
 
@@ -287,13 +289,15 @@ def write_arpa(table: NGramTable, vocab, stream) -> None:
     for k in range(1, table.order + 1):
         stream.write(f"\\{k}-grams:\n")
         rows = np.array(listed[k], np.int64).reshape(-1, k)
-        codes = np.where(rows == BOS, V, rows)
-        columns = list(codes.T)
-        last = rows[:, -1]
-        probs = np.where(last == BOS, 0.0, table._score(np.maximum(last, 0), columns[:-1]))
-        if k < table.order:
-            *_, seen = table._context_ids(columns)
-            backoffs = np.where(seen >= 0, table._weights[k + 1][seen], np.nan).tolist()
+        codes = np.where(rows == BOS, V, rows).ravel()
+        # each row as one sentence, read at its last token
+        ids = [(c[k - 1::k], g[k - 1::k])
+               for c, g in table._walk(codes, np.arange(0, len(codes), k), k)]
+        probs = np.where(rows[:, -1] == BOS, 0.0, table._interpolate(ids))
+        if k < table.order:  # a row's own id is its context at the order above
+            own = ids[-1][1]
+            seen = table._totals[k + 1][own] < np.inf
+            backoffs = np.where(seen, table._weights[k + 1][own], np.nan).tolist()
         else:
             backoffs = [math.nan] * len(rows)
         for gram, prob, backoff in zip(listed[k], probs.tolist(), backoffs):

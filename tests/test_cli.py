@@ -804,9 +804,9 @@ def test_ngram_rejects_out_of_range_vocab_size(tmp_path, capsys, size):
 
 
 def test_ngram_order_whose_padding_numpy_cannot_hold_is_config_error(tmp_path, capsys):
-    """--order 2**60 fits an int64 on its own, but the corpus padded with
-    order - 1 begin-of-sentence codes per sentence does not: exit 1 with a
-    config error, raised before the padded array is allocated."""
+    """--order 2**60 fits an int64 on its own, but one gram id per order and
+    training token does not fit numpy's index range: exit 1 with a config
+    error, raised before anything of that size is allocated."""
     train, _ = write_corpora(tmp_path)
     assert main(["ngram", "--order", str(2**60), "--train", str(train),
                  "--eval", str(train)]) == 1
@@ -815,31 +815,29 @@ def test_ngram_order_whose_padding_numpy_cannot_hold_is_config_error(tmp_path, c
     assert captured.err.startswith("config error: --order") and "too large for an array" in captured.err
 
 
-@pytest.mark.parametrize("order, refused", [(2**40, 1), (3, 2)])
-def test_ngram_order_whose_padding_memory_cannot_hold_is_config_error(tmp_path, capsys,
-                                                                       monkeypatch, order,
-                                                                       refused):
-    """An order whose padded training corpus (--order 2**40 passes the
-    index-range checks on a small corpus) or padded evaluation corpus does
-    not fit in memory (numpy raises MemoryError) exits 1 with one config
-    error line naming --order. The ``refused``-th padded array is made to
-    fail, so nothing huge is requested."""
+def test_ngram_order_whose_table_memory_cannot_hold_is_config_error(tmp_path, capsys,
+                                                                   monkeypatch):
+    """An order whose table does not fit in memory exits 1 with one config
+    error line naming --order, before any order is counted: --order 2**40
+    passes the index-range checks on a small corpus, but its gram ids, one
+    per order and training token, do not fit (numpy raises MemoryError).
+    Every request beyond 2**30 elements is made to fail, so nothing huge is
+    requested."""
     train, _ = write_corpora(tmp_path)
-    full, calls = np.full, []
+    empty = np.empty
 
-    def refusing(*args, **kwargs):
-        calls.append(args[0])
-        if len(calls) == refused:
+    def refusing(shape, *args, **kwargs):
+        if np.prod(shape, dtype=np.float64) > 2**30:
             raise MemoryError("Unable to allocate")
-        return full(*args, **kwargs)
+        return empty(shape, *args, **kwargs)
 
-    monkeypatch.setattr(np, "full", refusing)
-    assert main(["ngram", "--order", str(order), "--train", str(train),
+    monkeypatch.setattr(np, "empty", refusing)
+    assert main(["ngram", "--order", str(2**40), "--train", str(train),
                  "--eval", str(train)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == [f"config error: --order {order}: the corpora padded "
-                                         "for this order do not fit in memory"]
+    assert captured.err.splitlines() == [f"config error: --order {2**40}: the n-gram table "
+                                         "for this order does not fit in memory"]
 
 
 def test_ngram_missing_corpus(tmp_path):

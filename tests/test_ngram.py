@@ -181,6 +181,27 @@ def test_long_context_is_truncated():
     assert table.probability(B, (C, C, C, A)) == table.probability(B, (A,))
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 8])
+def test_a_context_through_eos_backs_off_to_what_follows_it(order):
+    """No word ever follows </s>, so a context that ends in it reads as the
+    empty context, and one with </s> inside reads as the part after it, bit
+    for bit: (a, </s>, b) gives what (b,) gives."""
+    rng = np.random.default_rng(order)
+    V = 7
+    sents = [list(rng.integers(2, V, size=rng.integers(1, 6))) for _ in range(30)]
+    table = count_ngrams([doc(*sents)], order, vocab_size=V)
+    token = [BOS, 0] + list(range(2, V))
+    contexts = [tuple(int(t) for t in rng.choice(token, size=rng.integers(0, order + 1)))
+                for _ in range(20)]
+    for ctxt in contexts:
+        for w in range(V):
+            assert table.probability(w, ctxt + (EOS_ID,)).hex() == table.probability(w).hex()
+        for a in (A, BOS):
+            for w in range(V):
+                assert (table.probability(w, (a, EOS_ID) + ctxt).hex()
+                        == table.probability(w, ctxt).hex())
+
+
 # -- independent brute-force reimplementation ---------------------------------
 
 
